@@ -58,14 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker processes for client training "
                           "(0/1 = serial; results are bitwise "
                           "identical either way)")
-    run.add_argument("--ipc", default="shm",
-                     choices=["shm", "pickle"],
-                     help="parallel-executor transport: shm broadcasts "
-                          "weights through shared-memory segments "
-                          "(O(descriptor) per-client payloads, the "
-                          "default, auto-falls back where unavailable); "
-                          "pickle ships full vectors through the pool "
-                          "pipe; bitwise identical either way")
     run.add_argument("--sample-fraction", type=float, default=1.0,
                      help="fraction of the selected cohort actually "
                           "sampled each round (cfraction-style; "
@@ -148,7 +140,6 @@ def _config_from_args(args) -> FLConfig:
         seed=args.seed,
         eval_every=args.rounds or base.rounds,
         workers=args.workers,
-        ipc=args.ipc,
         sample_fraction=args.sample_fraction,
         drop_rate=args.drop_rate,
         completion_threshold=args.completion_threshold,

@@ -31,13 +31,10 @@ class FLConfig:
     #: Worker processes for client training; 0/1 = serial reference.
     #: Any value produces bitwise-identical results (see fl.executor).
     workers: int = 0
-    #: Parallel-executor transport: "shm" (the default) broadcasts the
-    #: round's weights through one shared-memory segment and returns
-    #: results through preallocated slabs, so per-client IPC is
-    #: O(descriptor); "pickle" ships full vectors through the pool
-    #: pipe.  Both are bitwise-identical to serial; "shm" silently
-    #: falls back to "pickle" where segments can't be created.
-    #: Ignored when workers <= 1.
+    #: Parallel-executor transport.  "shm" is the only one: weights
+    #: go out through one shared-memory segment and results come back
+    #: through preallocated slabs (see fl.shm).  Accepted so existing
+    #: configs that name it keep working.
     ipc: str = "shm"
     #: Fraction of the (clients_per_round-limited) cohort actually
     #: sampled each round, cfraction-style; 1.0 = everyone selected
@@ -117,9 +114,10 @@ class FLConfig:
         if self.workers < 0:
             raise ValueError(
                 f"workers must be >= 0, got {self.workers}")
-        if self.ipc not in ("shm", "pickle"):
+        if self.ipc != "shm":
             raise ValueError(
-                f"ipc must be 'shm' or 'pickle', got {self.ipc!r}")
+                f"ipc must be 'shm' (the only parallel transport), "
+                f"got {self.ipc!r}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError(
                 f"sample_fraction must be in (0, 1], "

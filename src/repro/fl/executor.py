@@ -7,16 +7,13 @@ loop.  This module turns that loop into a pluggable
 
 * :class:`SerialExecutor` — the reference implementation, one client
   after another in the parent process;
-* :class:`ParallelExecutor` — fans the cohort out across a
-  ``fork``-based process pool, shipping each client's round as one
-  :class:`ClientTask` (the global model as the flat ``WeightStore``
-  buffer — one contiguous float64 array, cheap to pickle — plus the
-  defense state that client's hooks read) and reassembling
-  :class:`ClientRoundResult` objects on the parent;
-* :class:`repro.fl.shm.ShmParallelExecutor` — the same fan-out over a
-  zero-copy shared-memory transport (the default for ``workers > 1``):
-  tasks and results carry O(descriptor) payloads while the weight
-  vectors move through mapped segments.
+* :class:`repro.fl.shm.ParallelExecutor` — fans the cohort out across
+  a ``fork``-based process pool over a zero-copy shared-memory
+  transport: each task crosses the pool pipe as a :class:`ClientTask`
+  descriptor while the weight vectors move through mapped segments,
+  and the parent reassembles full :class:`ClientRoundResult` objects.
+  Where segments cannot be created, :func:`make_executor` falls back
+  to the serial executor.
 
 Determinism is the design constraint, not an afterthought: every
 client's round RNG is derived via
@@ -61,14 +58,9 @@ is proven free of scratch state.
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import pickle
+import warnings
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -123,27 +115,24 @@ def client_drops(seed: int, round_index: int, client_id: int,
 
 @dataclass
 class ClientTask:
-    """Everything one client needs to run one round, picklable."""
+    """Everything one client needs to run one round, picklable.
+
+    Every task of a round carries the same ``global_buffer`` and
+    ``round_state`` objects; the parallel executor publishes them once
+    per round and ships tasks with both fields set to ``None``.
+    """
 
     round_index: int
     client_id: int
-    #: The global model as the flat weight-plane vector.  ``None`` only
-    #: in shm transit, where ``shm`` names the broadcast instead.
+    #: The global model as the flat weight-plane vector.
     global_buffer: np.ndarray | None
     #: This client's defense state (``Defense.export_client_state``).
     client_state: Any = None
-    #: Round-shared defense state (``Defense.export_round_state``),
-    #: possibly wrapped as a :class:`SharedRoundState` in transit.
+    #: Round-shared defense state (``Defense.export_round_state``).
     round_state: Any = None
     #: Injected dropout: a dropped client never trains and never
     #: produces a result (see :func:`client_drops`).
     dropped: bool = False
-    #: shm transport: the round's broadcast descriptor
-    #: (:class:`repro.fl.shm.ShmRound`); replaces ``global_buffer`` and
-    #: ``round_state`` on the wire.
-    shm: Any = None
-    #: shm transport: index of the result slab leased to this task.
-    slab_index: int | None = None
 
 
 @dataclass
@@ -152,10 +141,11 @@ class ClientRoundResult:
 
     client_id: int
     #: The transmitted (post-defense) update as a flat vector.
-    #: ``None`` only in shm transit (the slab holds the row).
+    #: ``None`` only in transit from a worker (its result slab holds
+    #: the row).
     update_buffer: np.ndarray | None
     #: The personalized (pre-defense) weights as a flat vector.
-    #: ``None`` only in shm transit.
+    #: ``None`` only in transit from a worker.
     personal_buffer: np.ndarray | None
     num_samples: int
     train_seconds: float
@@ -169,78 +159,6 @@ class ClientRoundResult:
     #: Zero when the executor runs over a plain client sequence.
     pool_live: int = 0
     pool_materializations: int = 0
-    #: shm transport: which slab holds the result rows while the
-    #: descriptor travels back; ``None`` once the parent folds it in.
-    slab_index: int | None = None
-
-
-@dataclass(frozen=True)
-class SharedRoundState:
-    """Round-shared defense state, serialized once for a whole cohort.
-
-    The pickle transport used to re-pickle the identical
-    ``export_round_state`` object into every :class:`ClientTask`; this
-    wrapper serializes it exactly once per round and every task ships
-    the same ``bytes`` object, while workers unpickle it once per
-    generation (not once per task) through a single-slot cache.  The
-    pickle round-trip is bitwise for numpy payloads, and the serial
-    executor already hands all of a round's tasks one shared state
-    object — so sharing the decoded object across a worker's tasks is
-    the *same* semantics, just cheaper.
-    """
-
-    #: Process-wide monotonic id; the worker cache keys on it.
-    generation: int
-    #: ``pickle.dumps(round_state)``, highest protocol.
-    payload: bytes
-
-    _COUNTER = itertools.count(1)
-
-    @classmethod
-    def wrap(cls, round_state: Any) -> "SharedRoundState":
-        return cls(generation=next(cls._COUNTER),
-                   payload=pickle.dumps(
-                       round_state, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def load(self) -> Any:
-        return pickle.loads(self.payload)
-
-
-#: Worker-side single-slot cache: (generation, decoded state).
-_SHARED_STATE_CACHE: tuple[int, Any] | None = None
-
-
-def _resolve_round_state(state: Any) -> Any:
-    """Unwrap a :class:`SharedRoundState`, decoding once per round."""
-    global _SHARED_STATE_CACHE
-    if not isinstance(state, SharedRoundState):
-        return state
-    if _SHARED_STATE_CACHE is not None \
-            and _SHARED_STATE_CACHE[0] == state.generation:
-        return _SHARED_STATE_CACHE[1]
-    value = state.load()
-    _SHARED_STATE_CACHE = (state.generation, value)
-    return value
-
-
-def _share_round_state(tasks: list[ClientTask]
-                       ) -> tuple[list[ClientTask], int]:
-    """Serialize one cohort's shared round state once.
-
-    Only fires when every task carries the *same* state object (the
-    simulation's invariant); heterogeneous or absent states pass
-    through untouched.  Returns the rewritten tasks and the shared
-    payload's length in bytes (0 when nothing was wrapped).
-    """
-    if not tasks:
-        return tasks, 0
-    state = tasks[0].round_state
-    if state is None or isinstance(state, SharedRoundState) \
-            or any(task.round_state is not state for task in tasks):
-        return tasks, 0
-    shared = SharedRoundState.wrap(state)
-    return ([replace(task, round_state=shared) for task in tasks],
-            len(shared.payload))
 
 
 class _SequenceProvider:
@@ -360,184 +278,34 @@ class SerialExecutor(RoundExecutor):
             yield result
 
 
-# ----------------------------------------------------------------------
-# process-parallel execution
-# ----------------------------------------------------------------------
-
-@dataclass
-class _WorkerContext:
-    """Per-process replica of the simulation's client-side objects.
-
-    ``clients`` is a provider (fleet or adapted sequence) inherited via
-    fork; each worker materializes from its *own* copy-on-write pool,
-    so per-process live models stay bounded by the pool capacity.
-    """
-
-    clients: Any
-    defense: Any
-    layout: Layout
-    behavior: Any = None
-
-
-#: Bound once per worker process by the pool initializer.
-_WORKER_CONTEXT: _WorkerContext | None = None
-
-
-def _bind_worker_context(context: _WorkerContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_in_worker(task: ClientTask) -> ClientRoundResult:
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process has no bound context; "
-                           "the pool initializer did not run")
-    round_state = _resolve_round_state(task.round_state)
-    if round_state is not task.round_state:
-        task = replace(task, round_state=round_state)
-    try:
-        result = execute_client_task(
-            context.clients.materialize(task.client_id),
-            context.defense, context.layout, task, context.behavior)
-        _stamp_pool_stats(result, context.clients)
-        return result
-    except Exception as exc:
-        raise RuntimeError(
-            f"client {task.client_id} failed in round "
-            f"{task.round_index}: {exc!r}") from exc
-
-
-class ParallelExecutor(RoundExecutor):
-    """Fans client training out across a fork-based process pool.
-
-    Workers fork from the fully constructed simulation (datasets and
-    models are inherited, never pickled); each round's per-client
-    state travels explicitly inside the :class:`ClientTask` /
-    :class:`ClientRoundResult` pair.  Results are collected in task
-    order, so aggregation consumes updates in exactly the serial
-    cohort order.
-    """
-
-    def __init__(self, clients: Any, defense: "Defense",
-                 layout: Layout, workers: int,
-                 behavior: "ClientBehavior | None" = None,
-                 cost_meter: "CostMeter | None" = None) -> None:
-        if workers < 2:
-            raise ValueError(
-                f"ParallelExecutor needs >= 2 workers, got {workers}; "
-                "use SerialExecutor for single-process runs")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "ParallelExecutor requires the 'fork' start method "
-                "(unavailable on this platform); run with workers=0")
-        self.clients = _as_provider(clients)
-        self.defense = defense
-        self.layout = layout
-        self.workers = workers
-        self.behavior = behavior
-        self.cost_meter = cost_meter
-        self._pool: _PoolExecutor | None = None
-
-    def _ensure_pool(self) -> _PoolExecutor:
-        if self._pool is None:
-            self._pool = _PoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_bind_worker_context,
-                initargs=(_WorkerContext(self.clients, self.defense,
-                                         self.layout, self.behavior),),
-            )
-        return self._pool
-
-    def iter_round(self, tasks: Sequence[ClientTask]
-                   ) -> Iterator[ClientRoundResult]:
-        """imap-style streaming: yield results in task order.
-
-        All non-dropped tasks are submitted up front; completions are
-        collected as they happen (``as_completed``) into a reorder
-        buffer and released strictly in task order, so a consumer sees
-        exactly the serial executor's stream.  A consumer that stops
-        early (round closed at its completion threshold) triggers the
-        ``finally`` below, which cancels every not-yet-started future —
-        in-flight stragglers finish in their workers and are discarded.
-        """
-        pool = self._ensure_pool()
-        live = [task for task in tasks if not task.dropped]
-        live, state_len = _share_round_state(live)
-        pickled_bytes = 0
-        futures: dict[Any, int] = {}
-        for index, task in enumerate(live):
-            pickled_bytes += task.global_buffer.nbytes + state_len
-            futures[pool.submit(_run_in_worker, task)] = index
-        buffered: dict[int, ClientRoundResult] = {}
-        next_index = 0
-        try:
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    self.close()
-                    task = live[index]
-                    raise RuntimeError(
-                        f"a worker process died while training client "
-                        f"{task.client_id} in round {task.round_index} "
-                        "(killed or crashed hard); the pool has been "
-                        "shut down and the round aborted") from exc
-                pickled_bytes += (result.update_buffer.nbytes
-                                  + result.personal_buffer.nbytes)
-                buffered[index] = result
-                while next_index in buffered:
-                    yield buffered.pop(next_index)
-                    next_index += 1
-        finally:
-            for future in futures:
-                future.cancel()
-            if self.cost_meter is not None:
-                self.cost_meter.record_ipc(pickled=pickled_bytes)
-
-    def warm_up(self) -> None:
-        self._ensure_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
 def make_executor(clients: Any, defense: "Defense",
                   layout: Layout, config: "FLConfig",
                   behavior: "ClientBehavior | None" = None,
                   cost_meter: "CostMeter | None" = None
                   ) -> RoundExecutor:
-    """Build the executor ``config.workers`` and ``config.ipc`` ask for.
+    """Build the executor ``config.workers`` asks for.
 
     ``clients`` is a provider (a ``VirtualClientFleet``) or a plain
     client sequence.  ``workers`` of 0 or 1 selects the serial
     reference; anything larger fans out across that many worker
-    processes — over the zero-copy shared-memory transport when
-    ``config.ipc`` is ``"shm"`` (the default) and the platform can
-    create segments, falling back to the pickle transport otherwise.
+    processes over shared memory.  Where shared-memory segments cannot
+    be created the run falls back to the serial executor with a
+    warning — the results are bitwise identical either way.
     ``behavior`` is the run's adversarial-client behavior (``None`` =
     honest); ``cost_meter`` receives per-round IPC byte accounting
     when set.
     """
     if config.workers > 1:
-        if getattr(config, "ipc", "shm") == "shm":
-            from repro.fl.shm import ShmParallelExecutor, shm_available
-            if shm_available():
-                return ShmParallelExecutor(
-                    clients, defense, layout, workers=config.workers,
-                    behavior=behavior, cost_meter=cost_meter)
-        return ParallelExecutor(clients, defense, layout,
-                                workers=config.workers,
-                                behavior=behavior,
-                                cost_meter=cost_meter)
+        # Imported here: serial runs never load multiprocessing's
+        # shared-memory machinery.
+        from repro.fl.shm import ParallelExecutor, shm_available
+        if shm_available():
+            return ParallelExecutor(clients, defense, layout,
+                                    workers=config.workers,
+                                    behavior=behavior,
+                                    cost_meter=cost_meter)
+        warnings.warn(
+            f"shared memory is unavailable here; running the "
+            f"{config.workers}-worker configuration serially",
+            RuntimeWarning, stacklevel=2)
     return SerialExecutor(clients, defense, layout, behavior=behavior)

@@ -1,43 +1,37 @@
-"""Zero-copy shared-memory IPC plane for the parallel executor.
+"""The parallel executor and its zero-copy shared-memory transport.
 
-The pickle transport ships every :class:`~repro.fl.executor.ClientTask`
-with its own full copy of the global flat buffer and every
-:class:`~repro.fl.executor.ClientRoundResult` with two more full
-vectors, so a ``C``-client cohort pushes ``~3 * C * num_params``
-float64 values through the pool pipe per round — pure dispatch
-overhead, since the weight plane is already one process-invariant
-contiguous buffer.  This module cuts per-client IPC from
-``O(num_params)`` to ``O(descriptor)``:
+:class:`ParallelExecutor` fans a round's cohort out across a
+``fork``-based process pool.  Workers fork from the fully constructed
+simulation, so datasets and models are inherited copy-on-write, and
+the weight plane is one process-invariant contiguous buffer, so no
+weight vector ever crosses the pool pipe.  Per-client IPC is
+``O(descriptor)``:
 
 **Down-link (broadcast segment).**  One ``multiprocessing.
 shared_memory`` segment per executor holds the round's global buffer.
 The parent writes it once per round and bumps a generation counter;
 tasks carry only a tiny :class:`ShmRound` descriptor ``(segment
 names, generation, geometry)``.  Workers map the segment and wrap it
-in a *read-only* zero-copy ``WeightStore`` view — safe because the
-serial executor already hands every task of a round the very same
-buffer object, so nothing in the round path mutates the received
-global in place (DINAR copies before personalizing, ``set_weights``
-copies in).  The round-shared defense state is pickled **once** per
-round into a second segment; each worker unpickles it once per
-generation (not once per task) and caches it.
+in a *read-only* zero-copy view — safe because the serial executor
+already hands every task of a round the very same buffer object, so
+nothing in the round path mutates the received global in place (DINAR
+copies before personalizing, ``set_weights`` copies in).  The
+round-shared defense state is pickled **once** per round into a second
+segment; each worker unpickles it once per generation (not once per
+task) and caches it.
 
 **Up-link (result slab ring).**  A ring of ``workers + 1``
 preallocated slabs — two rows of ``num_params`` each — receives every
 client's ``update_buffer`` / ``personal_buffer`` directly from the
-worker; the descriptor result that travels back through the pipe
-names only the leased slab.  The parent copies the two rows out
-(parent-owned arrays, so downstream consumers keep their lifetime
-guarantees), recycles the slab, and yields a fully materialized
-``ClientRoundResult`` — the simulation cannot tell the transports
-apart.  Straggler tasks abandoned by an early-closed round keep their
-slab leased until their future completes; the ring reaps them lazily
-and blocks (backpressure) only if every slab is held.
+worker; the result that travels back through the pipe carries neither
+vector.  The parent copies the two rows out (parent-owned arrays, so
+downstream consumers keep their lifetime guarantees) and recycles the
+slab.
 
-**Lifecycle.**  ``close()`` is idempotent and unlinks every segment;
-an ``atexit`` hook covers executors that are never closed explicitly.
-Workers attach segments *without* registering them with the
-``resource_tracker`` — on Python < 3.13 an attach re-registers the
+**Lifecycle.**  ``ShmChannel.close()`` is idempotent and unlinks every
+segment; an ``atexit`` hook covers channels that are never closed
+explicitly.  Workers attach segments *without* registering them with
+the ``resource_tracker`` — on Python < 3.13 an attach re-registers the
 name, and a worker that later exits (or crashes) would have the
 tracker unlink segments the parent still owns (the classic
 double-unlink).  Generation overwrite is safe: the parent only
@@ -45,21 +39,22 @@ publishes round ``g+1`` after round ``g`` closed, and the only tasks
 still reading by then are stragglers whose results are discarded.
 
 The transport is **bitwise invisible**: the mapped view holds the
-identical float64/float32 values the pickle path would have copied,
-the round state round-trips through the identical ``pickle`` bytes,
-and every per-cell RNG stream is untouched — serial, pickle-parallel
-and shm-parallel runs are trajectory-identical (pinned by the golden
-fixtures and hypothesis-tested across worker counts, defenses and
-pool capacities).
+identical float64/float32 values the parent published, the round
+state round-trips through ``pickle`` (bitwise for numpy payloads), and
+every per-cell RNG stream is untouched — serial and parallel runs are
+trajectory-identical (pinned by the golden fixtures and
+hypothesis-tested across worker counts, defenses and pool capacities).
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import pickle
 from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
@@ -69,8 +64,10 @@ import numpy as np
 from repro.fl.executor import (
     ClientRoundResult,
     ClientTask,
-    ParallelExecutor,
-    _run_in_worker,
+    RoundExecutor,
+    _as_provider,
+    _stamp_pool_stats,
+    execute_client_task,
 )
 from repro.nn.store import Layout
 
@@ -96,7 +93,7 @@ def shm_available() -> bool:
 
     Probed once per process by creating and unlinking a 1-byte
     segment; containers that mount no ``/dev/shm`` (or deny shm_open)
-    make the executor fall back to the pickle transport.
+    make ``make_executor`` fall back to the serial executor.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
@@ -140,8 +137,8 @@ def _attach(name: str) -> Any:
 class ShmRound:
     """O(descriptor) handle to one round's shared-memory broadcast.
 
-    This — not the weight vectors — is what a :class:`ClientTask`
-    carries through the pool pipe in shm mode.
+    This — not the weight vectors — is what travels with each task
+    through the pool pipe.
     """
 
     #: Segment holding the round's global flat buffer.
@@ -444,16 +441,47 @@ def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
     del rows
 
 
-def _run_in_worker_shm(task: ClientTask) -> ClientRoundResult:
-    """Worker entry point of the shm transport.
+# ----------------------------------------------------------------------
+# the executor
+# ----------------------------------------------------------------------
 
-    Resolves the broadcast descriptor into the shared read-only
-    buffer + round state, runs the exact same
-    ``execute_client_task`` path as every other executor, then moves
-    the two result vectors into the leased slab so only a descriptor
-    travels back.
+@dataclass
+class _WorkerContext:
+    """Per-process replica of the simulation's client-side objects.
+
+    ``clients`` is a provider (fleet or adapted sequence) inherited via
+    fork; each worker materializes from its *own* copy-on-write pool,
+    so per-process live models stay bounded by the pool capacity.
     """
-    ref = task.shm
+
+    clients: Any
+    defense: Any
+    layout: Layout
+    behavior: Any = None
+
+
+#: Bound once per worker process by the pool initializer.
+_WORKER_CONTEXT: _WorkerContext | None = None
+
+
+def _bind_worker_context(context: _WorkerContext) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
+
+
+def _run_in_worker(task: ClientTask, ref: ShmRound,
+                   slab: int) -> ClientRoundResult:
+    """Worker entry point: one client's round over shared memory.
+
+    Maps the round's broadcast (read-only global buffer + cached round
+    state), runs the same :func:`execute_client_task` path as the
+    serial executor, then writes the two result vectors into the
+    leased slab so only a descriptor travels back through the pipe.
+    """
+    context = _WORKER_CONTEXT
+    if context is None:  # pragma: no cover - defensive
+        raise RuntimeError("worker process has no bound context; "
+                           "the pool initializer did not run")
     try:
         buffer, round_state = _worker_resolve(ref)
     except Exception as exc:
@@ -461,63 +489,98 @@ def _run_in_worker_shm(task: ClientTask) -> ClientRoundResult:
             f"client {task.client_id} could not map the round "
             f"{task.round_index} shared-memory broadcast: "
             f"{exc!r}") from exc
-    inner = replace(task, global_buffer=buffer,
-                    round_state=round_state, shm=None)
-    result = _run_in_worker(inner)
+    task = replace(task, global_buffer=buffer, round_state=round_state)
     try:
-        _worker_write_slab(ref, task.slab_index,
-                           result.update_buffer, result.personal_buffer)
+        result = execute_client_task(
+            context.clients.materialize(task.client_id),
+            context.defense, context.layout, task, context.behavior)
+    except Exception as exc:
+        raise RuntimeError(
+            f"client {task.client_id} failed in round "
+            f"{task.round_index}: {exc!r}") from exc
+    _stamp_pool_stats(result, context.clients)
+    try:
+        _worker_write_slab(ref, slab, result.update_buffer,
+                           result.personal_buffer)
     except Exception as exc:
         raise RuntimeError(
             f"client {task.client_id} failed writing its round "
             f"{task.round_index} result slab: {exc!r}") from exc
     result.update_buffer = None
     result.personal_buffer = None
-    result.slab_index = task.slab_index
     return result
 
 
-# ----------------------------------------------------------------------
-# the executor
-# ----------------------------------------------------------------------
+class ParallelExecutor(RoundExecutor):
+    """Fans client training out across a fork-based process pool.
 
-class ShmParallelExecutor(ParallelExecutor):
-    """:class:`ParallelExecutor` over the zero-copy shm transport.
-
-    Identical fan-out, ordering and failure semantics — results stream
-    back strictly in cohort order through the same reorder buffer, a
-    worker exception still names its client and round, and a hard
-    worker death still raises promptly — but per-client IPC is a
-    descriptor, not three weight vectors.  Submission is windowed by
-    the slab ring: at most ``workers + 1`` tasks are in flight, which
-    also caps how much result memory a round can pin.
+    Workers fork from the fully constructed simulation (datasets and
+    models are inherited, never pickled).  Each round's global buffer
+    and round state are published once into a :class:`ShmChannel`;
+    tasks cross the pool pipe as descriptors and every result comes
+    back through a leased slab of the channel's ring.  Submission is
+    windowed by that ring: at most ``workers + 1`` tasks are in
+    flight, which also caps how much result memory a round can pin.
+    Results are yielded strictly in task order, so aggregation
+    consumes updates in exactly the serial cohort order.
     """
 
     def __init__(self, clients: Any, defense: "Defense",
                  layout: Layout, workers: int,
                  behavior: "ClientBehavior | None" = None,
                  cost_meter: "CostMeter | None" = None) -> None:
-        super().__init__(clients, defense, layout, workers,
-                         behavior=behavior, cost_meter=cost_meter)
+        if workers < 2:
+            raise ValueError(
+                f"ParallelExecutor needs >= 2 workers, got {workers}; "
+                "use SerialExecutor for single-process runs")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                "ParallelExecutor requires the 'fork' start method "
+                "(unavailable on this platform); run with workers=0")
+        self.clients = _as_provider(clients)
+        self.defense = defense
+        self.layout = layout
+        self.workers = workers
+        self.behavior = behavior
+        self.cost_meter = cost_meter
+        self._pool: _PoolExecutor | None = None
         self._channel = ShmChannel(slots=workers + 1)
         #: Abandoned stragglers still holding a leased slab:
         #: ``(future, slab_index)``; reaped lazily.
         self._stragglers: list[tuple[Any, int]] = []
 
     # -- lifecycle -----------------------------------------------------
+    def _ensure_pool(self) -> _PoolExecutor:
+        if self._pool is None:
+            self._pool = _PoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_bind_worker_context,
+                initargs=(_WorkerContext(self.clients, self.defense,
+                                         self.layout, self.behavior),),
+            )
+        return self._pool
+
     def warm_up(self) -> None:
-        super().warm_up()
+        self._ensure_pool()
         if self.layout is not None:
             self._channel.open(self.layout.num_params,
                                self.layout.dtype)
 
     def close(self) -> None:
-        super().close()
-        # The pool is gone (or going): pending stragglers were
-        # cancelled or will die with their workers; unlinking now is
-        # safe either way because mappings survive the unlink.
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        # Pending stragglers were cancelled or die with their workers;
+        # unlinking now is safe because mappings survive the unlink.
         self._stragglers = []
         self._channel.close()
+
+    def __del__(self) -> None:  # pragma: no cover - best effort
+        try:
+            self.close()
+        except Exception:
+            pass
 
     # -- slab leasing with backpressure --------------------------------
     def _reap_stragglers(self, *, block: bool) -> None:
@@ -559,14 +622,17 @@ class ShmParallelExecutor(ParallelExecutor):
     # -- the round loop ------------------------------------------------
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
-        """Stream results in task order over the shm transport.
+        """Stream results in task order over shared memory.
 
         The round's buffer + state are published once; stripped tasks
-        (descriptor only) are submitted in task order as slabs free
-        up, completions land in a reorder buffer, and each collected
-        result has its slab copied out and recycled before it is
-        yielded — so the simulation consumes exactly the pickle
-        path's stream.
+        are submitted in task order as slabs free up, completions land
+        in a reorder buffer, and each collected result has its slab
+        copied out and recycled before it is yielded — so a consumer
+        sees exactly the serial executor's stream.  A consumer that
+        stops early (round closed at its completion threshold)
+        triggers the ``finally`` below, which cancels every
+        not-yet-started future; in-flight stragglers keep their slab
+        until they finish and are then discarded.
         """
         pool = self._ensure_pool()
         live = [task for task in tasks if not task.dropped]
@@ -574,35 +640,31 @@ class ShmParallelExecutor(ParallelExecutor):
             return
         ref = self._channel.publish_round(live[0].global_buffer,
                                           live[0].round_state)
-        stripped = [
-            replace(task, global_buffer=None, round_state=None, shm=ref)
-            for task in live
-        ]
+        pending = deque(
+            (index, replace(task, global_buffer=None, round_state=None))
+            for index, task in enumerate(live))
         shared_bytes = live[0].global_buffer.nbytes + ref.state_len
         pickled_bytes = 0
         task_probe: int | None = None
         result_probe: int | None = None
-        pending = deque(enumerate(stripped))
         futures: dict[Any, int] = {}
         slab_of: dict[int, int] = {}
         buffered: dict[int, ClientRoundResult] = {}
         next_index = 0
-        total = len(stripped)
         try:
-            while next_index < total:
+            while next_index < len(live):
                 while pending:
                     slab = self._acquire_slab()
                     if slab is None:
                         break
                     index, task = pending.popleft()
-                    task = replace(task, slab_index=slab)
                     if task_probe is None:
                         task_probe = len(pickle.dumps(
-                            task, protocol=_PICKLE_PROTOCOL))
+                            (task, ref, slab), protocol=_PICKLE_PROTOCOL))
                     pickled_bytes += task_probe
                     slab_of[index] = slab
-                    futures[pool.submit(_run_in_worker_shm, task)] = \
-                        index
+                    futures[pool.submit(_run_in_worker, task, ref,
+                                        slab)] = index
                 done, _ = wait(list(futures),
                                return_when=FIRST_COMPLETED)
                 for future in done:
@@ -625,13 +687,12 @@ class ShmParallelExecutor(ParallelExecutor):
                         result_probe = len(pickle.dumps(
                             result, protocol=_PICKLE_PROTOCOL))
                     pickled_bytes += result_probe
-                    update, personal = self._channel.read_slab(
-                        slab_of[index])
-                    self._channel.recycle(slab_of.pop(index))
+                    slab = slab_of.pop(index)
+                    update, personal = self._channel.read_slab(slab)
+                    self._channel.recycle(slab)
                     shared_bytes += update.nbytes + personal.nbytes
                     result.update_buffer = update
                     result.personal_buffer = personal
-                    result.slab_index = None
                     buffered[index] = result
                 while next_index in buffered:
                     yield buffered.pop(next_index)

@@ -20,12 +20,8 @@ from repro.core.dinar import DINAR
 from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
-from repro.fl.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-    round_rng,
-)
+from repro.fl.executor import SerialExecutor, make_executor, round_rng
+from repro.fl.shm import ParallelExecutor, shm_available
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.store import as_store
 from repro.privacy.defenses.base import Defense
@@ -116,40 +112,27 @@ class TestSelection:
         assert isinstance(sim.executor, SerialExecutor)
 
     def test_workers_selects_parallel(self):
+        if not shm_available():
+            pytest.skip("shared memory unavailable on this platform")
         config = FLConfig(workers=2)
         executor = make_executor([], Defense(), None, config)
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 2
         executor.close()
 
-    def test_default_transport_is_shm(self):
-        from repro.fl.shm import ShmParallelExecutor, shm_available
-        if not shm_available():
-            pytest.skip("shared memory unavailable on this platform")
-        executor = make_executor([], Defense(), None, FLConfig(workers=2))
-        assert isinstance(executor, ShmParallelExecutor)
-        executor.close()
-
-    def test_ipc_pickle_selects_plain_parallel(self):
-        from repro.fl.shm import ShmParallelExecutor
-        config = FLConfig(workers=2, ipc="pickle")
-        executor = make_executor([], Defense(), None, config)
-        assert isinstance(executor, ParallelExecutor)
-        assert not isinstance(executor, ShmParallelExecutor)
-        executor.close()
-
-    def test_shm_falls_back_to_pickle_when_unavailable(
+    def test_falls_back_to_serial_when_shm_unavailable(
             self, monkeypatch):
         from repro.fl import shm
         monkeypatch.setattr(shm, "_AVAILABLE", False)
-        executor = make_executor([], Defense(), None, FLConfig(workers=2))
-        assert isinstance(executor, ParallelExecutor)
-        assert not isinstance(executor, shm.ShmParallelExecutor)
-        executor.close()
+        with pytest.warns(RuntimeWarning, match="serially"):
+            executor = make_executor([], Defense(), None,
+                                     FLConfig(workers=2))
+        assert isinstance(executor, SerialExecutor)
 
     def test_config_rejects_unknown_ipc(self):
-        with pytest.raises(ValueError, match="ipc"):
-            FLConfig(ipc="carrier-pigeon")
+        for ipc in ("pickle", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="ipc"):
+                FLConfig(ipc=ipc)
 
     def test_one_worker_is_serial(self):
         executor = make_executor([], Defense(), None, FLConfig(workers=1))
@@ -177,16 +160,15 @@ class TestSelection:
 # ----------------------------------------------------------------------
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
-    @pytest.mark.parametrize("defense_name",
-                             sorted(DEFENSE_FACTORIES))
+    @pytest.mark.parametrize("defense_name", sorted(DEFENSE_FACTORIES),
+                             ids=lambda name: f"{name}-shm")
     def test_full_run_identical(self, small_split, tiny_model_factory,
-                                defense_name, ipc):
+                                defense_name):
         make = DEFENSE_FACTORIES[defense_name]
         serial = _snapshot(*_run(small_split, tiny_model_factory,
                                  make(), workers=0))
         parallel = _snapshot(*_run(small_split, tiny_model_factory,
-                                   make(), workers=2, ipc=ipc))
+                                   make(), workers=2))
         assert np.array_equal(serial["global"], parallel["global"])
         assert serial["personal"].keys() == parallel["personal"].keys()
         for cid in serial["personal"]:
@@ -249,21 +231,19 @@ class _DyingDefense(Defense):
 
 
 class TestFailures:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_worker_exception_names_client_and_round(
-            self, small_split, tiny_model_factory, ipc):
+            self, small_split, tiny_model_factory):
         with pytest.raises(RuntimeError,
                            match=r"client 1 failed in round 0"):
             _run(small_split, tiny_model_factory, _ExplodingDefense(),
-                 workers=2, rounds=1, ipc=ipc)
+                 workers=2, rounds=1)
 
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_worker_crash_surfaces_instead_of_hanging(
-            self, small_split, tiny_model_factory, ipc):
+            self, small_split, tiny_model_factory):
         """A hard worker death must raise promptly, not deadlock."""
         with pytest.raises(RuntimeError, match="worker process died"):
             _run(small_split, tiny_model_factory, _DyingDefense(),
-                 workers=2, rounds=1, ipc=ipc)
+                 workers=2, rounds=1)
 
     def test_pool_recreated_after_close(self, small_split,
                                         tiny_model_factory):

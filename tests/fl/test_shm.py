@@ -22,8 +22,8 @@ from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.executor import ClientTask
 from repro.fl.shm import (
+    ParallelExecutor,
     ShmChannel,
-    ShmParallelExecutor,
     ShmRound,
     shm_available,
 )
@@ -61,7 +61,7 @@ def _make_sim(defense=None, **cfg_kwargs):
     data = synthetic_tabular(rng, 400, 20, 4, noise=0.2)
     split = split_for_membership(data, rng)
     defaults = dict(num_clients=4, rounds=2, local_epochs=1, lr=0.1,
-                    batch_size=32, seed=5, workers=2, ipc="shm")
+                    batch_size=32, seed=5, workers=2)
     defaults.update(cfg_kwargs)
     from repro.models.fcnn import build_fcnn
     return FederatedSimulation(
@@ -209,7 +209,7 @@ class TestLifecycle:
     def test_run_then_close_leaves_no_segments(self,
                                                no_leaked_segments):
         sim = _make_sim()
-        assert isinstance(sim.executor, ShmParallelExecutor)
+        assert isinstance(sim.executor, ParallelExecutor)
         sim.run()  # run() closes the executor in its finally
         assert not sim.executor._channel.is_open
 
@@ -263,15 +263,15 @@ class TestLifecycle:
 
 class TestPayloads:
     def test_stripped_task_is_descriptor_sized(self):
-        """What actually crosses the pipe in shm mode is tiny, no
+        """What actually crosses the pipe per task is tiny, no
         matter how large the model — the O(descriptor) contract."""
         ref = ShmRound(weights_name="psm_test", slabs_name="psm_test2",
                        state_name=None, state_len=0, generation=3,
                        num_params=10_000_000, dtype="float64", slots=5)
         task = ClientTask(round_index=2, client_id=7,
-                          global_buffer=None, round_state=None,
-                          shm=ref, slab_index=1)
-        assert len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 1024
+                          global_buffer=None, round_state=None)
+        wire = (task, ref, 1)  # the worker entry point's arguments
+        assert len(pickle.dumps(wire, pickle.HIGHEST_PROTOCOL)) < 1024
 
     def test_shm_run_records_ipc_split(self, no_leaked_segments):
         sim = _make_sim()
@@ -284,14 +284,6 @@ class TestPayloads:
         per_client = report.ipc_bytes_pickled \
             / report.clients_completed
         assert per_client < 8192
-
-    def test_pickle_run_records_pickled_only(self,
-                                             no_leaked_segments):
-        sim = _make_sim(ipc="pickle")
-        sim.run()
-        report = sim.cost_meter.report
-        assert report.ipc_bytes_pickled > 0
-        assert report.ipc_bytes_shared == 0
 
     def test_serial_run_records_no_ipc(self):
         sim = _make_sim(workers=0)

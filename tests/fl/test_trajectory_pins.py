@@ -49,11 +49,10 @@ def test_trajectory_matches_dict_plane(name):
     _assert_pinned(name, RECIPES[name]())
 
 
-@pytest.mark.parametrize("ipc", ["pickle", "shm"])
-@pytest.mark.parametrize("defense", DEFENSE_NAMES)
-def test_parallel_trajectory_matches_dict_plane(defense, ipc):
+@pytest.mark.parametrize("defense", DEFENSE_NAMES,
+                         ids=lambda name: f"{name}-shm")
+def test_parallel_trajectory_matches_dict_plane(defense):
     """The 2-worker executor must land on the same serial-plane pin
-    over both IPC transports (pickled vectors and shared-memory
-    broadcast + result slabs)."""
-    vector = simulation_trajectory(defense, workers=2, ipc=ipc)
+    through its shared-memory broadcast and result slabs."""
+    vector = simulation_trajectory(defense, workers=2)
     _assert_pinned(f"defense/{defense}", vector)

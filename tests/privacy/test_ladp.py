@@ -264,12 +264,10 @@ class TestEndToEnd:
 
     @pytest.mark.skipif(not HAS_FORK,
                         reason="parallel executor requires fork")
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_serial_parallel_bitwise(self, small_split,
-                                     tiny_model_factory, ipc):
+                                     tiny_model_factory):
         serial, _ = _run(small_split, tiny_model_factory, workers=0)
-        parallel, _ = _run(small_split, tiny_model_factory, workers=2,
-                           ipc=ipc)
+        parallel, _ = _run(small_split, tiny_model_factory, workers=2)
         np.testing.assert_array_equal(
             serial.server.global_weights.buffer,
             parallel.server.global_weights.buffer)

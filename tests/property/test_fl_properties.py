@@ -69,14 +69,14 @@ def test_synthetic_tabular_labels_cover_classes(n, k, seed, noise):
 def test_shm_parallel_matches_golden_pin(workers, defense,
                                          max_materialized):
     """Every (worker count, defense, model-pool bound) lands on the
-    recorded golden trajectory over the shm transport.
+    recorded golden trajectory.
 
     The pin was recorded on the serial dict-plane path, so matching it
     proves shm-parallel == serial bitwise without re-running serial —
     the transport, the fan-out width, and the virtual-client pool size
     are all invisible to the trajectory.
     """
-    vector = simulation_trajectory(defense, workers=workers, ipc="shm",
+    vector = simulation_trajectory(defense, workers=workers,
                                    max_materialized=max_materialized)
     with np.load(_PINS) as pins:
         expected = pins[f"defense/{defense}"]
