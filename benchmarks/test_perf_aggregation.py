@@ -1,18 +1,18 @@
-"""Aggregation throughput: nested-dict FedAvg vs the flat weight plane.
+"""Aggregation throughput: per-array FedAvg vs the flat weight plane.
 
-Times the seed implementation (:func:`fedavg_reference`, a Python walk
-over ``list[dict[str, ndarray]]`` updates) against the store-native
-reduction over a collected :class:`UpdateBatch` matrix at 10/50/100
-clients on two FCNN sizes, verifies the two paths agree to within
-2 ULP (einsum's FMA contraction can round single coordinates 1 ULP
-away from the sequential reference), and writes
-``BENCH_aggregation.json`` at the repo root.
+Times the seed implementation (:func:`fedavg_reference`, a Python
+multiply-then-add per named array, read through ``store.view``)
+against the store-native reduction over a collected
+:class:`UpdateBatch` matrix at 10/50/100 clients on two FCNN sizes,
+verifies the two paths agree to within 2 ULP (einsum's FMA contraction
+can round single coordinates 1 ULP away from the sequential
+reference), and writes ``BENCH_aggregation.json`` at the repo root.
 
 Cohort updates land in the pooled matrix as they arrive (one row copy
 per upload, amortized across the round — reported separately as
 ``collect_seconds``); the aggregation step both paths are timed on
-starts from updates already received in their native container: a list
-of nested structures for the legacy walk, the filled matrix for the
+starts from updates already received in their native container: the
+list of stores for the per-array walk, the filled matrix for the
 store path.
 """
 
@@ -52,15 +52,14 @@ def _best_of(fn, *args) -> float:
 
 
 def _make_cohort(template: WeightStore, num_clients: int, rng):
-    """Per-client updates in both representations (same values)."""
+    """Per-client updates plus their FedAvg sample counts."""
     stores = [
         WeightStore(template.layout,
                     rng.standard_normal(template.num_params))
         for _ in range(num_clients)
     ]
-    nested = [store.to_layers() for store in stores]
     samples = [int(n) for n in rng.integers(20, 200, size=num_clients)]
-    return stores, nested, samples
+    return stores, samples
 
 
 def _collect(batch: UpdateBatch, stores) -> UpdateBatch:
@@ -82,18 +81,15 @@ def test_store_fedavg_beats_nested_walk():
         batch = UpdateBatch(template.layout,
                             capacity=max(CLIENT_COUNTS))
         for num_clients in CLIENT_COUNTS:
-            stores, nested, samples = _make_cohort(
-                template, num_clients, rng)
+            stores, samples = _make_cohort(template, num_clients, rng)
 
-            old = fedavg_reference(nested, samples)
+            old = fedavg_reference(stores, samples)
             new = fedavg(_collect(batch, stores), samples)
             np.testing.assert_array_almost_equal_nulp(
-                new.buffer,
-                WeightStore.from_layers(old, template.layout).buffer,
-                nulp=2)
+                new.buffer, old.buffer, nulp=2)
 
             collect_seconds = _best_of(_collect, batch, stores)
-            legacy_seconds = _best_of(fedavg_reference, nested, samples)
+            legacy_seconds = _best_of(fedavg_reference, stores, samples)
             store_seconds = _best_of(fedavg, batch, samples)
             entries.append({
                 "model": name,

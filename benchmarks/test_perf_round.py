@@ -31,7 +31,6 @@ from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.models.fcnn import build_fcnn
-from repro.nn.store import as_store
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_round.json"
@@ -75,7 +74,7 @@ def _timed_run(split, workers: int):
     start = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - start
-    final = as_store(sim.server.global_weights).buffer.copy()
+    final = sim.server.global_weights.buffer.copy()
     report = sim.cost_meter.report
     sim.executor.close()
     return elapsed, final, report

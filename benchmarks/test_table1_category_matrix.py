@@ -56,8 +56,7 @@ def test_table1_category_matrix(cells, results_dir, benchmark):
         return privacy, utility, negligible
 
     def _model_bytes(result):
-        weights = result.simulation.server.global_weights
-        return sum(v.nbytes for layer in weights for v in layer.values())
+        return result.simulation.server.global_weights.nbytes
 
     rows = []
     measured = {}

@@ -33,36 +33,8 @@ from repro.nn.dtypes import standard_normal
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
 from repro.nn.optim import Optimizer, make_optimizer
-from repro.nn.store import LayoutEntry, WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
-
-
-class _StoredLayer(dict):
-    """A protected layer snapshot: flat backing copy + shaped views.
-
-    Reads like the legacy ``{key: array}`` dict (checkpoints and tests
-    access stored layers that way) while keeping one contiguous
-    ``flat`` vector so personalization restores the layer with a single
-    slice assignment.
-    """
-
-    __slots__ = ("flat", "entries")
-
-    def __init__(self, flat: np.ndarray,
-                 entries: Sequence[LayoutEntry]) -> None:
-        super().__init__()
-        self.flat = flat
-        self.entries = tuple(entries)
-        base = entries[0].offset
-        for e in entries:
-            lo = e.offset - base
-            self[e.key] = flat[lo:lo + e.size].reshape(e.shape)
-
-    def __reduce__(self):
-        # The dict payload is views into ``flat``; rebuilding from
-        # ``(flat, entries)`` round-trips through pickle without
-        # duplicating the buffer (executor ships these to workers).
-        return (_StoredLayer, (self.flat, self.entries))
 
 
 class DINAR(Defense):
@@ -127,7 +99,10 @@ class DINAR(Defense):
         self.optimizer_name = optimizer
         self.lr = lr
         self.extra_layers = tuple(extra_layers)
-        self._stored: dict[int, dict[int, dict[str, np.ndarray]]] = {}
+        #: client id -> {protected layer index -> that layer's flat
+        #: coordinate range, ``Layout.layer_slice(p)``, before
+        #: obfuscation}.
+        self._stored: dict[int, dict[int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _resolve(self, index: int, num_layers: int) -> int:
@@ -149,19 +124,13 @@ class DINAR(Defense):
     # Algorithm 1, lines 1-6: model personalization
     # ------------------------------------------------------------------
     def on_receive_global(self, client_id: int,
-                          weights: WeightsLike) -> WeightsLike:
+                          weights: WeightStore) -> WeightStore:
         stored = self._stored.get(client_id)
         if stored is None or not self.personalize:
             return weights  # first round / ablated: nothing to restore
-        personalized = as_store(weights, copy=True)
-        for layer_idx, saved in stored.items():
-            if isinstance(saved, _StoredLayer):
-                # the whole layer is one contiguous coordinate range
-                personalized.layer_flat(layer_idx)[:] = saved.flat
-            else:
-                # plain dict, e.g. a layer restored from a checkpoint
-                for key, value in saved.items():
-                    personalized.view(layer_idx, key)[:] = value
+        personalized = weights.copy()
+        for layer_idx, flat in stored.items():
+            personalized.layer_flat(layer_idx)[:] = flat
         return personalized
 
     # ------------------------------------------------------------------
@@ -176,18 +145,14 @@ class DINAR(Defense):
     # ------------------------------------------------------------------
     # Algorithm 1, lines 15-17: model obfuscation
     # ------------------------------------------------------------------
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
-        update = as_store(weights)
-        out = update.copy()
-        protected = self.protected_indices(len(out))
-        stored: dict[int, dict[str, np.ndarray]] = {}
-        for layer_idx in protected:
-            entries = out.layout.layer_entries(layer_idx)
-            stored[layer_idx] = _StoredLayer(
-                update.layer_flat(layer_idx).copy(), entries)
-            for e in entries:
+        out = weights.copy()
+        stored: dict[int, np.ndarray] = {}
+        for layer_idx in self.protected_indices(out.layout.num_layers):
+            stored[layer_idx] = weights.layer_flat(layer_idx).copy()
+            for e in out.layout.layer_entries(layer_idx):
                 view = out.view(layer_idx, e.key)
                 # the noise std derives from the replaced array itself,
                 # so the draw stays per-array (in layout order — the
@@ -220,10 +185,9 @@ class DINAR(Defense):
 
     def state_bytes(self) -> int:
         return sum(
-            v.nbytes
+            flat.nbytes
             for per_client in self._stored.values()
-            for layer in per_client.values()
-            for v in layer.values())
+            for flat in per_client.values())
 
     def describe(self) -> str:
         extra = f", extra={list(self.extra_layers)}" if self.extra_layers \

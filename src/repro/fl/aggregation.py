@@ -19,10 +19,10 @@ Two reduction shapes coexist:
   a configurable client cap (:data:`DENSE_CLIENT_CAP`) so nobody
   accidentally materializes a fleet.
 
-Legacy nested ``Weights`` updates are accepted and bridged;
-:func:`fedavg_reference` retains the seed nested-dict implementation
-as the oracle the property tests and the aggregation benchmark compare
-against.
+Updates are :class:`~repro.nn.store.WeightStore` values (or an
+:class:`UpdateBatch` of their rows).  :func:`fedavg_reference` keeps
+the seed's per-array multiply-then-add as the oracle the property
+tests and the aggregation benchmarks compare against.
 
 The weighted column sum is computed with ``np.einsum`` over column
 chunks, which accumulates clients sequentially in the same order as
@@ -46,8 +46,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.nn.model import Weights
-from repro.nn.store import Layout, WeightsLike, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 
 #: Column-chunk width for reductions over the update matrix.  Chunking
 #: keeps each partial reduction's working set cache-resident; 64k
@@ -69,13 +68,21 @@ STREAM_BLOCK = 64
 DENSE_CLIENT_CAP = 1024
 
 
+def _row(update: WeightStore, layout: Layout) -> np.ndarray:
+    """An update's flat buffer, checked against the reduction layout."""
+    if update.layout != layout:
+        raise ValueError(f"update layout {update.layout} does not match "
+                         f"the aggregation layout {layout}")
+    return update.buffer
+
+
 class UpdateBatch:
     """A round's client updates as rows of one pooled matrix.
 
     The matrix is preallocated and reused across rounds (``reset`` +
     ``add``), so collecting a cohort's updates costs one row copy per
-    client and aggregation never re-walks nested structures.  In a
-    deployment this is where deserialized updates would land directly.
+    client.  In a deployment this is where deserialized updates would
+    land directly.
 
     This is the **dense fallback** of the fleet plane: memory grows
     linearly in cohort size, so it is reserved for ``requires_dense``
@@ -124,7 +131,7 @@ class UpdateBatch:
         grown[:self._count] = self._matrix[:self._count]
         self._matrix = grown
 
-    def add(self, update: WeightsLike) -> None:
+    def add(self, update: WeightStore) -> None:
         """Copy one client update into the next matrix row."""
         needed = self._count + 1
         if needed > self.client_cap:
@@ -135,8 +142,7 @@ class UpdateBatch:
         if needed > len(self._matrix):
             self.ensure_capacity(
                 min(max(2 * len(self._matrix), needed), self.client_cap))
-        store = as_store(update, layout=self.layout)
-        self._matrix[self._count] = store.buffer
+        self._matrix[self._count] = _row(update, self.layout)
         self._count += 1
 
     @property
@@ -153,7 +159,7 @@ class UpdateBatch:
         return self._count
 
 
-Updates = Sequence[WeightsLike] | UpdateBatch
+Updates = Sequence[WeightStore] | UpdateBatch
 
 
 def _check_nonempty(updates) -> None:
@@ -166,13 +172,11 @@ def _as_matrix(updates: Updates) -> tuple[np.ndarray, Layout]:
     _check_nonempty(updates)
     if isinstance(updates, UpdateBatch):
         return updates.matrix, updates.layout
-    first = updates[0]
-    layout = first.layout if isinstance(first, WeightStore) \
-        else Layout.from_layers(first)
+    layout = updates[0].layout
     matrix = np.empty((len(updates), layout.num_params),
                       dtype=layout.dtype)
     for row, update in zip(matrix, updates):
-        row[:] = as_store(update, layout=layout).buffer
+        row[:] = _row(update, layout)
     return matrix, layout
 
 
@@ -272,13 +276,12 @@ class StreamingAccumulator:
         return (self._stage.nbytes + self._coeffs.nbytes
                 + self._partial.nbytes)
 
-    def fold(self, update: WeightsLike, weight: float = 1.0) -> None:
+    def fold(self, update: WeightStore, weight: float = 1.0) -> None:
         """Fold one arriving client update with its mixing weight."""
         if self._staged == self.block:
             self._flush()
         row = 1 + self._staged
-        store = as_store(update, layout=self.layout)
-        self._stage[row] = store.buffer
+        self._stage[row] = _row(update, self.layout)
         self._coeffs[row] = weight if self._total is None \
             else weight / self._total
         self._staged += 1
@@ -341,14 +344,6 @@ def sum_updates(updates: Updates) -> WeightStore:
     matrix, layout = _as_matrix(updates)
     ones = np.ones(len(matrix))
     return WeightStore(layout, _weighted_colsum(matrix, ones))
-
-
-def scale_weights(weights: WeightsLike, factor: float) -> WeightsLike:
-    """Multiply every coordinate by ``factor`` (returns a new value of
-    the same representation)."""
-    if isinstance(weights, WeightStore):
-        return weights * factor
-    return [{k: v * factor for k, v in layer.items()} for layer in weights]
 
 
 def trimmed_mean(updates: Updates, *, trim: int = 1) -> WeightStore:
@@ -532,14 +527,14 @@ def requires_dense(rule) -> bool:
 # the seed implementation, retained as the oracle
 # ----------------------------------------------------------------------
 
-def fedavg_reference(updates: Sequence[Weights],
-                     num_samples: Sequence[int]) -> Weights:
-    """The original nested-dict FedAvg (kept verbatim).
+def fedavg_reference(updates: Sequence[WeightStore],
+                     num_samples: Sequence[int]) -> WeightStore:
+    """The seed FedAvg: one Python multiply-then-add per named array.
 
-    Property tests assert :func:`fedavg` matches it to within 2 ULP
-    (FMA contraction inside einsum), and
-    ``benchmarks/test_perf_aggregation.py`` times it against the
-    vectorized path.
+    Reads each update through ``store.view(layer, key)``.  Property
+    tests assert :func:`fedavg` matches it to within 2 ULP (FMA
+    contraction inside einsum), and ``benchmarks/test_perf_aggregation.py``
+    times it against the vectorized path.
     """
     _check_nonempty(updates)
     if len(updates) != len(num_samples):
@@ -548,12 +543,9 @@ def fedavg_reference(updates: Sequence[Weights],
     total = float(sum(num_samples))
     if total <= 0:
         raise ValueError("total sample count must be positive")
-    out: Weights = []
-    for layer_idx in range(len(updates[0])):
-        merged: dict[str, np.ndarray] = {}
-        for key in updates[0][layer_idx]:
-            merged[key] = sum(
-                (n / total) * u[layer_idx][key]
-                for u, n in zip(updates, num_samples))
-        out.append(merged)
+    out = updates[0].zeros_like()
+    for entry in out.layout.entries:
+        out.view(entry.layer_idx, entry.key)[...] = sum(
+            (n / total) * u.view(entry.layer_idx, entry.key)
+            for u, n in zip(updates, num_samples))
     return out

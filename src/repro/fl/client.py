@@ -40,7 +40,7 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.model import Model
 from repro.nn.optim import make_optimizer
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -52,7 +52,7 @@ class ClientUpdate:
     """What a client transmits to the server after local training."""
 
     client_id: int
-    weights: WeightsLike
+    weights: WeightStore
     num_samples: int
     #: Wall time this client spent training in *this* round.
     train_seconds: float
@@ -162,7 +162,7 @@ class FLClient:
     @personal_weights.setter
     def personal_weights(self, weights: WeightStore | None) -> None:
         if self._registry is not None and weights is not None:
-            self._registry.put(self.client_id, as_store(weights).buffer)
+            self._registry.put(self.client_id, weights.buffer)
             return
         self._personal = weights
 
@@ -177,7 +177,7 @@ class FLClient:
             return self._descriptor.num_samples
         return len(self.data)
 
-    def train_round(self, global_weights: WeightsLike,
+    def train_round(self, global_weights: WeightStore,
                     round_index: int, *,
                     rng: np.random.Generator | None = None,
                     behavior: ClientBehavior | None = None) -> ClientUpdate:
@@ -203,7 +203,7 @@ class FLClient:
         self.model.attach_rng(rng)
         received = self.defense.on_receive_global(
             self.client_id, global_weights)
-        self.model.set_weights(received)
+        self.model.set_store(received)
 
         adversarial = behavior is not None \
             and behavior.is_adversary(self.client_id)
@@ -294,7 +294,7 @@ class FLClient:
             raise RuntimeError(
                 f"client {self.client_id} has not trained yet")
         model = self.model.clone()
-        model.set_weights(self.personal_weights)
+        model.set_store(self.personal_weights)
         return model
 
     def _eval_model(self) -> Model:
@@ -315,5 +315,5 @@ class FLClient:
             raise RuntimeError(
                 f"client {self.client_id} has not trained yet")
         model = self._eval_model()
-        model.set_weights(personal)
+        model.set_store(personal)
         return accuracy(model.predict(x), y)

@@ -43,10 +43,9 @@ through a *provider* — anything with ``materialize(client_id)``.  The
 simulation passes its :class:`~repro.fl.virtual.VirtualClientFleet`, so
 each process (the parent for serial, every forked worker for parallel)
 materializes clients on demand from its own bounded model pool instead
-of indexing a fleet-sized list; plain client sequences are adapted for
-direct use.  Each result carries the executing process's pool
-accounting (``pool_live`` / ``pool_materializations``) back to the
-parent's cost meter.
+of indexing a fleet-sized list.  Each result carries the executing
+process's pool accounting (``pool_live`` / ``pool_materializations``)
+back to the parent's cost meter.
 
 Workspace arenas (:class:`repro.nn.workspace.Workspace`) are strictly
 process-local: a forked worker inherits the parent model's arena
@@ -65,7 +64,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.nn.store import Layout, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.fl.behavior import ClientBehavior
@@ -156,26 +155,9 @@ class ClientRoundResult:
     defense_state_bytes: int
     #: Virtual-client plane: model instances live in the executing
     #: process's pool, and its cumulative materializations (binds).
-    #: Zero when the executor runs over a plain client sequence.
+    #: Zero when the provider keeps no pool accounting.
     pool_live: int = 0
     pool_materializations: int = 0
-
-
-class _SequenceProvider:
-    """Adapter giving a plain client list the provider protocol."""
-
-    def __init__(self, clients: Sequence["FLClient"]) -> None:
-        self.clients = list(clients)
-
-    def materialize(self, client_id: int) -> "FLClient":
-        return self.clients[client_id]
-
-
-def _as_provider(clients: Any) -> Any:
-    """Normalize a fleet-or-sequence into a client provider."""
-    if hasattr(clients, "materialize"):
-        return clients
-    return _SequenceProvider(clients)
 
 
 def _stamp_pool_stats(result: ClientRoundResult, provider: Any) -> None:
@@ -212,7 +194,7 @@ def execute_client_task(client: "FLClient", defense: "Defense",
                                 behavior=behavior)
     return ClientRoundResult(
         client_id=task.client_id,
-        update_buffer=as_store(update.weights, layout=layout).buffer,
+        update_buffer=update.weights.buffer,
         personal_buffer=client.personal_weights.buffer,
         num_samples=update.num_samples,
         train_seconds=update.train_seconds,
@@ -261,7 +243,7 @@ class SerialExecutor(RoundExecutor):
     def __init__(self, clients: Any, defense: "Defense",
                  layout: Layout,
                  behavior: "ClientBehavior | None" = None) -> None:
-        self.clients = _as_provider(clients)
+        self.clients = clients
         self.defense = defense
         self.layout = layout
         self.behavior = behavior
@@ -285,12 +267,13 @@ def make_executor(clients: Any, defense: "Defense",
                   ) -> RoundExecutor:
     """Build the executor ``config.workers`` asks for.
 
-    ``clients`` is a provider (a ``VirtualClientFleet``) or a plain
-    client sequence.  ``workers`` of 0 or 1 selects the serial
-    reference; anything larger fans out across that many worker
-    processes over shared memory.  Where shared-memory segments cannot
-    be created the run falls back to the serial executor with a
-    warning — the results are bitwise identical either way.
+    ``clients`` is a provider: anything with
+    ``materialize(client_id)``, such as a ``VirtualClientFleet``.
+    ``workers`` of 0 or 1 selects the serial reference; anything
+    larger fans out across that many worker processes over shared
+    memory.  Where shared-memory segments cannot be created the run
+    falls back to the serial executor with a warning — the results
+    are bitwise identical either way.
     ``behavior`` is the run's adversarial-client behavior (``None`` =
     honest); ``cost_meter`` receives per-round IPC byte accounting
     when set.

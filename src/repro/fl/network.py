@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.store import WeightsLike, WeightStore
+from repro.nn.store import WeightStore
 
 
 @dataclass(frozen=True)
@@ -52,47 +52,30 @@ class NetworkModel:
     downlink: LinkSpec = field(default_factory=LinkSpec)
 
 
-def dense_nbytes(weights: WeightsLike) -> int:
-    """Bytes of a dense encoding of a weight structure, at its own
-    precision — a float32 model uploads half the bytes of a float64 one.
-
-    A :class:`~repro.nn.store.WeightStore` answers straight from its
-    layout (O(1)); a nested structure is walked.
-    """
-    if isinstance(weights, WeightStore):
-        return weights.layout.nbytes
-    return sum(v.nbytes for layer in weights for v in layer.values())
+def dense_nbytes(weights: WeightStore) -> int:
+    """Bytes of a dense encoding of a store, at its own precision — a
+    float32 model uploads half the bytes of a float64 one."""
+    return weights.layout.nbytes
 
 
-def sparse_nbytes(weights: WeightsLike,
-                  reference: WeightsLike | None = None, *,
+def sparse_nbytes(weights: WeightStore,
+                  reference: WeightStore | None = None, *,
                   index_bytes: int = 4) -> int:
     """Bytes of a sparse (index, value) delta encoding.
 
     Counts the coordinates that differ from ``reference`` (or are
-    non-zero when no reference is given); each costs a value at the
-    structure's own itemsize plus an index.  This is the wire format
-    gradient compression buys its bandwidth savings with.  Store inputs
-    are compared over their flat buffers in one vectorized pass; nested
-    structures are walked.
+    non-zero when no reference is given), in one vectorized pass over
+    the flat buffers; each costs a value at the store's own itemsize
+    plus an index.  This is the wire format gradient compression buys
+    its bandwidth savings with.
     """
-    if isinstance(weights, WeightStore):
-        if reference is None:
-            nonzero = int(np.count_nonzero(weights.buffer))
-        else:
-            ref = WeightStore.as_store(reference, layout=weights.layout)
-            nonzero = int(np.count_nonzero(weights.buffer != ref.buffer))
-        return nonzero * (weights.buffer.itemsize + index_bytes)
-    total = 0
-    for layer_idx, layer in enumerate(weights):
-        for key, value in layer.items():
-            if reference is None:
-                nonzero = int(np.count_nonzero(value))
-            else:
-                nonzero = int(np.count_nonzero(
-                    value != reference[layer_idx][key]))
-            total += nonzero * (value.itemsize + index_bytes)
-    return total
+    if reference is None:
+        nonzero = int(np.count_nonzero(weights.buffer))
+    else:
+        if reference.layout != weights.layout:
+            raise ValueError("reference layout does not match the update")
+        nonzero = int(np.count_nonzero(weights.buffer != reference.buffer))
+    return nonzero * (weights.buffer.itemsize + index_bytes)
 
 
 @dataclass

@@ -34,13 +34,12 @@ from repro.fl.aggregation import (
     clustered_mean,
     coordinate_median,
     requires_dense,
-    scale_weights,
     trimmed_mean,
 )
 from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.costs import CostMeter
-from repro.nn.store import Layout, WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 #: Spawn-key tag of the per-round cohort sub-sampling stream.  Kept
@@ -54,10 +53,10 @@ _SAMPLE_STREAM = 5
 class FLServer:
     """Holds the global model, selects cohorts, aggregates updates."""
 
-    def __init__(self, initial_weights: WeightsLike, config: FLConfig,
+    def __init__(self, initial_weights: WeightStore, config: FLConfig,
                  defense: Defense, rng: np.random.Generator,
                  cost_meter: CostMeter | None = None) -> None:
-        self.global_weights: WeightStore = as_store(initial_weights)
+        self.global_weights = initial_weights
         self.config = config
         self.defense = defense
         self.rng = rng
@@ -138,9 +137,7 @@ class FLServer:
         pre-sized to the cohort (no doubling copies mid-round) and its
         ``client_cap`` refuses fleet-scale cohorts.
         """
-        first = updates[0].weights
-        layout = first.layout if isinstance(first, WeightStore) \
-            else Layout.from_layers(first)
+        layout = updates[0].weights.layout
         if self._batch is None or self._batch.layout != layout:
             self._batch = UpdateBatch(layout,
                                       capacity=max(1, len(updates)))
@@ -231,23 +228,21 @@ class FLServer:
         if pre:
             if samples_total <= 0:
                 raise ValueError("total sample count must be positive")
-            aggregated = scale_weights(accumulator.drain(),
-                                       1.0 / samples_total)
+            aggregated = accumulator.drain() * (1.0 / samples_total)
         elif total_samples is not None:
             aggregated = accumulator.drain()
         else:
-            aggregated = scale_weights(accumulator.drain(),
-                                       1.0 / accumulator.weight_sum)
+            aggregated = accumulator.drain() \
+                * (1.0 / accumulator.weight_sum)
         return self._finalize(aggregated, reduce_seconds, start)
 
-    def _finalize(self, aggregated: WeightsLike, reduce_seconds: float,
+    def _finalize(self, aggregated: WeightStore, reduce_seconds: float,
                   start: float) -> WeightStore:
         """Server momentum + server-side defense + cost accounting —
         the tail every aggregation rule shares.  ``start`` is the
         ``perf_counter`` stamp of the current timed span."""
-        aggregated = self._apply_server_momentum(as_store(aggregated))
-        aggregated = as_store(
-            self.defense.on_aggregate(aggregated, self.rng))
+        aggregated = self._apply_server_momentum(aggregated)
+        aggregated = self.defense.on_aggregate(aggregated, self.rng)
         reduce_seconds += time.perf_counter() - start
         self.cost_meter.merge_server_round(reduce_seconds)
         self.global_weights = aggregated

@@ -15,7 +15,7 @@ names, generation, geometry)``.  Workers map the segment and wrap it
 in a *read-only* zero-copy view — safe because the serial executor
 already hands every task of a round the very same buffer object, so
 nothing in the round path mutates the received global in place (DINAR
-copies before personalizing, ``set_weights`` copies in).  The
+copies before personalizing, ``set_store`` copies in).  The
 round-shared defense state is pickled **once** per round into a second
 segment; each worker unpickles it once per generation (not once per
 task) and caches it.
@@ -65,7 +65,6 @@ from repro.fl.executor import (
     ClientRoundResult,
     ClientTask,
     RoundExecutor,
-    _as_provider,
     _stamp_pool_stats,
     execute_client_task,
 )
@@ -537,7 +536,7 @@ class ParallelExecutor(RoundExecutor):
             raise RuntimeError(
                 "ParallelExecutor requires the 'fork' start method "
                 "(unavailable on this platform); run with workers=0")
-        self.clients = _as_provider(clients)
+        self.clients = clients
         self.defense = defense
         self.layout = layout
         self.workers = workers
@@ -663,8 +662,17 @@ class ParallelExecutor(RoundExecutor):
                             (task, ref, slab), protocol=_PICKLE_PROTOCOL))
                     pickled_bytes += task_probe
                     slab_of[index] = slab
-                    futures[pool.submit(_run_in_worker, task, ref,
-                                        slab)] = index
+                    try:
+                        futures[pool.submit(_run_in_worker, task, ref,
+                                            slab)] = index
+                    except BrokenProcessPool as exc:
+                        # a worker died before this submission landed
+                        self.close()
+                        raise RuntimeError(
+                            f"a worker process died during round "
+                            f"{task.round_index} (killed or crashed "
+                            f"hard); the pool has been shut down and "
+                            f"the round aborted") from exc
                 done, _ = wait(list(futures),
                                return_when=FIRST_COMPLETED)
                 for future in done:

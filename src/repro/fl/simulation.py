@@ -56,7 +56,7 @@ from repro.fl.network import NetworkModel, TrafficMeter, dense_nbytes
 from repro.fl.server import FLServer
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.nn.model import Model
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -175,7 +175,7 @@ class FederatedSimulation:
         self.executor = make_executor(
             self.fleet, self.defense, self._layout, config,
             behavior=self.behavior, cost_meter=self.cost_meter)
-        self.last_updates: dict[int, WeightsLike] = {}
+        self.last_updates: dict[int, WeightStore] = {}
         self.history = History()
 
     @property
@@ -240,7 +240,7 @@ class FederatedSimulation:
         if segment_report is not None:
             self.cost_meter.record_segment_budget(segment_report())
         download_bytes = dense_nbytes(self.server.global_weights)
-        global_store = as_store(self.server.global_weights)
+        global_store = self.server.global_weights
         round_state = self.defense.export_round_state()
         tasks = [
             ClientTask(
@@ -338,10 +338,10 @@ class FederatedSimulation:
     # ------------------------------------------------------------------
     # evaluation views
     # ------------------------------------------------------------------
-    def model_from_weights(self, weights: WeightsLike) -> Model:
+    def model_from_weights(self, weights: WeightStore) -> Model:
         """Fresh model instance loaded with the given weights."""
         model = self.model_factory(np.random.default_rng(self.config.seed))
-        model.set_weights(weights)
+        model.set_store(weights)
         return model
 
     def global_model(self) -> Model:

@@ -56,7 +56,7 @@ from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
 from repro.nn.metrics import accuracy
 from repro.nn.model import Model
-from repro.nn.store import Layout, WeightsLike, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 
 __all__ = [
@@ -131,12 +131,8 @@ class PersonalWeightsRegistry:
         self._slot[client_id] = slot
         return slot
 
-    def put(self, client_id: int, weights: WeightsLike | np.ndarray) -> None:
-        """Copy a client's personalized weights into its row."""
-        if isinstance(weights, np.ndarray):
-            buffer = weights
-        else:
-            buffer = as_store(weights, layout=self.layout).buffer
+    def put(self, client_id: int, buffer: np.ndarray) -> None:
+        """Copy a client's personalized weight buffer into its row."""
         if buffer.shape != (self.layout.num_params,):
             raise ValueError(
                 f"client {client_id}: buffer shape {buffer.shape} does "
@@ -329,10 +325,10 @@ class VirtualClientFleet:
             self._eval_model = self._template.clone()
         return self._eval_model
 
-    def evaluate_weights(self, weights: WeightsLike, x: np.ndarray,
+    def evaluate_weights(self, weights: WeightStore, x: np.ndarray,
                          y: np.ndarray) -> float:
         """Accuracy of the given weights on ``(x, y)`` via the shared
         eval model."""
         model = self.eval_model()
-        model.set_weights(as_store(weights))
+        model.set_store(weights)
         return accuracy(model.predict(x), y)

@@ -29,7 +29,7 @@ from repro.nn.layers import (
     MaxPool2d,
 )
 from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropy
-from repro.nn.model import Model, Weights
+from repro.nn.model import Model
 from repro.nn.optim import (
     ADGD,
     AdaMax,
@@ -47,14 +47,11 @@ from repro.nn.schedule import (
     StepDecay,
     WarmupSchedule,
 )
-from repro.nn.serialize import load_store, load_weights, save_weights
+from repro.nn.serialize import load_store, save_weights
 from repro.nn.store import (
     Layout,
     LayoutEntry,
-    WeightsLike,
     WeightStore,
-    as_layers,
-    as_store,
     chunked_sq_sum,
 )
 from repro.nn.workspace import Workspace
@@ -96,14 +93,9 @@ __all__ = [
     "Tanh",
     "WarmupSchedule",
     "WeightStore",
-    "Weights",
-    "WeightsLike",
     "Workspace",
-    "as_layers",
-    "as_store",
     "chunked_sq_sum",
     "load_store",
-    "load_weights",
     "make_optimizer",
     "save_weights",
 ]

@@ -138,30 +138,6 @@ class Layer:
             workspace, f"{role}~{''.join(map(str, perm))}", shape, dtype)
         return buffer.transpose(np.argsort(perm))
 
-    def state(self) -> dict[str, np.ndarray]:
-        """Copy of all arrays exchanged in FL: params plus buffers."""
-        out = {k: v.copy() for k, v in self.params.items()}
-        out.update({k: v.copy() for k, v in self.buffers.items()})
-        return out
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        """Load arrays produced by :meth:`state` (in-place, shape-checked).
-
-        Raises ``KeyError`` for any name the layer does not own — a
-        silently dropped key would desynchronize FL weight exchange.
-        """
-        for key, value in state.items():
-            if key in self.params:
-                target = self.params[key]
-            elif key in self.buffers:
-                target = self.buffers[key]
-            else:
-                raise KeyError(f"{self.name} has no state array {key!r}")
-            if target.shape != value.shape:
-                raise ValueError(
-                    f"{self.name}.{key}: shape {value.shape} != {target.shape}")
-            target[...] = value
-
     def adopt_views(self, params: dict[str, np.ndarray],
                     buffers: dict[str, np.ndarray],
                     grads: dict[str, np.ndarray]) -> None:

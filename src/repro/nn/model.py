@@ -8,29 +8,22 @@ views into those buffers (bound once at construction via
 FedProx therefore operate on whole flat vectors, and weight exchange
 (`get_store`/`set_store`, `clone`) is a single buffer copy.
 
-The federated substrate still exchanges :data:`Weights` — a list with
-one ``{name: array}`` dict per *parameter-carrying* layer, ordered
-front to back — as the legacy bridge format.  That layer-indexed
-representation is exactly the handle DINAR needs: "obfuscate layer p"
-is ``weights[p] = random``, "personalize layer p" is
-``weights[p] = stored_private_layer``; store-native code uses
-``Layout.layer_slice(p)`` for the same handle.
+Layer indices count *parameter-carrying* layers front to back; that
+index is the handle DINAR needs.  "Obfuscate layer p" and "personalize
+layer p" both act on the one buffer slice ``Layout.layer_slice(p)``.
 """
 
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.losses import Loss, softmax
-from repro.nn.store import Layout, SegmentedView, WeightsLike, WeightStore
+from repro.nn.store import Layout, SegmentedView, WeightStore
 from repro.nn.workspace import Workspace
-
-#: One dict of named arrays per parameter-carrying layer, front to back.
-Weights = list[dict[str, np.ndarray]]
 
 
 class Model:
@@ -255,32 +248,6 @@ class Model:
         return self.predict_logits(x).argmax(axis=-1)
 
     # ------------------------------------------------------------------
-    # weight exchange
-    # ------------------------------------------------------------------
-    def get_weights(self) -> Weights:
-        """Deep copy of all exchanged arrays, one dict per trainable layer.
-
-        Legacy bridge format (per-array copies by construction); the
-        hot paths use :meth:`get_store` / :attr:`weights`, which cost a
-        single flat buffer copy (or none).
-        """
-        return [layer.state() for layer in self.trainable]
-
-    def set_weights(self, weights: WeightsLike) -> None:
-        """Load weights produced by :meth:`get_weights` or
-        :meth:`get_store` (shape-checked)."""
-        if isinstance(weights, WeightStore):
-            self.set_store(weights)
-            return
-        trainable = self.trainable
-        if len(weights) != len(trainable):
-            raise ValueError(
-                f"{self.name}: got {len(weights)} layer dicts, "
-                f"model has {len(trainable)} trainable layers")
-        for layer, state in zip(trainable, weights):
-            layer.set_state(state)
-
-    # ------------------------------------------------------------------
     # flat parameter plane
     # ------------------------------------------------------------------
     @property
@@ -385,84 +352,3 @@ class Model:
                         new_grads[entry.offset:entry.stop] \
                         .reshape(entry.shape)
         return copy.deepcopy(self, memo)
-
-
-# ----------------------------------------------------------------------
-# weight arithmetic helpers (used by aggregation, defenses and attacks)
-# ----------------------------------------------------------------------
-
-def weights_map(fn: Callable[[np.ndarray], np.ndarray],
-                weights: Weights) -> Weights:
-    """Apply ``fn`` to every array, returning a new weight structure."""
-    return [{k: fn(v) for k, v in layer.items()} for layer in weights]
-
-
-def weights_zip_map(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    a: Weights, b: Weights) -> Weights:
-    """Combine two parallel weight structures element-wise."""
-    if len(a) != len(b):
-        raise ValueError(f"weight structures differ: {len(a)} vs {len(b)}")
-    out: Weights = []
-    for la, lb in zip(a, b):
-        if la.keys() != lb.keys():
-            raise ValueError(f"layer keys differ: {sorted(la)} vs {sorted(lb)}")
-        out.append({k: fn(la[k], lb[k]) for k in la})
-    return out
-
-
-def flatten_weights(weights: WeightsLike) -> np.ndarray:
-    """Every array as one vector, in layout (state-dict) order.
-
-    For a :class:`~repro.nn.store.WeightStore` this is a zero-copy
-    read-only view of the store's buffer — the vector *is* the store.
-    """
-    if isinstance(weights, WeightStore):
-        return weights.readonly_vector()
-    parts = [
-        layer[k].ravel() for layer in weights for k in layer
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def unflatten_weights(vector: np.ndarray,
-                      template: WeightsLike) -> Weights:
-    """Inverse of :func:`flatten_weights` given a shape template."""
-    out: Weights = []
-    offset = 0
-    for layer in template:
-        rebuilt: dict[str, np.ndarray] = {}
-        for k in layer:
-            size = layer[k].size
-            rebuilt[k] = vector[offset:offset + size] \
-                .reshape(layer[k].shape).copy()
-            offset += size
-        out.append(rebuilt)
-    if offset != vector.size:
-        raise ValueError(
-            f"vector has {vector.size} entries, template needs {offset}")
-    return out
-
-
-def weights_l2_norm(weights: WeightsLike) -> float:
-    """Global L2 norm across every exchanged array."""
-    if isinstance(weights, WeightStore):
-        return weights.l2()
-    total = sum(float((v ** 2).sum()) for layer in weights
-                for v in layer.values())
-    return float(np.sqrt(total))
-
-
-def weights_allclose(a: WeightsLike, b: WeightsLike, *,
-                     atol: float = 1e-9) -> bool:
-    """Whether two weight structures are numerically identical."""
-    if isinstance(a, WeightStore) and isinstance(b, WeightStore):
-        return a.allclose(b, atol=atol)
-    if len(a) != len(b):
-        return False
-    for la, lb in zip(a, b):
-        if la.keys() != lb.keys():
-            return False
-        for k in la:
-            if not np.allclose(la[k], lb[k], atol=atol):
-                return False
-    return True

@@ -1,14 +1,15 @@
 """Weight and experiment serialization.
 
-Weights round-trip through ``.npz`` archives (one array per
-``layer<idx>/<name>`` key), which lets a deployment checkpoint global
-models between rounds, ship shadow models to an attacker process, or
-archive the exact model a benchmark attacked.
+A :class:`~repro.nn.store.WeightStore` round-trips through an ``.npz``
+archive with one array per ``layer<idx>/<name>`` key, written straight
+from the store's zero-copy views.  That lets a deployment checkpoint
+global models between rounds, ship shadow models to an attacker
+process, or archive the exact model a benchmark attacked.
 
 Precision round-trips for free: ``.npz`` stores each array's dtype,
-and :meth:`~repro.nn.store.WeightStore.from_layers` infers the flat
-plane's dtype from the loaded arrays (float32 only when *every* array
-is float32), so a float32 store reloads as a float32 store.
+and :meth:`~repro.nn.store.Layout.from_layers` infers the flat plane's
+dtype from the loaded arrays (float32 only when *every* array is
+float32), so a float32 store reloads as a float32 store.
 """
 
 from __future__ import annotations
@@ -18,35 +19,28 @@ import pathlib
 
 import numpy as np
 
-from repro.nn.model import Weights
-from repro.nn.store import WeightsLike, WeightStore
+from repro.nn.store import Layout, WeightStore
 
 
-def save_weights(weights: WeightsLike, path: str | pathlib.Path) -> None:
-    """Write a weight structure to an ``.npz`` archive.
+def save_weights(store: WeightStore, path: str | pathlib.Path) -> None:
+    """Write a store to an ``.npz`` archive, one array per entry."""
+    np.savez(path, **{
+        f"layer{e.layer_idx}/{e.key}":
+            store.buffer[e.offset:e.stop].reshape(e.shape)
+        for e in store.layout.entries
+    })
 
-    A :class:`~repro.nn.store.WeightStore` is written straight from its
-    layout's zero-copy views — no intermediate nested structure.
+
+def load_store(path: str | pathlib.Path,
+               layout: Layout | None = None) -> WeightStore:
+    """Read an archive written by :func:`save_weights` into a store.
+
+    With ``layout`` the archive must match it (same geometry and
+    dtype), and the store is built on that layout object — which keeps
+    its trainable flags, unlike one derived from the archive, where
+    every entry reads as trainable.  A mismatch raises ``ValueError``
+    naming both layouts.
     """
-    if isinstance(weights, WeightStore):
-        arrays = {
-            f"layer{e.layer_idx}/{e.key}":
-                weights.buffer[e.offset:e.stop].reshape(e.shape)
-            for e in weights.layout.entries
-        }
-    else:
-        arrays = {
-            f"layer{idx}/{key}": value
-            for idx, layer in enumerate(weights)
-            for key, value in layer.items()
-        }
-    if not arrays:
-        raise ValueError("cannot save an empty weight structure")
-    np.savez(path, **arrays)
-
-
-def load_weights(path: str | pathlib.Path) -> Weights:
-    """Read a weight structure written by :func:`save_weights`."""
     with np.load(path) as archive:
         layers: dict[int, dict[str, np.ndarray]] = {}
         for name in archive.files:
@@ -56,12 +50,20 @@ def load_weights(path: str | pathlib.Path) -> Weights:
     if sorted(layers) != list(range(len(layers))):
         raise ValueError(f"archive has non-contiguous layer indices: "
                          f"{sorted(layers)}")
-    return [layers[idx] for idx in range(len(layers))]
+    store = WeightStore.from_layers([layers[i] for i in range(len(layers))])
+    if layout is None:
+        return store
+    if store.layout != layout:
+        raise ValueError(
+            f"{path}: archive layout {_describe(store.layout)} does not "
+            f"match {_describe(layout)}")
+    return WeightStore(layout, store.buffer)
 
 
-def load_store(path: str | pathlib.Path) -> WeightStore:
-    """Read an archive written by :func:`save_weights` into a store."""
-    return WeightStore.from_layers(load_weights(path))
+def _describe(layout: Layout) -> str:
+    """A layout's summary plus its entry shapes (two layouts can share
+    the summary and still differ in geometry)."""
+    return f"{layout!r} {[e.shape for e in layout.entries]}"
 
 
 def experiment_result_to_dict(result) -> dict:

@@ -1,47 +1,41 @@
 """Flat-buffer weight plane: ``Layout`` + ``WeightStore``.
 
-Every subsystem exchanges model state.  The legacy representation —
-``Weights = list[dict[str, np.ndarray]]`` — forces each consumer
-(FedAvg, the defenses, DINAR, traffic accounting, serialization) to
-re-walk a nested structure in Python loops.  This module provides the
-store-native alternative: one contiguous vector per model plus an
-immutable :class:`Layout` mapping each ``(layer, key)`` pair to a
-coordinate range.  The layout also fixes the buffer's *precision*
-(float64 by default, float32 for the reduced-precision compute plane —
-see ``repro.nn.dtypes``); two layouts with the same geometry but
-different dtypes are distinct, so stores of different precisions never
-silently mix.
+A model's state is one contiguous vector plus an immutable
+:class:`Layout` mapping each ``(layer, key)`` pair to a coordinate
+range.  Every subsystem — training, the defenses, DINAR, aggregation,
+traffic accounting, checkpoints — exchanges that vector; DINAR's
+"layer p" is the single slice ``Layout.layer_slice(p)``.  The layout
+also fixes the buffer's *precision* (float64 by default, float32 for
+the reduced-precision compute plane — see ``repro.nn.dtypes``); two
+layouts with the same geometry but different dtypes are distinct, so
+stores of different precisions never silently mix.
 
 Design rules:
 
 * **Layout order is state-dict order** — per layer, keys appear in the
-  order the source dict yields them (a model's ``params`` before its
-  ``buffers``).  This is the canonical flatten order: the store's
-  buffer *is* ``flatten_weights`` of the same structure, and RNG-driven
-  transforms (obfuscation noise, DP noise, SA masks) consume the
-  generator stream in exactly the same order as the legacy per-array
-  code, keeping them bit-for-bit reproducible.
-* **Zero-copy views** — ``view``/``layer_flat``/``layer_dict`` return
-  ndarray views into the buffer; mutating a view mutates the store.
-* **Legacy bridge** — :meth:`WeightStore.from_layers` /
-  :meth:`WeightStore.to_layers` convert to and from the nested
-  structure, and the store implements the read side of the sequence
-  protocol (``len``, ``[idx]``, iteration over per-layer dicts), so it
-  can flow through code written against ``Weights``.
+  order the source mapping yields them (a model's ``params`` before its
+  ``buffers``).  RNG-driven transforms (obfuscation noise, DP noise, SA
+  masks) consume the generator stream in this order, which keeps them
+  bit-for-bit reproducible.
+* **Zero-copy views** — ``view``/``layer_flat`` return ndarray views
+  into the buffer; mutating a view mutates the store.
+* **One way in from named arrays** — :meth:`WeightStore.from_layers`
+  copies a list of per-layer ``{key: array}`` mappings (an ``.npz``
+  archive, a test fixture) into a fresh store.  There is no way back
+  out: consumers read views.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.nn.dtypes import DTypeLike, gaussian, resolve_dtype
 
-#: The legacy nested structure (same alias as :data:`repro.nn.model.Weights`,
-#: redeclared here so the store does not import the model module).
-Weights = list[dict[str, np.ndarray]]
+#: Named arrays, one mapping per layer — the input of ``from_layers``.
+NamedLayers = Sequence[Mapping[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -55,9 +49,9 @@ class LayoutEntry:
     size: int
     #: Whether this entry is a trainable parameter (``False`` for
     #: non-trainable buffers such as batch-norm running statistics).
-    #: Excluded from equality/hash so layouts derived from nested
-    #: structures — where the distinction is unknowable — still compare
-    #: equal to model-derived layouts with the same geometry.
+    #: Excluded from equality/hash so layouts derived from named arrays
+    #: — where the distinction is unknowable — still compare equal to
+    #: model-derived layouts with the same geometry.
     trainable: bool = field(default=True, compare=False)
 
     @property
@@ -163,12 +157,12 @@ class Layout:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_layers(cls, weights: Weights) -> "Layout":
-        """Derive a layout from a legacy nested structure.
+    def from_layers(cls, weights: NamedLayers) -> "Layout":
+        """Derive a layout from per-layer named arrays.
 
         The dtype is inferred: float32 when *every* array is float32,
-        the float64 default otherwise (mixed or non-float inputs keep
-        the legacy coerce-to-float64 behaviour).
+        the float64 default otherwise (mixed or non-float inputs are
+        coerced to float64).  Every entry is marked trainable.
         """
         entries: list[LayoutEntry] = []
         offset = 0
@@ -189,8 +183,8 @@ class Layout:
     def from_model(cls, model) -> "Layout":
         """Derive a layout from a model's trainable layers (no copies).
 
-        Keys follow ``Layer.state()`` order: ``params`` before
-        ``buffers``, each in insertion order.  The dtype is the layers'
+        Keys follow each layer's ``params`` then its ``buffers``, each
+        in insertion order.  The dtype is the layers'
         common parameter dtype; a model mixing precisions is rejected —
         the flat plane is single-precision by construction.
         """
@@ -655,11 +649,8 @@ class WeightStore:
     The buffer lives in the layout's dtype (float64 unless the layout
     says otherwise); incoming buffers of another precision are coerced.
 
-    Supports zero-copy per-layer/per-key views, vectorized arithmetic
-    (``+``, ``-``, scalar ``*``, in-place variants), and the read side
-    of the legacy sequence protocol: ``store[p]`` is a ``{key: view}``
-    dict for layer ``p``, so code written against ``Weights`` can
-    consume a store unchanged.
+    Supports zero-copy per-layer/per-key views and vectorized
+    arithmetic (``+``, ``-``, scalar ``*``, in-place variants).
     """
 
     __slots__ = ("layout", "buffer")
@@ -678,18 +669,15 @@ class WeightStore:
         self.layout = layout
         self.buffer = buffer
 
-    # ------------------------------------------------------------------
-    # bridges to/from the legacy nested structure
-    # ------------------------------------------------------------------
     @classmethod
-    def from_layers(cls, weights: Weights,
+    def from_layers(cls, weights: NamedLayers,
                     layout: Layout | None = None) -> "WeightStore":
-        """Copy a legacy nested structure into a fresh store."""
+        """Copy per-layer named arrays into a fresh store."""
         if layout is None:
             layout = Layout.from_layers(weights)
         if len(weights) != layout.num_layers:
             raise ValueError(
-                f"got {len(weights)} layer dicts, layout has "
+                f"got {len(weights)} layer mappings, layout has "
                 f"{layout.num_layers} layers")
         store = cls(layout, np.empty(layout.num_params,
                                      dtype=layout.dtype))
@@ -711,31 +699,6 @@ class WeightStore:
                     f"own: {sorted(extra)}")
         return store
 
-    @classmethod
-    def as_store(cls, weights: "WeightsLike", *,
-                 layout: Layout | None = None,
-                 copy: bool = False) -> "WeightStore":
-        """Normalize ``Weights | WeightStore`` to a store.
-
-        A store input passes through zero-copy (copied only when
-        ``copy=True``); a nested input is copied into a fresh store.
-        """
-        if isinstance(weights, WeightStore):
-            if layout is not None and weights.layout != layout:
-                raise ValueError("store layout does not match the "
-                                 "requested layout")
-            return weights.copy() if copy else weights
-        return cls.from_layers(weights, layout)
-
-    def to_layers(self) -> Weights:
-        """Copy out to the legacy nested structure."""
-        out: Weights = [dict() for _ in range(self.layout.num_layers)]
-        for entry in self.layout.entries:
-            out[entry.layer_idx][entry.key] = \
-                self.buffer[entry.offset:entry.stop] \
-                    .reshape(entry.shape).copy()
-        return out
-
     # ------------------------------------------------------------------
     # zero-copy views
     # ------------------------------------------------------------------
@@ -748,42 +711,11 @@ class WeightStore:
         """Writable flat view of one whole layer's coordinate range."""
         return self.buffer[self.layout.layer_slice(layer_idx)]
 
-    def layer_dict(self, layer_idx: int, *,
-                   copy: bool = False) -> dict[str, np.ndarray]:
-        """One layer as a ``{key: array}`` dict (views by default)."""
-        out = {}
-        for entry in self.layout.layer_entries(layer_idx):
-            value = self.buffer[entry.offset:entry.stop] \
-                .reshape(entry.shape)
-            out[entry.key] = value.copy() if copy else value
-        return out
-
     def readonly_vector(self) -> np.ndarray:
         """The whole buffer as a read-only zero-copy view."""
         v = self.buffer.view()
         v.flags.writeable = False
         return v
-
-    # ------------------------------------------------------------------
-    # legacy sequence protocol (read side)
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.layout.num_layers
-
-    def __getitem__(self, layer_idx: int) -> dict[str, np.ndarray]:
-        if not isinstance(layer_idx, (int, np.integer)):
-            raise TypeError(
-                f"layer index must be an int, got {type(layer_idx)}")
-        n = self.layout.num_layers
-        if layer_idx < 0:
-            layer_idx += n
-        if not 0 <= layer_idx < n:
-            raise IndexError(f"layer {layer_idx} out of range ({n})")
-        return self.layer_dict(layer_idx)
-
-    def __iter__(self) -> Iterator[dict[str, np.ndarray]]:
-        for layer_idx in range(self.layout.num_layers):
-            yield self.layer_dict(layer_idx)
 
     # ------------------------------------------------------------------
     # vectorized arithmetic
@@ -833,10 +765,9 @@ class WeightStore:
         """Global L2 norm over the whole buffer."""
         return float(np.sqrt((self.buffer ** 2).sum()))
 
-    def allclose(self, other: "WeightsLike", *,
+    def allclose(self, other: "WeightStore", *,
                  atol: float = 1e-9) -> bool:
-        """Numerical equality against a store or nested structure."""
-        other = WeightStore.as_store(other)
+        """Same layout and numerically equal buffers."""
         if self.layout != other.layout:
             return False
         return bool(np.allclose(self.buffer, other.buffer, atol=atol))
@@ -874,23 +805,6 @@ class WeightStore:
         return (f"WeightStore(layers={self.layout.num_layers}, "
                 f"params={self.num_params}, "
                 f"dtype={self.layout.dtype.name})")
-
-
-#: Either representation of exchanged model state.
-WeightsLike = Weights | WeightStore
-
-
-def as_store(weights: WeightsLike, *, layout: Layout | None = None,
-             copy: bool = False) -> WeightStore:
-    """Module-level alias for :meth:`WeightStore.as_store`."""
-    return WeightStore.as_store(weights, layout=layout, copy=copy)
-
-
-def as_layers(weights: WeightsLike) -> Weights:
-    """Normalize ``Weights | WeightStore`` to the nested structure."""
-    if isinstance(weights, WeightStore):
-        return weights.to_layers()
-    return weights
 
 
 def chunked_sq_sum(vector: np.ndarray,

@@ -17,7 +17,7 @@ from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.cdp import CentralDP
 from repro.privacy.defenses.compression import GradientCompression
 from repro.privacy.defenses.ladp import LayerwiseDP
-from repro.privacy.defenses.ldp import LocalDP, clip_weights
+from repro.privacy.defenses.ldp import LocalDP, clip_store
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 from repro.privacy.defenses.wdp import WeakDP
 
@@ -77,7 +77,7 @@ __all__ = [
     "WeakDP",
     "advanced_composition",
     "basic_composition",
-    "clip_weights",
+    "clip_store",
     "gaussian_sigma",
     "make_defense",
 ]

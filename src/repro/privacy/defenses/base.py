@@ -41,8 +41,8 @@ from typing import Any
 import numpy as np
 
 from repro.nn.model import Model
-from repro.nn.store import WeightsLike
 from repro.nn.optim import Optimizer
+from repro.nn.store import WeightStore
 
 
 class Defense:
@@ -65,23 +65,23 @@ class Defense:
     requires_full_cohort = False
 
     def on_round_start(self, round_index: int, client_ids: Sequence[int],
-                       template: WeightsLike,
+                       template: WeightStore,
                        rng: np.random.Generator) -> None:
         """Per-round setup before any client trains."""
 
     def on_receive_global(self, client_id: int,
-                          weights: WeightsLike) -> WeightsLike:
+                          weights: WeightStore) -> WeightStore:
         """Transform the downloaded global model for one client."""
         return weights
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
-                       rng: np.random.Generator) -> WeightsLike:
+                       rng: np.random.Generator) -> WeightStore:
         """Transform the update a client is about to upload."""
         return weights
 
-    def on_aggregate(self, weights: WeightsLike,
-                     rng: np.random.Generator) -> WeightsLike:
+    def on_aggregate(self, weights: WeightStore,
+                     rng: np.random.Generator) -> WeightStore:
         """Transform the aggregated model on the server."""
         return weights
 
@@ -117,7 +117,7 @@ class Defense:
     def import_round_state(self, state: Any) -> None:
         """Install round-shared state before a client's hooks run."""
 
-    def upload_nbytes(self, weights: WeightsLike) -> int:
+    def upload_nbytes(self, weights: WeightStore) -> int:
         """Wire size of one transmitted update.
 
         Defaults to a dense float64 encoding; defenses with a cheaper

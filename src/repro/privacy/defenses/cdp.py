@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.nn.dtypes import gaussian
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import PrivacyAccountant
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.ldp import clip_store
@@ -51,9 +51,9 @@ class CentralDP(Defense):
 
     def on_round_start(self, round_index, client_ids, template,
                        rng) -> None:
-        self._round_global = as_store(template, copy=True)
+        self._round_global = template.copy()
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         """Bound this client's influence (server-enforced clipping).
@@ -64,16 +64,14 @@ class CentralDP(Defense):
         """
         if self._round_global is None:
             raise RuntimeError("on_round_start was never called")
-        update = as_store(weights, layout=self._round_global.layout)
-        bounded = clip_store(update - self._round_global, self.clip_norm)
+        bounded = clip_store(weights - self._round_global, self.clip_norm)
         return self._round_global + bounded
 
-    def on_aggregate(self, weights: WeightsLike,
+    def on_aggregate(self, weights: WeightStore,
                      rng: np.random.Generator) -> WeightStore:
         if self._round_global is None:
             raise RuntimeError("on_round_start was never called")
-        aggregated = as_store(weights, layout=self._round_global.layout)
-        noisy = aggregated - self._round_global
+        noisy = weights - self._round_global
         sigma = self.noise_multiplier * self.clip_norm / self.num_clients
         noisy.buffer += gaussian(rng, sigma, noisy.num_params,
                                  noisy.buffer.dtype)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -35,15 +35,14 @@ class GradientCompression(Defense):
         self._residuals: dict[int, np.ndarray] = {}
 
     def on_round_start(self, round_index, client_ids, template, rng) -> None:
-        self._round_global = as_store(template, copy=True)
+        self._round_global = template.copy()
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         if self._round_global is None:
             raise RuntimeError("on_round_start was never called")
-        update = as_store(weights, layout=self._round_global.layout)
-        delta = update - self._round_global
+        delta = weights - self._round_global
         flat = delta.buffer
         residual = self._residuals.get(client_id)
         if residual is not None:
@@ -79,7 +78,7 @@ class GradientCompression(Defense):
             layout, buffer = state
             self._round_global = WeightStore(layout, buffer)
 
-    def upload_nbytes(self, weights: WeightsLike) -> int:
+    def upload_nbytes(self, weights: WeightStore) -> int:
         """GC transmits the sparse delta, not the dense model."""
         from repro.fl.network import sparse_nbytes
         if self._round_global is None:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import (
     PrivacyAccountant,
     gaussian_sigma,
@@ -183,18 +183,17 @@ class LayerwiseDP(Defense):
     # ------------------------------------------------------------------
     def on_round_start(self, round_index, client_ids, template,
                        rng) -> None:
-        self._round_global = as_store(template, copy=True)
+        self._round_global = template.copy()
         self._resolve_plan(self._round_global.layout)
         self.accountant.spend(self.epsilon / math.sqrt(self.rounds),
                               self.delta)
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         if self._round_global is None or self._plan is None:
             raise RuntimeError("on_round_start was never called")
-        update = as_store(weights, layout=self._round_global.layout)
-        delta = update - self._round_global
+        delta = weights - self._round_global
         view = delta.layout.segmented()
         sq = view.segment_sq_sums(delta.buffer)
         for entry in self._plan:

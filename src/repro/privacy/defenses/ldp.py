@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.model import Model, Weights, weights_l2_norm, weights_map
+from repro.nn.model import Model
 from repro.nn.optim import Optimizer
-from repro.nn.store import WeightsLike, WeightStore
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import PrivacyAccountant
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.dpsgd import DPSGD, dp_sgd_noise_multiplier
@@ -24,23 +24,6 @@ from repro.privacy.defenses.dpsgd import DPSGD, dp_sgd_noise_multiplier
 def clip_store(store: WeightStore, max_norm: float) -> WeightStore:
     """Scale a store so its global L2 norm is <= max_norm (new store)."""
     return store.layout.segmented().clip(store, max_norm)
-
-
-def clip_weights(weights: WeightsLike, max_norm: float) -> WeightsLike:
-    """Scale the whole structure so its global L2 norm is <= max_norm.
-
-    Returns the same representation it was given: a store comes back
-    as a store (one vectorized pass), nested weights come back nested.
-    """
-    if isinstance(weights, WeightStore):
-        return clip_store(weights, max_norm)
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    norm = weights_l2_norm(weights)
-    if norm <= max_norm:
-        return weights_map(np.copy, weights)
-    factor = max_norm / norm
-    return weights_map(lambda v: v * factor, weights)
 
 
 class LocalDP(Defense):
@@ -99,9 +82,9 @@ class LocalDP(Defense):
             noise_multiplier=self.noise_multiplier,
             rng=rng)
 
-    def on_send_update(self, client_id: int, weights: Weights,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
-                       rng: np.random.Generator) -> Weights:
+                       rng: np.random.Generator) -> WeightStore:
         # The privacy spend happened inside DP-SGD (accounted in the
         # noise-multiplier derivation); just count the release.
         self._released[client_id] = self._released.get(client_id, 0) + 1

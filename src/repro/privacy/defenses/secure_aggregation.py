@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.nn.dtypes import standard_normal
-from repro.nn.store import Layout, WeightsLike, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -50,7 +50,7 @@ class SecureAggregation(Defense):
         self._masks: dict[int, np.ndarray] = {}
 
     def on_round_start(self, round_index: int, client_ids: Sequence[int],
-                       template: WeightsLike,
+                       template: WeightStore,
                        rng: np.random.Generator) -> None:
         """Negotiate pairwise masks for this round's cohort.
 
@@ -58,7 +58,7 @@ class SecureAggregation(Defense):
         the real protocol; both endpoints derive the same mask and apply
         it with opposite signs, so the cohort-wide sum is exactly zero.
         """
-        self._layout = as_store(template).layout
+        self._layout = template.layout
         num_params = self._layout.num_params
         dtype = self._layout.dtype
         self._masks = {
@@ -74,7 +74,7 @@ class SecureAggregation(Defense):
                 self._masks[i] += pair_mask
                 self._masks[j] -= pair_mask
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         """Transmit ``num_samples * weights + mask`` (pre-weighted)."""
@@ -82,8 +82,7 @@ class SecureAggregation(Defense):
             raise RuntimeError(
                 f"client {client_id} has no mask for this round; "
                 "on_round_start must run first")
-        masked = as_store(weights, layout=self._layout) \
-            * float(num_samples)
+        masked = weights * float(num_samples)
         masked.buffer += self._masks[client_id]
         return masked
 

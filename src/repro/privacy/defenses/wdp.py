@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.dtypes import gaussian
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.ldp import clip_store
 
@@ -43,15 +43,14 @@ class WeakDP(Defense):
 
     def on_round_start(self, round_index, client_ids, template,
                        rng) -> None:
-        self._round_global = as_store(template, copy=True)
+        self._round_global = template.copy()
 
-    def on_send_update(self, client_id: int, weights: WeightsLike,
+    def on_send_update(self, client_id: int, weights: WeightStore,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         if self._round_global is None:
             raise RuntimeError("on_round_start was never called")
-        update = as_store(weights, layout=self._round_global.layout)
-        delta = update - self._round_global
+        delta = weights - self._round_global
         bounded = clip_store(delta, self.norm_bound)
         bounded.buffer += gaussian(rng, self.sigma, bounded.num_params,
                                    bounded.buffer.dtype)

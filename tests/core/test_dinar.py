@@ -5,13 +5,18 @@ import pytest
 
 from repro.core.dinar import DINAR, dinar_initialization
 from repro.data.synthetic import synthetic_tabular
-from repro.nn.model import weights_allclose
 from repro.nn.optim import Adagrad
 
 
 @pytest.fixture
 def template(tiny_model):
-    return tiny_model.get_weights()
+    return tiny_model.get_store()
+
+
+def _filled(template, value):
+    out = template.zeros_like()
+    out.buffer[:] = value
+    return out
 
 
 class TestObfuscation:
@@ -20,36 +25,35 @@ class TestObfuscation:
     def test_private_layer_replaced_with_random(self, template, rng):
         defense = DINAR(private_layer=-2)
         sent = defense.on_send_update(0, template, 10, rng)
-        p = defense.protected_indices(len(template))[0]
+        p = defense.protected_indices(template.layout.num_layers)[0]
         assert p == 1  # penultimate of 3 trainable layers
-        assert not np.allclose(sent[p]["W"], template[p]["W"])
+        assert not np.allclose(sent.view(p, "W"), template.view(p, "W"))
 
     def test_other_layers_untouched(self, template, rng):
         defense = DINAR(private_layer=-2)
         sent = defense.on_send_update(0, template, 10, rng)
-        assert np.array_equal(sent[0]["W"], template[0]["W"])
-        assert np.array_equal(sent[2]["W"], template[2]["W"])
+        assert np.array_equal(sent.view(0, "W"), template.view(0, "W"))
+        assert np.array_equal(sent.view(2, "W"), template.view(2, "W"))
 
     def test_raw_layer_stored_client_side(self, template, rng):
         defense = DINAR(private_layer=-2)
         defense.on_send_update(0, template, 10, rng)
         stored = defense._stored[0][1]
-        assert np.array_equal(stored["W"], template[1]["W"])
+        assert np.array_equal(stored, template.layer_flat(1))
 
     def test_obfuscation_scale(self, template):
         small = DINAR(private_layer=0, obfuscation_scale=1e-6)
         sent = small.on_send_update(
             0, template, 10, np.random.default_rng(0))
-        assert np.abs(sent[0]["W"]).max() < 1e-3
+        assert np.abs(sent.view(0, "W")).max() < 1e-3
 
     def test_per_client_isolation(self, template, rng):
         defense = DINAR(private_layer=0)
         defense.on_send_update(0, template, 10, rng)
-        modified = [{k: v + 1.0 for k, v in layer.items()}
-                    for layer in template]
-        defense.on_send_update(1, modified, 10, rng)
-        assert not np.array_equal(defense._stored[0][0]["W"],
-                                  defense._stored[1][0]["W"])
+        defense.on_send_update(1, template + _filled(template, 1.0),
+                               10, rng)
+        assert not np.array_equal(defense._stored[0][0],
+                                  defense._stored[1][0])
 
 
 class TestPersonalization:
@@ -63,23 +67,20 @@ class TestPersonalization:
     def test_private_layer_restored(self, template, rng):
         defense = DINAR(private_layer=-2)
         defense.on_send_update(0, template, 10, rng)
-        obfuscated_global = [
-            {k: np.full_like(v, 9.0) for k, v in layer.items()}
-            for layer in template
-        ]
+        obfuscated_global = _filled(template, 9.0)
         received = defense.on_receive_global(0, obfuscated_global)
-        assert np.array_equal(received[1]["W"], template[1]["W"])
-        assert np.all(received[0]["W"] == 9.0)  # global for other layers
+        assert np.array_equal(received.view(1, "W"), template.view(1, "W"))
+        assert np.all(received.view(0, "W") == 9.0)  # global for other layers
 
     def test_clients_get_their_own_layer_back(self, template, rng):
         defense = DINAR(private_layer=0)
-        other = [{k: v * 2 for k, v in layer.items()} for layer in template]
+        other = template * 2
         defense.on_send_update(0, template, 10, rng)
         defense.on_send_update(1, other, 10, rng)
         r0 = defense.on_receive_global(0, template)
         r1 = defense.on_receive_global(1, template)
-        assert np.array_equal(r0[0]["W"], template[0]["W"])
-        assert np.array_equal(r1[0]["W"], other[0]["W"])
+        assert np.array_equal(r0.view(0, "W"), template.view(0, "W"))
+        assert np.array_equal(r1.view(0, "W"), other.view(0, "W"))
 
 
 class TestAdaptiveTraining:
@@ -112,17 +113,17 @@ class TestMultiLayer:
         assert defense.protected_indices(3) == [0, 1, 2]
         sent = defense.on_send_update(0, template, 10, rng)
         for idx in range(3):
-            assert not np.allclose(sent[idx]["W"], template[idx]["W"])
+            assert not np.allclose(sent.view(idx, "W"),
+                                   template.view(idx, "W"))
 
     def test_all_protected_layers_restored(self, template, rng):
         defense = DINAR(private_layer=0, extra_layers=(1,))
         defense.on_send_update(0, template, 10, rng)
-        garbage = [{k: np.full_like(v, 5.0) for k, v in layer.items()}
-                   for layer in template]
+        garbage = _filled(template, 5.0)
         received = defense.on_receive_global(0, garbage)
-        assert np.array_equal(received[0]["W"], template[0]["W"])
-        assert np.array_equal(received[1]["W"], template[1]["W"])
-        assert np.all(received[2]["W"] == 5.0)
+        assert np.array_equal(received.view(0, "W"), template.view(0, "W"))
+        assert np.array_equal(received.view(1, "W"), template.view(1, "W"))
+        assert np.all(received.view(2, "W") == 5.0)
 
 
 class TestValidation:
@@ -143,8 +144,7 @@ class TestValidation:
         defense = DINAR(private_layer=0)
         assert defense.state_bytes() == 0
         defense.on_send_update(0, template, 10, rng)
-        assert defense.state_bytes() == sum(
-            v.nbytes for v in template[0].values())
+        assert defense.state_bytes() == template.layer_flat(0).nbytes
 
 
 class TestInitialization:

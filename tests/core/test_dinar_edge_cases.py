@@ -8,7 +8,7 @@ from repro.core.dinar import DINAR
 
 @pytest.fixture
 def template(tiny_model):
-    return tiny_model.get_weights()
+    return tiny_model.get_store()
 
 
 def test_rejects_unknown_obfuscation_mode():
@@ -20,33 +20,33 @@ def test_scaled_noise_matches_layer_magnitude(template, rng):
     defense = DINAR(private_layer=0, obfuscation="scaled",
                     obfuscation_scale=1.0)
     sent = defense.on_send_update(0, template, 10, rng)
-    real_std = template[0]["W"].std()
-    noise_std = sent[0]["W"].std()
+    real_std = template.view(0, "W").std()
+    noise_std = sent.view(0, "W").std()
     assert 0.5 * real_std < noise_std < 2.0 * real_std
 
 
 def test_scaled_noise_floors_zero_arrays(template, rng):
     """An all-zero bias still receives non-degenerate noise."""
     defense = DINAR(private_layer=0, obfuscation="scaled")
-    assert np.all(template[0]["b"] == 0.0)  # fresh Dense bias
+    assert np.all(template.view(0, "b") == 0.0)  # fresh Dense bias
     sent = defense.on_send_update(0, template, 10, rng)
-    assert sent[0]["b"].std() > 0.0
+    assert sent.view(0, "b").std() > 0.0
 
 
 def test_gaussian_noise_uses_fixed_scale(template, rng):
     defense = DINAR(private_layer=0, obfuscation="gaussian",
                     obfuscation_scale=5.0)
     sent = defense.on_send_update(0, template, 10, rng)
-    assert 3.0 < sent[0]["W"].std() < 7.0
+    assert 3.0 < sent.view(0, "W").std() < 7.0
 
 
 def test_no_personalize_mode_keeps_global(template, rng):
     defense = DINAR(private_layer=0, personalize=False)
     defense.on_send_update(0, template, 10, rng)
-    garbage = [{k: np.full_like(v, 9.0) for k, v in layer.items()}
-               for layer in template]
+    garbage = template.zeros_like()
+    garbage.buffer[:] = 9.0
     received = defense.on_receive_global(0, garbage)
-    assert np.all(received[0]["W"] == 9.0)  # nothing restored
+    assert np.all(received.view(0, "W") == 9.0)  # nothing restored
 
 
 def test_describe_mentions_extras():
@@ -57,7 +57,8 @@ def test_describe_mentions_extras():
 def test_repeated_rounds_update_stored_layer(template, rng):
     defense = DINAR(private_layer=0)
     defense.on_send_update(0, template, 10, rng)
-    newer = [{k: v + 1.0 for k, v in layer.items()} for layer in template]
+    newer = template.copy()
+    newer.buffer += 1.0
     defense.on_send_update(0, newer, 10, rng)
     restored = defense.on_receive_global(0, template)
-    assert np.array_equal(restored[0]["W"], newer[0]["W"])
+    assert np.array_equal(restored.view(0, "W"), newer.view(0, "W"))

@@ -7,7 +7,6 @@ from repro.data.synthetic import synthetic_tabular
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
 from repro.fl.server import FLServer
-from repro.nn.model import weights_allclose
 from repro.privacy.defenses.base import Defense
 
 
@@ -24,13 +23,13 @@ def _client(rng, tiny_model_factory, defense=None, config=None,
 class TestFLClient:
     def test_training_changes_weights(self, rng, tiny_model_factory):
         client = _client(rng, tiny_model_factory)
-        start = client.model.get_weights()
+        start = client.model.get_store()
         update = client.train_round(start, 0)
-        assert not weights_allclose(start, update.weights)
+        assert not start.allclose(update.weights)
 
     def test_update_metadata(self, rng, tiny_model_factory):
         client = _client(rng, tiny_model_factory)
-        update = client.train_round(client.model.get_weights(), 0)
+        update = client.train_round(client.model.get_store(), 0)
         assert update.client_id == 0
         assert update.num_samples == 60
         assert update.train_seconds > 0
@@ -40,15 +39,14 @@ class TestFLClient:
         client = _client(rng, tiny_model_factory)
         with pytest.raises(RuntimeError):
             client.personalized_model()
-        client.train_round(client.model.get_weights(), 0)
+        client.train_round(client.model.get_store(), 0)
         model = client.personalized_model()
-        assert weights_allclose(model.get_weights(),
-                                client.personal_weights)
+        assert model.get_store().allclose(client.personal_weights)
 
     def test_evaluate_returns_accuracy(self, rng, tiny_model_factory,
                                        tiny_dataset):
         client = _client(rng, tiny_model_factory)
-        client.train_round(client.model.get_weights(), 0)
+        client.train_round(client.model.get_store(), 0)
         score = client.evaluate(tiny_dataset.x, tiny_dataset.y)
         assert 0.0 <= score <= 1.0
 
@@ -73,7 +71,7 @@ class TestFLClient:
                 return weights
 
         client = _client(rng, tiny_model_factory, defense=Spy())
-        client.train_round(client.model.get_weights(), 0)
+        client.train_round(client.model.get_store(), 0)
         assert calls == ["receive", "send"]
 
     def test_train_seconds_is_per_round_not_cumulative(
@@ -89,7 +87,7 @@ class TestFLClient:
         client = FLClient(0, tiny_model_factory(np.random.default_rng(1)),
                           data, config, Defense(),
                           np.random.default_rng(2), cost_meter=meter)
-        first = client.train_round(client.model.get_weights(), 0)
+        first = client.train_round(client.model.get_store(), 0)
         second = client.train_round(client.model.get_store(), 1)
         total = meter.report.client_train_seconds
         assert first.train_seconds > 0
@@ -103,7 +101,7 @@ class TestFLClient:
                           lr=0.1, batch_size=16)
         client = _client(rng, tiny_model_factory, config=config,
                          n_samples=80)
-        client.train_round(client.model.get_weights(), 0)
+        client.train_round(client.model.get_store(), 0)
         assert client.evaluate(client.data.x, client.data.y) > 0.8
 
 
@@ -111,7 +109,7 @@ class TestFLServer:
     def _make(self, rng, tiny_model_factory, defense=None, **cfg):
         config = FLConfig(num_clients=4, rounds=1, **cfg)
         model = tiny_model_factory(rng)
-        return FLServer(model.get_weights(), config, defense or Defense(),
+        return FLServer(model.get_store(), config, defense or Defense(),
                         rng)
 
     def test_selects_all_by_default(self, rng, tiny_model_factory):
@@ -127,12 +125,11 @@ class TestFLServer:
     def test_aggregate_updates_global(self, rng, tiny_model_factory):
         from repro.fl.client import ClientUpdate
         server = self._make(rng, tiny_model_factory)
-        template = server.global_weights
-        ones = [{k: np.ones_like(v) for k, v in layer.items()}
-                for layer in template]
+        ones = server.global_weights.zeros_like()
+        ones.buffer[:] = 1.0
         update = ClientUpdate(0, ones, 10, 0.0)
         out = server.aggregate([update])
-        assert np.allclose(out[0]["W"], 1.0)
+        assert np.allclose(out.view(0, "W"), 1.0)
         assert server.global_weights is out
 
     def test_aggregate_rejects_empty(self, rng, tiny_model_factory):
@@ -143,8 +140,8 @@ class TestFLServer:
     def test_cost_meter_records_aggregation(self, rng, tiny_model_factory):
         from repro.fl.client import ClientUpdate
         server = self._make(rng, tiny_model_factory)
-        ones = [{k: np.ones_like(v) for k, v in layer.items()}
-                for layer in server.global_weights]
+        ones = server.global_weights.zeros_like()
+        ones.buffer[:] = 1.0
         server.aggregate([ClientUpdate(0, ones, 1, 0.0)])
         assert server.cost_meter.report.server_rounds == 1
         assert server.cost_meter.report.server_aggregate_seconds > 0

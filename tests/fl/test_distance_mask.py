@@ -22,12 +22,14 @@ from repro.fl.aggregation import (
 from repro.fl.config import FLConfig
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses import make_defense
 from repro.privacy.defenses.base import Defense
 
 
-def _rows(matrix: np.ndarray) -> list[list[dict]]:
-    return [[{"W": row.copy()}] for row in matrix]
+def _rows(matrix: np.ndarray) -> list[WeightStore]:
+    layout = Layout.from_layers([{"W": matrix[0]}])
+    return [WeightStore(layout, row.copy()) for row in matrix]
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.fl.config import FLConfig
 from repro.fl.executor import SerialExecutor, make_executor, round_rng
 from repro.fl.shm import ParallelExecutor, shm_available
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.store import as_store
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.compression import GradientCompression
 from repro.privacy.defenses.ldp import LocalDP
@@ -63,13 +62,13 @@ def _run(small_split, tiny_model_factory, defense, **cfg_kwargs):
 def _snapshot(sim, history):
     """Every artifact a run produces, as plain comparable arrays."""
     return {
-        "global": as_store(sim.server.global_weights).buffer.copy(),
+        "global": sim.server.global_weights.buffer.copy(),
         "personal": {
             c.client_id: c.personal_weights.buffer.copy()
             for c in sim.clients if c.personal_weights is not None
         },
         "transmitted": {
-            cid: as_store(w).buffer.copy()
+            cid: w.buffer.copy()
             for cid, w in sim.last_updates.items()
         },
         "accuracies": [

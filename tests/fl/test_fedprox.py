@@ -6,7 +6,6 @@ import pytest
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
-from repro.nn.model import flatten_weights, weights_zip_map
 from repro.privacy.defenses.base import Defense
 
 
@@ -28,10 +27,9 @@ def test_proximal_term_limits_drift(tiny_model_factory):
     """Larger mu keeps the local model closer to the round anchor."""
     def drift(mu):
         client = _client(tiny_model_factory, mu)
-        start = client.model.get_weights()
+        start = client.model.get_store()
         update = client.train_round(start, 0)
-        delta = weights_zip_map(np.subtract, update.weights, start)
-        return float(np.linalg.norm(flatten_weights(delta)))
+        return float(np.linalg.norm((update.weights - start).buffer))
 
     assert drift(5.0) < drift(0.0)
 
@@ -40,14 +38,13 @@ def test_zero_mu_matches_plain_training(tiny_model_factory):
     """mu=0 must take exactly the plain FedAvg code path."""
     a = _client(tiny_model_factory, 0.0)
     b = _client(tiny_model_factory, 0.0)
-    start = a.model.get_weights()
+    start = a.model.get_store()
     ua = a.train_round(start, 0)
     ub = b.train_round(start, 0)
-    assert np.allclose(flatten_weights(ua.weights),
-                       flatten_weights(ub.weights))
+    assert np.allclose(ua.weights.buffer, ub.weights.buffer)
 
 
 def test_prox_still_learns(tiny_model_factory):
     client = _client(tiny_model_factory, 0.1, epochs=40)
-    client.train_round(client.model.get_weights(), 0)
+    client.train_round(client.model.get_store(), 0)
     assert client.evaluate(client.data.x, client.data.y) > 0.7

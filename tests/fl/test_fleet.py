@@ -37,7 +37,7 @@ from repro.fl.costs import CostMeter
 from repro.fl.executor import client_drops
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.store import Layout, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.make import make_defense_for_config
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
@@ -147,17 +147,13 @@ class TestStreamingAccumulator:
         assert acc.nbytes == before
         assert acc.count == 500
 
-    def test_folds_nested_weights(self, rng):
-        nested = [{"W": rng.standard_normal((3, 4)),
-                   "b": rng.standard_normal(4)}]
-        layout = Layout.from_layers(nested)
+    def test_rejects_foreign_layout(self, rng):
+        stores, layout = _random_stores(rng, 1)
+        other = WeightStore.from_layers([{"W": np.zeros((2, 2))}])
         acc = StreamingAccumulator(layout)
-        acc.reset(total_weight=1.0)
-        acc.fold([{k: v.copy() for k, v in nested[0].items()}],
-                 weight=1.0)
-        drained = acc.drain()
-        assert np.array_equal(drained.buffer,
-                              as_store(nested, layout=layout).buffer)
+        acc.reset()
+        with pytest.raises(ValueError, match="layout"):
+            acc.fold(other)
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +415,8 @@ class TestRoundClosing:
         plain.run()
         explicit.run()
         assert np.array_equal(
-            as_store(plain.server.global_weights).buffer,
-            as_store(explicit.server.global_weights).buffer)
+            plain.server.global_weights.buffer,
+            explicit.server.global_weights.buffer)
         record = explicit.history.records[-1]
         assert record.completed == record.participating
         assert record.dropped == [] and record.stragglers == []
@@ -524,9 +520,9 @@ class TestStreamingParity:
         sim = FederatedSimulation(split, factory, config, defense)
         sim.run()
         return {
-            "global": as_store(sim.server.global_weights).buffer.copy(),
+            "global": sim.server.global_weights.buffer.copy(),
             "transmitted": {
-                cid: as_store(w).buffer.copy()
+                cid: w.buffer.copy()
                 for cid, w in sim.last_updates.items()
             },
             "records": [

@@ -14,6 +14,7 @@ from repro.fl.network import (
     sparse_nbytes,
 )
 from repro.fl.simulation import FederatedSimulation
+from repro.nn.store import WeightStore
 
 
 class TestLinkSpec:
@@ -37,62 +38,57 @@ class TestLinkSpec:
 
 class TestEncodings:
     def test_dense_counts_all_arrays(self, tiny_model):
-        weights = tiny_model.get_weights()
-        expected = sum(v.nbytes for layer in weights
-                       for v in layer.values())
+        weights = tiny_model.get_store()
+        expected = sum(e.size for e in weights.layout.entries) * 8
         assert dense_nbytes(weights) == expected
 
     def test_sparse_counts_nonzero(self):
-        weights = [{"W": np.array([[0.0, 1.0], [0.0, 2.0]])}]
+        weights = WeightStore.from_layers(
+            [{"W": np.array([[0.0, 1.0], [0.0, 2.0]])}])
         assert sparse_nbytes(weights) == 2 * 12  # 2 coords x (8+4)
 
     def test_sparse_against_reference(self):
-        ref = [{"W": np.ones((2, 2))}]
-        changed = [{"W": np.array([[1.0, 1.0], [5.0, 1.0]])}]
+        ref = WeightStore.from_layers([{"W": np.ones((2, 2))}])
+        changed = WeightStore.from_layers(
+            [{"W": np.array([[1.0, 1.0], [5.0, 1.0]])}])
         assert sparse_nbytes(changed, ref) == 12
 
     def test_sparse_cheaper_than_dense_when_sparse(self, tiny_model):
-        weights = tiny_model.get_weights()
-        mostly_same = [
-            {k: v.copy() for k, v in layer.items()} for layer in weights
-        ]
-        mostly_same[0]["W"][0, 0] += 1.0
+        weights = tiny_model.get_store()
+        mostly_same = weights.copy()
+        mostly_same.view(0, "W")[0, 0] += 1.0
         assert sparse_nbytes(mostly_same, weights) \
             < dense_nbytes(weights)
 
     def test_dense_store_answers_from_layout(self, tiny_model):
         store = tiny_model.get_store()
         assert dense_nbytes(store) == store.layout.nbytes
-        assert dense_nbytes(store) == dense_nbytes(store.to_layers())
 
-    def test_sparse_store_matches_nested_without_reference(
-            self, tiny_model):
+    def test_sparse_store_counts_nonzero_per_entry(self, tiny_model):
         store = tiny_model.get_store()
         store.buffer[::3] = 0.0
-        assert sparse_nbytes(store) == sparse_nbytes(store.to_layers())
+        nonzero = sum(int(np.count_nonzero(store.view(e.layer_idx, e.key)))
+                      for e in store.layout.entries)
+        assert sparse_nbytes(store) == nonzero * 12
 
-    def test_sparse_store_delta_matches_nested(self, tiny_model):
+    def test_sparse_store_delta_counts_changed_coordinates(
+            self, tiny_model):
         reference = tiny_model.get_store()
         changed = reference.copy()
         changed.view(0, "W")[0, 0] += 1.0
         changed.view(2, "b")[:] += 0.5
-        expected = sparse_nbytes(changed.to_layers(),
-                                 reference.to_layers())
+        expected = (1 + changed.view(2, "b").size) * 12
         assert sparse_nbytes(changed, reference) == expected
-        # mixed representations agree too
-        assert sparse_nbytes(changed, reference.to_layers()) == expected
 
     def test_sparse_all_zero_layers_cost_nothing_without_reference(self):
-        from repro.nn.store import WeightStore
-        weights = [{"W": np.zeros((3, 3)), "b": np.zeros(3)},
-                   {"W": np.array([[1.0, 0.0]])}]
+        weights = WeightStore.from_layers(
+            [{"W": np.zeros((3, 3)), "b": np.zeros(3)},
+             {"W": np.array([[1.0, 0.0]])}])
         assert sparse_nbytes(weights) == 1 * 12
-        assert sparse_nbytes(WeightStore.from_layers(weights)) == 1 * 12
 
     def test_sparse_identical_delta_is_free(self, tiny_model):
         store = tiny_model.get_store()
         assert sparse_nbytes(store, store.copy()) == 0
-        assert sparse_nbytes(store.to_layers(), store.to_layers()) == 0
 
 
 class TestTrafficMeter:

@@ -41,15 +41,16 @@ from repro.fl.behavior import (
 )
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.store import Layout, WeightStore, as_store
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 
 
-def _rows(matrix: np.ndarray) -> list[list[dict]]:
-    """Wrap a (clients, params) matrix as one nested update per row."""
-    return [[{"W": row.copy()}] for row in matrix]
+def _rows(matrix: np.ndarray) -> list[WeightStore]:
+    """Wrap a (clients, params) matrix as one store per row."""
+    layout = Layout.from_layers([{"W": matrix[0]}])
+    return [WeightStore(layout, row.copy()) for row in matrix]
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +134,7 @@ class TestClusteredFallbacks:
         assert diag["kept"] == list(range(len(matrix)))
         reference = fedavg(_rows(matrix), [1] * len(matrix))
         np.testing.assert_allclose(out.buffer,
-                                   as_store(reference).buffer)
+                                   reference.buffer)
 
     def test_homogeneous_cohort_never_filtered(self):
         rng = np.random.default_rng(1)
@@ -335,13 +336,13 @@ BEHAVIOR_MIXES = [
 
 def _snapshot(sim, history):
     return {
-        "global": as_store(sim.server.global_weights).buffer.copy(),
+        "global": sim.server.global_weights.buffer.copy(),
         "personal": {
             c.client_id: c.personal_weights.buffer.copy()
             for c in sim.clients if c.personal_weights is not None
         },
         "transmitted": {
-            cid: as_store(w).buffer.copy()
+            cid: w.buffer.copy()
             for cid, w in sim.last_updates.items()
         },
         "records": [

@@ -305,11 +305,10 @@ class TestBackpressure:
         and the run must stay bitwise equal to serial."""
         kwargs = dict(num_clients=8, rounds=3,
                       completion_threshold=0.5)
-        from repro.nn.store import as_store
         serial = _make_sim(workers=0, **kwargs)
         serial.run()
         parallel = _make_sim(workers=2, **kwargs)
         parallel.run()
         assert np.array_equal(
-            as_store(serial.server.global_weights).buffer,
-            as_store(parallel.server.global_weights).buffer)
+            serial.server.global_weights.buffer,
+            parallel.server.global_weights.buffer)

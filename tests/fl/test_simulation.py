@@ -9,7 +9,6 @@ from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.model import weights_allclose
 from repro.privacy.defenses.base import Defense
 
 
@@ -72,7 +71,7 @@ class TestSimulation:
         sim = _sim(small_split, tiny_model_factory)
         sim.run()
         model = sim.transmitted_model(1)
-        assert weights_allclose(model.get_weights(), sim.last_updates[1])
+        assert model.get_store().allclose(sim.last_updates[1])
 
     def test_transmitted_model_requires_participation(self, small_split,
                                                       tiny_model_factory):
@@ -84,15 +83,16 @@ class TestSimulation:
                                          tiny_model_factory):
         sim = _sim(small_split, tiny_model_factory)
         sim.run()
-        assert weights_allclose(sim.global_model().get_weights(),
-                                sim.server.global_weights)
+        assert sim.global_model().get_store().allclose(
+            sim.server.global_weights)
 
     def test_deterministic_given_seed(self, small_split,
                                       tiny_model_factory):
         a = _sim(small_split, tiny_model_factory, seed=5)
         b = _sim(small_split, tiny_model_factory, seed=5)
-        assert weights_allclose(a.run() and a.server.global_weights,
-                                b.run() and b.server.global_weights)
+        a.run()
+        b.run()
+        assert a.server.global_weights.allclose(b.server.global_weights)
 
     def test_dirichlet_partition_applied(self, small_split,
                                          tiny_model_factory):

@@ -66,8 +66,7 @@ def _snapshot(sim: FederatedSimulation) -> dict:
     stored = getattr(sim.defense, "_stored", None)
     if stored:
         snap["dinar"] = {
-            cid: {idx: {k: v.copy() for k, v in arrays.items()}
-                  for idx, arrays in layers.items()}
+            cid: {idx: flat.copy() for idx, flat in layers.items()}
             for cid, layers in stored.items()
         }
     return snap
@@ -84,10 +83,8 @@ def _assert_snapshots_equal(a: dict, b: dict) -> None:
         assert a["dinar"].keys() == b["dinar"].keys()
         for cid in a["dinar"]:
             assert a["dinar"][cid].keys() == b["dinar"][cid].keys()
-            for idx in a["dinar"][cid]:
-                for key, value in a["dinar"][cid][idx].items():
-                    np.testing.assert_array_equal(
-                        b["dinar"][cid][idx][key], value)
+            for idx, flat in a["dinar"][cid].items():
+                np.testing.assert_array_equal(b["dinar"][cid][idx], flat)
 
 
 # ----------------------------------------------------------------------

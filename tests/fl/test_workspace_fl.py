@@ -19,7 +19,6 @@ from repro.fl.checkpoint import load_checkpoint, save_checkpoint
 from repro.fl.config import FLConfig
 from repro.fl.executor import ClientTask, execute_client_task
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.model import weights_allclose
 from repro.nn.workspace import Workspace
 from repro.privacy.defenses.make import make_defense_for_config
 
@@ -76,8 +75,8 @@ def test_checkpoint_files_hold_no_workspace(make_sim, tmp_path):
                     archive[key]
     fresh = make_sim(DINAR(private_layer=-2))
     load_checkpoint(fresh, directory)
-    assert weights_allclose(fresh.server.global_weights,
-                            sim.server.global_weights, atol=0.0)
+    assert fresh.server.global_weights.allclose(
+        sim.server.global_weights, atol=0.0)
 
 
 def test_executor_payloads_pickle_with_warm_arenas(make_sim):

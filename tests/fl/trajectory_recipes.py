@@ -28,9 +28,8 @@ from repro.models.fcnn import build_fcnn
 from repro.nn.activations import Tanh
 from repro.nn.layers import BatchNorm1d, Dense
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.model import Model, flatten_weights
+from repro.nn.model import Model
 from repro.nn.optim import make_optimizer, optimizer_names
-from repro.nn.store import as_store
 from repro.privacy.defenses.dpsgd import DPSGD
 from repro.privacy.defenses.make import make_defense_for_config
 
@@ -79,7 +78,7 @@ def optimizer_trajectory(name: str) -> np.ndarray:
         for bx, by in iterate_batches(x, y, 32, batch_rng):
             model.loss_and_grad(bx, by, loss)
             optimizer.step()
-    return flatten_weights(model.get_weights()).copy()
+    return model.get_store().buffer
 
 
 def dpsgd_trajectory() -> np.ndarray:
@@ -96,7 +95,7 @@ def dpsgd_trajectory() -> np.ndarray:
             optimizer.notify_batch_size(len(bx))
             model.loss_and_grad(bx, by, loss)
             optimizer.step()
-    return flatten_weights(model.get_weights()).copy()
+    return model.get_store().buffer
 
 
 def simulation_trajectory(defense_name: str, *, workers: int = 0,
@@ -120,8 +119,8 @@ def simulation_trajectory(defense_name: str, *, workers: int = 0,
         factory = lambda r: build_fcnn(20, 5, r, hidden=(16,))
     sim = FederatedSimulation(split, factory, config, defense)
     sim.run()
-    parts = [as_store(sim.server.global_weights).buffer]
-    parts += [as_store(c.personal_weights).buffer for c in sim.clients]
+    parts = [sim.server.global_weights.buffer]
+    parts += [c.personal_weights.buffer for c in sim.clients]
     return np.concatenate(parts)
 
 

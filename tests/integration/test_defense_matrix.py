@@ -62,9 +62,8 @@ def test_sa_protects_local_but_not_global(split):
 def test_sa_global_model_matches_plain_fedavg(split):
     sim_none, *_ = _run(split, "none")
     sim_sa, *_ = _run(split, "sa")
-    from repro.nn.model import flatten_weights
-    a = flatten_weights(sim_none.server.global_weights)
-    b = flatten_weights(sim_sa.server.global_weights)
+    a = sim_none.server.global_weights.buffer
+    b = sim_sa.server.global_weights.buffer
     # identical training seeds + masks cancel => same global model
     assert np.allclose(a, b, atol=1e-6)
 

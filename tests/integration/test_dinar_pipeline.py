@@ -90,11 +90,11 @@ def test_transmitted_layer_is_obfuscated(pipeline):
     sent = defended.last_updates[0]
     personal = client.personal_weights
     # transmitted private layer differs from the client's real one...
-    assert not np.allclose(sent[p]["W"], personal[p]["W"])
+    assert not np.allclose(sent.view(p, "W"), personal.view(p, "W"))
     # ...while the other layers match exactly
-    for j in range(len(sent)):
+    for j in range(sent.layout.num_layers):
         if j != p:
-            assert np.array_equal(sent[j]["W"], personal[j]["W"])
+            assert np.array_equal(sent.view(j, "W"), personal.view(j, "W"))
 
 
 def test_personalized_model_beats_global_for_client(pipeline):

@@ -12,7 +12,6 @@ from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.models.fcnn import build_fcnn
-from repro.nn.model import weights_map
 
 
 def _factory(rng):
@@ -52,9 +51,10 @@ class TestGarbageUpdates:
         template = sim.server.global_weights
         for cid in range(sim.config.num_clients):
             if cid in garbage_clients:
-                weights = weights_map(lambda v: v * 0 + 1e6, template)
+                weights = template.zeros_like()
+                weights.buffer[:] = 1e6
             else:
-                weights = weights_map(np.copy, template)
+                weights = template.copy()
             updates.append(ClientUpdate(cid, weights, 10, 0.0))
         return updates
 
@@ -64,21 +64,21 @@ class TestGarbageUpdates:
         updates = self._updates(sim, garbage_clients=(3,))
         out = fedavg([u.weights for u in updates],
                      [u.num_samples for u in updates])
-        assert np.abs(out[0]["W"]).max() > 1e4  # poisoned
+        assert np.abs(out.view(0, "W")).max() > 1e4  # poisoned
 
     def test_median_survives_garbage(self, split):
         sim = FederatedSimulation(split, _factory,
                                   FLConfig(num_clients=4, rounds=1))
         updates = self._updates(sim, garbage_clients=(3,))
         out = coordinate_median([u.weights for u in updates])
-        assert np.abs(out[0]["W"]).max() < 10
+        assert np.abs(out.view(0, "W")).max() < 10
 
     def test_trimmed_mean_survives_garbage(self, split):
         sim = FederatedSimulation(split, _factory,
                                   FLConfig(num_clients=5, rounds=1))
         updates = self._updates(sim, garbage_clients=(4,))
         out = trimmed_mean([u.weights for u in updates], trim=1)
-        assert np.abs(out[0]["W"]).max() < 10
+        assert np.abs(out.view(0, "W")).max() < 10
 
 
 class TestClientDropout:
@@ -101,15 +101,15 @@ class TestClientDropout:
 class TestMalformedWeights:
     def test_set_weights_rejects_wrong_layer_count(self, rng):
         model = _factory(rng)
-        with pytest.raises(ValueError):
-            model.set_weights(model.get_weights()[:1])
+        shallower = build_fcnn(30, 4, rng, hidden=(24,))
+        with pytest.raises(ValueError, match="layout"):
+            model.set_store(shallower.get_store())
 
     def test_set_weights_rejects_wrong_shapes(self, rng):
         model = _factory(rng)
-        weights = model.get_weights()
-        weights[0]["W"] = weights[0]["W"][:, :2]
-        with pytest.raises(ValueError):
-            model.set_weights(weights)
+        narrower = build_fcnn(30, 4, rng, hidden=(24, 8))
+        with pytest.raises(ValueError, match="layout"):
+            model.set_store(narrower.get_store())
 
     def test_obfuscated_weights_still_load(self, rng):
         """Random garbage of the right shape must load fine — DINAR's
@@ -118,7 +118,7 @@ class TestMalformedWeights:
         garbage = model.get_store()
         garbage.buffer[:] = 100.0 * rng.standard_normal(
             garbage.num_params)
-        model.set_weights(garbage)
+        model.set_store(garbage)
         out = model.predict_logits(rng.standard_normal((2, 30)))
         assert out.shape == (2, 4)
 

@@ -77,14 +77,6 @@ class TestResNet:
         err = numeric_gradient_check(model, x, y, SoftmaxCrossEntropy(), rng)
         assert err < 1e-6
 
-    def test_residual_block_set_state(self, rng):
-        block = ResidualBlock(2, rng)
-        state = block.state()
-        state["conv1.W"][...] = 3.0
-        block.set_state(state)
-        assert np.all(block.conv1.params["W"] == 3.0)
-
-
 class TestVGG:
     def test_forward_shape(self, rng):
         model = build_vgg_small((3, 8, 8), 43, rng)

@@ -275,7 +275,8 @@ def test_fedprox_matches_legacy_loop_bitwise():
         prox=lambda m: m.weights.buffer.copy())
     legacy_final = _train(
         legacy_model, legacy, mu=0.1,
-        prox=lambda m: m.get_weights())
+        prox=lambda m: [{k: v.copy() for k, v in layer.params.items()}
+                        for layer in m.trainable])
     assert np.array_equal(flat_final, legacy_final)
 
 

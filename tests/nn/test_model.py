@@ -6,15 +6,8 @@ import pytest
 from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import BatchNorm1d, Dense
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.model import (
-    Model,
-    flatten_weights,
-    unflatten_weights,
-    weights_allclose,
-    weights_l2_norm,
-    weights_map,
-    weights_zip_map,
-)
+from repro.nn.model import Model
+from repro.nn.store import WeightStore
 
 
 class TestModelStructure:
@@ -32,30 +25,31 @@ class TestModelStructure:
 
 class TestWeightExchange:
     def test_get_set_roundtrip(self, tiny_model, rng):
-        weights = tiny_model.get_weights()
+        weights = tiny_model.get_store()
         x = rng.standard_normal((5, 20))
         before = tiny_model.predict_logits(x)
-        tiny_model.set_weights(weights)
+        tiny_model.set_store(weights)
         assert np.allclose(tiny_model.predict_logits(x), before)
 
     def test_get_weights_returns_copies(self, tiny_model):
-        weights = tiny_model.get_weights()
-        weights[0]["W"][...] = 42.0
+        weights = tiny_model.get_store()
+        weights.view(0, "W")[...] = 42.0
         assert not np.any(tiny_model.trainable[0].params["W"] == 42.0)
 
-    def test_set_weights_checks_layer_count(self, tiny_model):
+    def test_set_weights_checks_layer_count(self, tiny_model, rng):
+        shallower = Model([Dense(20, 16, rng), Tanh(), Dense(16, 4, rng)])
         with pytest.raises(ValueError):
-            tiny_model.set_weights(tiny_model.get_weights()[:-1])
+            tiny_model.set_store(shallower.get_store())
 
     def test_batchnorm_buffers_travel(self, rng):
         model = Model([Dense(4, 6, rng), BatchNorm1d(6), Tanh(),
                        Dense(6, 2, rng)])
         model.forward(rng.standard_normal((32, 4)), training=True)
-        weights = model.get_weights()
-        assert "running_mean" in weights[1]
+        weights = model.get_store()
+        assert "running_mean" in weights.layout.layer_keys(1)
         fresh = Model([Dense(4, 6, rng), BatchNorm1d(6), Tanh(),
                        Dense(6, 2, rng)])
-        fresh.set_weights(weights)
+        fresh.set_store(weights)
         assert np.allclose(
             fresh.trainable[1].buffers["running_mean"],
             model.trainable[1].buffers["running_mean"])
@@ -96,44 +90,22 @@ class TestGradientViews:
 
 
 class TestWeightHelpers:
-    def test_flatten_unflatten_roundtrip(self, tiny_model):
-        weights = tiny_model.get_weights()
-        flat = flatten_weights(weights)
-        assert flat.ndim == 1
-        rebuilt = unflatten_weights(flat, weights)
-        assert weights_allclose(weights, rebuilt)
-
     def test_unflatten_rejects_wrong_size(self, tiny_model):
-        weights = tiny_model.get_weights()
+        layout = tiny_model.weight_layout()
         with pytest.raises(ValueError):
-            unflatten_weights(np.zeros(3), weights)
+            WeightStore(layout, np.zeros(3))
 
     def test_zeros_like_store(self, tiny_model):
         zeros = tiny_model.get_store().zeros_like()
-        assert weights_l2_norm(zeros) == 0.0
-
-    def test_weights_map_preserves_structure(self, tiny_model):
-        weights = tiny_model.get_weights()
-        doubled = weights_map(lambda v: 2 * v, weights)
-        assert np.allclose(doubled[0]["W"], 2 * weights[0]["W"])
-
-    def test_zip_map_addition(self, tiny_model):
-        weights = tiny_model.get_weights()
-        total = weights_zip_map(np.add, weights, weights)
-        assert np.allclose(total[1]["b"], 2 * weights[1]["b"])
-
-    def test_zip_map_rejects_mismatched_lengths(self, tiny_model):
-        weights = tiny_model.get_weights()
-        with pytest.raises(ValueError):
-            weights_zip_map(np.add, weights, weights[:-1])
+        assert zeros.l2() == 0.0
 
     def test_l2_norm_matches_flat_vector(self, tiny_model):
-        weights = tiny_model.get_weights()
-        assert np.isclose(weights_l2_norm(weights),
-                          np.linalg.norm(flatten_weights(weights)))
+        weights = tiny_model.get_store()
+        assert np.isclose(weights.l2(),
+                          np.linalg.norm(weights.buffer))
 
     def test_allclose_detects_difference(self, tiny_model):
-        a = tiny_model.get_weights()
-        b = tiny_model.get_weights()
-        b[0]["W"][0, 0] += 1.0
-        assert not weights_allclose(a, b)
+        a = tiny_model.get_store()
+        b = tiny_model.get_store()
+        b.view(0, "W")[0, 0] += 1.0
+        assert not a.allclose(b)

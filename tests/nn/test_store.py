@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn.model import flatten_weights
+from repro.nn.layers import BatchNorm1d, Dense
+from repro.nn.model import Model
 from repro.nn.serialize import load_store, save_weights
-from repro.nn.store import (
-    Layout,
-    LayoutEntry,
-    WeightStore,
-    as_layers,
-    as_store,
-)
+from repro.nn.store import Layout, LayoutEntry, WeightStore
 
 
 @pytest.fixture
@@ -79,21 +74,24 @@ class TestLayout:
 
     def test_matches_model_layout(self, tiny_model):
         from_model = tiny_model.weight_layout()
-        from_weights = Layout.from_layers(tiny_model.get_weights())
+        from_weights = Layout.from_layers(
+            [{**layer.params, **layer.buffers}
+             for layer in tiny_model.trainable])
         assert from_model == from_weights
 
 
 class TestBridges:
     def test_roundtrip_is_exact(self, nested):
-        rebuilt = WeightStore.from_layers(nested).to_layers()
-        for layer, original in zip(rebuilt, nested):
+        store = WeightStore.from_layers(nested)
+        for idx, original in enumerate(nested):
             for key in original:
-                assert np.array_equal(layer[key], original[key])
-                assert layer[key].shape == original[key].shape
+                assert np.array_equal(store.view(idx, key), original[key])
+                assert store.view(idx, key).shape == original[key].shape
 
     def test_buffer_is_flatten_order(self, nested):
         store = WeightStore.from_layers(nested)
-        assert np.array_equal(store.buffer, flatten_weights(nested))
+        assert np.array_equal(store.buffer, np.concatenate(
+            [v.ravel() for layer in nested for v in layer.values()]))
 
     def test_from_layers_copies(self, nested):
         store = WeightStore.from_layers(nested)
@@ -106,24 +104,6 @@ class TestBridges:
                for layer in nested]
         with pytest.raises(ValueError):
             WeightStore.from_layers(bad, layout)
-
-    def test_as_store_passes_stores_through(self, nested):
-        store = WeightStore.from_layers(nested)
-        assert as_store(store) is store
-        assert as_store(store, copy=True) is not store
-        assert as_store(store, copy=True).allclose(store, atol=0.0)
-
-    def test_as_store_rejects_wrong_layout(self, nested):
-        store = WeightStore.from_layers(nested)
-        other = Layout.from_layers(nested[:1])
-        with pytest.raises(ValueError):
-            as_store(store, layout=other)
-
-    def test_as_layers_normalizes(self, nested):
-        assert as_layers(nested) is nested
-        out = as_layers(WeightStore.from_layers(nested))
-        assert isinstance(out, list)
-        assert np.array_equal(out[0]["W"], nested[0]["W"])
 
 
 class TestViews:
@@ -138,35 +118,10 @@ class TestViews:
         assert np.all(store.buffer[9:] == 7.0)
         assert np.all(store.buffer[:9] != 7.0)
 
-    def test_layer_dict_views_and_copies(self, nested):
-        store = WeightStore.from_layers(nested)
-        store.layer_dict(0)["W"][0, 0] = 42.0
-        assert store.buffer[0] == 42.0
-        store.layer_dict(0, copy=True)["W"][0, 0] = -1.0
-        assert store.buffer[0] == 42.0
-
     def test_readonly_vector(self, nested):
         vector = WeightStore.from_layers(nested).readonly_vector()
         with pytest.raises(ValueError):
             vector[0] = 1.0
-
-
-class TestSequenceProtocol:
-    def test_len_and_iteration(self, nested):
-        store = WeightStore.from_layers(nested)
-        assert len(store) == 2
-        layers = list(store)
-        assert [sorted(layer) for layer in layers] == \
-            [["W", "b"], ["W", "b"]]
-
-    def test_indexing(self, nested):
-        store = WeightStore.from_layers(nested)
-        assert np.array_equal(store[0]["W"], nested[0]["W"])
-        assert np.array_equal(store[-1]["b"], nested[1]["b"])
-        with pytest.raises(IndexError):
-            store[2]
-        with pytest.raises(TypeError):
-            store["W"]
 
 
 class TestArithmetic:
@@ -201,7 +156,7 @@ class TestArithmetic:
 
     def test_allclose_against_nested(self, nested):
         store = WeightStore.from_layers(nested)
-        assert store.allclose(nested, atol=0.0)
+        assert store.allclose(WeightStore.from_layers(nested), atol=0.0)
         perturbed = store.copy()
         perturbed.buffer[0] += 1.0
         assert not store.allclose(perturbed)
@@ -221,22 +176,9 @@ class TestModelStoreExchange:
         assert np.array_equal(again.buffer, store.buffer)
         assert again.buffer is not store.buffer
 
-    def test_set_weights_accepts_store(self, tiny_model):
-        store = tiny_model.get_store() * 0.5
-        tiny_model.set_weights(store)
-        assert tiny_model.get_store().allclose(store, atol=0.0)
-
     def test_set_store_rejects_foreign_layout(self, tiny_model, nested):
         with pytest.raises(ValueError):
             tiny_model.set_store(WeightStore.from_layers(nested))
-
-    def test_store_matches_get_weights(self, tiny_model):
-        store = tiny_model.get_store()
-        nested = tiny_model.get_weights()
-        for layer_store, layer_nested in zip(store, nested):
-            for key in layer_nested:
-                assert np.array_equal(layer_store[key],
-                                      layer_nested[key])
 
 
 class TestSerialization:
@@ -247,10 +189,17 @@ class TestSerialization:
         assert loaded.layout == store.layout
         assert np.array_equal(loaded.buffer, store.buffer)
 
-    def test_store_and_nested_archives_agree(self, tiny_model, tmp_path):
-        save_weights(tiny_model.get_store(), tmp_path / "a.npz")
-        save_weights(tiny_model.get_weights(), tmp_path / "b.npz")
-        a = load_store(tmp_path / "a.npz")
-        b = load_store(tmp_path / "b.npz")
-        assert a.layout == b.layout
-        assert np.array_equal(a.buffer, b.buffer)
+    def test_load_onto_layout_keeps_it(self, rng, tmp_path):
+        model = Model([Dense(4, 3, rng), BatchNorm1d(3)], rng=rng)
+        save_weights(model.get_store(), tmp_path / "w.npz")
+        layout = model.weight_layout()
+        assert not all(e.trainable for e in layout.entries)
+        loaded = load_store(tmp_path / "w.npz", layout)
+        assert loaded.layout is layout
+        assert np.array_equal(loaded.buffer, model.weights.buffer)
+
+    def test_load_onto_other_layout_raises(self, tiny_model, nested,
+                                           tmp_path):
+        save_weights(WeightStore.from_layers(nested), tmp_path / "w.npz")
+        with pytest.raises(ValueError, match="does not match"):
+            load_store(tmp_path / "w.npz", tiny_model.weight_layout())

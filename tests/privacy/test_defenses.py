@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from repro.fl.config import FLConfig
-from repro.nn.model import (
-    flatten_weights,
-    weights_allclose,
-    weights_l2_norm,
-    weights_zip_map,
-)
 from repro.privacy.defenses import make_defense
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.cdp import CentralDP
 from repro.privacy.defenses.compression import GradientCompression
-from repro.privacy.defenses.ldp import LocalDP, clip_weights
+from repro.privacy.defenses.ldp import LocalDP, clip_store
 from repro.privacy.defenses.make import make_defense_for_config
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 from repro.privacy.defenses.wdp import WeakDP
@@ -22,7 +16,14 @@ from repro.privacy.defenses.wdp import WeakDP
 
 @pytest.fixture
 def template(tiny_model):
-    return tiny_model.get_weights()
+    return tiny_model.get_store()
+
+
+def _shifted(template, offset):
+    """A copy of ``template`` with ``offset`` added to every coordinate."""
+    out = template.copy()
+    out.buffer += offset
+    return out
 
 
 class TestBaseDefense:
@@ -37,23 +38,23 @@ class TestBaseDefense:
 
 class TestClipWeights:
     def test_noop_below_bound(self, template):
-        clipped = clip_weights(template, 1e9)
-        assert weights_allclose(clipped, template)
+        clipped = clip_store(template, 1e9)
+        assert clipped.allclose(template)
 
     def test_clips_to_bound(self, template):
-        clipped = clip_weights(template, 0.5)
-        assert np.isclose(weights_l2_norm(clipped), 0.5)
+        clipped = clip_store(template, 0.5)
+        assert np.isclose(clipped.l2(), 0.5)
 
     def test_preserves_direction(self, template):
-        clipped = clip_weights(template, 0.5)
-        a = flatten_weights(template)
-        b = flatten_weights(clipped)
+        clipped = clip_store(template, 0.5)
+        a = template.buffer
+        b = clipped.buffer
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert np.isclose(cos, 1.0)
 
     def test_rejects_bad_bound(self, template):
         with pytest.raises(ValueError):
-            clip_weights(template, 0.0)
+            clip_store(template, 0.0)
 
 
 class TestWeakDP:
@@ -62,8 +63,8 @@ class TestWeakDP:
         defense.on_round_start(0, [0], template, rng)
         sent = defense.on_send_update(0, template, 10, rng)
         # update == round global, so sent - global is pure noise
-        delta = weights_zip_map(np.subtract, sent, template)
-        values = flatten_weights(delta)
+        delta = sent - template
+        values = delta.buffer
         assert 0.05 < values.std() < 0.2
 
     def test_requires_round_start(self, template, rng):
@@ -73,11 +74,10 @@ class TestWeakDP:
     def test_delta_norm_bounded(self, template, rng):
         defense = WeakDP(norm_bound=0.5, sigma=0.0)
         defense.on_round_start(0, [0], template, rng)
-        far = [{k: v + 10.0 for k, v in layer.items()}
-               for layer in template]
+        far = _shifted(template, 10.0)
         sent = defense.on_send_update(0, far, 10, rng)
-        delta = weights_zip_map(np.subtract, sent, template)
-        assert weights_l2_norm(delta) <= 0.5 + 1e-9
+        delta = sent - template
+        assert delta.l2() <= 0.5 + 1e-9
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ class TestCentralDP:
     def test_adds_noise_on_aggregate(self, template, rng):
         defense = CentralDP(noise_multiplier=1.0, num_clients=2)
         out = self._run_round(defense, template, rng)
-        assert not weights_allclose(out, template)
+        assert not out.allclose(template)
 
     def test_noise_scales_inversely_with_cohort(self, template, rng):
         small = CentralDP(noise_multiplier=1.0, num_clients=2)
@@ -129,8 +129,7 @@ class TestCentralDP:
         out_large = self._run_round(large, template,
                                     np.random.default_rng(0))
         def noise(out):
-            return weights_l2_norm(
-                weights_zip_map(np.subtract, out, template))
+            return (out - template).l2()
         assert noise(out_small) > noise(out_large)
 
     def test_accountant_spends(self, template, rng):
@@ -147,29 +146,25 @@ class TestGradientCompression:
     def test_sparsifies_delta(self, template, rng):
         defense = GradientCompression(keep_ratio=0.1)
         defense.on_round_start(0, [0], template, rng)
-        update = [{k: v + rng.standard_normal(v.shape)
-                   for k, v in layer.items()} for layer in template]
+        update = _shifted(template, rng.standard_normal(template.num_params))
         sent = defense.on_send_update(0, update, 10, rng)
-        delta = flatten_weights(
-            weights_zip_map(np.subtract, sent, template))
+        delta = (sent - template).buffer
         nonzero = np.count_nonzero(delta)
         assert nonzero <= int(0.1 * delta.size) + 1
 
     def test_keeps_largest_coordinates(self, template, rng):
         defense = GradientCompression(keep_ratio=0.01)
         defense.on_round_start(0, [0], template, rng)
-        update = [{k: v.copy() for k, v in layer.items()}
-                  for layer in template]
-        update[0]["W"][0, 0] += 100.0  # dominant coordinate
+        update = template.copy()
+        update.view(0, "W")[0, 0] += 100.0  # dominant coordinate
         sent = defense.on_send_update(0, update, 10, rng)
-        assert np.isclose(sent[0]["W"][0, 0], update[0]["W"][0, 0])
+        assert np.isclose(sent.view(0, "W")[0, 0], update.view(0, "W")[0, 0])
 
     def test_error_feedback_accumulates(self, template, rng):
         """Coordinates dropped in round 1 are carried into round 2."""
         defense = GradientCompression(keep_ratio=0.01)
         defense.on_round_start(0, [0], template, rng)
-        update = [{k: v + 0.01 for k, v in layer.items()}
-                  for layer in template]
+        update = _shifted(template, 0.01)
         defense.on_send_update(0, update, 10, rng)
         assert defense.state_bytes() > 0
         residual = defense._residuals[0]
@@ -178,10 +173,9 @@ class TestGradientCompression:
     def test_full_keep_is_lossless(self, template, rng):
         defense = GradientCompression(keep_ratio=1.0)
         defense.on_round_start(0, [0], template, rng)
-        update = [{k: v + rng.standard_normal(v.shape)
-                   for k, v in layer.items()} for layer in template]
+        update = _shifted(template, rng.standard_normal(template.num_params))
         sent = defense.on_send_update(0, update, 10, rng)
-        assert weights_allclose(sent, update, atol=1e-12)
+        assert sent.allclose(update, atol=1e-12)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
@@ -201,17 +195,16 @@ class TestSecureAggregation:
                   for c in cohort]
         total = masked[0]
         for m in masked[1:]:
-            total = weights_zip_map(np.add, total, m)
+            total = total + m
         # each client sent 10 * weights + mask; masks sum to zero
-        expected = [{k: 30.0 * v for k, v in layer.items()}
-                    for layer in template]
-        assert weights_allclose(total, expected, atol=1e-6)
+        expected = template * 30.0
+        assert total.allclose(expected, atol=1e-6)
 
     def test_individual_update_is_garbled(self, template, rng):
         defense = SecureAggregation(mask_scale=50.0)
         defense.on_round_start(0, [0, 1], template, rng)
         sent = defense.on_send_update(0, template, 10, rng)
-        assert weights_l2_norm(sent) > 10 * weights_l2_norm(template)
+        assert sent.l2() > 10 * template.l2()
 
     def test_is_pre_weighted(self):
         assert SecureAggregation.pre_weighted is True
@@ -224,7 +217,7 @@ class TestSecureAggregation:
         defense = SecureAggregation()
         defense.on_round_start(0, [0], template, rng)
         sent = defense.on_send_update(0, template, 1, rng)
-        assert weights_allclose(sent, template)
+        assert sent.allclose(template)
 
     def test_state_bytes_nonzero_with_cohort(self, template, rng):
         defense = SecureAggregation()

@@ -73,10 +73,11 @@ def test_obfuscation_blocks_inversion(trained):
     model, data = trained
     garbled = model.clone()
     rng = np.random.default_rng(3)
-    weights = garbled.get_weights()
-    weights[0] = {k: rng.standard_normal(v.shape) * v.std()
-                  for k, v in weights[0].items()}
-    garbled.set_weights(weights)
+    weights = garbled.get_store()
+    for entry in weights.layout.layer_entries(0):
+        view = weights.view(0, entry.key)
+        view[...] = rng.standard_normal(entry.shape) * view.std()
+    garbled.set_store(weights)
     reconstruction = invert_class(garbled, 0, (16,), steps=150)
     fidelity = inversion_fidelity(reconstruction, data.x[data.y == 0])
     clean = inversion_fidelity(

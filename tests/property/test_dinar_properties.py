@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dinar import DINAR
-from repro.nn.model import weights_allclose, weights_zip_map
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 
 
 def _structure(rng, num_layers):
-    return [
+    return WeightStore.from_layers([
         {"W": rng.standard_normal((3, 3)), "b": rng.standard_normal(3)}
         for _ in range(num_layers)
-    ]
+    ])
 
 
 @settings(max_examples=30, deadline=None)
@@ -28,14 +28,14 @@ def test_obfuscate_then_personalize_is_identity_on_p(num_layers, p_raw,
     weights = _structure(rng, num_layers)
     defense = DINAR(private_layer=p)
     defense.on_send_update(0, weights, 10, rng)
-    garbage = [{k: np.full_like(v, 123.0) for k, v in layer.items()}
-               for layer in weights]
+    garbage = weights.zeros_like()
+    garbage.buffer[:] = 123.0
     received = defense.on_receive_global(0, garbage)
-    assert np.array_equal(received[p]["W"], weights[p]["W"])
-    assert np.array_equal(received[p]["b"], weights[p]["b"])
+    assert np.array_equal(received.view(p, "W"), weights.view(p, "W"))
+    assert np.array_equal(received.view(p, "b"), weights.view(p, "b"))
     for j in range(num_layers):
         if j != p:
-            assert np.all(received[j]["W"] == 123.0)
+            assert np.all(received.view(j, "W") == 123.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,7 +57,7 @@ def test_obfuscated_layer_carries_no_information(num_layers, seed):
     sent_b = DINAR(private_layer=0, obfuscation="gaussian") \
         .on_send_update(0, weights_b, 1, rng_b)
     # same rng stream => identical noise regardless of the layer values
-    assert np.array_equal(sent_a[0]["W"], sent_b[0]["W"])
+    assert np.array_equal(sent_a.view(0, "W"), sent_b.view(0, "W"))
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,11 +68,10 @@ def test_sa_masks_cancel_for_any_cohort(num_clients, seed, round_index):
     defense = SecureAggregation(mask_scale=10.0)
     cohort = list(range(num_clients))
     defense.on_round_start(round_index, cohort, template, rng)
-    zeros = [{k: np.zeros_like(v) for k, v in layer.items()}
-             for layer in template]
+    zeros = template.zeros_like()
     total = zeros
     for cid in cohort:
         sent = defense.on_send_update(cid, zeros, 1, rng)
-        total = weights_zip_map(np.add, total, sent)
+        total = total + sent
     # zero updates + masks: the sum must be exactly the zero structure
-    assert weights_allclose(total, zeros, atol=1e-6)
+    assert total.allclose(zeros, atol=1e-6)

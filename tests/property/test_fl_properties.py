@@ -12,6 +12,7 @@ from repro.data.partition import partition_dirichlet, partition_iid
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.network import LinkSpec, dense_nbytes, sparse_nbytes
 from repro.fl.shm import shm_available
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import gaussian_sigma
 from tests.fl.trajectory_recipes import simulation_trajectory
 
@@ -111,10 +112,11 @@ def test_link_transfer_time_additive_in_bytes(a, b):
 def test_sparse_encoding_never_beats_zero_and_bounds_dense(rows, cols,
                                                            seed):
     rng = np.random.default_rng(seed)
-    weights = [{"W": rng.standard_normal((rows, cols))}]
+    weights = WeightStore.from_layers(
+        [{"W": rng.standard_normal((rows, cols))}])
     sparse = sparse_nbytes(weights)
     dense = dense_nbytes(weights)
     assert 0 <= sparse <= (8 + 4) * rows * cols
     # fully dense array: sparse encoding costs more per coordinate
-    if np.count_nonzero(weights[0]["W"]) == rows * cols:
+    if np.count_nonzero(weights.buffer) == rows * cols:
         assert sparse >= dense * 1.0  # 12 bytes vs 8 per coordinate

@@ -10,15 +10,10 @@ from repro.analysis.divergence import (
     jensen_shannon_divergence,
     js_divergence_from_samples,
 )
-from repro.fl.aggregation import fedavg, scale_weights, sum_updates
-from repro.nn.model import (
-    flatten_weights,
-    unflatten_weights,
-    weights_allclose,
-    weights_l2_norm,
-)
+from repro.fl.aggregation import fedavg, sum_updates
+from repro.nn.store import WeightStore
 from repro.privacy.attacks.metrics import attack_auc, roc_auc
-from repro.privacy.defenses.ldp import clip_weights
+from repro.privacy.defenses.ldp import clip_store
 
 # ----------------------------------------------------------------------
 # strategies
@@ -30,7 +25,7 @@ finite_floats = st.floats(min_value=-100, max_value=100,
 
 @st.composite
 def weight_structures(draw):
-    """Random Weights: 1-3 layers, each with 1-2 small arrays."""
+    """Random stores: 1-3 layers, each with 1-2 small arrays."""
     num_layers = draw(st.integers(1, 3))
     structure = []
     for _ in range(num_layers):
@@ -43,7 +38,7 @@ def weight_structures(draw):
                                    max_size=rows * cols))
             layer[key] = np.array(values).reshape(rows, cols)
         structure.append(layer)
-    return structure
+    return WeightStore.from_layers(structure)
 
 
 @st.composite
@@ -62,21 +57,19 @@ def pmfs(draw):
 @given(weight_structures(), st.integers(1, 5))
 def test_fedavg_of_identical_updates_is_identity(weights, n_clients):
     out = fedavg([weights] * n_clients, [10] * n_clients)
-    assert weights_allclose(out, weights, atol=1e-9)
+    assert out.allclose(weights, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(weight_structures(), st.integers(1, 100), st.integers(1, 100))
 def test_fedavg_is_convex_combination(weights, n_a, n_b):
     """The average of w and 2w lies between them coordinate-wise."""
-    double = scale_weights(weights, 2.0)
+    double = weights * 2.0
     out = fedavg([weights, double], [n_a, n_b])
-    for layer_out, layer_w in zip(out, weights):
-        for key in layer_out:
-            low = np.minimum(layer_w[key], 2 * layer_w[key])
-            high = np.maximum(layer_w[key], 2 * layer_w[key])
-            assert np.all(layer_out[key] >= low - 1e-9)
-            assert np.all(layer_out[key] <= high + 1e-9)
+    low = np.minimum(weights.buffer, double.buffer)
+    high = np.maximum(weights.buffer, double.buffer)
+    assert np.all(out.buffer >= low - 1e-9)
+    assert np.all(out.buffer <= high + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,39 +77,31 @@ def test_fedavg_is_convex_combination(weights, n_a, n_b):
 def test_sum_scale_matches_fedavg_equal_counts(weights, n_clients):
     """The secure-aggregation server computation reproduces FedAvg."""
     updates = [weights] * n_clients
-    pre_weighted = [scale_weights(u, 7) for u in updates]
-    via_sum = scale_weights(sum_updates(pre_weighted),
-                            1.0 / (7 * n_clients))
+    pre_weighted = [u * 7 for u in updates]
+    via_sum = sum_updates(pre_weighted) * (1.0 / (7 * n_clients))
     via_avg = fedavg(updates, [7] * n_clients)
-    assert weights_allclose(via_sum, via_avg, atol=1e-9)
+    assert via_sum.allclose(via_avg, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
-# weight vector round trips
+# clipping
 # ----------------------------------------------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(weight_structures())
-def test_flatten_roundtrip(weights):
-    rebuilt = unflatten_weights(flatten_weights(weights), weights)
-    assert weights_allclose(weights, rebuilt, atol=0.0)
-
 
 @settings(max_examples=40, deadline=None)
 @given(weight_structures(), st.floats(min_value=0.01, max_value=50,
                                       allow_nan=False))
 def test_clip_never_exceeds_bound(weights, bound):
-    clipped = clip_weights(weights, bound)
-    assert weights_l2_norm(clipped) <= bound * (1 + 1e-9)
+    clipped = clip_store(weights, bound)
+    assert clipped.l2() <= bound * (1 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(weight_structures(), st.floats(min_value=0.01, max_value=50,
                                       allow_nan=False))
 def test_clip_is_idempotent(weights, bound):
-    once = clip_weights(weights, bound)
-    twice = clip_weights(once, bound)
-    assert weights_allclose(once, twice, atol=1e-12)
+    once = clip_store(weights, bound)
+    twice = clip_store(once, bound)
+    assert once.allclose(twice, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

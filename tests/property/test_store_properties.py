@@ -2,9 +2,9 @@
 
 Two families of invariants:
 
-* **Round trips** — the store bridges lose nothing: nested -> store ->
-  nested is exact, and the store buffer *is* the canonical flatten
-  vector.
+* **Exact construction** — ``from_layers`` loses nothing: every view
+  of the store holds the named array it was built from, and the buffer
+  is the arrays' concatenation in layout order.
 * **Bitwise agreement** — the vectorized aggregation rules reproduce
   the legacy nested-dict implementations bit for bit (same floats, not
   just close), and DINAR's obfuscation consumes the RNG stream exactly
@@ -28,8 +28,7 @@ from repro.fl.aggregation import (
     sum_updates,
     trimmed_mean,
 )
-from repro.nn.model import flatten_weights, unflatten_weights
-from repro.nn.store import WeightStore, as_store
+from repro.nn.store import WeightStore
 
 finite_floats = st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False)
@@ -37,7 +36,8 @@ finite_floats = st.floats(min_value=-100, max_value=100,
 
 @st.composite
 def weight_structures(draw, min_layers=1):
-    """Random Weights: ``min_layers``-3 layers of 1-2 small arrays."""
+    """Random named arrays: ``min_layers``-3 layers of 1-2 small
+    arrays each."""
     num_layers = draw(st.integers(min_layers, 3))
     structure = []
     for _ in range(num_layers):
@@ -68,58 +68,50 @@ def client_cohorts(draw, min_clients=1, max_clients=6):
     return updates, samples
 
 
+def stores(updates):
+    """The cohort's updates as stores (what aggregation consumes)."""
+    return [WeightStore.from_layers(u) for u in updates]
+
+
 def assert_bitwise_equal(store: WeightStore, nested) -> None:
     """The store holds the exact same floats as the nested structure."""
     reference = WeightStore.from_layers(nested, store.layout)
     assert np.array_equal(store.buffer, reference.buffer)
 
 
-def assert_ulp_close(store: WeightStore, nested, nulp: int = 2) -> None:
+def assert_ulp_close(store: WeightStore, reference: WeightStore,
+                     nulp: int = 2) -> None:
     """Same floats up to ``nulp`` units in the last place.
 
     Used only where FMA contraction inside einsum can legitimately
     round differently from a sequential sum.
     """
-    reference = WeightStore.from_layers(nested, store.layout)
     np.testing.assert_array_almost_equal_nulp(
         store.buffer, reference.buffer, nulp=nulp)
 
 
 # ----------------------------------------------------------------------
-# round trips
+# exact construction
 # ----------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(weight_structures())
 def test_from_layers_to_layers_is_exact(weights):
-    rebuilt = WeightStore.from_layers(weights).to_layers()
-    assert len(rebuilt) == len(weights)
-    for layer, original in zip(rebuilt, weights):
-        assert layer.keys() == original.keys()
+    store = WeightStore.from_layers(weights)
+    assert store.layout.num_layers == len(weights)
+    for layer_idx, original in enumerate(weights):
+        assert store.layout.layer_keys(layer_idx) == tuple(original)
         for key in original:
-            assert np.array_equal(layer[key], original[key])
+            assert np.array_equal(store.view(layer_idx, key),
+                                  original[key])
 
 
 @settings(max_examples=60, deadline=None)
 @given(weight_structures())
 def test_store_buffer_is_the_flatten_vector(weights):
-    store = WeightStore.from_layers(weights)
-    flat = flatten_weights(weights)
-    assert np.array_equal(store.buffer, flat)
-    # and flattening the store is zero-copy over the same values
-    assert np.array_equal(flatten_weights(store), flat)
-
-
-@settings(max_examples=60, deadline=None)
-@given(weight_structures())
-def test_unflatten_matches_store_bridge(weights):
-    store = WeightStore.from_layers(weights)
-    via_unflatten = unflatten_weights(store.readonly_vector(), weights)
-    via_store = store.to_layers()
-    for a, b in zip(via_unflatten, via_store):
-        assert a.keys() == b.keys()
-        for key in a:
-            assert np.array_equal(a[key], b[key])
+    flat = np.concatenate(
+        [v.ravel() for layer in weights for v in layer.values()])
+    assert np.array_equal(WeightStore.from_layers(weights).buffer, flat)
 
 
 # ----------------------------------------------------------------------
@@ -130,20 +122,19 @@ def test_unflatten_matches_store_bridge(weights):
 @given(client_cohorts())
 def test_vectorized_fedavg_matches_reference(cohort):
     updates, samples = cohort
-    expected = fedavg_reference(updates, samples)
-    out = fedavg(updates, samples)
-    assert_ulp_close(out, expected)
+    expected = fedavg_reference(stores(updates), samples)
+    assert_ulp_close(fedavg(stores(updates), samples), expected)
 
 
 @settings(max_examples=50, deadline=None)
 @given(client_cohorts())
 def test_fedavg_over_stores_and_batch_matches_reference(cohort):
     updates, samples = cohort
-    expected = fedavg_reference(updates, samples)
-    stores = [as_store(u) for u in updates]
-    assert_ulp_close(fedavg(stores, samples), expected)
-    batch = UpdateBatch(stores[0].layout, capacity=1)
-    for update in updates:
+    cohort_stores = stores(updates)
+    expected = fedavg_reference(cohort_stores, samples)
+    assert_ulp_close(fedavg(cohort_stores, samples), expected)
+    batch = UpdateBatch(cohort_stores[0].layout, capacity=1)
+    for update in cohort_stores:
         batch.add(update)
     assert_ulp_close(fedavg(batch, samples), expected)
 
@@ -157,7 +148,7 @@ def test_sum_updates_matches_legacy_sum_bitwise(cohort):
          for key in updates[0][layer_idx]}
         for layer_idx in range(len(updates[0]))
     ]
-    assert_bitwise_equal(sum_updates(updates), expected)
+    assert_bitwise_equal(sum_updates(stores(updates)), expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,7 +162,7 @@ def test_trimmed_mean_matches_legacy_bitwise(cohort):
          for key in updates[0][layer_idx]}
         for layer_idx in range(len(updates[0]))
     ]
-    assert_bitwise_equal(trimmed_mean(updates, trim=1), expected)
+    assert_bitwise_equal(trimmed_mean(stores(updates), trim=1), expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -184,7 +175,7 @@ def test_coordinate_median_matches_legacy_bitwise(cohort):
          for key in updates[0][layer_idx]}
         for layer_idx in range(len(updates[0]))
     ]
-    assert_bitwise_equal(coordinate_median(updates), expected)
+    assert_bitwise_equal(coordinate_median(stores(updates)), expected)
 
 
 # ----------------------------------------------------------------------
@@ -219,22 +210,13 @@ def test_obfuscation_bitwise_matches_legacy(weights, mode, seed):
         defense.obfuscation_scale)
 
     sent = defense.on_send_update(
-        0, as_store(weights), num_samples=10,
+        0, WeightStore.from_layers(weights), num_samples=10,
         rng=np.random.default_rng(seed))
     assert_bitwise_equal(sent, expected)
 
     # the stored private layer is the exact pre-obfuscation content
     for layer_idx in protected:
-        for key, value in defense._stored[0][layer_idx].items():
-            assert np.array_equal(value, weights[layer_idx][key])
+        raw = np.concatenate(
+            [v.ravel() for v in weights[layer_idx].values()])
+        assert np.array_equal(defense._stored[0][layer_idx], raw)
 
-
-@settings(max_examples=50, deadline=None)
-@given(weight_structures(min_layers=2), st.integers(0, 2**32 - 1))
-def test_obfuscation_identical_for_store_and_nested_input(weights, seed):
-    sent_nested = DINAR().on_send_update(
-        0, weights, num_samples=10, rng=np.random.default_rng(seed))
-    sent_store = DINAR().on_send_update(
-        0, as_store(weights), num_samples=10,
-        rng=np.random.default_rng(seed))
-    assert np.array_equal(sent_nested.buffer, sent_store.buffer)
