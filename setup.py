@@ -24,10 +24,9 @@ setup(
     packages=find_packages(where="src"),
     install_requires=[
         "numpy>=1.24",
-        "scipy>=1.10",
-        "networkx>=3.0",
     ],
     extras_require={
-        "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
+        "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0",
+                "scipy>=1.10"],
     },
 )

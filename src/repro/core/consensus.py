@@ -4,10 +4,10 @@ DINAR's initialization has every client broadcast the index of its
 locally-measured most privacy-sensitive layer; the value with the
 absolute majority wins (the broadcast distributed-voting method of [2],
 based on the DMVR algorithm [39]).  This module simulates the protocol
-as explicit message passing on a complete communication graph
-(networkx), with pluggable Byzantine behaviours: voting a random index,
-equivocating (sending different values to different peers), or staying
-silent.
+as explicit message passing on a complete communication graph: every
+voter sends to every other voter, in ascending id order.  Byzantine
+behaviours are pluggable: voting a random index, equivocating (sending
+different values to different peers), or staying silent.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 #: Byzantine behaviour names accepted by :class:`VotingNode`.
@@ -100,7 +99,7 @@ class BroadcastVoting:
             nid: VotingNode(nid, proposal, byzantine.get(nid))
             for nid, proposal in proposals.items()
         }
-        self.graph = nx.complete_graph(sorted(proposals))
+        self.order = sorted(proposals)
         self.value_space = value_space or (max(proposals.values()) + 1)
         self.max_rounds = max_rounds
         self.rng = np.random.default_rng(seed)
@@ -138,7 +137,7 @@ class BroadcastVoting:
 
     def _broadcast_round(self) -> None:
         for nid, node in self.nodes.items():
-            recipients = list(self.graph.neighbors(nid))
+            recipients = [r for r in self.order if r != nid]
             for recipient, value in node.outgoing(
                     recipients, self.value_space, self.rng).items():
                 if value is not None:

@@ -106,10 +106,9 @@ def synthetic_tabular(rng: np.random.Generator, n_samples: int,
         raise ValueError("need n_samples>=1, n_features>=1, n_classes>=2")
     y = _balanced_labels(rng, n_samples, n_classes)
     if binary:
-        prototypes = (rng.random((n_classes, n_features)) < 0.5)
-        x = prototypes[y].astype(np.float64)
+        prototypes = rng.random((n_classes, n_features)) < 0.5
         flips = rng.random((n_samples, n_features)) < noise
-        x[flips] = 1.0 - x[flips]
+        x = np.logical_xor(flips, prototypes[y], out=flips)
     else:
         prototypes = rng.standard_normal((n_classes, n_features))
         x = prototypes[y] + noise * rng.standard_normal(
@@ -162,7 +161,10 @@ def synthetic_audio(rng: np.random.Generator, n_samples: int, length: int,
         prototypes += amps[:, h, None] * np.sin(
             2 * np.pi * freqs[:, h, None] * t[None, :] + phases[:, h, None])
     jitter = rng.uniform(0.8, 1.2, size=(n_samples, 1))
-    x = jitter * prototypes[y] + noise * rng.standard_normal(
-        (n_samples, length))
+    x = prototypes[y]
+    x *= jitter
+    perturbation = rng.standard_normal((n_samples, length))
+    perturbation *= noise
+    x += perturbation
     return Dataset(name=name, x=x[:, None, :].astype(dtype, copy=False),
                    y=y, num_classes=n_classes, data_type="audio")

@@ -15,9 +15,9 @@ sub-samples it cfraction-style from a dedicated per-round stream.
 
 The dense :class:`~repro.fl.aggregation.UpdateBatch` survives only as
 the fallback for ``requires_dense`` aggregation rules (order statistics
-such as trimmed mean); :meth:`FLServer._collect` pre-sizes it to the
-cohort and the batch's ``client_cap`` guards against accidentally
-materializing a fleet.
+such as trimmed mean); :meth:`FLServer._aggregate_dense` pre-sizes it
+to the expected cohort and the batch's ``client_cap`` guards against
+accidentally materializing a fleet.
 """
 
 from __future__ import annotations
@@ -129,24 +129,6 @@ class FLServer:
             self._distance_include = layout.segmented().mask(
                 exclude=protected, full=True)
         return self._distance_include
-
-    def _collect(self, updates: Sequence[ClientUpdate]) -> UpdateBatch:
-        """Copy the cohort's updates into the pooled dense row matrix.
-
-        This is the ``requires_dense`` fallback path only; the batch is
-        pre-sized to the cohort (no doubling copies mid-round) and its
-        ``client_cap`` refuses fleet-scale cohorts.
-        """
-        layout = updates[0].weights.layout
-        if self._batch is None or self._batch.layout != layout:
-            self._batch = UpdateBatch(layout,
-                                      capacity=max(1, len(updates)))
-        else:
-            self._batch.ensure_capacity(len(updates))
-        self._batch.reset()
-        for update in updates:
-            self._batch.add(update.weights)
-        return self._batch
 
     def _acc(self) -> StreamingAccumulator:
         """The lazily created, round-reused streaming accumulator."""

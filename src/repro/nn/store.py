@@ -711,12 +711,6 @@ class WeightStore:
         """Writable flat view of one whole layer's coordinate range."""
         return self.buffer[self.layout.layer_slice(layer_idx)]
 
-    def readonly_vector(self) -> np.ndarray:
-        """The whole buffer as a read-only zero-copy view."""
-        v = self.buffer.view()
-        v.flags.writeable = False
-        return v
-
     # ------------------------------------------------------------------
     # vectorized arithmetic
     # ------------------------------------------------------------------

@@ -196,23 +196,6 @@ class TestUpdateBatchGrowth:
             UpdateBatch(layout, capacity=10, client_cap=5)
         assert UpdateBatch(layout).client_cap == DENSE_CLIENT_CAP
 
-    def test_collect_presizes_beyond_doubling(self, rng):
-        """Regression: a cohort larger than twice the previous round's
-        must land in one pre-sized matrix, not via doubling copies."""
-        stores, layout = _random_stores(rng, 9)
-        config = FLConfig(num_clients=9, seed=0)
-        server = FLServer(stores[0], config, Defense(),
-                          np.random.default_rng(0))
-        small = server._collect(_updates_from(stores[:2], [1, 1]))
-        assert len(small) == 2
-        big = server._collect(
-            _updates_from(stores, [1] * 9))
-        assert big is small  # pooled matrix reused, grown in place
-        assert len(big) == 9
-        assert big.nbytes >= 9 * layout.num_params * 8
-        for i in range(9):
-            assert np.array_equal(big.matrix[i], stores[i].buffer)
-
 
 class TestRuleCapabilities:
     def test_streaming_rules(self):

@@ -118,11 +118,6 @@ class TestViews:
         assert np.all(store.buffer[9:] == 7.0)
         assert np.all(store.buffer[:9] != 7.0)
 
-    def test_readonly_vector(self, nested):
-        vector = WeightStore.from_layers(nested).readonly_vector()
-        with pytest.raises(ValueError):
-            vector[0] = 1.0
-
 
 class TestArithmetic:
     def test_add_sub_scale(self, nested):
