@@ -11,7 +11,7 @@ and verifies the streamed FedAvg matches :func:`fedavg_reference`
 within the pinned 2-ULP envelope at 1k clients.
 
 The virtual client plane makes the same claim on the *client* side:
-clients are descriptors, models come from a bounded pool, so
+clients are descriptors rebound onto one training model, so
 materializing a fixed training cohort out of a 100k-client fleet peaks
 at the same client-plane memory as out of a 1k-client fleet — while
 the eager plane (one model clone + one dataset copy per client, the
@@ -198,17 +198,16 @@ def _fleet_fixture(n: int):
 
 def _virtual_round(template, n: int):
     """Materialize a COHORT-client training round out of an n-client
-    virtual fleet; return (seconds, peak_bytes, live_models).
+    virtual fleet; return (seconds, peak_bytes).
 
     Tracing starts after members/shards exist: those are the data
     plane's O(total samples) term, shared with the eager layout.  The
-    traced region is what the virtual plane claims is O(pool + cohort):
+    traced region is what the virtual plane claims is O(cohort):
     fleet construction, cohort materialization (binds + lazy subsets)
     and the personal-weights registry rows the cohort leaves behind.
     """
     members, _, shards = _fleet_fixture(n)
-    config = FLConfig(num_clients=n, rounds=1, seed=0,
-                      max_materialized=8)
+    config = FLConfig(num_clients=n, rounds=1, seed=0)
     defense = make_defense_for_config("none", config)
     cohort = list(range(0, n, max(1, n // COHORT)))[:COHORT]
     tracemalloc.start()
@@ -223,7 +222,7 @@ def _virtual_round(template, n: int):
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return seconds, peak, fleet.live_models
+    return seconds, peak
 
 
 def _eager_round(template, n: int):
@@ -250,16 +249,15 @@ def test_client_plane_memory_flat_eager_linear():
 
     virtual_peaks = {}
     for n in VIRTUAL_COUNTS:
-        seconds, peak, live = _virtual_round(template, n)
+        seconds, peak = _virtual_round(template, n)
         virtual_peaks[n] = peak
         entries.append({
             "path": "virtual-clients", "clients": n,
             "params": template.weight_layout().num_params,
             "round_seconds": round(seconds, 4),
             "peak_mib": round(peak / 2**20, 3),
-            "live_models": live, "cohort": COHORT,
+            "cohort": COHORT,
         })
-        assert live <= 8, f"pool must stay bounded, got {live} models"
 
     eager_peaks = {}
     for n in EAGER_COUNTS:
@@ -270,7 +268,7 @@ def test_client_plane_memory_flat_eager_linear():
             "params": template.weight_layout().num_params,
             "round_seconds": round(seconds, 4),
             "peak_mib": round(peak / 2**20, 3),
-            "live_models": n, "cohort": COHORT,
+            "cohort": COHORT,
         })
 
     _merge_output("fleet scale: aggregation and client-plane memory",
@@ -278,11 +276,10 @@ def test_client_plane_memory_flat_eager_linear():
 
     print()
     print(f"{'path':<16}{'clients':>9}{'seconds':>10}"
-          f"{'peak MiB':>11}{'live':>7}")
+          f"{'peak MiB':>11}")
     for e in entries:
         print(f"{e['path']:<16}{e['clients']:>9}"
-              f"{e['round_seconds']:>10.3f}{e['peak_mib']:>11.2f}"
-              f"{e['live_models']:>7}")
+              f"{e['round_seconds']:>10.3f}{e['peak_mib']:>11.2f}")
 
     lo, hi = VIRTUAL_COUNTS[0], VIRTUAL_COUNTS[-1]
     assert virtual_peaks[hi] <= 1.2 * virtual_peaks[lo], (

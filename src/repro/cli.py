@@ -99,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fraction of clients that are adversarial; "
                           "which ids is a seeded pure function of the "
                           "config (default 0.0)")
-    run.add_argument("--max-materialized", type=int, default=8,
-                     help="virtual-client plane: bound on live "
-                          "FLClient/Model instances per process "
-                          "(clients are descriptors, models are "
-                          "pooled; any value >= 1 is bitwise "
-                          "identical, default 8)")
     run.add_argument("--alpha", type=float, default=math.inf,
                      help="Dirichlet non-IID alpha (default IID)")
     run.add_argument("--samples", type=int, default=None,
@@ -148,7 +142,6 @@ def _config_from_args(args) -> FLConfig:
         distance_mask=args.distance_mask,
         adversary=args.adversary,
         adversary_fraction=args.adversary_fraction,
-        max_materialized=args.max_materialized,
     )
 
 

@@ -181,7 +181,8 @@ def _as_matrix(updates: Updates) -> tuple[np.ndarray, Layout]:
 
 
 def _weighted_colsum(matrix: np.ndarray, coeffs: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> np.ndarray:
     """``sum_i coeffs[i] * matrix[i]`` per column, chunked.
 
     ``einsum`` accumulates the client axis sequentially in the order
@@ -189,6 +190,10 @@ def _weighted_colsum(matrix: np.ndarray, coeffs: np.ndarray,
     throughput high on out-of-cache models.  Each ``c_i * u_i + acc``
     step may execute as one fused multiply-add, so coordinates can
     differ from the reference by 1 ULP.
+
+    ``rows`` selects (and orders) the summed rows; they are gathered
+    one column chunk at a time, so selecting never copies the whole
+    selected sub-matrix.
     """
     num_params = matrix.shape[1]
     # einsum would otherwise promote a float32 matrix against float64
@@ -200,7 +205,9 @@ def _weighted_colsum(matrix: np.ndarray, coeffs: np.ndarray,
         out = np.empty(num_params, dtype=matrix.dtype)
     for lo in range(0, num_params, REDUCE_CHUNK):
         hi = min(lo + REDUCE_CHUNK, num_params)
-        np.einsum("i,ip->p", coeffs, matrix[:, lo:hi], out=out[lo:hi])
+        np.einsum("i,ip->p", coeffs,
+                  matrix[:, lo:hi] if rows is None else matrix[rows, lo:hi],
+                  out=out[lo:hi])
     return out
 
 
@@ -378,6 +385,8 @@ def _cluster_distances(matrix: np.ndarray,
                        include: np.ndarray | None = None) -> np.ndarray:
     """Each row's L2 distance to the coordinate-median center, chunked
     over columns so no ``(clients, params)`` temporary is allocated.
+    Each column's median depends on that column alone, so the center
+    is computed chunk by chunk too.
 
     ``include`` is an optional boolean coordinate mask (segment-plane
     shape, ``(num_params,)``): False coordinates are excluded from the
@@ -386,14 +395,15 @@ def _cluster_distances(matrix: np.ndarray,
     every chunk keeps its shape and summation order and an all-True
     mask reproduces the unmasked distances bitwise.
     """
-    center = np.median(matrix, axis=0)
     sq = np.zeros(len(matrix))
     for lo in range(0, matrix.shape[1], REDUCE_CHUNK):
         hi = min(lo + REDUCE_CHUNK, matrix.shape[1])
-        diff = matrix[:, lo:hi] - center[lo:hi]
+        block = matrix[:, lo:hi]
+        diff = block - np.median(block, axis=0)
         if include is not None:
             diff *= include[lo:hi]
         sq += np.einsum("ip,ip->i", diff, diff)
+        del diff  # freed before the next chunk's median copy
     return np.sqrt(sq)
 
 
@@ -469,7 +479,6 @@ def clustered_mean(updates: Updates,
         diagnostics["kept"] = [int(i) for i in kept]
         diagnostics["filtered"] = [int(i) for i in np.flatnonzero(~keep)]
         diagnostics["distances"] = dist
-    sub = matrix[kept]
     if num_samples is None:
         coeffs = np.full(len(kept), 1.0 / len(kept))
     else:
@@ -478,7 +487,7 @@ def clustered_mean(updates: Updates,
         if total <= 0:
             raise ValueError("total sample count must be positive")
         coeffs = counts / total
-    return WeightStore(layout, _weighted_colsum(sub, coeffs))
+    return WeightStore(layout, _weighted_colsum(matrix, coeffs, rows=kept))
 
 
 # ----------------------------------------------------------------------

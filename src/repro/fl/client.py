@@ -16,7 +16,7 @@ Virtual-client plane: an ``FLClient`` is no longer necessarily a
 long-lived per-client object.  :meth:`FLClient.bind` rebinds an
 existing instance — model buffers, optimizer-free round state and all —
 onto another client's descriptor without reallocating anything, which
-is what lets a bounded pool of models serve an unbounded fleet (see
+is what lets one model per process serve an unbounded fleet (see
 ``repro.fl.virtual``).  Bound clients materialize their dataset lazily
 from the descriptor's shard view and store personalized weights in the
 fleet's flat-buffer registry rather than on the instance, so nothing
@@ -120,7 +120,7 @@ class FLClient:
         rematerialized from the descriptor's shard view on first
         access, and any local personalized weights are cleared — after
         a rebind the only per-client residue lives in ``registry``,
-        which is what makes pool reuse alias-free.
+        which is what makes model reuse alias-free.
         """
         self.client_id = descriptor.client_id
         self._data = None

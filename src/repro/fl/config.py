@@ -77,11 +77,10 @@ class FLConfig:
     #: Fraction of clients that are adversarial; which ids is a seeded
     #: pure function of the config (``behavior.select_adversaries``).
     adversary_fraction: float = 0.0
-    #: Virtual-client plane: the bound on live ``FLClient``/``Model``
-    #: instances per process.  Clients are lightweight descriptors and
-    #: full state is materialized on demand from a pool of at most this
-    #: many models (LRU rebind); any value >= 1 is bitwise-identical to
-    #: every other, so this knob trades only memory against rebinds.
+    #: Has no effect: every process trains on one rebound model (see
+    #: ``fl.virtual``).  Kept, validated, only because the end-to-end
+    #: benchmark's workloads still pass it; deleted together with
+    #: ``ipc`` once they stop.
     max_materialized: int = 8
     extra: dict = field(default_factory=dict)
 
@@ -176,5 +175,5 @@ class FLConfig:
                 f"effect with adversary='none'; pick a behavior")
         if self.max_materialized < 1:
             raise ValueError(
-                f"max_materialized must be >= 1 (the pool needs at "
-                f"least one model), got {self.max_materialized}")
+                f"max_materialized must be >= 1, "
+                f"got {self.max_materialized}")

@@ -36,11 +36,9 @@ class CostReport:
     # aggregator rejected outright (norm clustering's filter).
     clients_adversarial: int = 0
     clients_filtered: int = 0
-    # Virtual-client-plane accounting: peak simultaneously live model
-    # instances in any one process's pool, cumulative descriptor binds
-    # as seen by the busiest process, and the personal-weights
-    # registry's allocated bytes.
-    peak_live_models: int = 0
+    # Virtual-client-plane accounting: cumulative descriptor binds as
+    # seen by the busiest process, and the personal-weights registry's
+    # allocated bytes.
     model_materializations: int = 0
     registry_bytes: int = 0
     # IPC-plane accounting, summed across rounds: bytes that crossed
@@ -90,8 +88,7 @@ class CostReport:
 
     def client_plane_summary(self) -> str:
         """One-line virtual-client-plane digest for run summaries."""
-        return (f"{self.peak_live_models} live model(s) peak, "
-                f"{self.model_materializations} bind(s), "
+        return (f"{self.model_materializations} bind(s), "
                 f"registry {self.registry_bytes / 1024:.0f} KiB")
 
     def ipc_summary(self) -> str:
@@ -214,22 +211,19 @@ class CostMeter:
         self.report.clients_adversarial += adversarial
         self.report.clients_filtered += filtered
 
-    def record_client_plane(self, *, live_models: int = 0,
-                            materializations: int = 0,
+    def record_client_plane(self, *, materializations: int = 0,
                             registry_bytes: int = 0) -> None:
         """Track virtual-client-plane peaks.
 
-        All three are max-merged: with parallel executors each worker
-        process runs its own bounded pool, so the honest fleet-wide
-        statement is the busiest process's peak (per-process pools are
-        what bound memory), not a sum over processes.
+        Both are max-merged: with parallel executors each worker
+        process counts its own binds, so the honest fleet-wide
+        statement is the busiest process's count, not a sum over
+        processes.
         """
-        counts = (live_models, materializations, registry_bytes)
+        counts = (materializations, registry_bytes)
         if any(c < 0 for c in counts):
             raise ValueError(
                 f"client-plane counts must be >= 0, got {counts}")
-        self.report.peak_live_models = max(
-            self.report.peak_live_models, int(live_models))
         self.report.model_materializations = max(
             self.report.model_materializations, int(materializations))
         self.report.registry_bytes = max(

@@ -42,10 +42,9 @@ Virtual-client plane: executors resolve ``client_id -> FLClient``
 through a *provider* — anything with ``materialize(client_id)``.  The
 simulation passes its :class:`~repro.fl.virtual.VirtualClientFleet`, so
 each process (the parent for serial, every forked worker for parallel)
-materializes clients on demand from its own bounded model pool instead
-of indexing a fleet-sized list.  Each result carries the executing
-process's pool accounting (``pool_live`` / ``pool_materializations``)
-back to the parent's cost meter.
+rebinds its one training client on demand instead of indexing a
+fleet-sized list.  Each result carries the executing process's
+cumulative ``materializations`` back to the parent's cost meter.
 
 Workspace arenas (:class:`repro.nn.workspace.Workspace`) are strictly
 process-local: a forked worker inherits the parent model's arena
@@ -153,18 +152,15 @@ class ClientRoundResult:
     client_state: Any
     #: ``Defense.state_bytes()`` as seen where the round ran.
     defense_state_bytes: int
-    #: Virtual-client plane: model instances live in the executing
-    #: process's pool, and its cumulative materializations (binds).
-    #: Zero when the provider keeps no pool accounting.
-    pool_live: int = 0
-    pool_materializations: int = 0
+    #: Virtual-client plane: the executing process's cumulative
+    #: materializations (binds).  Zero when the provider counts none.
+    materializations: int = 0
 
 
-def _stamp_pool_stats(result: ClientRoundResult, provider: Any) -> None:
-    """Record the executing process's pool accounting on the result."""
-    result.pool_live = int(getattr(provider, "live_models", 0))
-    result.pool_materializations = int(
-        getattr(provider, "materializations", 0))
+def _stamp_materializations(result: ClientRoundResult,
+                            provider: Any) -> None:
+    """Record the executing process's bind count on the result."""
+    result.materializations = int(getattr(provider, "materializations", 0))
 
 
 def execute_client_task(client: "FLClient", defense: "Defense",
@@ -256,7 +252,7 @@ class SerialExecutor(RoundExecutor):
             result = execute_client_task(
                 self.clients.materialize(task.client_id),
                 self.defense, self.layout, task, self.behavior)
-            _stamp_pool_stats(result, self.clients)
+            _stamp_materializations(result, self.clients)
             yield result
 
 

@@ -43,7 +43,7 @@ identical float64/float32 values the parent published, the round
 state round-trips through ``pickle`` (bitwise for numpy payloads), and
 every per-cell RNG stream is untouched — serial and parallel runs are
 trajectory-identical (pinned by the golden fixtures and
-hypothesis-tested across worker counts, defenses and pool capacities).
+hypothesis-tested across worker counts and defenses).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.fl.executor import (
     ClientRoundResult,
     ClientTask,
     RoundExecutor,
-    _stamp_pool_stats,
+    _stamp_materializations,
     execute_client_task,
 )
 from repro.nn.store import Layout
@@ -448,9 +448,9 @@ def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
 class _WorkerContext:
     """Per-process replica of the simulation's client-side objects.
 
-    ``clients`` is a provider (fleet or adapted sequence) inherited via
-    fork; each worker materializes from its *own* copy-on-write pool,
-    so per-process live models stay bounded by the pool capacity.
+    ``clients`` is a provider (anything with ``materialize``)
+    inherited via fork; each worker rebinds its *own* copy-on-write
+    training client, so every process holds one training model.
     """
 
     clients: Any
@@ -497,7 +497,7 @@ def _run_in_worker(task: ClientTask, ref: ShmRound,
         raise RuntimeError(
             f"client {task.client_id} failed in round "
             f"{task.round_index}: {exc!r}") from exc
-    _stamp_pool_stats(result, context.clients)
+    _stamp_materializations(result, context.clients)
     try:
         _worker_write_slab(ref, slab, result.update_buffer,
                            result.personal_buffer)

@@ -23,13 +23,12 @@ the pre-fleet trajectories bitwise (see :meth:`run_round`).
 
 The client plane is **virtual** (see ``repro.fl.virtual``): clients
 exist as descriptors over a packed shard assignment, full
-``FLClient``/``Model`` state is materialized on demand from a pool of
-at most ``config.max_materialized`` instances, and per-client residue
+``FLClient``/``Model`` state is one training client per process,
+rebound onto each client's descriptor on demand, and per-client residue
 (personalized weights) lives in a flat-buffer registry keyed by client
 id.  ``simulation.clients`` is the fleet façade — indexing and
-iteration still hand back live ``FLClient`` objects — and every
-trajectory is bitwise-identical to the eager plane at any pool
-capacity.
+iteration still hand back a live ``FLClient`` — and every trajectory
+is bitwise-identical to the eager plane.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ class FederatedSimulation:
         # Virtual-client plane: ONE template model (the eager plane
         # built N identical copies from the same seeded factory), a
         # flat-buffer registry for every client's personalized weights,
-        # and a fleet façade that materializes FLClients on demand from
-        # a pool of at most config.max_materialized model instances.
+        # and a fleet façade that rebinds one training FLClient, built
+        # on the template, onto each client on demand.
         template = model_factory(np.random.default_rng(config.seed))
         self._layout = template.weight_layout()
         if np.dtype(config.dtype) != self._layout.dtype:
@@ -269,8 +268,7 @@ class FederatedSimulation:
                 self.cost_meter.record_defense_state(
                     result.defense_state_bytes)
                 self.cost_meter.record_client_plane(
-                    live_models=result.pool_live,
-                    materializations=result.pool_materializations)
+                    materializations=result.materializations)
                 update = ClientUpdate(
                     client_id=result.client_id,
                     weights=WeightStore(self._layout,
@@ -302,11 +300,10 @@ class FederatedSimulation:
         # its memory footprint is authoritative (worker copies only
         # ever see one client's slice).
         self.cost_meter.record_defense_state(self.defense.state_bytes())
-        # Serial rounds run on the parent's pool; parallel rounds on
-        # the workers' (reported per result above).  Max-merging both
-        # keeps the report meaningful either way.
+        # Serial rounds bind in the parent; parallel rounds in the
+        # workers (reported per result above).  Max-merging both keeps
+        # the report meaningful either way.
         self.cost_meter.record_client_plane(
-            live_models=self.fleet.live_models,
             materializations=self.fleet.materializations,
             registry_bytes=self.registry.nbytes)
         self.cost_meter.record_participation(

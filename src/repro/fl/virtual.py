@@ -1,4 +1,4 @@
-"""Virtual-client plane: descriptor fleets with pooled materialization.
+"""Virtual-client plane: descriptor fleets over one training model.
 
 The pre-virtual client plane was O(num_clients) live state: one
 ``FLClient`` + ``Model`` (weight buffer, gradient buffer, workspace
@@ -20,12 +20,11 @@ This module replaces live objects with three small pieces:
   Rows are written by copy and read as zero-copy
   :class:`~repro.nn.store.WeightStore` views.
 * :class:`VirtualClientFleet` — a sequence-shaped façade over the
-  fleet.  ``fleet[i]`` / ``fleet.materialize(i)`` returns a live
-  ``FLClient`` from a bounded pool of at most ``capacity``
-  (``FLConfig.max_materialized``) model instances, rebinding the
-  least-recently-used one when the pool is full.
+  fleet.  ``fleet[i]`` / ``fleet.materialize(i)`` returns the
+  process's single training ``FLClient``, built on the template model
+  and rebound onto client ``i``'s descriptor.
 
-Bitwise rules (why pooling cannot change a trajectory):
+Bitwise rules (why one reused model cannot change a trajectory):
 
 * every eager client was built from ``model_factory(default_rng(seed))``
   — N identical models — and ``train_round`` overwrites the *entire*
@@ -92,8 +91,8 @@ class PersonalWeightsRegistry:
     a single ``(capacity, num_params)`` array that doubles as needed,
     so a fleet's prediction state is one allocation plus an id->row
     dict.  ``put`` copies the incoming buffer into its row; ``get``
-    returns a zero-copy store view of the row — mutating a pooled
-    model after its round therefore never corrupts stored residue.
+    returns a zero-copy store view of the row — mutating the training
+    model after a round therefore never corrupts stored residue.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -173,30 +172,27 @@ class _FleetDatasets:
 
 
 class VirtualClientFleet:
-    """Sequence-shaped fleet façade over a bounded model pool.
+    """Sequence-shaped fleet façade over one training model.
 
-    ``fleet[i]`` (and iteration) materializes client ``i``: if a pooled
-    ``FLClient`` is already bound to it, that instance is returned; if
-    the pool has spare capacity, a new model is cloned from the
-    template; otherwise the least-recently-used pooled client is
-    rebound via :meth:`FLClient.bind` — no buffer is ever reallocated.
-    Handles are therefore *transient*: holding two handles from a
-    capacity-1 pool yields the same object bound to whichever client
-    was materialized last, and per-client state read off a handle must
-    be read before the next materialization (which is how every
-    existing call site already behaves — comprehensions read
-    ``personal_weights`` immediately).
+    ``fleet[i]`` (and iteration) materializes client ``i`` by rebinding
+    the process's single training ``FLClient`` — built on the template
+    model at first use — via :meth:`FLClient.bind`; no buffer is ever
+    reallocated.  Handles are therefore *transient*: ``fleet[i] is
+    fleet[j]``, bound to whichever client was materialized last, and
+    per-client state read off a handle must be read before the next
+    materialization (which is how every call site behaves —
+    comprehensions read ``personal_weights`` immediately).  Each
+    forked executor worker inherits the fleet and so trains on its own
+    copy-on-write training client.
 
     The fleet also hosts the shared evaluation model (one lazy clone of
     the template serving every client's :meth:`FLClient.evaluate`) and
-    the pool accounting the cost plane reports: ``live_models``,
-    ``peak_live_models`` and cumulative ``materializations``.
+    counts ``materializations`` (descriptor binds) for the cost plane.
     """
 
     def __init__(self, members: Dataset, shards: ClientShards,
                  template: Model, config: FLConfig, defense: Defense, *,
-                 registry: PersonalWeightsRegistry | None = None,
-                 capacity: int | None = None) -> None:
+                 registry: PersonalWeightsRegistry | None = None) -> None:
         if len(shards) != config.num_clients:
             raise ValueError(
                 f"{len(shards)} shards for {config.num_clients} clients")
@@ -204,23 +200,13 @@ class VirtualClientFleet:
         self.shards = shards
         self.config = config
         self.defense = defense
-        self.capacity = capacity if capacity is not None \
-            else config.max_materialized
-        if self.capacity < 1:
-            raise ValueError(
-                f"pool capacity must be >= 1, got {self.capacity}")
         self._template = template
         self.registry = registry if registry is not None \
             else PersonalWeightsRegistry(template.weight_layout())
-        self._pool: list[FLClient] = []
-        self._bound: dict[int, int] = {}       # client_id -> pool slot
-        self._last_used: list[int] = []        # slot -> LRU clock stamp
-        self._clock = 0
+        self._client: FLClient | None = None
         self._eval_model: Model | None = None
-        #: Cumulative descriptor binds (cache misses), this process.
+        #: Cumulative descriptor binds, this process.
         self.materializations = 0
-        #: High-water mark of simultaneously live pooled models.
-        self.peak_live_models = 0
 
     # ------------------------------------------------------------------
     # descriptors and data
@@ -252,53 +238,27 @@ class VirtualClientFleet:
         return _FleetDatasets(self)
 
     # ------------------------------------------------------------------
-    # the pool
+    # the training client
     # ------------------------------------------------------------------
-    @property
-    def live_models(self) -> int:
-        """Model instances currently alive in this process's pool."""
-        return len(self._pool)
-
     def materialize(self, client_id: int) -> FLClient:
-        """A live ``FLClient`` for ``client_id`` from the bounded pool."""
+        """The process's training ``FLClient``, bound to ``client_id``."""
         n = len(self)
         if client_id < 0:
             client_id += n
         if not 0 <= client_id < n:
             raise IndexError(
                 f"client_id {client_id} out of range for fleet of {n}")
-        self._clock += 1
-        slot = self._bound.get(client_id)
-        if slot is not None:
-            self._last_used[slot] = self._clock
-            return self._pool[slot]
-        descriptor = self.descriptor(client_id)
-        if len(self._pool) < self.capacity:
-            # First pooled model *is* the template (its initial weights
-            # are already snapshotted wherever they matter); further
-            # slots are buffer-copy clones, never factory rebuilds.
-            model = self._template if not self._pool \
-                else self._template.clone()
-            client = FLClient(
-                client_id=descriptor.client_id, model=model, data=None,
+        if self._client is None:
+            # The template's initial weights are already snapshotted
+            # wherever they matter (the server's global store).
+            self._client = FLClient(
+                client_id=client_id, model=self._template, data=None,
                 config=self.config, defense=self.defense,
                 eval_model_provider=self.eval_model)
-            slot = len(self._pool)
-            self._pool.append(client)
-            self._last_used.append(self._clock)
-            self.peak_live_models = max(self.peak_live_models,
-                                        len(self._pool))
-        else:
-            slot = min(range(len(self._pool)),
-                       key=self._last_used.__getitem__)
-            evicted = self._pool[slot]
-            self._bound.pop(evicted.client_id, None)
-            client = evicted
-        client.bind(descriptor, registry=self.registry)
-        self._bound[client_id] = slot
-        self._last_used[slot] = self._clock
+        self._client.bind(self.descriptor(client_id),
+                          registry=self.registry)
         self.materializations += 1
-        return client
+        return self._client
 
     def __getitem__(self, client_id: int) -> FLClient:
         if not isinstance(client_id, (int, np.integer)):

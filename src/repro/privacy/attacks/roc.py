@@ -11,6 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def _share_at_least(scores: np.ndarray,
+                    thresholds: np.ndarray) -> np.ndarray:
+    """Fraction of ``scores`` that are >= each threshold, O(n log n).
+
+    An integer count divided by ``scores.size``: bitwise what
+    ``(scores >= t).mean()`` gives per threshold.  NaN sorts last and
+    is never >= anything, so it is cut off before counting.
+    """
+    ordered = np.sort(scores)
+    ordered = ordered[:np.searchsorted(ordered, np.nan)]
+    counts = len(ordered) - np.searchsorted(ordered, thresholds,
+                                            side="left")
+    return counts / scores.size
+
+
 def roc_curve(positive_scores: np.ndarray, negative_scores: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fpr, tpr, thresholds), thresholds descending.
@@ -24,8 +39,8 @@ def roc_curve(positive_scores: np.ndarray, negative_scores: np.ndarray
         raise ValueError("both score sets must be non-empty")
     thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
     thresholds = np.concatenate([[np.inf], thresholds])
-    tpr = np.array([(pos >= t).mean() for t in thresholds])
-    fpr = np.array([(neg >= t).mean() for t in thresholds])
+    tpr = _share_at_least(pos, thresholds)
+    fpr = _share_at_least(neg, thresholds)
     return fpr, tpr, thresholds
 
 

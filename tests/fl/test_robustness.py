@@ -16,6 +16,8 @@ Three invariant families pin the plane down:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.aggregation import (
     CLUSTER_MIN_COHORT,
+    UpdateBatch,
     clustered_mean,
     coordinate_median,
     fedavg,
@@ -156,6 +159,28 @@ class TestClusteredFallbacks:
         matrix = np.zeros((4, 3))
         with pytest.raises(ValueError, match="sample counts"):
             clustered_mean(_rows(matrix), [1, 2])
+
+
+def test_clustered_mean_temporaries_are_column_chunked():
+    """The median center and the kept-row gather work one column chunk
+    at a time: no temporary is as large as the update matrix."""
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((20, 300_000))
+    matrix[4] += 500.0  # one filtered row, so the kept rows are a subset
+    layout = Layout.from_layers([{"W": matrix[0]}])
+    batch = UpdateBatch(layout, capacity=len(matrix))
+    for row in matrix:
+        batch.add(WeightStore(layout, row))
+    diag: dict = {}
+    tracemalloc.start()
+    try:
+        clustered_mean(batch, diagnostics=diag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag["filtered"] == [4]
+    assert peak < matrix.nbytes / 2, (
+        f"peak {peak} B for a {matrix.nbytes} B update matrix")
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,21 @@
-"""Virtual-client plane: descriptors, registry, pool, bitwise parity.
+"""Virtual-client plane: descriptors, registry, one training model.
 
 The plane's contract has three legs:
 
-* **parity** — a trajectory is a pure function of (seed, config,
-  defense), never of the pool capacity: capacity 1 (every task rebinds
-  the single pooled model) must match capacity ``num_clients`` (every
-  client keeps its own model — the eager plane's shape) bit for bit,
-  for every defense, including DINAR's stored private layers and
-  secure aggregation's pairwise masks;
+* **parity** — one training model rebound for every cell reproduces
+  the eager plane (one model per client) bit for bit, for every
+  defense: the ``defense/*`` golden pins in ``test_trajectory_pins``
+  were recorded on the eager plane and run on this one;
 * **isolation** — a rebind never leaks the previous client's buffers:
   handles expose only the bound client's state, and registry rows are
-  copies that pooled-model mutation cannot corrupt;
-* **economy** — construction is O(pool), not O(num_clients): one
-  factory call, zero live models until materialization, lazy shard
-  subsets.
+  copies that training-model mutation cannot corrupt;
+* **economy** — a process holds one training model, not
+  O(num_clients): one factory call, one clone (the eval model), lazy
+  shard subsets.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data.partition import ClientShards, split_for_membership
 from repro.data.synthetic import synthetic_tabular
@@ -27,9 +23,8 @@ from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.models.fcnn import build_fcnn
+from repro.nn.model import Model
 from repro.privacy.defenses.make import make_defense_for_config
-
-DEFENSE_NAMES = ("none", "dinar", "ldp", "wdp", "cdp", "gc", "sa")
 
 
 def _split():
@@ -42,85 +37,17 @@ def _factory(rng):
     return build_fcnn(20, 4, rng, hidden=(12,))
 
 
-def _run(defense_name: str, capacity: int, *, num_clients: int = 3,
-         workers: int = 0) -> FederatedSimulation:
+def _run(num_clients: int) -> FederatedSimulation:
+    """A finished 2-round run with every client in every round."""
     config = FLConfig(num_clients=num_clients, rounds=2, local_epochs=1,
-                      batch_size=32, seed=0, eval_every=2,
-                      workers=workers, max_materialized=capacity)
-    defense = make_defense_for_config(defense_name, config)
-    sim = FederatedSimulation(_split(), _factory, config, defense)
+                      batch_size=32, seed=0, eval_every=2)
+    sim = FederatedSimulation(_split(), _factory, config)
     sim.run()
     return sim
 
 
-def _snapshot(sim: FederatedSimulation) -> dict:
-    """Everything a trajectory determines: global weights, every
-    client's personalized weights, and DINAR's stored layers."""
-    snap = {
-        "global": sim.server.global_weights.buffer.copy(),
-        "personal": {
-            cid: sim.registry.get(cid).buffer.copy()
-            for cid in sim.registry.client_ids()
-        },
-    }
-    stored = getattr(sim.defense, "_stored", None)
-    if stored:
-        snap["dinar"] = {
-            cid: {idx: flat.copy() for idx, flat in layers.items()}
-            for cid, layers in stored.items()
-        }
-    return snap
-
-
-def _assert_snapshots_equal(a: dict, b: dict) -> None:
-    np.testing.assert_array_equal(a["global"], b["global"])
-    assert a["personal"].keys() == b["personal"].keys()
-    for cid in a["personal"]:
-        np.testing.assert_array_equal(a["personal"][cid],
-                                      b["personal"][cid])
-    assert ("dinar" in a) == ("dinar" in b)
-    if "dinar" in a:
-        assert a["dinar"].keys() == b["dinar"].keys()
-        for cid in a["dinar"]:
-            assert a["dinar"][cid].keys() == b["dinar"][cid].keys()
-            for idx, flat in a["dinar"][cid].items():
-                np.testing.assert_array_equal(b["dinar"][cid][idx], flat)
-
-
 # ----------------------------------------------------------------------
-# parity: pool capacity is bitwise-invisible, across every defense
-# ----------------------------------------------------------------------
-
-#: Eager-shaped reference (capacity >= num_clients: no rebind ever),
-#: computed once per defense and reused across hypothesis examples.
-_REFERENCE: dict = {}
-
-
-def _reference(defense_name: str) -> dict:
-    if defense_name not in _REFERENCE:
-        _REFERENCE[defense_name] = _snapshot(_run(defense_name, 3))
-    return _REFERENCE[defense_name]
-
-
-@settings(max_examples=16, deadline=None)
-@given(st.sampled_from(DEFENSE_NAMES), st.integers(1, 2))
-def test_virtual_fleet_bitwise_matches_eager_any_capacity(
-        defense_name, capacity):
-    """Starved pools (capacity < num_clients, rebinds every round)
-    reproduce the eager-shaped trajectory exactly — DINAR stored
-    layers and SA masks included."""
-    virtual = _snapshot(_run(defense_name, capacity))
-    _assert_snapshots_equal(virtual, _reference(defense_name))
-
-
-def test_parallel_executor_matches_serial_with_starved_pool():
-    serial = _snapshot(_run("dinar", 1))
-    parallel = _snapshot(_run("dinar", 1, workers=2))
-    _assert_snapshots_equal(serial, parallel)
-
-
-# ----------------------------------------------------------------------
-# economy: construction is O(pool), not O(num_clients)
+# economy: one training model per process, not O(num_clients)
 # ----------------------------------------------------------------------
 
 def test_construction_builds_one_model_regardless_of_fleet_size():
@@ -136,21 +63,28 @@ def test_construction_builds_one_model_regardless_of_fleet_size():
     assert calls["n"] == 1, (
         f"construction must build exactly one template model, "
         f"called the factory {calls['n']} times")
-    assert sim.fleet.live_models == 0
     assert sim.fleet.materializations == 0
 
 
-def test_live_models_bounded_by_capacity_over_a_run():
-    sim = _run("none", 2, num_clients=5)
-    assert sim.fleet.live_models == 2
-    assert sim.fleet.peak_live_models == 2
-    # every (round, client) cell was a bind: 2 rounds x 5 clients,
-    # minus any cell whose client was already bound (capacity 2 over
-    # 5 round-robin clients never gets a hit)
-    assert sim.fleet.materializations == 10
-    assert sim.cost_meter.report.peak_live_models == 2
-    assert sim.cost_meter.report.model_materializations == 10
+def test_one_training_model_per_process(monkeypatch):
+    """A serial run of 10 clients x 2 rounds builds the template (the
+    training model) and exactly one clone (the eval model)."""
+    clones = []
+    clone = Model.clone
+
+    def counting_clone(self):
+        clones.append(clone(self))
+        return clones[-1]
+
+    monkeypatch.setattr(Model, "clone", counting_clone)
+    sim = _run(10)
+    assert clones == [sim.fleet.eval_model()]
+    # every (round, client) cell was a bind of the one training client
+    assert sim.fleet.materializations == 20
+    assert sim.cost_meter.report.model_materializations == 20
     assert sim.cost_meter.report.registry_bytes == sim.registry.nbytes
+    assert sim.fleet[0] is sim.fleet[9]
+    assert sim.fleet[0].model is not sim.fleet.eval_model()
 
 
 def test_num_samples_answered_without_materialization():
@@ -158,7 +92,7 @@ def test_num_samples_answered_without_materialization():
     sim = FederatedSimulation(_split(), _factory, config)
     for cid in range(4):
         assert sim.fleet.num_samples(cid) == len(sim.client_dataset(cid))
-    assert sim.fleet.live_models == 0
+    assert sim.fleet.materializations == 0
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +100,14 @@ def test_num_samples_answered_without_materialization():
 # ----------------------------------------------------------------------
 
 def test_rebind_exposes_only_the_new_clients_state():
-    sim = _run("none", 1, num_clients=3)
+    sim = _run(3)
     handle = sim.fleet.materialize(0)
     assert handle.client_id == 0
     personal_0 = handle.personal_weights.buffer.copy()
     data_0 = handle.data
 
     rebound = sim.fleet.materialize(1)
-    assert rebound is handle, "capacity-1 pool must reuse the instance"
+    assert rebound is handle, "the fleet must reuse its one instance"
     assert handle.client_id == 1
     # the handle's dataset and personal weights are client 1's now
     shard_1 = sim.shards.shard(1)
@@ -186,8 +120,7 @@ def test_rebind_exposes_only_the_new_clients_state():
 
 
 def test_unbound_rebind_has_no_personal_weights():
-    config = FLConfig(num_clients=3, rounds=1, seed=0,
-                      max_materialized=1)
+    config = FLConfig(num_clients=3, rounds=1, seed=0)
     sim = FederatedSimulation(_split(), _factory, config)
     first = sim.fleet.materialize(0)
     # simulate residue for client 0 only
@@ -203,7 +136,7 @@ def test_unbound_rebind_has_no_personal_weights():
 
 
 def test_registry_rows_survive_pooled_model_mutation():
-    sim = _run("none", 1, num_clients=3)
+    sim = _run(3)
     row = sim.registry.get(2).buffer
     before = row.copy()
     client = sim.fleet.materialize(2)
@@ -283,7 +216,7 @@ def test_client_shards_pack_round_trips():
 # ----------------------------------------------------------------------
 
 def test_fleet_shares_one_eval_model():
-    sim = _run("none", 2, num_clients=3)
+    sim = _run(3)
     assert sim.fleet.eval_model() is sim.fleet.eval_model()
     test = sim.split.nonmembers
     for cid in sim.registry.client_ids():

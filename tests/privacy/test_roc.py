@@ -7,6 +7,35 @@ from repro.privacy.attacks.metrics import roc_auc
 from repro.privacy.attacks.roc import auc_from_curve, roc_curve, tpr_at_fpr
 
 
+def _roc_loop(pos, neg):
+    """The per-threshold loop: the oracle for ``roc_curve``."""
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    thresholds = np.concatenate([[np.inf], thresholds])
+    tpr = np.array([(pos >= t).mean() for t in thresholds])
+    fpr = np.array([(neg >= t).mean() for t in thresholds])
+    return fpr, tpr, thresholds
+
+
+@pytest.mark.parametrize("case", ["continuous", "ties", "infinities",
+                                  "nan", "single"])
+def test_curve_bitwise_matches_loop(rng, case):
+    pos = rng.standard_normal(301) + 0.5
+    neg = rng.standard_normal(277)
+    if case == "ties":
+        pos, neg = np.round(pos), np.round(neg)
+    elif case == "infinities":
+        pos[:5], neg[:3] = np.inf, -np.inf
+        pos[5:7], neg[3:9] = -np.inf, np.inf
+    elif case == "nan":
+        pos[::50], neg[::40] = np.nan, np.nan
+    elif case == "single":
+        pos, neg = pos[:1], neg[:1]
+    for got, want in zip(roc_curve(pos, neg), _roc_loop(pos, neg)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_curve_endpoints(rng):
     pos = rng.standard_normal(50) + 1
     neg = rng.standard_normal(50)

@@ -65,20 +65,17 @@ def test_synthetic_tabular_labels_cover_classes(n, k, seed, noise):
     reason="shm executor needs shared memory + fork")
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([1, 2, 4]),
-       st.sampled_from(["none", "dinar", "sa"]),
-       st.sampled_from([1, 2, 8]))
-def test_shm_parallel_matches_golden_pin(workers, defense,
-                                         max_materialized):
-    """Every (worker count, defense, model-pool bound) lands on the
-    recorded golden trajectory.
+       st.sampled_from(["none", "dinar", "sa"]))
+def test_shm_parallel_matches_golden_pin(workers, defense):
+    """Every (worker count, defense) lands on the recorded golden
+    trajectory.
 
     The pin was recorded on the serial dict-plane path, so matching it
     proves shm-parallel == serial bitwise without re-running serial —
-    the transport, the fan-out width, and the virtual-client pool size
-    are all invisible to the trajectory.
+    the transport and the fan-out width are invisible to the
+    trajectory.
     """
-    vector = simulation_trajectory(defense, workers=workers,
-                                   max_materialized=max_materialized)
+    vector = simulation_trajectory(defense, workers=workers)
     with np.load(_PINS) as pins:
         expected = pins[f"defense/{defense}"]
     assert vector.shape == expected.shape
