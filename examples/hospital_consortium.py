@@ -36,11 +36,11 @@ def main() -> None:
 
     # --- 1 + 2: DINAR initialization with one compromised hospital ---
     print("Phase 1: per-hospital layer-sensitivity analysis + vote")
-    per_hospital = np.array_split(np.arange(len(split.members)),
-                                  NUM_HOSPITALS)
+    members = split.members
+    per_hospital = np.array_split(np.arange(len(members)), NUM_HOSPITALS)
     init = dinar_initialization(
         factory,
-        [split.members.subset(idx) for idx in per_hospital],
+        [members.subset(idx) for idx in per_hospital],
         warmup_epochs=3, lr=0.005, batch_size=64,
         byzantine={4: "equivocate"},  # hospital 4 is compromised
         seed=7)

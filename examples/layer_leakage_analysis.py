@@ -28,19 +28,20 @@ def main(dataset: str = "purchase100") -> None:
     simulation = result.simulation
     model = simulation.global_model()
     split = simulation.split
+    members = split.members
 
     print("measuring per-layer member/non-member divergence...")
     sensitivity = layer_divergences(
-        model, split.members.x, split.members.y,
+        model, members.x, members.y,
         split.nonmembers.x, split.nonmembers.y,
         rng=np.random.default_rng(0), max_samples=200)
 
     rng = np.random.default_rng(1)
-    m_idx = rng.choice(len(split.members), 120, replace=False)
+    m_idx = rng.choice(len(members), 120, replace=False)
     n_idx = rng.choice(len(split.nonmembers),
                        min(120, len(split.nonmembers)), replace=False)
     member_norms = per_example_layer_gradient_norms(
-        model, split.members.x[m_idx], split.members.y[m_idx])
+        model, members.x[m_idx], members.y[m_idx])
     nonmember_norms = per_example_layer_gradient_norms(
         model, split.nonmembers.x[n_idx], split.nonmembers.y[n_idx])
 

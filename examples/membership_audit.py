@@ -45,7 +45,8 @@ def main() -> None:
     split = split_for_membership(population, rng)
 
     print("training the model under audit...")
-    model = train_the_model_under_audit(split.members, rng)
+    members = split.members
+    model = train_the_model_under_audit(members, rng)
 
     def factory(model_rng):
         return build_fcnn(600, 100, model_rng, hidden=(128, 64))
@@ -61,8 +62,8 @@ def main() -> None:
             seed=3).fit(split.attacker),
     }
 
-    idx = rng.choice(len(split.members), 400, replace=False)
-    member_x, member_y = split.members.x[idx], split.members.y[idx]
+    idx = rng.choice(len(members), 400, replace=False)
+    member_x, member_y = members.x[idx], members.y[idx]
     nonmember_x, nonmember_y = split.nonmembers.x, split.nonmembers.y
 
     rows = []

@@ -190,9 +190,9 @@ def _cmd_analyze(args) -> int:
     result = run_experiment(args.dataset, "none", attack="yeom",
                             seed=args.seed)
     simulation = result.simulation
+    members = simulation.split.members
     sensitivity = layer_divergences(
-        simulation.global_model(),
-        simulation.split.members.x, simulation.split.members.y,
+        simulation.global_model(), members.x, members.y,
         simulation.split.nonmembers.x, simulation.split.nonmembers.y,
         rng=np.random.default_rng(args.seed),
         method=args.method)

@@ -67,15 +67,15 @@ class DINARMiddleware:
         """Run initialization on the clients' shards and build the
         defended simulation (not yet run)."""
         rng = np.random.default_rng((self.config.seed, 41))
-        members = split.members
+        source, member_idx = split.source, split.member_idx
         if math.isinf(dirichlet_alpha):
-            shards = partition_iid(len(members), self.config.num_clients,
+            shards = partition_iid(len(member_idx), self.config.num_clients,
                                    rng)
         else:
             shards = partition_dirichlet(
-                members.y, self.config.num_clients, dirichlet_alpha, rng,
-                num_classes=members.num_classes)
-        client_datasets = [members.subset(shard) for shard in shards]
+                source.y[member_idx], self.config.num_clients,
+                dirichlet_alpha, rng, num_classes=source.num_classes)
+        client_datasets = [source.subset(member_idx[s]) for s in shards]
 
         self.initialization = dinar_initialization(
             self.model_factory, client_datasets,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,15 +20,34 @@ from repro.data.synthetic import Dataset
 
 @dataclass
 class MembershipSplit:
-    """The three disjoint pools of the paper's evaluation protocol."""
+    """The paper's three disjoint pools as index arrays over the one
+    loaded dataset.  Only ``nonmembers`` (read whole by every
+    evaluation, a tenth of the data) is built up front; ``members`` and
+    ``attacker`` copy their pool on each access and are not cached."""
 
-    members: Dataset     # used for FL training — the MIA positives
-    nonmembers: Dataset  # held-out test set — the MIA negatives
-    attacker: Dataset    # attacker's prior knowledge (shadow data)
+    source: Dataset
+    member_idx: np.ndarray     # FL training rows — the MIA positives
+    nonmember_idx: np.ndarray  # held-out test rows — the MIA negatives
+    attacker_idx: np.ndarray   # attacker's prior knowledge (shadow data)
+    nonmembers: Dataset = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nonmembers = self.source.subset(
+            self.nonmember_idx, name=f"{self.source.name}/nonmembers")
+
+    @property
+    def members(self) -> Dataset:
+        return self.source.subset(self.member_idx,
+                                  name=f"{self.source.name}/members")
+
+    @property
+    def attacker(self) -> Dataset:
+        return self.source.subset(self.attacker_idx,
+                                  name=f"{self.source.name}/attacker")
 
     @property
     def num_classes(self) -> int:
-        return self.members.num_classes
+        return self.source.num_classes
 
 
 def split_for_membership(dataset: Dataset, rng: np.random.Generator, *,
@@ -44,17 +63,11 @@ def split_for_membership(dataset: Dataset, rng: np.random.Generator, *,
     n = len(dataset)
     order = rng.permutation(n)
     n_attacker = int(n * attacker_fraction)
-    attacker_idx = order[:n_attacker]
     rest = order[n_attacker:]
     n_members = int(len(rest) * train_fraction)
-    return MembershipSplit(
-        members=dataset.subset(rest[:n_members],
-                               name=f"{dataset.name}/members"),
-        nonmembers=dataset.subset(rest[n_members:],
-                                  name=f"{dataset.name}/nonmembers"),
-        attacker=dataset.subset(attacker_idx,
-                                name=f"{dataset.name}/attacker"),
-    )
+    return MembershipSplit(source=dataset, member_idx=rest[:n_members],
+                           nonmember_idx=rest[n_members:],
+                           attacker_idx=order[:n_attacker])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ consumes the generator exactly as before the dtype knob existed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,8 @@ class Dataset:
         Fancy indexing with an index *array* already returns fresh
         arrays, so this is exactly one copy of each — the virtual
         client plane materializes subsets on demand and an extra
-        transient copy here would double its peak.
+        transient copy here would double its peak.  Large pools are
+        therefore kept as indices (``MembershipSplit``), not subsets.
         """
         indices = np.asarray(indices)
         return Dataset(
@@ -90,6 +92,25 @@ def _balanced_labels(rng: np.random.Generator, n_samples: int,
     return labels
 
 
+#: Elements per block of Gaussian noise (1 MiB of float64).
+_NOISE_BLOCK = 1 << 17
+
+
+def _add_noise(rng: np.random.Generator, x: np.ndarray,
+               noise: float) -> None:
+    """``x += noise * rng.standard_normal(x.shape)`` drawn one row block
+    at a time: bitwise equal to one full draw (same values, same
+    generator state after), without the full-size temporary."""
+    rows = x.reshape(len(x), math.prod(x.shape[1:]))
+    step = max(1, _NOISE_BLOCK // rows.shape[1])
+    block = np.empty((min(step, len(rows)), rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        part = block[:min(step, len(rows) - lo)]
+        rng.standard_normal(out=part)
+        part *= noise
+        rows[lo:lo + len(part)] += part
+
+
 def synthetic_tabular(rng: np.random.Generator, n_samples: int,
                       n_features: int, n_classes: int, *,
                       binary: bool = True, noise: float = 0.2,
@@ -111,8 +132,8 @@ def synthetic_tabular(rng: np.random.Generator, n_samples: int,
         x = np.logical_xor(flips, prototypes[y], out=flips)
     else:
         prototypes = rng.standard_normal((n_classes, n_features))
-        x = prototypes[y] + noise * rng.standard_normal(
-            (n_samples, n_features))
+        x = prototypes[y]
+        _add_noise(rng, x, noise)
     return Dataset(name=name, x=x.astype(dtype, copy=False), y=y,
                    num_classes=n_classes, data_type="tabular")
 
@@ -134,8 +155,8 @@ def synthetic_images(rng: np.random.Generator, n_samples: int,
     y = _balanced_labels(rng, n_samples, n_classes)
     low = rng.standard_normal((n_classes, channels, height // 4, width // 4))
     prototypes = np.kron(low, np.ones((1, 1, 4, 4)))
-    x = prototypes[y] + noise * rng.standard_normal(
-        (n_samples, channels, height, width))
+    x = prototypes[y]
+    _add_noise(rng, x, noise)
     return Dataset(name=name, x=x.astype(dtype, copy=False), y=y,
                    num_classes=n_classes, data_type="image")
 
@@ -163,8 +184,6 @@ def synthetic_audio(rng: np.random.Generator, n_samples: int, length: int,
     jitter = rng.uniform(0.8, 1.2, size=(n_samples, 1))
     x = prototypes[y]
     x *= jitter
-    perturbation = rng.standard_normal((n_samples, length))
-    perturbation *= noise
-    x += perturbation
+    _add_noise(rng, x, noise)
     return Dataset(name=name, x=x[:, None, :].astype(dtype, copy=False),
                    y=y, num_classes=n_classes, data_type="audio")

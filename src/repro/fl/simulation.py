@@ -133,15 +133,18 @@ class FederatedSimulation:
         self.traffic_meter = TrafficMeter(network)
         self.rng = np.random.default_rng(config.seed)
 
-        members = split.members
+        source, member_idx = split.source, split.member_idx
         if math.isinf(dirichlet_alpha):
-            shard_list = partition_iid(len(members), config.num_clients,
+            shard_list = partition_iid(len(member_idx), config.num_clients,
                                        self.rng)
         else:
             shard_list = partition_dirichlet(
-                members.y, config.num_clients, dirichlet_alpha, self.rng,
-                num_classes=members.num_classes)
-        self.shards = ClientShards.pack(shard_list)
+                source.y[member_idx], config.num_clients, dirichlet_alpha,
+                self.rng, num_classes=source.num_classes)
+        # Shards are drawn over member positions; one gather on the
+        # packed indices maps them to rows of the one loaded dataset.
+        packed = ClientShards.pack(shard_list)
+        self.shards = ClientShards(member_idx[packed.indices], packed.offsets)
 
         # Virtual-client plane: ONE template model (the eager plane
         # built N identical copies from the same seeded factory), a
@@ -157,8 +160,8 @@ class FederatedSimulation:
                 f"config dtype through to build_model")
         self.registry = PersonalWeightsRegistry(self._layout)
         self.fleet = VirtualClientFleet(
-            members, self.shards, template, config, self.defense,
-            registry=self.registry)
+            source, self.shards, template, config, self.defense,
+            registry=self.registry, name=f"{source.name}/members")
         self.clients = self.fleet
         self.server = FLServer(
             initial_weights=template.get_store(),

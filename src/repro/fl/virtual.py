@@ -12,7 +12,7 @@ This module replaces live objects with three small pieces:
 * :class:`ClientDescriptor` — what a client *is* when idle: an id, a
   zero-copy shard view into the fleet's packed
   :class:`~repro.data.partition.ClientShards`, a sample count and the
-  shared member pool to materialize from.  Descriptors are created on
+  shared dataset its shard indexes.  Descriptors are created on
   demand and garbage-collected freely.
 * :class:`PersonalWeightsRegistry` — the per-client *residue* that must
   outlive materialization: personalized weights (§4.3 prediction
@@ -36,7 +36,7 @@ Bitwise rules (why one reused model cannot change a trajectory):
 * all randomness draws from dedicated per-cell SeedSequence streams
   (``fl.executor.round_rng`` and friends), never from shared
   generators, so materialization *order* is free;
-* shard subsets are pure functions of (members, shard indices), so
+* shard subsets are pure functions of (source, shard indices), so
   lazy materialization yields the exact arrays the eager copies held;
 * evaluation-mode predictions depend only on the weights loaded into
   the eval model, so one shared eval model serves every client.
@@ -73,7 +73,7 @@ class ClientDescriptor:
     #: Zero-copy view into the fleet's packed shard indices.
     shard: np.ndarray
     num_samples: int
-    #: The shared member pool every shard indexes into.
+    #: The loaded dataset every shard indexes into (no copied pool).
     source: Dataset
     name: str
 
@@ -190,13 +190,15 @@ class VirtualClientFleet:
     counts ``materializations`` (descriptor binds) for the cost plane.
     """
 
-    def __init__(self, members: Dataset, shards: ClientShards,
+    def __init__(self, source: Dataset, shards: ClientShards,
                  template: Model, config: FLConfig, defense: Defense, *,
-                 registry: PersonalWeightsRegistry | None = None) -> None:
+                 registry: PersonalWeightsRegistry | None = None,
+                 name: str | None = None) -> None:
         if len(shards) != config.num_clients:
             raise ValueError(
                 f"{len(shards)} shards for {config.num_clients} clients")
-        self.members = members
+        self.source = source
+        self.name = name or source.name  # client i is "<name>/client<i>"
         self.shards = shards
         self.config = config
         self.defense = defense
@@ -220,8 +222,8 @@ class VirtualClientFleet:
             client_id=client_id,
             shard=self.shards.shard(client_id),
             num_samples=self.shards.num_samples(client_id),
-            source=self.members,
-            name=f"{self.members.name}/client{client_id}",
+            source=self.source,
+            name=f"{self.name}/client{client_id}",
         )
 
     def dataset(self, client_id: int) -> Dataset:

@@ -65,11 +65,13 @@ def global_model_auc(attack, simulation, *, max_samples: int = 500,
     """
     rng = rng or np.random.default_rng(0)
     model = simulation.global_model()
-    members = simulation.split.members
-    nonmembers = simulation.split.nonmembers
-    m_idx = _sample(rng, len(members), max_samples)
+    split = simulation.split
+    nonmembers = split.nonmembers
+    m_idx = _sample(rng, len(split.member_idx), max_samples)
     n_idx = _sample(rng, len(nonmembers), max_samples)
-    m_scores = attack.score(model, members.x[m_idx], members.y[m_idx])
+    # gather only the sampled member rows, never the whole member pool
+    rows = split.member_idx[m_idx]
+    m_scores = attack.score(model, split.source.x[rows], split.source.y[rows])
     n_scores = attack.score(model, nonmembers.x[n_idx], nonmembers.y[n_idx])
     return attack_auc(m_scores, n_scores)
 

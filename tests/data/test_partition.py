@@ -1,6 +1,7 @@
 """Membership split and FL partitioning tests (§5.1, §5.3, §5.8)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,47 @@ class TestMembershipSplit:
         a = split_for_membership(tiny_dataset, np.random.default_rng(1))
         b = split_for_membership(tiny_dataset, np.random.default_rng(1))
         assert np.array_equal(a.members.x, b.members.x)
+
+    def test_pools_equal_copies_of_the_permutation_slices(self):
+        # The split holds index arrays over the one dataset; each pool
+        # it builds must equal, byte for byte and by name, the copy
+        # made from the same slices of the same permutation.
+        ds = synthetic_tabular(np.random.default_rng(2), 1000, 10, 4,
+                               name="ds")
+        split = split_for_membership(ds, np.random.default_rng(5))
+        order = np.random.default_rng(5).permutation(len(ds))
+        expected = {
+            "attacker": ds.subset(order[:500], name="ds/attacker"),
+            "members": ds.subset(order[500:900], name="ds/members"),
+            "nonmembers": ds.subset(order[900:], name="ds/nonmembers"),
+        }
+        for pool, want in expected.items():
+            got = getattr(split, pool)
+            assert got.name == want.name
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+            assert got.num_classes == want.num_classes
+        assert split.source is ds
+
+    def test_member_and_attacker_pools_are_built_per_access(self, rng):
+        ds = synthetic_tabular(rng, 200, 10, 4)
+        split = split_for_membership(ds, rng)
+        assert split.members is not split.members
+        assert split.attacker is not split.attacker
+        assert split.nonmembers is split.nonmembers
+
+    def test_split_copies_only_the_nonmember_pool(self):
+        ds = synthetic_tabular(np.random.default_rng(0), 4000, 50, 4,
+                               binary=False)
+        tracemalloc.start()
+        try:
+            split_for_membership(ds, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the non-member pool is a tenth of the data; the copying
+        # split allocated the whole feature matrix again
+        assert peak < 0.15 * ds.x.nbytes
 
 
 class TestIIDPartition:

@@ -1,8 +1,11 @@
 """Synthetic generator tests: shapes, determinism, noise semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.data import load_dataset, synthetic
 from repro.data.synthetic import (
     Dataset,
     synthetic_audio,
@@ -110,3 +113,50 @@ class TestAudio:
         a = synthetic_audio(np.random.default_rng(5), 20, 128, 3)
         b = synthetic_audio(np.random.default_rng(5), 20, 128, 3)
         assert np.array_equal(a.x, b.x)
+
+
+class TestBlockNoise:
+    """Noise is drawn in row blocks, bitwise equal to one full draw."""
+
+    GENERATORS = {
+        "tabular": lambda rng, dtype: synthetic_tabular(
+            rng, 300, 50, 4, binary=False, dtype=dtype),
+        "images": lambda rng, dtype: synthetic_images(
+            rng, 40, (3, 8, 8), 4, dtype=dtype),
+        "audio": lambda rng, dtype: synthetic_audio(
+            rng, 70, 64, 4, dtype=dtype),
+    }
+
+    @staticmethod
+    def _full_draw(rng, x, noise):
+        # the oracle: one full-size perturbation array beside x
+        x += noise * rng.standard_normal(x.shape)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_equals_full_size_draw(self, monkeypatch, kind, dtype):
+        make = self.GENERATORS[kind]
+        # 1000 elements split every generator into several blocks with
+        # a ragged last block
+        monkeypatch.setattr(synthetic, "_NOISE_BLOCK", 1000)
+        rng = np.random.default_rng(7)
+        blocked = make(rng, dtype)
+        blocked_next = rng.random(4)
+        monkeypatch.setattr(synthetic, "_add_noise", self._full_draw)
+        rng = np.random.default_rng(7)
+        full = make(rng, dtype)
+        assert blocked.x.dtype == full.x.dtype == np.dtype(dtype)
+        assert blocked.x.tobytes() == full.x.tobytes()
+        assert blocked.y.tobytes() == full.y.tobytes()
+        # the generator is left in the same state
+        assert blocked_next.tobytes() == rng.random(4).tobytes()
+
+    def test_load_peaks_near_the_feature_matrix(self):
+        tracemalloc.start()
+        try:
+            ds = load_dataset("speech_commands", 0, n_samples=30000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a full-size perturbation array beside x peaks at about 2x
+        assert peak < 1.3 * ds.x.nbytes

@@ -1,14 +1,22 @@
 """Federated simulation orchestrator tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.data.partition import split_for_membership
+from repro.data import load_dataset
+from repro.data.partition import (
+    partition_dirichlet,
+    partition_iid,
+    split_for_membership,
+)
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
+from repro.nn.layers import Dense
+from repro.nn.model import Model
 from repro.privacy.defenses.base import Defense
 
 
@@ -130,3 +138,48 @@ class TestSimulation:
         assert report.client_train_rounds == 6  # 3 clients x 2 rounds
         assert report.server_rounds == 2
         assert report.train_seconds_per_round > 0
+
+
+class TestOneCopyOfTheData:
+    """Shards index the loaded dataset; no member pool is copied."""
+
+    @pytest.mark.parametrize("alpha", [math.inf, 0.5])
+    def test_clients_get_the_member_pool_subsets(self, small_split,
+                                                 tiny_model_factory, alpha):
+        sim = FederatedSimulation(
+            small_split, tiny_model_factory,
+            FLConfig(num_clients=4, rounds=1, seed=3), None,
+            dirichlet_alpha=alpha)
+        # the simulation's first draw partitions the member positions
+        rng = np.random.default_rng(3)
+        members = small_split.members
+        if math.isinf(alpha):
+            local = partition_iid(len(members), 4, rng)
+        else:
+            local = partition_dirichlet(members.y, 4, alpha, rng,
+                                        num_classes=members.num_classes)
+        name = small_split.source.name
+        for client_id, shard in enumerate(local):
+            want = members.subset(shard)
+            got = sim.client_dataset(client_id)
+            assert got.name == f"{name}/members/client{client_id}"
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+
+    def test_split_and_init_do_not_copy_the_data(self):
+        dataset = load_dataset("purchase100", 0, n_samples=6000)
+
+        def factory(rng):
+            return Model([Dense(dataset.x.shape[1], 8, rng),
+                          Dense(8, dataset.num_classes, rng)], rng=rng)
+
+        tracemalloc.start()
+        try:
+            split = split_for_membership(dataset, np.random.default_rng(1))
+            FederatedSimulation(split, factory,
+                                FLConfig(num_clients=10, rounds=1, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copying split alone allocates the whole feature matrix
+        assert peak < 0.25 * dataset.x.nbytes

@@ -112,7 +112,7 @@ def test_rebind_exposes_only_the_new_clients_state():
     # the handle's dataset and personal weights are client 1's now
     shard_1 = sim.shards.shard(1)
     np.testing.assert_array_equal(handle.data.y,
-                                  sim.split.members.y[shard_1])
+                                  sim.split.source.y[shard_1])
     assert not np.array_equal(handle.personal_weights.buffer, personal_0)
     assert handle.data is not data_0
     # ...and client 0's residue is untouched in the registry
