@@ -7,10 +7,10 @@ Byzantine-robust aggregation.
 Two reduction shapes coexist:
 
 * **Streaming** (:class:`StreamingAccumulator`) — the fleet-plane
-  default: each arriving flat update is folded into chunked partial
-  sums in client-arrival order, so aggregation-side memory is constant
-  in cohort size (one bounded staging block plus one partial vector).
-  This is what lets a round sample thousands-to-millions of clients.
+  default: each arriving flat update is folded into one partial vector
+  in client-arrival order, so aggregation-side memory is constant in
+  cohort size (the partial vector plus a two-row chunk scratch).  This
+  is what lets a round sample thousands-to-millions of clients.
 * **Dense** (:class:`UpdateBatch` + the rule functions below) — a
   ``(num_clients, num_params)`` matrix, retained only for rules that
   genuinely need every client row materialized at once (order
@@ -32,12 +32,11 @@ than cache).  einsum may contract each multiply-add as a fused FMA,
 whose deferred rounding can shift individual coordinates by 1 ULP
 relative to the reference's separate multiply-then-add — agreement is
 therefore ULP-level, not bitwise (see the property tests).  The
-streaming accumulator flushes blocks through the *same* einsum with
-the running partial carried as an extra coefficient-1.0 row, which
-continues the identical sequential accumulation chain — so streaming
-and dense reductions agree to the same envelope (bitwise on builds
-whose einsum accumulates strictly in order, which the fleet benchmark
-verifies).
+streaming accumulator folds each update through the *same* einsum with
+the running partial carried as a coefficient-1.0 row, which continues
+the identical sequential accumulation chain — so streaming and dense
+reductions agree to the same envelope (bitwise on builds whose einsum
+accumulates strictly in order, which the accumulator tests verify).
 """
 
 from __future__ import annotations
@@ -52,13 +51,6 @@ from repro.nn.store import Layout, WeightStore
 #: keeps each partial reduction's working set cache-resident; 64k
 #: float64 columns was the empirical sweet spot on CPU.
 REDUCE_CHUNK = 65536
-
-#: Client rows the streaming accumulator stages before flushing a
-#: block through the chunked einsum.  Any cohort up to this size is
-#: reduced in literally one dense einsum call (bitwise identical to
-#: the pre-fleet dense path); larger cohorts chain blocks through the
-#: carry row.  64 rows keeps staging memory at 64 x num_params.
-STREAM_BLOCK = 64
 
 #: Default ceiling on the clients a dense :class:`UpdateBatch` will
 #: materialize.  Dense memory is O(clients x params); rules that need
@@ -212,20 +204,22 @@ def _weighted_colsum(matrix: np.ndarray, coeffs: np.ndarray,
 
 
 class StreamingAccumulator:
-    """Folds arriving flat updates into constant-memory partial sums.
+    """Folds arriving flat updates into one partial vector.
 
-    The fleet-plane reduction: each :meth:`fold` copies one update into
-    a bounded staging block; a full block is flushed through the same
-    chunked einsum the dense path uses, with the running partial carried
-    into the next flush as an extra coefficient-1.0 row.  Because einsum
-    accumulates the client axis sequentially, the carry row *continues*
-    the dense reduction's accumulation chain rather than starting a new
-    one — a cohort of any size folds to the same value the one-shot
-    dense einsum produces (bitwise wherever einsum's accumulation is
-    strictly in-order; never worse than the documented ULP envelope).
+    The fleet-plane reduction: the first :meth:`fold` reduces its single
+    row through the chunked einsum the dense path uses; every later fold
+    is one carried step, ``[partial, update]`` weighted ``[1.0, c]``
+    through the same einsum, column chunk by column chunk.  Because
+    einsum accumulates the client axis sequentially, the carried row
+    *continues* the dense reduction's accumulation chain rather than
+    starting a new one — a cohort of any size folds to the same value
+    the one-shot dense einsum produces (bitwise wherever einsum's
+    accumulation is strictly in-order; never worse than the documented
+    ULP envelope).
 
-    Memory is ``(block + 1) x num_params`` staging plus one partial
-    vector — independent of how many clients fold.
+    Memory is one partial vector plus a reused two-row chunk scratch —
+    independent of how many clients fold.  The scratch keeps einsum's
+    output disjoint from its inputs.
 
     Weighting has two modes, chosen per :meth:`reset`:
 
@@ -241,18 +235,10 @@ class StreamingAccumulator:
       extra rounding that late normalization costs).
     """
 
-    def __init__(self, layout: Layout, *,
-                 block: int = STREAM_BLOCK) -> None:
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
+    def __init__(self, layout: Layout) -> None:
         self.layout = layout
-        self.block = block
-        # Row 0 is reserved for the carried partial (coefficient 1.0);
-        # client rows stage at 1..block.
-        self._stage = np.empty((block + 1, layout.num_params),
-                               dtype=layout.dtype)
-        self._coeffs = np.empty(block + 1, dtype=np.float64)
-        self._coeffs[0] = 1.0
+        self._scratch = np.empty(
+            (2, min(REDUCE_CHUNK, layout.num_params)), dtype=layout.dtype)
         self._partial = np.empty(layout.num_params, dtype=layout.dtype)
         self.reset()
 
@@ -262,10 +248,8 @@ class StreamingAccumulator:
             raise ValueError(
                 f"total weight must be positive, got {total_weight}")
         self._total = None if total_weight is None else float(total_weight)
-        self._staged = 0
         self._count = 0
         self._weight_sum = 0.0
-        self._flushed = False
 
     @property
     def count(self) -> int:
@@ -280,39 +264,26 @@ class StreamingAccumulator:
     @property
     def nbytes(self) -> int:
         """Bytes the accumulator holds — constant in clients folded."""
-        return (self._stage.nbytes + self._coeffs.nbytes
-                + self._partial.nbytes)
+        return self._scratch.nbytes + self._partial.nbytes
 
     def fold(self, update: WeightStore, weight: float = 1.0) -> None:
         """Fold one arriving client update with its mixing weight."""
-        if self._staged == self.block:
-            self._flush()
-        row = 1 + self._staged
-        self._stage[row] = _row(update, self.layout)
-        self._coeffs[row] = weight if self._total is None \
-            else weight / self._total
-        self._staged += 1
+        row = _row(update, self.layout)
+        coeff = weight if self._total is None else weight / self._total
+        if self._count == 0:
+            _weighted_colsum(row[None], [coeff], out=self._partial)
+        else:
+            coeffs = np.array([1.0, coeff], dtype=self.layout.dtype)
+            num_params = self.layout.num_params
+            for lo in range(0, num_params, REDUCE_CHUNK):
+                hi = min(lo + REDUCE_CHUNK, num_params)
+                pair = self._scratch[:, :hi - lo]
+                pair[0] = self._partial[lo:hi]
+                pair[1] = row[lo:hi]
+                np.einsum("i,ip->p", coeffs, pair,
+                          out=self._partial[lo:hi])
         self._count += 1
         self._weight_sum += weight
-
-    def _flush(self) -> None:
-        """Reduce the staged block into the partial vector."""
-        k = self._staged
-        if k == 0:
-            return
-        if self._flushed:
-            # Carry the running partial as row 0 (coefficient 1.0):
-            # einsum's sequential accumulation then continues the
-            # previous flush's chain.  The copy keeps einsum's output
-            # buffer disjoint from its inputs.
-            self._stage[0] = self._partial
-            _weighted_colsum(self._stage[:1 + k], self._coeffs[:1 + k],
-                             out=self._partial)
-        else:
-            _weighted_colsum(self._stage[1:1 + k], self._coeffs[1:1 + k],
-                             out=self._partial)
-        self._flushed = True
-        self._staged = 0
 
     def drain(self) -> WeightStore:
         """Finalize the reduction over everything folded so far.
@@ -324,7 +295,6 @@ class StreamingAccumulator:
         """
         if self._count == 0:
             raise ValueError("cannot aggregate zero updates")
-        self._flush()
         return WeightStore(self.layout, self._partial.copy())
 
 

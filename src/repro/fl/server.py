@@ -2,11 +2,12 @@
 
 Store-native and fleet-ready: the global model lives as a
 :class:`~repro.nn.store.WeightStore`, and :meth:`FLServer.aggregate`
-consumes an **iterator** of client updates, folding each arrival into a
-constant-memory :class:`~repro.fl.aggregation.StreamingAccumulator` the
-moment it lands.  Aggregation-side memory is therefore independent of
-cohort size — the property that makes fleet-scale rounds (thousands of
-sampled clients) possible.
+consumes an **iterator** of client updates, folding each arrival into
+the one partial vector of a
+:class:`~repro.fl.aggregation.StreamingAccumulator` the moment it lands;
+the accumulator keeps no copy of the update.  Aggregation-side memory
+is therefore independent of cohort size — the property that makes
+fleet-scale rounds (thousands of sampled clients) possible.
 
 Cohort selection is two-staged: ``clients_per_round`` picks the
 candidate pool (the pre-fleet behavior, drawn from the server RNG so

@@ -4,8 +4,8 @@ dropout, and straggler-tolerant round closing.
 The two invariants these tests defend:
 
 * **Exactness** — the streaming accumulator reproduces the dense
-  reductions (single-block folds are literally the same einsum call;
-  multi-block folds continue the same accumulation chain), and fleet
+  reductions (each fold carries the partial into the same einsum and
+  continues the dense accumulation chain), and fleet
   knobs at their defaults reproduce the pre-fleet trajectories bitwise.
 * **Determinism** — cohort sub-sampling, dropout and round closing are
   pure functions of ``(seed, round, client)``, so serial and parallel
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.aggregation import (
     DENSE_CLIENT_CAP,
+    REDUCE_CHUNK,
     StreamingAccumulator,
     UpdateBatch,
     fedavg,
@@ -45,11 +47,11 @@ from repro.privacy.defenses.secure_aggregation import SecureAggregation
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def _random_stores(rng, n, num_params=37):
+def _random_stores(rng, n, num_params=37, dtype=np.float64):
     layout = Layout.from_layers(
-        [{"W": np.zeros(num_params, dtype=np.float64)}])
+        [{"W": np.zeros(num_params, dtype=dtype)}])
     stores = [
-        WeightStore(layout, rng.standard_normal(num_params))
+        WeightStore(layout, rng.standard_normal(num_params).astype(dtype))
         for _ in range(n)
     ]
     return stores, layout
@@ -68,26 +70,45 @@ def _updates_from(stores, num_samples):
 # ----------------------------------------------------------------------
 
 class TestStreamingAccumulator:
-    @pytest.mark.parametrize("n,block", [(3, 64), (13, 4), (64, 64),
-                                         (65, 64), (200, 64)])
-    def test_fedavg_bitwise(self, rng, n, block):
-        """Known-total folds equal the one-shot dense FedAvg einsum."""
-        stores, layout = _random_stores(rng, n)
-        num_samples = [int(k) for k in rng.integers(1, 50, size=n)]
-        dense = fedavg(stores, num_samples)
-        acc = StreamingAccumulator(layout, block=block)
+    @staticmethod
+    def _streamed_fedavg(stores, layout, num_samples):
+        acc = StreamingAccumulator(layout)
         acc.reset(total_weight=float(sum(num_samples)))
         for store, k in zip(stores, num_samples):
             acc.fold(store, weight=float(k))
-        streamed = acc.drain()
+        return acc.drain()
+
+    # The second parameter is the update width: narrow, default and
+    # wide rows all slice the two-row chunk scratch differently.
+    @pytest.mark.parametrize("n,num_params", [
+        (1, 37), (3, 64), (13, 4), (64, 64), (65, 64), (200, 64),
+        (40, REDUCE_CHUNK + 123)])
+    def test_fedavg_bitwise(self, rng, n, num_params):
+        """Known-total folds equal the one-shot dense FedAvg einsum."""
+        stores, layout = _random_stores(rng, n, num_params)
+        num_samples = [int(k) for k in rng.integers(1, 50, size=n)]
+        dense = fedavg(stores, num_samples)
+        streamed = self._streamed_fedavg(stores, layout, num_samples)
         assert np.array_equal(streamed.buffer, dense.buffer)
 
-    @pytest.mark.parametrize("n,block", [(5, 64), (30, 8)])
-    def test_sum_mode_bitwise(self, rng, n, block):
+    @pytest.mark.parametrize("n,num_params", [
+        (1, 37), (3, 37), (13, 37), (64, 37), (65, 37), (200, 37),
+        (40, REDUCE_CHUNK + 123)])
+    def test_fedavg_bitwise_float32(self, rng, n, num_params):
+        """A float32 layout folds in float32, bitwise equal to dense."""
+        stores, layout = _random_stores(rng, n, num_params, np.float32)
+        num_samples = [int(k) for k in rng.integers(1, 50, size=n)]
+        dense = fedavg(stores, num_samples)
+        streamed = self._streamed_fedavg(stores, layout, num_samples)
+        assert streamed.buffer.dtype == np.float32
+        assert np.array_equal(streamed.buffer, dense.buffer)
+
+    @pytest.mark.parametrize("n,num_params", [(5, 64), (30, 8)])
+    def test_sum_mode_bitwise(self, rng, n, num_params):
         """Unit-weight folds without a total equal sum_updates."""
-        stores, layout = _random_stores(rng, n)
+        stores, layout = _random_stores(rng, n, num_params)
         dense = sum_updates(stores)
-        acc = StreamingAccumulator(layout, block=block)
+        acc = StreamingAccumulator(layout)
         acc.reset()
         for store in stores:
             acc.fold(store)
@@ -98,7 +119,7 @@ class TestStreamingAccumulator:
         """weight_sum normalization lands within the ULP envelope."""
         stores, layout = _random_stores(rng, 9)
         num_samples = [int(k) for k in rng.integers(1, 20, size=9)]
-        acc = StreamingAccumulator(layout, block=4)
+        acc = StreamingAccumulator(layout)
         acc.reset()
         for store, k in zip(stores, num_samples):
             acc.fold(store, weight=float(k))
@@ -119,14 +140,9 @@ class TestStreamingAccumulator:
         with pytest.raises(ValueError, match="total weight"):
             acc.reset(total_weight=0.0)
 
-    def test_bad_block_rejected(self, rng):
-        _, layout = _random_stores(rng, 1)
-        with pytest.raises(ValueError, match="block"):
-            StreamingAccumulator(layout, block=0)
-
     def test_reset_reuses_across_rounds(self, rng):
         stores, layout = _random_stores(rng, 6)
-        acc = StreamingAccumulator(layout, block=2)
+        acc = StreamingAccumulator(layout)
         for _ in range(3):
             acc.reset(total_weight=6.0)
             for store in stores:
@@ -139,13 +155,38 @@ class TestStreamingAccumulator:
     def test_memory_constant_in_clients(self, rng):
         """nbytes never moves, no matter how many clients fold."""
         stores, layout = _random_stores(rng, 1)
-        acc = StreamingAccumulator(layout, block=8)
+        acc = StreamingAccumulator(layout)
         acc.reset()
         before = acc.nbytes
         for _ in range(500):
             acc.fold(stores[0])
         assert acc.nbytes == before
         assert acc.count == 500
+
+    @pytest.mark.parametrize("num_params", [37, REDUCE_CHUNK + 123])
+    def test_nbytes_is_scratch_plus_partial(self, rng, num_params):
+        """Two chunk-wide scratch rows plus one partial vector."""
+        _, layout = _random_stores(rng, 1, num_params)
+        bound = (2 * min(REDUCE_CHUNK, num_params) + num_params) * 8
+        assert StreamingAccumulator(layout).nbytes <= bound
+
+    def test_fold_and_drain_peak_below_three_rows(self, rng):
+        """Folding arriving updates copies none of them: a 10-client
+        round on the 226k-param FCNN peaks at the partial vector, the
+        chunk scratch and the drained copy."""
+        stores, layout = _random_stores(rng, 10, 226_340)
+        row_bytes = layout.num_params * 8
+        tracemalloc.start()
+        try:
+            acc = StreamingAccumulator(layout)
+            acc.reset(total_weight=10.0)
+            for store in stores:
+                acc.fold(store, weight=1.0)
+            acc.drain()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * row_bytes, f"{peak / row_bytes:.2f} rows"
 
     def test_rejects_foreign_layout(self, rng):
         stores, layout = _random_stores(rng, 1)
