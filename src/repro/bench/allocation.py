@@ -79,9 +79,6 @@ def measure_train_step(model: Model, x: np.ndarray, y: np.ndarray,
     in place and only per-step churn is measured.
     """
     workspace = model.workspace
-    attach = getattr(loss, "attach_workspace", None)
-    if attach is not None:
-        attach(workspace)
 
     tracemalloc.start()
     try:
@@ -105,7 +102,7 @@ def measure_train_step(model: Model, x: np.ndarray, y: np.ndarray,
             activation = layer.forward(activation, training=True,
                                        workspace=workspace)
             boundary(activation)
-        boundary(loss.forward(activation, y))
+        boundary(loss.forward(activation, y, workspace=workspace))
         grad = loss.backward()
         boundary(grad)
         for layer in reversed(model.layers):

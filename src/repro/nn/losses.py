@@ -5,11 +5,12 @@ and a ``per_example`` view — per-sample losses are the raw material of
 membership inference (Fig. 3's loss distributions, the Yeom attack, and
 the attack-feature extraction all consume them).
 
-A loss can borrow a model's :class:`~repro.nn.workspace.Workspace` (the
-train-step driver attaches it before ``forward``): the softmax /
-cross-entropy temporaries then live in reusable arena buffers.  The
-workspace path computes log-softmax once and derives the probabilities
-as ``exp(log_softmax)`` — exactly how the plain path defines
+``forward`` can borrow a model's :class:`~repro.nn.workspace.Workspace`
+(``Model.loss_and_grad`` passes its own): the softmax / cross-entropy
+temporaries then live in arena buffers owned by the loss's class,
+shared by its instances and across batch lengths.  The workspace path
+computes log-softmax once and derives the probabilities as
+``exp(log_softmax)`` — exactly how the plain path defines
 :func:`softmax` — so results are bitwise identical either way.
 """
 
@@ -38,25 +39,14 @@ class Loss:
     #: :attr:`repro.nn.layers.Layer._ephemeral`.
     _ephemeral: tuple[str, ...] = ()
 
-    def __init__(self) -> None:
-        self._ws: Workspace | None = None
-
-    def attach_workspace(self, workspace: Workspace | None) -> None:
-        """Borrow a model's scratch arena (or detach with ``None``)."""
-        self._ws = workspace
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_ws", None)
         for key in self._ephemeral:
             state.pop(key, None)
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ws = None
-
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, logits: np.ndarray, targets: np.ndarray, *,
+                workspace: Workspace | None = None) -> float:
         raise NotImplementedError
 
     def backward(self) -> np.ndarray:
@@ -87,26 +77,27 @@ class SoftmaxCrossEntropy(Loss):
             arr = cache[n] = np.arange(n)
         return arr
 
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, logits: np.ndarray, targets: np.ndarray, *,
+                workspace: Workspace | None = None) -> float:
         n = len(targets)
         self._targets = targets
-        ws = getattr(self, "_ws", None)
-        if ws is None:
+        if workspace is None:
             self._probs = softmax(logits)
             self._probs_in_arena = False
             logp = log_softmax(logits)
             return float(-logp[self._arange(n), targets].mean())
-        m = ws.request(self, "max", logits.shape[:-1] + (1,), logits.dtype)
+        ws, owner = workspace, type(self)
+        m = ws.request(owner, "max", logits.shape[:-1] + (1,), logits.dtype)
         logits.max(axis=-1, keepdims=True, out=m)
-        logp = ws.request(self, "logp", logits.shape, logits.dtype)
+        logp = ws.request(owner, "logp", logits.shape, logits.dtype)
         np.subtract(logits, m, out=logp)
-        expd = ws.request(self, "exp", logits.shape, logits.dtype)
+        expd = ws.request(owner, "exp", logits.shape, logits.dtype)
         np.exp(logp, out=expd)
-        s = ws.request(self, "sum", logits.shape[:-1] + (1,), logits.dtype)
+        s = ws.request(owner, "sum", logits.shape[:-1] + (1,), logits.dtype)
         expd.sum(axis=-1, keepdims=True, out=s)
         np.log(s, out=s)
         np.subtract(logp, s, out=logp)
-        probs = ws.request(self, "probs", logits.shape, logits.dtype)
+        probs = ws.request(owner, "probs", logits.shape, logits.dtype)
         np.exp(logp, out=probs)
         self._probs = probs
         self._probs_in_arena = True
@@ -134,7 +125,8 @@ class MSELoss(Loss):
 
     _ephemeral = ("_diff",)
 
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, logits: np.ndarray, targets: np.ndarray, *,
+                workspace: Workspace | None = None) -> float:
         self._diff = logits - targets
         return float((self._diff ** 2).mean())
 

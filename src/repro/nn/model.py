@@ -166,9 +166,9 @@ class Model:
         """Logits for one batch.
 
         With the workspace enabled the returned array is an arena
-        buffer: valid until the next forward pass, after which it is
-        overwritten in place.  Callers that hold results across batches
-        must copy (as :meth:`predict_logits` does).
+        buffer (or a prefix of one), overwritten in place by the next
+        forward pass of any batch length.  Callers that hold results
+        across batches must copy (as :meth:`predict_logits` does).
         """
         ws = self._workspace
         for layer in self.layers:
@@ -187,11 +187,8 @@ class Model:
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray,
                       loss: Loss) -> float:
         """One forward + backward pass; layer ``grads`` are left populated."""
-        attach = getattr(loss, "attach_workspace", None)
-        if attach is not None:
-            attach(self._workspace)
         logits = self.forward(x, training=True)
-        value = loss.forward(logits, y)
+        value = loss.forward(logits, y, workspace=self._workspace)
         self.backward(loss.backward())
         return value
 

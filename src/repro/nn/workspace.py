@@ -6,8 +6,8 @@ activation masks, batch-norm centered/normalized arrays, `_col2im`
 scatter targets, softmax/cross-entropy temporaries.  The
 :class:`Workspace` arena makes those allocations one-time: each scratch
 array is requested by ``(layer index, role, shape, dtype)``, sized
-lazily on first use, and handed back — the *same* buffer — on every
-later batch with the same key.
+lazily on first use, and handed back — the *same* buffer, or a
+leading-axis prefix of it — on every later batch.
 
 This mirrors how the ``WeightStore`` made the weight plane one buffer:
 the workspace makes the *scratch* plane a fixed set of buffers.  The
@@ -18,24 +18,32 @@ are bitwise identical with and without a workspace.
 Keying rules
 ------------
 
-* **owner** — the requesting layer (or loss) object.  Owners are
-  interned to a small integer index in first-use order, so two layers
-  with identical shapes never share a buffer, and composite layers
-  (residual blocks) can let each sublayer request its own scratch.
+* **owner** — the requesting layer, or a loss's *class* (one
+  forward/backward runs per model at a time, so every loss instance
+  shares one buffer set).  Owners are interned to a small integer
+  index in first-use order, so two layers with identical shapes never
+  share a buffer.
 * **role** — a short string naming the buffer's job (``"cols"``,
-  ``"out"``, ``"mask"``, ...), distinguishing the several live scratch
-  arrays one layer needs within a single forward/backward pair.
-* **shape / dtype** — part of the key, not a constraint to check:
-  a *partial final batch* simply resolves to different keys and gets
-  its own (smaller) buffers instead of corrupting the cached
-  full-batch ones.  In steady state an epoch touches at most two batch
-  shapes, so the arena stays bounded.
+  ``"out"``, ``"mask"``, ...) within one forward/backward pair.
+* **trailing shape / dtype** — the key holds ``shape[1:]``; the
+  leading (batch) axis is capacity.  A shorter request gets
+  ``buffer[:n]``, a longer one reallocates (a miss, reported
+  ``fresh``).  A C-contiguous prefix keeps its strides and base, so a
+  partial batch computes bitwise as its own buffer would, and padding
+  borders on trailing axes stay intact.  ``Layer._scratch_like``
+  requests in memory order, so a batch axis not first in memory stays
+  in the trailing key and never shares.
 
 Lifecycle and fork semantics
 ----------------------------
 
 A workspace belongs to exactly one :class:`~repro.nn.model.Model` and
-is **process-local**: it is excluded from model pickling (a fresh empty
+dies with it: losses receive it as a ``forward`` argument and keep no
+handle, so no cycle runs through it and refcounting frees it (and the
+layers and flat-buffer views it holds) as soon as the model is
+dropped.  An array a forward returns is valid only until the next
+request for its key, of any batch length.  A workspace is
+**process-local**: it is excluded from model pickling (a fresh empty
 arena is rebuilt on unpickle and on :meth:`Model.clone`), never appears
 in defense ``export_state`` payloads, checkpoints, or executor
 task/result messages, and attempting to pickle one directly raises
@@ -53,7 +61,8 @@ __all__ = ["Workspace"]
 
 class Workspace:
     """Arena of reusable scratch buffers keyed by
-    ``(owner index, role, shape, dtype)``."""
+    ``(owner index, role, trailing shape, dtype)``, with the leading
+    axis as capacity."""
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
@@ -80,10 +89,11 @@ class Workspace:
 
     def request(self, owner: object, role: str, shape: tuple[int, ...],
                 dtype: np.dtype | type | str) -> np.ndarray:
-        """The scratch buffer for one ``(owner, role, shape, dtype)`` key.
+        """Scratch of ``shape`` for one ``(owner, role, dtype)``: the held
+        buffer, or its ``[:shape[0]]`` prefix.
 
-        Contents are **unspecified** (uninitialized on a miss, the
-        previous batch's values on a hit): the caller must fully
+        Contents are **unspecified** (uninitialized on a miss, an
+        earlier batch's values on a hit): the caller must fully
         overwrite the buffer before reading it.  Use :meth:`zeros` for
         scatter-add targets that rely on a zeroed start.
         """
@@ -96,15 +106,17 @@ class Workspace:
         freshly allocated.  Lets callers run one-time initialization
         (e.g. zeroing a padded image's constant border) only on a miss.
         """
-        key = (self.owner_index(owner), role, tuple(shape), np.dtype(dtype))
+        shape = tuple(shape)
+        key = (self.owner_index(owner), role, shape[1:], np.dtype(dtype))
         buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(key[2], dtype=key[3])
+        if buffer is None or len(buffer) < shape[0]:
+            buffer = np.empty(shape, dtype=key[3])
             self._buffers[key] = buffer
             self.misses += 1
             return buffer, True
         self.hits += 1
-        return buffer, False
+        return (buffer if len(buffer) == shape[0] else buffer[:shape[0]],
+                False)
 
     def zeros(self, owner: object, role: str, shape: tuple[int, ...],
               dtype: np.dtype | type | str) -> np.ndarray:
@@ -127,7 +139,8 @@ class Workspace:
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
     def keys(self) -> list[tuple]:
-        """The arena's ``(owner index, role, shape, dtype)`` keys."""
+        """The arena's ``(owner index, role, trailing shape, dtype)``
+        keys."""
         return sorted(self._buffers, key=repr)
 
     def clear(self) -> None:

@@ -73,7 +73,7 @@ class TestInference:
 
     def test_batched_inference_matches_single_pass(self, tiny_model, rng):
         x = rng.standard_normal((300, 20))
-        full = tiny_model.forward(x, training=False)
+        full = tiny_model.forward(x, training=False).copy()
         batched = tiny_model.predict_logits(x, batch_size=64)
         assert np.allclose(full, batched)
 

@@ -272,7 +272,7 @@ def test_predict_logits_matches_concatenate(rng):
     model = build_fcnn(12, 4, np.random.default_rng(0), hidden=(8,))
     x = rng.standard_normal((23, 12))
     batched = model.predict_logits(x, batch_size=5)
-    whole = model.forward(x, training=False)
+    whole = model.forward(x, training=False).copy()
     assert batched.shape == (23, 4)
     np.testing.assert_array_equal(batched, whole)
     # chunk boundary exactness: batch that divides n evenly

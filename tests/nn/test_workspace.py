@@ -1,27 +1,37 @@
-"""Workspace-plane tests: arena keying, bitwise parity, pickling hygiene.
+"""Workspace-plane tests: arena keying, bitwise parity, lifecycle,
+pickling hygiene.
 
-The workspace's contract has three legs:
+The workspace's contract has four legs:
 
 * **Keying** — scratch buffers are interned by
-  ``(owner index, role, shape, dtype)``; same key means same buffer,
-  any differing component means a distinct one.
+  ``(owner index, role, trailing shape, dtype)``; any differing
+  component means a distinct buffer, and the leading axis is capacity:
+  a shorter request is a prefix view, a longer one reallocates.
 * **Bitwise parity** — training with the arena enabled produces the
   exact same float trajectory as with it disabled (which is the
   pre-workspace allocating path), at float64 *and* float32, including
-  partial final batches that re-key mid-epoch.
+  partial final batches served from the full-batch buffers.
+* **Lifecycle** — an arena is freed by refcounting with its model
+  (no cyclic GC pass needed), and neither fresh losses nor partial
+  batches grow it.
 * **Process-locality** — workspaces and per-batch layer caches never
   survive pickling; ``Workspace`` itself refuses to pickle, so a
   successful ``pickle.dumps`` of any payload doubles as proof that no
   workspace is reachable from it.
 """
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import make_model_factory
+from repro.data.datasets import load_dataset
+from repro.data.partition import split_for_membership
 from repro.models.fcnn import build_fcnn
 from repro.models.vgg import build_vgg_small
 from repro.nn.layers import Dense
@@ -29,6 +39,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.nn.workspace import Workspace
+from repro.privacy.attacks.shadow import ShadowAttack
 
 
 class TestArenaKeying:
@@ -53,10 +64,19 @@ class TestArenaKeying:
         owner = object()
         base = ws.request(owner, "out", (4, 3), np.float64)
         assert ws.request(owner, "mask", (4, 3), np.float64) is not base
-        assert ws.request(owner, "out", (2, 3), np.float64) is not base
+        assert ws.request(owner, "out", (4, 2), np.float64) is not base
         assert ws.request(owner, "out", (4, 3), np.float32) is not base
-        # the original key still resolves to the original buffer
+        # a shorter leading axis is a prefix of the held buffer
+        part, fresh = ws.request_info(owner, "out", (2, 3), np.float64)
+        assert not fresh and part.shape == (2, 3)
+        assert np.shares_memory(part, base)
         assert ws.request(owner, "out", (4, 3), np.float64) is base
+        # a longer one reallocates and reports it
+        grown, fresh = ws.request_info(owner, "out", (6, 3), np.float64)
+        assert fresh and grown.shape == (6, 3)
+        assert not np.shares_memory(grown, base)
+        assert ws.request(owner, "out", (6, 3), np.float64) is grown
+        # one buffer per (owner, role, trailing shape, dtype)
         assert ws.num_buffers == 4
 
     def test_request_info_reports_freshness(self):
@@ -152,9 +172,9 @@ def test_workspace_on_off_bitwise_identical(setup, dtype):
 def test_partial_batches_rekey_bitwise(setup, dtype, partial, seed):
     """full / partial / full batch alternation matches a fresh model.
 
-    A smaller final batch resolves to different arena keys; it must get
-    its own buffers rather than corrupt the cached full-batch ones, so
-    the arena-backed run stays bitwise equal to an arena-free one.
+    A smaller final batch is served a prefix of the full-batch buffers;
+    it must compute exactly as buffers of its own would, so the
+    arena-backed run stays bitwise equal to an arena-free one.
     """
     sizes = [12, partial, 12]
     model_ws, x, y = setup(dtype, seed=seed % 97)
@@ -167,6 +187,62 @@ def test_partial_batches_rekey_bitwise(setup, dtype, partial, seed):
                                        batch_sizes=sizes)
     assert losses_ws == losses_fresh
     assert np.array_equal(final_ws, final_fresh)
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("setup", [_conv_setup, _dense_setup],
+                             ids=["conv", "dense"])
+    def test_arena_dies_with_its_model(self, setup):
+        model, x, y = setup("float64")
+        gc.disable()
+        try:
+            _train(model, x, y, steps=1)
+            arena = weakref.ref(model.workspace)
+            del model
+            assert arena() is None
+        finally:
+            gc.enable()
+
+    def test_shadow_fit_frees_every_shadow_arena(self):
+        data = load_dataset("gtsrb", 0, n_samples=480)
+        split = split_for_membership(data, np.random.default_rng(0))
+        build = make_model_factory("gtsrb")
+        arenas = []
+
+        def factory(rng):
+            model = build(rng)
+            arenas.append(weakref.ref(model.workspace))
+            return model
+
+        gc.disable()
+        try:
+            ShadowAttack(factory, num_shadows=2, epochs=1,
+                         attack_epochs=1).fit(split.attacker)
+            assert len(arenas) == 2
+            assert all(arena() is None for arena in arenas)
+        finally:
+            gc.enable()
+
+    def test_fresh_loss_per_call_does_not_grow_arena(self):
+        def arena_after(fresh):
+            model, x, y = _dense_setup("float64")
+            shared = SoftmaxCrossEntropy()
+            for _ in range(50):
+                model.loss_and_grad(
+                    x, y, SoftmaxCrossEntropy() if fresh else shared)
+            return model.workspace.num_buffers, model.workspace.nbytes
+
+        assert arena_after(fresh=True) == arena_after(fresh=False)
+
+    @pytest.mark.parametrize("setup", [_conv_setup, _dense_setup],
+                             ids=["conv", "dense"])
+    def test_eval_partial_batches_share_buffers(self, setup):
+        model, x, _ = setup("float64")
+        x = np.concatenate([x, x])[:20]
+        model.predict_logits(x[:8], batch_size=8)
+        one_batch = model.workspace.num_buffers
+        model.predict_logits(x, batch_size=8)  # 8 + 8 + 4 rows
+        assert model.workspace.num_buffers == one_batch
 
 
 class TestPicklingHygiene:
@@ -190,7 +266,6 @@ class TestPicklingHygiene:
             for name in type(layer)._ephemeral:
                 assert name not in state, \
                     f"{layer.name} pickles ephemeral cache {name!r}"
-        assert "_ws" not in loss.__getstate__()
         assert "_probs" not in loss.__getstate__()
 
     def test_unpickled_model_gets_fresh_workspace(self):
