@@ -3,8 +3,9 @@
 The fleet plane's claim is that cohort size is a free axis on the
 aggregation side: a round over 100k sampled clients folds through the
 :class:`StreamingAccumulator` in the same peak memory as a 1k round,
-while the dense :class:`UpdateBatch` grows linearly and is only kept
-for ``requires_dense`` rules.  This benchmark measures both at
+while the dense path — every upload held as a row of the simulation's
+upload registry, which ``requires_dense`` rules read — grows linearly.
+This benchmark measures both at
 1k/10k/100k synthetic clients (updates generated one at a time from
 per-client seeds, so the harness itself never materializes the fleet),
 and verifies the streamed FedAvg matches :func:`fedavg_reference`
@@ -31,16 +32,13 @@ import pytest
 
 from repro.data.partition import ClientShards
 from repro.data.synthetic import synthetic_tabular
-from repro.fl.aggregation import (
-    StreamingAccumulator,
-    UpdateBatch,
-    fedavg_reference,
-)
+from repro.fl.aggregation import StreamingAccumulator
 from repro.fl.config import FLConfig
-from repro.fl.virtual import VirtualClientFleet
+from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.models.fcnn import build_fcnn
 from repro.nn.store import WeightStore
 from repro.privacy.defenses.make import make_defense_for_config
+from tests.conftest import fedavg_reference
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_fleet.json"
@@ -108,17 +106,21 @@ def _stream_round(layout, n: int):
 
 
 def _dense_round(layout, n: int):
-    """Collect n generated updates densely; return (seconds,
-    peak_bytes, batch_nbytes)."""
+    """Hold n generated updates as a dense rule sees them: rows of an
+    upload registry reserved for the cohort, handed over as a list of
+    row views.  Return (seconds, peak_bytes, registry_nbytes)."""
     tracemalloc.start()
     start = time.perf_counter()
-    batch = UpdateBatch(layout, capacity=n, client_cap=n)
+    uploads = PersonalWeightsRegistry(layout)
+    uploads.reserve(range(n))
     for i in range(n):
-        batch.add(WeightStore(layout, _client_update(layout, i)))
+        uploads.put(i, _client_update(layout, i))
+    stores = list(uploads.values())
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return seconds, peak, batch.nbytes
+    assert len(stores) == n
+    return seconds, peak, uploads.nbytes
 
 
 @pytest.mark.bench

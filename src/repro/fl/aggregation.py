@@ -4,25 +4,22 @@ FedAvg is the paper's aggregation (§2.1).  Trimmed mean and coordinate
 median are extensions (DESIGN.md §6) for composing DINAR with
 Byzantine-robust aggregation.
 
-Two reduction shapes coexist:
+Updates are :class:`~repro.nn.store.WeightStore` values, and no rule
+ever stacks them into a ``(num_clients, num_params)`` matrix.  Two
+reduction shapes coexist:
 
 * **Streaming** (:class:`StreamingAccumulator`) — the fleet-plane
   default: each arriving flat update is folded into one partial vector
   in client-arrival order, so aggregation-side memory is constant in
   cohort size (the partial vector plus a two-row chunk scratch).  This
   is what lets a round sample thousands-to-millions of clients.
-* **Dense** (:class:`UpdateBatch` + the rule functions below) — a
-  ``(num_clients, num_params)`` matrix, retained only for rules that
-  genuinely need every client row materialized at once (order
-  statistics over the client axis: trimmed mean, coordinate median).
-  Dense rules declare ``requires_dense = True`` and the batch enforces
-  a configurable client cap (:data:`DENSE_CLIENT_CAP`) so nobody
-  accidentally materializes a fleet.
-
-Updates are :class:`~repro.nn.store.WeightStore` values (or an
-:class:`UpdateBatch` of their rows).  :func:`fedavg_reference` keeps
-the seed's per-array multiply-then-add as the oracle the property
-tests and the aggregation benchmarks compare against.
+* **Dense** (the rule functions below) — rules that need every client
+  row at once (order statistics over the client axis: trimmed mean,
+  coordinate median, norm clustering) read the stores one
+  ``REDUCE_CHUNK``-wide column block at a time, so their working set
+  is one ``(num_clients, REDUCE_CHUNK)`` block whatever the model
+  size.  Dense rules declare ``requires_dense = True``; the server
+  refuses cohorts above :data:`DENSE_CLIENT_CAP` for them.
 
 The weighted column sum is computed with ``np.einsum`` over column
 chunks, which accumulates clients sequentially in the same order as
@@ -30,33 +27,39 @@ the legacy per-array ``sum()`` loop while keeping the accumulator
 cache-resident (the chunking is what buys the speedup on models larger
 than cache).  einsum may contract each multiply-add as a fused FMA,
 whose deferred rounding can shift individual coordinates by 1 ULP
-relative to the reference's separate multiply-then-add — agreement is
-therefore ULP-level, not bitwise (see the property tests).  The
-streaming accumulator folds each update through the *same* einsum with
-the running partial carried as a coefficient-1.0 row, which continues
-the identical sequential accumulation chain — so streaming and dense
-reductions agree to the same envelope (bitwise on builds whose einsum
-accumulates strictly in order, which the accumulator tests verify).
+relative to a separate multiply-then-add — agreement with the seed's
+per-array FedAvg (the property tests' oracle) is therefore ULP-level,
+not bitwise.  The streaming accumulator folds each update through the
+*same* einsum with the running partial carried as a coefficient-1.0
+row, which continues the identical sequential accumulation chain — so
+streaming and dense reductions agree to the same envelope (bitwise on
+builds whose einsum accumulates strictly in order, which the
+accumulator tests verify).
+
+Sort, median and mean work per column, so the order statistics are
+exact for any chunk width.  The clustering distance sums squares
+within each chunk, so ``REDUCE_CHUNK`` is part of its bitwise
+contract.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.nn.store import Layout, WeightStore
 
-#: Column-chunk width for reductions over the update matrix.  Chunking
-#: keeps each partial reduction's working set cache-resident; 64k
-#: float64 columns was the empirical sweet spot on CPU.
+#: Column-chunk width for reductions over client rows.  Chunking keeps
+#: each partial reduction's working set cache-resident; 64k float64
+#: columns was the empirical sweet spot on CPU.
 REDUCE_CHUNK = 65536
 
-#: Default ceiling on the clients a dense :class:`UpdateBatch` will
-#: materialize.  Dense memory is O(clients x params); rules that need
-#: it (``requires_dense``) are order statistics whose usefulness caps
-#: out far below fleet scale.  Pass ``client_cap`` explicitly to raise
-#: it when you really mean to.
+#: Ceiling on the cohort a dense rule aggregates.  A dense rule's
+#: working set is one ``(clients, REDUCE_CHUNK)`` block, and order
+#: statistics cap out in usefulness far below fleet scale, so
+#: :class:`~repro.fl.server.FLServer` refuses larger cohorts before
+#: any client trains.
 DENSE_CLIENT_CAP = 1024
 
 
@@ -68,138 +71,66 @@ def _row(update: WeightStore, layout: Layout) -> np.ndarray:
     return update.buffer
 
 
-class UpdateBatch:
-    """A round's client updates as rows of one pooled matrix.
-
-    The matrix is preallocated and reused across rounds (``reset`` +
-    ``add``), so collecting a cohort's updates costs one row copy per
-    client.  In a deployment this is where deserialized updates would
-    land directly.
-
-    This is the **dense fallback** of the fleet plane: memory grows
-    linearly in cohort size, so it is reserved for ``requires_dense``
-    rules (trimmed mean, coordinate median) and guarded by
-    ``client_cap``.  Streaming rules fold through
-    :class:`StreamingAccumulator` in constant memory instead.
-    """
-
-    def __init__(self, layout: Layout, capacity: int = 8, *,
-                 client_cap: int = DENSE_CLIENT_CAP) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if client_cap < 1:
-            raise ValueError(f"client_cap must be >= 1, got {client_cap}")
-        if capacity > client_cap:
-            raise ValueError(
-                f"capacity {capacity} exceeds client_cap {client_cap}; "
-                f"raise client_cap explicitly if a dense matrix of that "
-                f"many clients is really intended")
-        self.layout = layout
-        self.client_cap = client_cap
-        self._matrix = np.empty((capacity, layout.num_params),
-                                dtype=layout.dtype)
-        self._count = 0
-
-    def reset(self) -> None:
-        """Forget all collected rows (the matrix stays allocated)."""
-        self._count = 0
-
-    def ensure_capacity(self, num_clients: int) -> None:
-        """Grow the matrix once to hold ``num_clients`` rows.
-
-        Callers that know the cohort size up front (the server does)
-        pre-size here instead of paying O(log n) doubling copies
-        through :meth:`add`.  Collected rows are preserved.
-        """
-        if num_clients > self.client_cap:
-            raise ValueError(
-                f"dense UpdateBatch is capped at {self.client_cap} "
-                f"clients, got {num_clients}; use StreamingAccumulator "
-                f"for fleet-scale cohorts or raise client_cap")
-        if num_clients <= len(self._matrix):
-            return
-        grown = np.empty((num_clients, self.layout.num_params),
-                         dtype=self.layout.dtype)
-        grown[:self._count] = self._matrix[:self._count]
-        self._matrix = grown
-
-    def add(self, update: WeightStore) -> None:
-        """Copy one client update into the next matrix row."""
-        needed = self._count + 1
-        if needed > self.client_cap:
-            raise ValueError(
-                f"dense UpdateBatch is capped at {self.client_cap} "
-                f"clients; use StreamingAccumulator for fleet-scale "
-                f"cohorts or raise client_cap")
-        if needed > len(self._matrix):
-            self.ensure_capacity(
-                min(max(2 * len(self._matrix), needed), self.client_cap))
-        self._matrix[self._count] = _row(update, self.layout)
-        self._count += 1
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """View of the filled ``(len(self), num_params)`` rows."""
-        return self._matrix[:self._count]
-
-    @property
-    def nbytes(self) -> int:
-        """Allocated matrix bytes (linear in collected capacity)."""
-        return self._matrix.nbytes
-
-    def __len__(self) -> int:
-        return self._count
-
-
-Updates = Sequence[WeightStore] | UpdateBatch
-
-
-def _check_nonempty(updates) -> None:
+def _layout(updates: Sequence[WeightStore]) -> Layout:
+    """The layout every update shares (raises on none or a mismatch)."""
     if not len(updates):
         raise ValueError("cannot aggregate zero updates")
-
-
-def _as_matrix(updates: Updates) -> tuple[np.ndarray, Layout]:
-    """Materialize updates as a ``(num_clients, num_params)`` matrix."""
-    _check_nonempty(updates)
-    if isinstance(updates, UpdateBatch):
-        return updates.matrix, updates.layout
     layout = updates[0].layout
-    matrix = np.empty((len(updates), layout.num_params),
-                      dtype=layout.dtype)
-    for row, update in zip(matrix, updates):
-        row[:] = _row(update, layout)
-    return matrix, layout
+    for update in updates[1:]:
+        _row(update, layout)
+    return layout
 
 
-def _weighted_colsum(matrix: np.ndarray, coeffs: np.ndarray,
-                     out: np.ndarray | None = None,
-                     rows: np.ndarray | None = None) -> np.ndarray:
-    """``sum_i coeffs[i] * matrix[i]`` per column, chunked.
+def _column_blocks(updates: Sequence[WeightStore]
+                   ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The updates' rows, one ``REDUCE_CHUNK``-wide column chunk at a
+    time.
+
+    Yields ``(columns, block)``: ``block`` is the rows' ``columns``
+    slices gathered into one C-contiguous ``(len(updates), width)``
+    array.  One scratch allocation backs every block, so a block is
+    valid only until the next is drawn, and callers may overwrite it
+    in place (and :func:`_gather` it again).
+    """
+    num_params = len(updates[0].buffer)
+    scratch = np.empty(len(updates) * min(REDUCE_CHUNK, num_params),
+                       dtype=updates[0].buffer.dtype)
+    for lo in range(0, num_params, REDUCE_CHUNK):
+        columns = slice(lo, min(lo + REDUCE_CHUNK, num_params))
+        width = columns.stop - lo
+        block = scratch[:len(updates) * width].reshape(len(updates),
+                                                       width)
+        _gather(block, updates, columns)
+        yield columns, block
+
+
+def _gather(block: np.ndarray, updates: Sequence[WeightStore],
+            columns: slice) -> None:
+    """Copy each update's ``columns`` slice into its row of ``block``."""
+    for row, update in zip(block, updates):
+        row[:] = update.buffer[columns]
+
+
+def _weighted_colsum(updates: Sequence[WeightStore], coeffs,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_i coeffs[i] * updates[i]`` per column, chunked.
 
     ``einsum`` accumulates the client axis sequentially in the order
     of the legacy ``sum(c_i * u_i)`` loop, while the chunking keeps
     throughput high on out-of-cache models.  Each ``c_i * u_i + acc``
     step may execute as one fused multiply-add, so coordinates can
-    differ from the reference by 1 ULP.
-
-    ``rows`` selects (and orders) the summed rows; they are gathered
-    one column chunk at a time, so selecting never copies the whole
-    selected sub-matrix.
+    differ from a separate multiply-then-add by 1 ULP.
     """
-    num_params = matrix.shape[1]
-    # einsum would otherwise promote a float32 matrix against float64
+    dtype = updates[0].buffer.dtype
+    # einsum would otherwise promote float32 rows against float64
     # coefficients; casting the (tiny) coefficient vector keeps the
-    # reduction in the matrix's precision.  A float64 matrix sees the
-    # exact same call as before.
-    coeffs = np.asarray(coeffs, dtype=matrix.dtype)
+    # reduction in the rows' precision.  A float64 row sees the exact
+    # same call as before.
+    coeffs = np.asarray(coeffs, dtype=dtype)
     if out is None:
-        out = np.empty(num_params, dtype=matrix.dtype)
-    for lo in range(0, num_params, REDUCE_CHUNK):
-        hi = min(lo + REDUCE_CHUNK, num_params)
-        np.einsum("i,ip->p", coeffs,
-                  matrix[:, lo:hi] if rows is None else matrix[rows, lo:hi],
-                  out=out[lo:hi])
+        out = np.empty(len(updates[0].buffer), dtype=dtype)
+    for columns, block in _column_blocks(updates):
+        np.einsum("i,ip->p", coeffs, block, out=out[columns])
     return out
 
 
@@ -271,7 +202,7 @@ class StreamingAccumulator:
         row = _row(update, self.layout)
         coeff = weight if self._total is None else weight / self._total
         if self._count == 0:
-            _weighted_colsum(row[None], [coeff], out=self._partial)
+            _weighted_colsum([update], [coeff], out=self._partial)
         else:
             coeffs = np.array([1.0, coeff], dtype=self.layout.dtype)
             num_params = self.layout.num_params
@@ -302,42 +233,49 @@ class StreamingAccumulator:
 # aggregation rules
 # ----------------------------------------------------------------------
 
-def fedavg(updates: Updates,
+def fedavg(updates: Sequence[WeightStore],
            num_samples: Sequence[int]) -> WeightStore:
     """Sample-count-weighted average of client updates (McMahan 2017)."""
-    matrix, layout = _as_matrix(updates)
-    if len(matrix) != len(num_samples):
-        raise ValueError(f"{len(matrix)} updates vs "
+    layout = _layout(updates)
+    if len(updates) != len(num_samples):
+        raise ValueError(f"{len(updates)} updates vs "
                          f"{len(num_samples)} sample counts")
     total = float(sum(num_samples))
     if total <= 0:
         raise ValueError("total sample count must be positive")
     coeffs = np.asarray(num_samples, dtype=np.float64) / total
-    return WeightStore(layout, _weighted_colsum(matrix, coeffs))
+    return WeightStore(layout, _weighted_colsum(updates, coeffs))
 
 
-def sum_updates(updates: Updates) -> WeightStore:
+def sum_updates(updates: Sequence[WeightStore]) -> WeightStore:
     """Plain element-wise sum (the server step of secure aggregation)."""
-    matrix, layout = _as_matrix(updates)
-    ones = np.ones(len(matrix))
-    return WeightStore(layout, _weighted_colsum(matrix, ones))
+    layout = _layout(updates)
+    ones = np.ones(len(updates))
+    return WeightStore(layout, _weighted_colsum(updates, ones))
 
 
-def trimmed_mean(updates: Updates, *, trim: int = 1) -> WeightStore:
+def trimmed_mean(updates: Sequence[WeightStore], *,
+                 trim: int = 1) -> WeightStore:
     """Coordinate-wise mean after dropping the ``trim`` highest and
     lowest values (extension: Byzantine-robust aggregation)."""
-    matrix, layout = _as_matrix(updates)
-    n = len(matrix)
+    layout = _layout(updates)
+    n = len(updates)
     if 2 * trim >= n:
         raise ValueError(f"trim={trim} removes all of {n} updates")
-    ranked = np.sort(matrix, axis=0)
-    return WeightStore(layout, ranked[trim:n - trim].mean(axis=0))
+    out = np.empty(layout.num_params, dtype=layout.dtype)
+    for columns, block in _column_blocks(updates):
+        block.sort(axis=0)
+        out[columns] = block[trim:n - trim].mean(axis=0)
+    return WeightStore(layout, out)
 
 
-def coordinate_median(updates: Updates) -> WeightStore:
+def coordinate_median(updates: Sequence[WeightStore]) -> WeightStore:
     """Coordinate-wise median (extension: Byzantine-robust aggregation)."""
-    matrix, layout = _as_matrix(updates)
-    return WeightStore(layout, np.median(matrix, axis=0))
+    layout = _layout(updates)
+    out = np.empty(layout.num_params, dtype=layout.dtype)
+    for columns, block in _column_blocks(updates):
+        out[columns] = np.median(block, axis=0, overwrite_input=True)
+    return WeightStore(layout, out)
 
 
 #: Minimum cohort for norm clustering to act; below this the distance
@@ -351,7 +289,7 @@ CLUSTER_MIN_COHORT = 4
 CLUSTER_SEPARATION = 2.0
 
 
-def _cluster_distances(matrix: np.ndarray,
+def _cluster_distances(updates: Sequence[WeightStore],
                        include: np.ndarray | None = None) -> np.ndarray:
     """Each row's L2 distance to the coordinate-median center, chunked
     over columns so no ``(clients, params)`` temporary is allocated.
@@ -365,15 +303,17 @@ def _cluster_distances(matrix: np.ndarray,
     every chunk keeps its shape and summation order and an all-True
     mask reproduces the unmasked distances bitwise.
     """
-    sq = np.zeros(len(matrix))
-    for lo in range(0, matrix.shape[1], REDUCE_CHUNK):
-        hi = min(lo + REDUCE_CHUNK, matrix.shape[1])
-        block = matrix[:, lo:hi]
-        diff = block - np.median(block, axis=0)
+    sq = np.zeros(len(updates))
+    for columns, block in _column_blocks(updates):
+        # Partitioning the block in place and gathering it again moves
+        # the same bytes as np.median's private copy, without a second
+        # block alive.
+        center = np.median(block, axis=0, overwrite_input=True)
+        _gather(block, updates, columns)
+        block -= center
         if include is not None:
-            diff *= include[lo:hi]
-        sq += np.einsum("ip,ip->i", diff, diff)
-        del diff  # freed before the next chunk's median copy
+            block *= include[columns]
+        sq += np.einsum("ip,ip->i", block, block)
     return np.sqrt(sq)
 
 
@@ -405,15 +345,14 @@ def _norm_cluster_keep(dist: np.ndarray) -> np.ndarray:
     return mask
 
 
-def clustered_mean(updates: Updates,
+def clustered_mean(updates: Sequence[WeightStore],
                    num_samples: Sequence[int] | None = None, *,
                    diagnostics: dict | None = None,
                    distance_include: np.ndarray | None = None
                    ) -> WeightStore:
     """Norm-clustering robust mean over flat update rows (extension).
 
-    Cheap now that updates are contiguous ``(clients, params)`` rows:
-    compute each row's distance to the coordinate-median center,
+    Compute each row's distance to the coordinate-median center,
     2-means-cluster the distance multiset, discard the far cluster
     when it is clearly separated, and FedAvg the kept rows (sample-
     weighted when ``num_samples`` is given).  Cohorts smaller than
@@ -429,17 +368,17 @@ def clustered_mean(updates: Updates,
     *which* clients a robustness filter rejected, the observable the
     DINAR-looks-byzantine question hinges on.
     """
-    matrix, layout = _as_matrix(updates)
-    n = len(matrix)
+    layout = _layout(updates)
+    n = len(updates)
     if num_samples is not None and len(num_samples) != n:
         raise ValueError(f"{n} updates vs "
                          f"{len(num_samples)} sample counts")
     if distance_include is not None \
-            and distance_include.shape != (matrix.shape[1],):
+            and distance_include.shape != (layout.num_params,):
         raise ValueError(
             f"distance_include shape {distance_include.shape} does not "
-            f"match {matrix.shape[1]} params")
-    dist = _cluster_distances(matrix, distance_include)
+            f"match {layout.num_params} params")
+    dist = _cluster_distances(updates, distance_include)
     if n < CLUSTER_MIN_COHORT:
         keep = np.ones(n, dtype=bool)
     else:
@@ -457,7 +396,8 @@ def clustered_mean(updates: Updates,
         if total <= 0:
             raise ValueError("total sample count must be positive")
         coeffs = counts / total
-    return WeightStore(layout, _weighted_colsum(matrix, coeffs, rows=kept))
+    return WeightStore(layout, _weighted_colsum(
+        [updates[i] for i in kept], coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +407,8 @@ def clustered_mean(updates: Updates,
 # Weighted sums fold one arrival at a time; order statistics over the
 # client axis need every row at once.  ``requires_dense`` is the
 # explicit capability the server consults: streaming rules go through
-# StreamingAccumulator in constant memory, dense rules go through a
-# cap-guarded UpdateBatch.
+# StreamingAccumulator in constant memory, dense rules read the
+# cohort's stores in column chunks under the server's cohort cap.
 fedavg.requires_dense = False
 sum_updates.requires_dense = False
 trimmed_mean.requires_dense = True
@@ -492,7 +432,7 @@ AGGREGATOR_CHOICES = ("fedavg", "trimmed_mean", "coordinate_median",
 
 
 def requires_dense(rule) -> bool:
-    """Whether an aggregation rule needs the full client matrix.
+    """Whether an aggregation rule needs every client row at once.
 
     Unknown rules conservatively report dense: anything that has not
     declared it can stream must not be handed an iterator.
@@ -500,31 +440,3 @@ def requires_dense(rule) -> bool:
     if isinstance(rule, str):
         rule = AGGREGATION_RULES[rule]
     return bool(getattr(rule, "requires_dense", True))
-
-
-# ----------------------------------------------------------------------
-# the seed implementation, retained as the oracle
-# ----------------------------------------------------------------------
-
-def fedavg_reference(updates: Sequence[WeightStore],
-                     num_samples: Sequence[int]) -> WeightStore:
-    """The seed FedAvg: one Python multiply-then-add per named array.
-
-    Reads each update through ``store.view(layer, key)``.  Property
-    tests assert :func:`fedavg` matches it to within 2 ULP (FMA
-    contraction inside einsum), and ``benchmarks/test_perf_aggregation.py``
-    times it against the vectorized path.
-    """
-    _check_nonempty(updates)
-    if len(updates) != len(num_samples):
-        raise ValueError(f"{len(updates)} updates vs "
-                         f"{len(num_samples)} sample counts")
-    total = float(sum(num_samples))
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
-    out = updates[0].zeros_like()
-    for entry in out.layout.entries:
-        out.view(entry.layer_idx, entry.key)[...] = sum(
-            (n / total) * u.view(entry.layer_idx, entry.key)
-            for u, n in zip(updates, num_samples))
-    return out

@@ -58,9 +58,10 @@ class FLConfig:
     #: Server aggregation rule (see ``fl.aggregation``): "fedavg"
     #: streams in constant memory (the default, bitwise-pinned);
     #: "trimmed_mean" / "coordinate_median" / "clustered" are
-    #: Byzantine-robust order statistics over the dense
-    #: ``(clients, params)`` update matrix (``requires_dense``,
-    #: cohort-capped — see DENSE_CLIENT_CAP).
+    #: Byzantine-robust order statistics that read every client's
+    #: update at once (``requires_dense``).  The server refuses them
+    #: for a round of more than DENSE_CLIENT_CAP clients; lower
+    #: ``clients_per_round`` or ``sample_fraction``, or use "fedavg".
     aggregator: str = "fedavg"
     #: Segment-masked robust distances (see ``fl.aggregation``):
     #: "none" clusters on whole-vector distances (the default);

@@ -14,11 +14,12 @@ candidate pool (the pre-fleet behavior, drawn from the server RNG so
 existing trajectories are untouched), then ``sample_fraction``
 sub-samples it cfraction-style from a dedicated per-round stream.
 
-The dense :class:`~repro.fl.aggregation.UpdateBatch` survives only as
-the fallback for ``requires_dense`` aggregation rules (order statistics
-such as trimmed mean); :meth:`FLServer._aggregate_dense` pre-sizes it
-to the expected cohort and the batch's ``client_cap`` guards against
-accidentally materializing a fleet.
+``requires_dense`` aggregation rules (order statistics such as trimmed
+mean) go through :meth:`FLServer._aggregate_dense` instead: it collects
+the arriving stores — views of the simulation's upload registry, not
+copies — and the rule reads them one column chunk at a time.  It
+refuses cohorts above :data:`~repro.fl.aggregation.DENSE_CLIENT_CAP`
+before any client trains.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from repro.fl.aggregation import (
     AGGREGATION_RULES,
+    DENSE_CLIENT_CAP,
     StreamingAccumulator,
-    UpdateBatch,
     clustered_mean,
     coordinate_median,
     requires_dense,
@@ -63,7 +64,6 @@ class FLServer:
         self.rng = rng
         self.cost_meter = cost_meter or CostMeter()
         self._momentum_buffer: WeightStore | None = None
-        self._batch: UpdateBatch | None = None
         self._accumulator: StreamingAccumulator | None = None
         #: Client ids the last round's robust aggregator rejected
         #: outright (norm clustering); empty for coordinate-wise rules
@@ -170,8 +170,8 @@ class FLServer:
         ``config.aggregator`` selects the rule.  FedAvg is this
         streaming path (bitwise-pinned); ``requires_dense`` robust
         rules (trimmed mean, coordinate median, norm clustering)
-        dispatch to :meth:`_aggregate_dense`, which materializes the
-        arriving updates as a cap-guarded dense matrix first.
+        dispatch to :meth:`_aggregate_dense`, which collects the
+        arriving stores and hands the rule the whole cohort.
         """
         self.last_filtered = []
         if requires_dense(self.config.aggregator):
@@ -243,11 +243,11 @@ class FLServer:
         """Robust (``requires_dense``) aggregation over the arriving
         updates.
 
-        The fallback of the fleet plane: arriving updates land as rows
-        of the pooled :class:`UpdateBatch`, whose ``client_cap``
-        refuses fleet-scale cohorts up front (robust order statistics
-        cap out far below fleet scale — raise ``client_cap`` or use
-        the streaming FedAvg path).  Short cohorts — after
+        The fallback of the fleet plane: the arriving stores are
+        collected in a list (no row is copied) and the rule reads them
+        in column chunks.  Cohorts above ``DENSE_CLIENT_CAP`` are
+        refused — given ``expected``, before ``updates`` is advanced,
+        so no client trains for a round that cannot aggregate.  Short cohorts — after
         ``sample_fraction`` / dropout / straggler discard — either
         aggregate fine (coordinate median), fall back to keeping every
         row (norm clustering below ``CLUSTER_MIN_COHORT``), or raise a
@@ -255,26 +255,19 @@ class FLServer:
         left between the trims); never a silent shape mismatch.
         """
         name = self.config.aggregator
-        start = time.perf_counter()
-        layout = self.global_weights.layout
-        if self._batch is None or self._batch.layout != layout:
-            self._batch = UpdateBatch(layout)
-        batch = self._batch
         if expected is not None:
-            batch.ensure_capacity(expected)
-        batch.reset()
-        reduce_seconds = time.perf_counter() - start
+            self._check_dense_cap(expected)
+        stores: list[WeightStore] = []
         client_ids: list[int] = []
         num_samples: list[int] = []
         for update in updates:
-            start = time.perf_counter()
-            batch.add(update.weights)
-            reduce_seconds += time.perf_counter() - start
+            stores.append(update.weights)
             client_ids.append(update.client_id)
             num_samples.append(update.num_samples)
-        n = len(batch)
+        n = len(stores)
         if n == 0:
             raise ValueError("no updates to aggregate")
+        self._check_dense_cap(n)
         if self.defense.requires_full_cohort and expected is not None \
                 and n != expected:
             raise RuntimeError(
@@ -291,19 +284,30 @@ class FLServer:
                     f"completion_threshold shrank the cohort below "
                     f"the trim; lower the fleet knobs, lower "
                     f"extra['trim'], or use coordinate_median")
-            aggregated = trimmed_mean(batch, trim=trim)
+            aggregated = trimmed_mean(stores, trim=trim)
         elif name == "coordinate_median":
-            aggregated = coordinate_median(batch)
+            aggregated = coordinate_median(stores)
         elif name == "clustered":
             diagnostics: dict = {}
             aggregated = clustered_mean(
-                batch, num_samples, diagnostics=diagnostics,
+                stores, num_samples, diagnostics=diagnostics,
                 distance_include=self._mask_include())
             self.last_filtered = [client_ids[i]
                                   for i in diagnostics["filtered"]]
         else:  # pragma: no cover - registry/choices kept in sync
             raise ValueError(f"unknown dense aggregator {name!r}")
-        return self._finalize(aggregated, reduce_seconds, start)
+        return self._finalize(aggregated, 0.0, start)
+
+    def _check_dense_cap(self, cohort: int) -> None:
+        """Refuse a dense-rule cohort above ``DENSE_CLIENT_CAP``."""
+        if cohort > DENSE_CLIENT_CAP:
+            raise ValueError(
+                f"aggregator {self.config.aggregator!r} reads every "
+                f"client row at once and is capped at "
+                f"{DENSE_CLIENT_CAP} clients per round, but this round "
+                f"has {cohort}; use aggregator='fedavg' (it streams in "
+                f"constant memory), or lower clients_per_round or "
+                f"sample_fraction")
 
     def _apply_server_momentum(self,
                                aggregated: WeightStore) -> WeightStore:

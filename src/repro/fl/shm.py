@@ -336,9 +336,9 @@ class ShmChannel:
         """Copy one slab's ``(update, personal)`` rows out.
 
         The copies are parent-owned, so the slab can be recycled the
-        moment this returns while the result's consumers (streaming
-        accumulator, personal-weights registry, ``last_updates``) keep
-        arrays with ordinary lifetimes.
+        moment this returns; the simulation then copies each row into
+        its registry (personal weights, ``last_updates``), which the
+        server reads.
         """
         rows = self._slab_rows(index)
         update = rows[0].copy()

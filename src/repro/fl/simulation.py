@@ -26,9 +26,12 @@ exist as descriptors over a packed shard assignment, full
 ``FLClient``/``Model`` state is one training client per process,
 rebound onto each client's descriptor on demand, and per-client residue
 (personalized weights) lives in a flat-buffer registry keyed by client
-id.  ``simulation.clients`` is the fleet façade — indexing and
-iteration still hand back a live ``FLClient`` — and every trajectory
-is bitwise-identical to the eager plane.
+id.  Each client's last upload lives in a second registry,
+``last_updates``: it is the only copy of the upload, which the server
+folds or reads in column chunks in place.  ``simulation.clients`` is
+the fleet façade — indexing and iteration still hand back a live
+``FLClient`` — and every trajectory is bitwise-identical to the eager
+plane.
 """
 
 from __future__ import annotations
@@ -177,7 +180,9 @@ class FederatedSimulation:
         self.executor = make_executor(
             self.fleet, self.defense, self._layout, config,
             behavior=self.behavior, cost_meter=self.cost_meter)
-        self.last_updates: dict[int, WeightStore] = {}
+        #: Each client's last transmitted (post-defense) upload: the
+        #: one copy of it, which the server's rules read in place.
+        self.last_updates = PersonalWeightsRegistry(self._layout)
         self.history = History()
 
     @property
@@ -272,15 +277,15 @@ class FederatedSimulation:
                     result.defense_state_bytes)
                 self.cost_meter.record_client_plane(
                     materializations=result.materializations)
+                self.last_updates.put(result.client_id,
+                                      result.update_buffer)
                 update = ClientUpdate(
                     client_id=result.client_id,
-                    weights=WeightStore(self._layout,
-                                        result.update_buffer),
+                    weights=self.last_updates[result.client_id],
                     num_samples=result.num_samples,
                     train_seconds=result.train_seconds,
                     defense_seconds=result.defense_seconds,
                 )
-                self.last_updates[update.client_id] = update.weights
                 self.traffic_meter.record_exchange(
                     round_index, update.client_id, download_bytes,
                     self.defense.upload_nbytes(update.weights))
@@ -297,6 +302,11 @@ class FederatedSimulation:
         # materialized to answer "how big is your shard".
         total_samples = float(sum(
             self.shards.num_samples(cid) for cid in completed))
+        # Grow both registries before the stream: a mid-round growth
+        # would leave the updates already handed to a dense rule as
+        # views that keep the old buffer alive.
+        self.registry.reserve(cohort)
+        self.last_updates.reserve(cohort)
         self.server.aggregate(stream_updates(), expected=len(cohort),
                               total_samples=total_samples)
         # The parent's defense holds the merged per-client state, so

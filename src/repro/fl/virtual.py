@@ -16,9 +16,10 @@ This module replaces live objects with three small pieces:
   demand and garbage-collected freely.
 * :class:`PersonalWeightsRegistry` — the per-client *residue* that must
   outlive materialization: personalized weights (§4.3 prediction
-  state) as rows of one growable flat 2D buffer keyed by client id.
-  Rows are written by copy and read as zero-copy
-  :class:`~repro.nn.store.WeightStore` views.
+  state), and in a second instance each client's last upload, as rows
+  of one growable flat 2D buffer keyed by client id.  Rows are written
+  by copy and read as zero-copy :class:`~repro.nn.store.WeightStore`
+  views.
 * :class:`VirtualClientFleet` — a sequence-shaped façade over the
   fleet.  ``fleet[i]`` / ``fleet.materialize(i)`` returns the
   process's single training ``FLClient``, built on the template model
@@ -44,7 +45,7 @@ Bitwise rules (why one reused model cannot change a trajectory):
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,22 @@ class ClientDescriptor:
         return self.source.subset(self.shard, name=self.name)
 
 
-class PersonalWeightsRegistry:
-    """Per-client personalized weights as rows of one flat 2D buffer.
+class PersonalWeightsRegistry(Mapping[int, WeightStore]):
+    """Per-client weight rows of one flat 2D buffer, keyed by client id.
 
-    The eager plane kept one ``WeightStore`` object (buffer + header)
-    alive per trained client; the registry packs the same residue into
-    a single ``(capacity, num_params)`` array that doubles as needed,
-    so a fleet's prediction state is one allocation plus an id->row
-    dict.  ``put`` copies the incoming buffer into its row; ``get``
-    returns a zero-copy store view of the row — mutating the training
-    model after a round therefore never corrupts stored residue.
+    A simulation keeps two: each client's personalized weights (§4.3
+    prediction state) and each client's last transmitted upload (the
+    server-side attacker's view).  The eager plane kept one
+    ``WeightStore`` object (buffer + header) alive per client; the
+    registry packs the same state into a single
+    ``(capacity, num_params)`` array that doubles as needed, so a
+    fleet's per-client state is one allocation plus an id->row dict.
+
+    It is a read-only ``Mapping[int, WeightStore]``: ``put`` copies the
+    incoming buffer into the client's row, and indexing returns a
+    zero-copy store view of that row.  Mutating the training model
+    after a round therefore never corrupts stored state, but a held
+    view shows the client's *next* ``put``.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -103,11 +110,20 @@ class PersonalWeightsRegistry:
     def __len__(self) -> int:
         return len(self._slot)
 
-    def __contains__(self, client_id: int) -> bool:
+    def __contains__(self, client_id: object) -> bool:
         return client_id in self._slot
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slot)
+
+    def __getitem__(self, client_id: int) -> WeightStore:
+        """Zero-copy store view of a client's row (``KeyError`` if
+        absent).  The view aliases the row, so it shows the client's
+        next ``put`` — copy it to keep this round's values."""
+        return WeightStore(self.layout, self._rows[self._slot[client_id]])
+
     def client_ids(self) -> list[int]:
-        """Ids with stored residue, ascending (the eager plane's
+        """Ids with a stored row, ascending (the eager plane's
         evaluation order)."""
         return sorted(self._slot)
 
@@ -116,22 +132,38 @@ class PersonalWeightsRegistry:
         """Bytes of the allocated row buffer."""
         return int(self._rows.nbytes)
 
+    def _grow(self, needed: int) -> None:
+        """Reallocate to hold ``needed`` rows (at least doubling),
+        keeping every stored row."""
+        capacity = max(needed, 8, 2 * len(self._rows))
+        grown = np.empty((capacity, self.layout.num_params),
+                         dtype=self.layout.dtype)
+        grown[:len(self._slot)] = self._rows[:len(self._slot)]
+        self._rows = grown
+
+    def reserve(self, client_ids: Iterable[int]) -> None:
+        """Grow capacity, at most once, to fit every id not yet present.
+
+        Assigns no slot.  Called with a round's cohort before the
+        round streams, so no ``put`` mid-round reallocates the buffer
+        under views handed out earlier in the round.
+        """
+        new = {cid for cid in client_ids if cid not in self._slot}
+        if len(self._slot) + len(new) > len(self._rows):
+            self._grow(len(self._slot) + len(new))
+
     def _ensure_row(self, client_id: int) -> int:
         slot = self._slot.get(client_id)
         if slot is not None:
             return slot
         slot = len(self._slot)
         if slot >= len(self._rows):
-            capacity = max(8, 2 * len(self._rows))
-            grown = np.empty((capacity, self.layout.num_params),
-                             dtype=self.layout.dtype)
-            grown[:len(self._rows)] = self._rows
-            self._rows = grown
+            self._grow(slot + 1)
         self._slot[client_id] = slot
         return slot
 
     def put(self, client_id: int, buffer: np.ndarray) -> None:
-        """Copy a client's personalized weight buffer into its row."""
+        """Copy a client's weight buffer into its row."""
         if buffer.shape != (self.layout.num_params,):
             raise ValueError(
                 f"client {client_id}: buffer shape {buffer.shape} does "
@@ -140,13 +172,6 @@ class PersonalWeightsRegistry:
         # self._rows with a grown buffer.
         slot = self._ensure_row(client_id)
         self._rows[slot, :] = buffer
-
-    def get(self, client_id: int) -> WeightStore | None:
-        """Zero-copy store view of a client's row (None if absent)."""
-        slot = self._slot.get(client_id)
-        if slot is None:
-            return None
-        return WeightStore(self.layout, self._rows[slot])
 
 
 class _FleetDatasets:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import Dense
 from repro.nn.model import Model
+from repro.nn.store import WeightStore
 
 
 @pytest.fixture
@@ -85,3 +88,28 @@ def numeric_gradient_check(model: Model, x: np.ndarray, y: np.ndarray,
                 denom = max(1e-8, abs(numeric) + abs(value))
                 max_err = max(max_err, abs(numeric - value) / denom)
     return max_err
+
+
+def fedavg_reference(updates: Sequence[WeightStore],
+                     num_samples: Sequence[int]) -> WeightStore:
+    """The seed FedAvg: one Python multiply-then-add per named array.
+
+    Reads each update through ``store.view(layer, key)``.  It is the
+    oracle the property tests and the fleet benchmark hold
+    :func:`repro.fl.aggregation.fedavg` and the streaming accumulator
+    to, within 2 ULP (FMA contraction inside einsum).
+    """
+    if not updates:
+        raise ValueError("cannot aggregate zero updates")
+    if len(updates) != len(num_samples):
+        raise ValueError(f"{len(updates)} updates vs "
+                         f"{len(num_samples)} sample counts")
+    total = float(sum(num_samples))
+    if total <= 0:
+        raise ValueError("total sample count must be positive")
+    out = updates[0].zeros_like()
+    for entry in out.layout.entries:
+        out.view(entry.layer_idx, entry.key)[...] = sum(
+            (n / total) * u.view(entry.layer_idx, entry.key)
+            for u, n in zip(updates, num_samples))
+    return out

@@ -84,8 +84,8 @@ class TestMaskedDistances:
         matrix = rng.standard_normal((6, 2048))
         include = np.ones(2048, dtype=bool)
         np.testing.assert_array_equal(
-            _cluster_distances(matrix, include),
-            _cluster_distances(matrix))
+            _cluster_distances(_rows(matrix), include),
+            _cluster_distances(_rows(matrix)))
 
     def test_masked_coordinates_are_ignored(self, rng):
         matrix = rng.standard_normal((6, 100))
@@ -94,8 +94,8 @@ class TestMaskedDistances:
         noisy = matrix.copy()
         noisy[:, 60:] = rng.standard_normal((6, 40)) * 1e6
         np.testing.assert_array_equal(
-            _cluster_distances(matrix, include),
-            _cluster_distances(noisy, include))
+            _cluster_distances(_rows(matrix), include),
+            _cluster_distances(_rows(noisy), include))
 
     def test_clustered_mean_validates_mask_shape(self, rng):
         matrix = rng.standard_normal((4, 10))

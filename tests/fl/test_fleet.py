@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from repro.fl.aggregation import (
     DENSE_CLIENT_CAP,
     REDUCE_CHUNK,
     StreamingAccumulator,
-    UpdateBatch,
     fedavg,
     requires_dense,
     sum_updates,
@@ -39,6 +39,7 @@ from repro.fl.costs import CostMeter
 from repro.fl.executor import client_drops
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
+from repro.fl.virtual import PersonalWeightsRegistry
 from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.make import make_defense_for_config
@@ -198,44 +199,76 @@ class TestStreamingAccumulator:
 
 
 # ----------------------------------------------------------------------
-# UpdateBatch: dense fallback growth + cap
+# uploads: one registry row per client; the dense cohort cap
 # ----------------------------------------------------------------------
 
-class TestUpdateBatchGrowth:
-    def test_add_grows_geometrically(self, rng):
-        stores, layout = _random_stores(rng, 5)
-        batch = UpdateBatch(layout, capacity=2)
-        for store in stores:
-            batch.add(store)
-        assert len(batch) == 5
-        assert np.array_equal(batch.matrix[4], stores[4].buffer)
+class TestUploadRegistry:
+    def test_last_updates_is_a_mapping(self):
+        sim = _tiny_sim(completion_threshold=0.5)
+        sim.run_round(0)
+        uploads = sim.last_updates
+        assert isinstance(uploads, Mapping)
+        assert sorted(uploads.keys()) == [0, 1]
+        assert len(uploads) == 2
+        assert 1 in uploads and 3 not in uploads
+        layout = sim.server.global_weights.layout
+        assert {cid: store.layout for cid, store in uploads.items()} \
+            == {0: layout, 1: layout}
+        with pytest.raises(KeyError):
+            uploads[3]
 
-    def test_ensure_capacity_preserves_rows(self, rng):
+    def test_held_view_shows_the_next_upload(self):
+        sim = _tiny_sim(rounds=2)
+        sim.run_round(0)
+        held = sim.last_updates[1]
+        first = held.buffer.copy()
+        sim.run_round(1)
+        assert np.shares_memory(held.buffer, sim.last_updates[1].buffer)
+        assert not np.array_equal(held.buffer, first)
+
+    def test_reserve_grows_once_and_keeps_rows(self, rng):
         stores, layout = _random_stores(rng, 3)
-        batch = UpdateBatch(layout, capacity=2)
-        batch.add(stores[0])
-        batch.add(stores[1])
-        batch.ensure_capacity(50)
-        batch.add(stores[2])
-        assert len(batch) == 3
-        for i in range(3):
-            assert np.array_equal(batch.matrix[i], stores[i].buffer)
+        uploads = PersonalWeightsRegistry(layout)
+        uploads.put(0, stores[0].buffer)
+        uploads.put(1, stores[1].buffer)
+        uploads.reserve(range(40))
+        assert len(uploads) == 2  # reserving assigns no slot
+        reserved = uploads.nbytes
+        assert reserved == 40 * stores[0].buffer.nbytes
+        held = uploads[0]
+        for cid in range(2, 40):
+            uploads.put(cid, stores[2].buffer)
+        assert uploads.nbytes == reserved
+        assert np.shares_memory(held.buffer, uploads[0].buffer)
+        for cid in range(2):
+            np.testing.assert_array_equal(uploads[cid].buffer,
+                                          stores[cid].buffer)
+        uploads.reserve(range(40))
+        assert uploads.nbytes == reserved
 
-    def test_cap_rejects_fleet_scale(self, rng):
-        stores, layout = _random_stores(rng, 3)
-        batch = UpdateBatch(layout, capacity=2, client_cap=2)
-        batch.add(stores[0])
-        batch.add(stores[1])
-        with pytest.raises(ValueError, match="StreamingAccumulator"):
-            batch.add(stores[2])
-        with pytest.raises(ValueError, match="StreamingAccumulator"):
-            batch.ensure_capacity(3)
 
-    def test_cap_validates_construction(self, rng):
-        _, layout = _random_stores(rng, 1)
-        with pytest.raises(ValueError, match="client_cap"):
-            UpdateBatch(layout, capacity=10, client_cap=5)
-        assert UpdateBatch(layout).client_cap == DENSE_CLIENT_CAP
+class TestDenseCap:
+    @pytest.mark.parametrize(
+        "aggregator", ["trimmed_mean", "coordinate_median", "clustered"])
+    def test_refused_before_any_client_trains(self, rng, aggregator):
+        server = _make_server(rng, aggregator=aggregator)
+        advanced = []
+
+        def arrivals():
+            advanced.append(True)
+            yield from ()
+
+        with pytest.raises(ValueError, match=(
+                r"aggregator='fedavg'.*clients_per_round.*"
+                r"sample_fraction")):
+            server.aggregate(arrivals(), expected=DENSE_CLIENT_CAP + 1)
+        assert not advanced
+
+    def test_cohort_at_the_cap_aggregates(self, rng):
+        server = _make_server(rng, aggregator="coordinate_median")
+        stores, _ = _random_stores(rng, 3)
+        server.aggregate(_updates_from(stores, [10, 10, 10]),
+                         expected=DENSE_CLIENT_CAP)
 
 
 class TestRuleCapabilities:
@@ -644,6 +677,5 @@ def test_fleet_smoke_1k_clients():
     record = history.records[-1]
     assert len(record.completed) == math.ceil(0.6 * 500)
     assert 0.0 <= history.final_global_accuracy <= 1.0
-    # constant-memory invariant: the server never built a dense batch
-    assert sim.server._batch is None
+    # constant-memory invariant: FedAvg folded through the accumulator
     assert sim.server._accumulator.nbytes < 10 * 2**20

@@ -27,7 +27,8 @@ from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.aggregation import (
     CLUSTER_MIN_COHORT,
-    UpdateBatch,
+    REDUCE_CHUNK,
+    _cluster_distances,
     clustered_mean,
     coordinate_median,
     fedavg,
@@ -42,9 +43,13 @@ from repro.fl.behavior import (
     make_behavior,
     select_adversaries,
 )
+from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
+from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
+from repro.fl.virtual import PersonalWeightsRegistry
 from repro.nn.store import Layout, WeightStore
+from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
@@ -168,19 +173,95 @@ def test_clustered_mean_temporaries_are_column_chunked():
     matrix = rng.standard_normal((20, 300_000))
     matrix[4] += 500.0  # one filtered row, so the kept rows are a subset
     layout = Layout.from_layers([{"W": matrix[0]}])
-    batch = UpdateBatch(layout, capacity=len(matrix))
-    for row in matrix:
-        batch.add(WeightStore(layout, row))
+    stores = [WeightStore(layout, row) for row in matrix]
     diag: dict = {}
     tracemalloc.start()
     try:
-        clustered_mean(batch, diagnostics=diag)
+        clustered_mean(stores, diagnostics=diag)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert diag["filtered"] == [4]
     assert peak < matrix.nbytes / 2, (
         f"peak {peak} B for a {matrix.nbytes} B update matrix")
+
+
+@pytest.mark.parametrize(
+    "aggregator", ["trimmed_mean", "coordinate_median", "clustered"])
+def test_dense_aggregation_holds_no_update_matrix(aggregator):
+    """A dense round reads the uploads where they live: the server
+    collects registry row views, and no temporary of the aggregation
+    comes near the size of a (clients, params) matrix."""
+    n, num_params = 20, 4 * REDUCE_CHUNK + 123
+    layout = Layout.from_layers([{"W": np.zeros(num_params)}])
+    rng = np.random.default_rng(8)
+    uploads = PersonalWeightsRegistry(layout)
+    uploads.reserve(range(n))
+    for cid in range(n):
+        uploads.put(cid, rng.standard_normal(num_params))
+    arrivals = [ClientUpdate(cid, uploads[cid], 10, 0.0)
+                for cid in range(n)]
+    server = FLServer(WeightStore(layout),
+                      FLConfig(num_clients=n, aggregator=aggregator),
+                      Defense(), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        server.aggregate(iter(arrivals), expected=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_nbytes = n * num_params * 8
+    assert peak < matrix_nbytes / 2, (
+        f"{aggregator}: peak {peak} B for a {matrix_nbytes} B matrix")
+
+
+class TestChunkBoundaries:
+    """Rules over stores wider than two column chunks (the last one
+    ragged) equal the same statistic of the full stacked matrix."""
+
+    N = 9
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.standard_normal((self.N, 2 * REDUCE_CHUNK + 1234))
+        matrix[3] += 40.0  # one clearly separated row for clustering
+        return matrix, _rows(matrix)
+
+    def test_trimmed_mean(self, wide):
+        matrix, stores = wide
+        expected = np.sort(matrix, axis=0)[2:self.N - 2].mean(axis=0)
+        np.testing.assert_array_equal(
+            trimmed_mean(stores, trim=2).buffer, expected)
+
+    def test_coordinate_median(self, wide):
+        matrix, stores = wide
+        np.testing.assert_array_equal(
+            coordinate_median(stores).buffer, np.median(matrix, axis=0))
+
+    def test_clustered_mean(self, wide):
+        matrix, stores = wide
+        num_samples = list(range(10, 10 + self.N))
+        # Squares sum within each chunk: the chunk width is part of
+        # the distance's contract.
+        diff = matrix - np.median(matrix, axis=0)
+        expected_dist = np.sqrt(sum(
+            np.einsum("ip,ip->i", diff[:, lo:lo + REDUCE_CHUNK],
+                      diff[:, lo:lo + REDUCE_CHUNK])
+            for lo in range(0, matrix.shape[1], REDUCE_CHUNK)))
+        kept = [i for i in range(self.N) if i != 3]
+        counts = np.asarray(num_samples, dtype=np.float64)[kept]
+        expected = np.einsum("i,ip->p", counts / counts.sum(),
+                             matrix[kept])
+
+        diag: dict = {}
+        out = clustered_mean(stores, num_samples, diagnostics=diag)
+        assert diag["kept"] == kept
+        assert diag["filtered"] == [3]
+        np.testing.assert_array_equal(diag["distances"], expected_dist)
+        np.testing.assert_array_equal(
+            _cluster_distances(stores), expected_dist)
+        np.testing.assert_array_equal(out.buffer, expected)
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,14 @@ from hypothesis import strategies as st
 
 from repro.core.dinar import DINAR
 from repro.fl.aggregation import (
-    UpdateBatch,
     coordinate_median,
     fedavg,
-    fedavg_reference,
     sum_updates,
     trimmed_mean,
 )
+from repro.fl.virtual import PersonalWeightsRegistry
 from repro.nn.store import WeightStore
+from tests.conftest import fedavg_reference
 
 finite_floats = st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False)
@@ -129,14 +129,16 @@ def test_vectorized_fedavg_matches_reference(cohort):
 @settings(max_examples=50, deadline=None)
 @given(client_cohorts())
 def test_fedavg_over_stores_and_batch_matches_reference(cohort):
+    """Standalone stores and the same batch as views of an upload
+    registry's rows (what the server's dense path reads) agree."""
     updates, samples = cohort
     cohort_stores = stores(updates)
     expected = fedavg_reference(cohort_stores, samples)
     assert_ulp_close(fedavg(cohort_stores, samples), expected)
-    batch = UpdateBatch(cohort_stores[0].layout, capacity=1)
-    for update in cohort_stores:
-        batch.add(update)
-    assert_ulp_close(fedavg(batch, samples), expected)
+    registry = PersonalWeightsRegistry(cohort_stores[0].layout)
+    for client_id, update in enumerate(cohort_stores):
+        registry.put(client_id, update.buffer)
+    assert_ulp_close(fedavg(list(registry.values()), samples), expected)
 
 
 @settings(max_examples=50, deadline=None)
