@@ -12,6 +12,7 @@ import numpy as np
 from repro.nn.activations import ReLU
 from repro.nn.layers import AvgPool2d, Conv2d, Dense, Flatten, Layer
 from repro.nn.model import Model
+from repro.nn.workspace import Workspace
 
 
 class ResidualBlock(Layer):
@@ -82,7 +83,7 @@ class ResidualBlock(Layer):
         self.conv2.adopt_views(params2, {}, grads2)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace=None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         # each sublayer requests its own arena scratch (the workspace
         # keys on the owning object, so conv1 and conv2 never collide
         # despite identical shapes); only the skip-sum buffer belongs
@@ -104,7 +105,8 @@ class ResidualBlock(Layer):
         return self.relu_out.forward(summed, training=training,
                                      workspace=workspace)
 
-    def backward(self, grad: np.ndarray, *, workspace=None) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *,
+                 workspace: Workspace) -> np.ndarray:
         grad = self.relu_out.backward(grad, workspace=workspace)
         skip = grad  # d(out + x)/dx through the identity branch
         grad = self.conv2.backward(grad, workspace=workspace)

@@ -2,9 +2,8 @@
 
 Every activation is a parameter-free :class:`repro.nn.layers.Layer`; they
 cache whatever the backward pass needs on ``forward`` and release it after
-``backward``.  With a workspace attached, outputs and masks land in
-reusable arena buffers via the ``out=`` form of the exact legacy
-expressions, so results are bitwise identical with and without one.
+``backward``.  Outputs and masks land in the caller's workspace arena
+via the ``out=`` form of the exact legacy expressions.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ class ReLU(Layer):
     _ephemeral = ("_mask",)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         mask = self._scratch_like(workspace, "mask", x, bool)
         np.greater(x, 0, out=mask)
         self._mask = mask
@@ -32,7 +31,7 @@ class ReLU(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         out = self._scratch_like(workspace, "dx", grad)
         np.multiply(grad, self._mask, out=out)
         self._mask = None
@@ -49,7 +48,7 @@ class LeakyReLU(Layer):
         self.negative_slope = float(negative_slope)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         mask = self._scratch_like(workspace, "mask", x, bool)
         np.greater(x, 0, out=mask)
         self._mask = mask
@@ -61,7 +60,7 @@ class LeakyReLU(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         out = self._scratch_like(workspace, "dx", grad)
         np.multiply(self.negative_slope, grad, out=out)
         np.copyto(out, grad, where=self._mask)
@@ -75,14 +74,14 @@ class Tanh(Layer):
     _ephemeral = ("_out",)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         out = self._scratch_like(workspace, "out", x)
         np.tanh(x, out=out)
         self._out = out
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         tmp = self._scratch_like(workspace, "tmp", self._out)
         np.power(self._out, 2, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -99,7 +98,7 @@ class Sigmoid(Layer):
     _ephemeral = ("_out",)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         out = self._scratch_like(workspace, "out", x)
         np.clip(x, -60.0, 60.0, out=out)
         np.negative(out, out=out)
@@ -110,7 +109,7 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         s = self._out
         tmp = self._scratch_like(workspace, "tmp", s)
         np.subtract(1.0, s, out=tmp)
@@ -132,7 +131,7 @@ class ELU(Layer):
         self.alpha = float(alpha)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         neg = self._scratch_like(workspace, "neg", x)
         np.minimum(x, 0.0, out=neg)
         np.exp(neg, out=neg)
@@ -148,7 +147,7 @@ class ELU(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         tmp = self._scratch_like(workspace, "tmp", self._neg)
         np.add(self._neg, self.alpha, out=tmp)
         out = self._scratch_like(workspace, "dx", grad,
@@ -168,7 +167,7 @@ class GELU(Layer):
     _C = math.sqrt(2.0 / math.pi)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         self._x = x
         t = self._scratch_like(workspace, "t", x)
         np.power(x, 3, out=t)
@@ -185,7 +184,7 @@ class GELU(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         x, t = self._x, self._t
         dinner = self._scratch_like(workspace, "dinner", x)
         np.power(x, 2, out=dinner)
@@ -223,7 +222,7 @@ class Softmax(Layer):
     _ephemeral = ("_out",)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         m = self._scratch(workspace, "max", x.shape[:-1] + (1,), x.dtype)
         x.max(axis=-1, keepdims=True, out=m)
         out = self._scratch_like(workspace, "out", x)
@@ -236,7 +235,7 @@ class Softmax(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         s = self._out
         self._out = None
         tmp = self._scratch(workspace, "tmp", grad.shape,

@@ -10,15 +10,14 @@ Parameter-carrying layers are the unit of granularity for DINAR: the
 paper's "layer index p" maps to an index into a model's trainable layers,
 and obfuscation replaces *all* arrays of that layer.
 
-``forward``/``backward`` accept an optional
-:class:`~repro.nn.workspace.Workspace`: with one attached, every
-batch-sized temporary (im2col patch buffers, layer outputs, masks,
-``_col2im`` scatter targets) is written with the ``out=`` form of the
-exact legacy expression into an arena buffer that is reused across
-batches.  Without one (``workspace=None``, the standalone-layer
-default) the same writes go into freshly allocated arrays.  Both paths
-perform identical arithmetic in identical order, so results are
-bitwise equal either way.
+``forward``/``backward`` take a required
+:class:`~repro.nn.workspace.Workspace`: every batch-sized temporary
+(im2col patch buffers, layer outputs, masks, ``_col2im`` scatter
+targets) is written with the ``out=`` form of the exact legacy
+expression into an arena buffer that is reused across batches.  A
+model passes its own arena; a standalone layer takes any
+``Workspace()``.  An array a layer returns is valid until the next
+request for its arena key (see :meth:`repro.nn.model.Model.forward`).
 
 Per-batch caches (``_x``, ``_cols``, ``_mask``, ...) and workspace
 buffers are execution scratch, not model state: ``__getstate__``
@@ -89,11 +88,11 @@ class Layer:
         return type(self).__name__
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         raise NotImplementedError
 
     def attach_rng(self, rng: np.random.Generator) -> None:
@@ -105,17 +104,14 @@ class Layer:
             state.pop(key, None)
         return state
 
-    def _scratch(self, workspace: Workspace | None, role: str,
+    def _scratch(self, workspace: Workspace, role: str,
                  shape: tuple[int, ...],
                  dtype: np.dtype | type | str) -> np.ndarray:
-        """A scratch array for one role: arena-backed when a workspace
-        is attached, freshly allocated otherwise.  Contents are
+        """The arena scratch array for one role.  Contents are
         unspecified — callers must fully overwrite before reading."""
-        if workspace is None:
-            return np.empty(shape, dtype=dtype)
         return workspace.request(self, role, shape, dtype)
 
-    def _scratch_like(self, workspace: Workspace | None, role: str,
+    def _scratch_like(self, workspace: Workspace, role: str,
                       x: np.ndarray,
                       dtype: np.dtype | type | str | None = None
                       ) -> np.ndarray:
@@ -213,7 +209,7 @@ class Dense(Layer):
         return f"Dense({self.in_features}x{self.out_features})"
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         # backward never runs after an eval-mode forward; caching there
         # would only pin the last inference batch in memory.
         self._x = x if training else None
@@ -225,7 +221,7 @@ class Dense(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         # after an eval-mode forward there is no cached input, so only
         # the input gradient is produced (all that e.g. the inversion
         # attack needs); weight gradients require a training forward.
@@ -241,26 +237,20 @@ class Dense(Layer):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, *,
-            pad_out: np.ndarray | None = None,
-            cols_out: np.ndarray | None = None
-            ) -> tuple[np.ndarray, int, int]:
+            cols_out: np.ndarray,
+            pad_out: np.ndarray | None = None) -> np.ndarray:
     """Unfold (N, C, H, W) into (N, out_h, out_w, C*kh*kw) patches.
 
-    ``pad_out`` / ``cols_out`` are optional preallocated destinations
-    (the padded image and the 6-D patch buffer); without them fresh
-    arrays are allocated, exactly as the pre-workspace implementation
-    did.  Element order and values are identical either way.  A given
-    ``pad_out`` must arrive with its border already zeroed (it is
-    constant across batches, so callers zero it once per buffer); only
-    the interior is written here.
+    ``cols_out`` is the 6-D patch destination
+    ``(N, out_h, out_w, C, kh, kw)``; ``pad_out``, the padded image, is
+    required when ``pad`` is nonzero.  It must arrive with its border
+    already zeroed (the border is constant across batches, so callers
+    zero it once per buffer); only the interior is written here.
     """
     n, c, h, w = x.shape
     if pad:
-        if pad_out is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            pad_out[:, :, pad:-pad, pad:-pad] = x
-            x = pad_out
+        pad_out[:, :, pad:-pad, pad:-pad] = x
+        x = pad_out
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -270,41 +260,31 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, *,
         strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
         writeable=False,
     )
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)
-    if cols_out is None:
-        cols = patches.reshape(n, out_h, out_w, -1)
-    else:
-        np.copyto(cols_out, patches)
-        cols = cols_out.reshape(n, out_h, out_w, -1)
-    return cols, out_h, out_w
+    np.copyto(cols_out, windows.transpose(0, 2, 3, 1, 4, 5))
+    return cols_out.reshape(n, out_h, out_w, -1)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int,
             kw: int, stride: int, pad: int, *,
-            padded_out: np.ndarray | None = None) -> np.ndarray:
+            padded_out: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_im2col` — scatter-add patches back to an image.
 
-    ``padded_out`` is an optional preallocated scatter target (zeroed
-    here on every call, matching the fresh ``np.zeros`` it replaces).
+    ``padded_out`` is the ``(N, C, H + 2 pad, W + 2 pad)`` scatter
+    target; it is zeroed here on every call.
     """
     n, c, h, w = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    if padded_out is None:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad),
-                          dtype=cols.dtype)
-    else:
-        padded = padded_out
-        padded.fill(0)
+    padded_out.fill(0)
     patches = cols.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i:i + stride * out_h:stride,
-                   j:j + stride * out_w:stride] += patches[:, :, :, :, i, j] \
-                .transpose(0, 3, 1, 2)
+            padded_out[:, :, i:i + stride * out_h:stride,
+                       j:j + stride * out_w:stride] += \
+                patches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
     if pad:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+        return padded_out[:, :, pad:-pad, pad:-pad]
+    return padded_out
 
 
 class Conv2d(Layer):
@@ -338,21 +318,19 @@ class Conv2d(Layer):
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self.padding
         n, c, h, w = x.shape
         out_h, out_w = self._geometry(h, w)
-        pad_out = cols_out = None
-        if workspace is not None:
-            if p:
-                pad_out, fresh = workspace.request_info(
-                    self, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-                if fresh:
-                    pad_out.fill(0)
-            cols_out = workspace.request(
-                self, "cols", (n, out_h, out_w, c, k, k), x.dtype)
-        cols, _, _ = _im2col(x, k, k, s, p, pad_out=pad_out,
-                             cols_out=cols_out)
+        pad_out = None
+        if p:
+            pad_out, fresh = workspace.request_info(
+                self, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
+            if fresh:
+                pad_out.fill(0)
+        cols_out = workspace.request(
+            self, "cols", (n, out_h, out_w, c, k, k), x.dtype)
+        cols = _im2col(x, k, k, s, p, cols_out=cols_out, pad_out=pad_out)
         self._cols = cols if training else None
         self._x_shape = x.shape
         w_flat = self.params["W"].reshape(self.out_channels, -1)
@@ -364,7 +342,7 @@ class Conv2d(Layer):
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self.padding
         grad_flat = grad.transpose(0, 2, 3, 1)
         # no cached patches after an eval-mode forward: produce the
@@ -384,10 +362,8 @@ class Conv2d(Layer):
             np.result_type(grad.dtype, w_flat.dtype))
         np.matmul(grad_flat, w_flat, out=dcols)
         n, c, h, w = self._x_shape
-        padded_out = None
-        if workspace is not None:
-            padded_out = workspace.request(
-                self, "col2im", (n, c, h + 2 * p, w + 2 * p), dcols.dtype)
+        padded_out = workspace.request(
+            self, "col2im", (n, c, h + 2 * p, w + 2 * p), dcols.dtype)
         out = _col2im(dcols, self._x_shape, k, k, s, p,
                       padded_out=padded_out)
         self._cols = None
@@ -426,27 +402,21 @@ class Conv1d(Layer):
         return n, c, 1, length + 2 * self.padding
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self.padding
         x4 = x[:, :, None, :]  # treat length as width of a height-1 image
         if p:
-            if workspace is None:
-                x4 = np.pad(x4, ((0, 0), (0, 0), (0, 0), (p, p)))
-            else:
-                pad_out, fresh = workspace.request_info(
-                    self, "pad", self._padded4_shape(x.shape), x.dtype)
-                if fresh:
-                    pad_out.fill(0)
-                pad_out[:, :, :, p:-p] = x4
-                x4 = pad_out
+            pad_out, fresh = workspace.request_info(
+                self, "pad", self._padded4_shape(x.shape), x.dtype)
+            if fresh:
+                pad_out.fill(0)
+            pad_out[:, :, :, p:-p] = x4
+            x4 = pad_out
         n, _, _, padded_len = x4.shape
         out_l = (padded_len - k) // s + 1
-        cols_out = None
-        if workspace is not None:
-            cols_out = workspace.request(
-                self, "cols", (n, 1, out_l, self.in_channels, 1, k),
-                x.dtype)
-        cols, _, _ = _im2col(x4, 1, k, s, 0, cols_out=cols_out)
+        cols_out = workspace.request(
+            self, "cols", (n, 1, out_l, self.in_channels, 1, k), x.dtype)
+        cols = _im2col(x4, 1, k, s, 0, cols_out=cols_out)
         self._cols = cols if training else None
         self._x_shape = x.shape
         w_flat = self.params["W"].reshape(self.out_channels, -1)
@@ -458,7 +428,7 @@ class Conv1d(Layer):
         return out[:, 0].transpose(0, 2, 1)
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         k, s, p = self.kernel_size, self.stride, self.padding
         grad4 = grad.transpose(0, 2, 1)[:, None, :, :]  # (n,1,out_l,C_out)
         # no cached patches after an eval-mode forward: produce the
@@ -477,10 +447,8 @@ class Conv1d(Layer):
             np.result_type(grad.dtype, w_flat.dtype))
         np.matmul(grad4, w_flat, out=dcols)
         x4_shape = self._padded4_shape(self._x_shape)
-        padded_out = None
-        if workspace is not None:
-            padded_out = workspace.request(self, "col2im", x4_shape,
-                                           dcols.dtype)
+        padded_out = workspace.request(self, "col2im", x4_shape,
+                                       dcols.dtype)
         dx4 = _col2im(dcols, x4_shape, 1, k, s, 0, padded_out=padded_out)
         self._cols = None
         if p:
@@ -498,7 +466,7 @@ class MaxPool2d(Layer):
         self.kernel_size = kernel_size
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         n, c, h, w = x.shape
         k = self.kernel_size
         if h % k or w % k:
@@ -517,7 +485,7 @@ class MaxPool2d(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         n, c, h, w = self._x_shape
         # Stage the incoming grad into a buffer that shares the mask's
         # (conv-transposed) memory order, then give dx that layout too:
@@ -549,7 +517,7 @@ class AvgPool2d(Layer):
         self.kernel_size = kernel_size
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         n, c, h, w = x.shape
         k = self.kernel_size
         if h % k or w % k:
@@ -561,7 +529,7 @@ class AvgPool2d(Layer):
         return blocks.mean(axis=(3, 5))
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         n, c, h, w = self._x_shape
         k = self.kernel_size
         scale = 1.0 / (k * k)
@@ -584,7 +552,7 @@ class MaxPool1d(Layer):
         self.kernel_size = kernel_size
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         n, c, length = x.shape
         k = self.kernel_size
         if length % k:
@@ -600,7 +568,7 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         counts = self._mask.sum(axis=3, keepdims=True, dtype=grad.dtype)
         # staged grad + layout-matched dx: see MaxPool2d.backward.
         staged = self._scratch_like(workspace, "dgrad",
@@ -620,12 +588,12 @@ class Flatten(Layer):
     _ephemeral = ("_shape",)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         return grad.reshape(self._shape)
 
 
@@ -645,7 +613,7 @@ class Dropout(Layer):
         self._rng = rng
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
@@ -668,7 +636,7 @@ class Dropout(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         if self._mask is None:
             return grad
         out = self._scratch(workspace, "dx", grad.shape, grad.dtype)
@@ -699,7 +667,7 @@ class BatchNorm1d(Layer):
         return f"BatchNorm1d({self.num_features})"
 
     def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
         if training:
             mean = self._scratch(workspace, "mean", x.shape[1:], x.dtype)
             x.mean(axis=0, out=mean)
@@ -729,7 +697,7 @@ class BatchNorm1d(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace) -> np.ndarray:
         xhat, std = self._xhat, self._std
         tmp = self._scratch(workspace, "tmp", grad.shape,
                             np.result_type(grad.dtype, xhat.dtype))

@@ -5,13 +5,13 @@ and a ``per_example`` view — per-sample losses are the raw material of
 membership inference (Fig. 3's loss distributions, the Yeom attack, and
 the attack-feature extraction all consume them).
 
-``forward`` can borrow a model's :class:`~repro.nn.workspace.Workspace`
-(``Model.loss_and_grad`` passes its own): the softmax / cross-entropy
-temporaries then live in arena buffers owned by the loss's class,
-shared by its instances and across batch lengths.  The workspace path
-computes log-softmax once and derives the probabilities as
-``exp(log_softmax)`` — exactly how the plain path defines
-:func:`softmax` — so results are bitwise identical either way.
+``forward`` borrows a :class:`~repro.nn.workspace.Workspace`
+(``Model.loss_and_grad`` passes the model's own): the softmax /
+cross-entropy temporaries live in arena buffers owned by the loss's
+class, shared by its instances and across batch lengths.
+:class:`SoftmaxCrossEntropy` computes log-softmax once and derives the
+probabilities as ``exp(log_softmax)`` — exactly how :func:`softmax`
+is defined — so its values equal the functions below bitwise.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Loss:
         return state
 
     def forward(self, logits: np.ndarray, targets: np.ndarray, *,
-                workspace: Workspace | None = None) -> float:
+                workspace: Workspace) -> float:
         raise NotImplementedError
 
     def backward(self) -> np.ndarray:
@@ -60,7 +60,7 @@ class Loss:
 class SoftmaxCrossEntropy(Loss):
     """Fused softmax + cross-entropy on integer class labels."""
 
-    _ephemeral = ("_probs", "_targets", "_probs_in_arena", "_arange_cache")
+    _ephemeral = ("_probs", "_targets", "_arange_cache")
 
     def __init__(self) -> None:
         super().__init__()
@@ -78,14 +78,9 @@ class SoftmaxCrossEntropy(Loss):
         return arr
 
     def forward(self, logits: np.ndarray, targets: np.ndarray, *,
-                workspace: Workspace | None = None) -> float:
+                workspace: Workspace) -> float:
         n = len(targets)
         self._targets = targets
-        if workspace is None:
-            self._probs = softmax(logits)
-            self._probs_in_arena = False
-            logp = log_softmax(logits)
-            return float(-logp[self._arange(n), targets].mean())
         ws, owner = workspace, type(self)
         m = ws.request(owner, "max", logits.shape[:-1] + (1,), logits.dtype)
         logits.max(axis=-1, keepdims=True, out=m)
@@ -100,14 +95,13 @@ class SoftmaxCrossEntropy(Loss):
         probs = ws.request(owner, "probs", logits.shape, logits.dtype)
         np.exp(logp, out=probs)
         self._probs = probs
-        self._probs_in_arena = True
         return float(-logp[self._arange(n), targets].mean())
 
     def backward(self) -> np.ndarray:
         n = len(self._targets)
         # the arena-held probs buffer is refilled every forward, so the
-        # workspace path mutates it in place instead of copying.
-        grad = self._probs if self._probs_in_arena else self._probs.copy()
+        # gradient is formed in it in place instead of in a copy.
+        grad = self._probs
         grad[self._arange(n), self._targets] -= 1.0
         grad /= n
         self._probs = None
@@ -126,7 +120,7 @@ class MSELoss(Loss):
     _ephemeral = ("_diff",)
 
     def forward(self, logits: np.ndarray, targets: np.ndarray, *,
-                workspace: Workspace | None = None) -> float:
+                workspace: Workspace) -> float:
         self._diff = logits - targets
         return float((self._diff ** 2).mean())
 

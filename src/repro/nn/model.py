@@ -36,7 +36,7 @@ class Model:
         self.name = name
         # Scratch arena for forward/backward temporaries; process-local
         # and excluded from pickling/cloning (fresh arenas are rebuilt).
-        self._workspace: Workspace | None = Workspace()
+        self._workspace = Workspace()
         self._bind_flat()
         if rng is not None:
             self.attach_rng(rng)
@@ -140,24 +140,9 @@ class Model:
     # workspace plane
     # ------------------------------------------------------------------
     @property
-    def workspace(self) -> Workspace | None:
-        """The scratch arena threaded through forward/backward
-        (``None`` when disabled via :meth:`use_workspace`)."""
+    def workspace(self) -> Workspace:
+        """The scratch arena threaded through forward/backward."""
         return self._workspace
-
-    def use_workspace(self, enabled: bool = True) -> None:
-        """Enable (default) or disable the scratch arena.
-
-        Disabling reverts every forward/backward temporary to a fresh
-        allocation — the pre-workspace behavior, bitwise identical and
-        useful as a benchmark baseline.  Re-enabling starts from an
-        empty arena.
-        """
-        if enabled:
-            if self._workspace is None:
-                self._workspace = Workspace()
-        else:
-            self._workspace = None
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -165,10 +150,10 @@ class Model:
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         """Logits for one batch.
 
-        With the workspace enabled the returned array is an arena
-        buffer (or a prefix of one), overwritten in place by the next
-        forward pass of any batch length.  Callers that hold results
-        across batches must copy (as :meth:`predict_logits` does).
+        The returned array is an arena buffer (or a prefix of one),
+        overwritten in place by the next forward pass of any batch
+        length.  Callers that hold results across batches must copy (as
+        :meth:`predict_logits` does).
         """
         ws = self._workspace
         for layer in self.layers:
@@ -226,9 +211,9 @@ class Model:
         first = self.forward(x[:batch_size], training=False)
         n = len(x)
         if n <= batch_size:
-            # with the workspace on, ``first`` is a transient arena
-            # buffer — hand the caller an owned copy.
-            return first.copy() if self._workspace is not None else first
+            # ``first`` is a transient arena buffer — hand the caller
+            # an owned copy.
+            return first.copy()
         out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
         out[:batch_size] = first
         for i in range(batch_size, n, batch_size):

@@ -10,10 +10,10 @@ lazily on first use, and handed back — the *same* buffer, or a
 leading-axis prefix of it — on every later batch.
 
 This mirrors how the ``WeightStore`` made the weight plane one buffer:
-the workspace makes the *scratch* plane a fixed set of buffers.  The
-arithmetic performed into those buffers is unchanged (every write uses
-the ``out=`` form of the exact legacy expression), so float64 results
-are bitwise identical with and without a workspace.
+the workspace makes the *scratch* plane a fixed set of buffers, and it
+is the only place layers and losses get scratch from.  Every write
+uses the ``out=`` form of the exact legacy expression, so the
+arithmetic equals the allocating code the arena replaced, bitwise.
 
 Keying rules
 ------------

@@ -34,7 +34,7 @@ def invert_class(model: Model, target_class: int,
     y = np.array([target_class])
     for _ in range(steps):
         logits = model.forward(x, training=False)
-        loss.forward(logits, y)
+        loss.forward(logits, y, workspace=model.workspace)
         grad_input = model.backward(loss.backward())
         # descend the loss (= ascend the class log-probability), with
         # an L2 pull toward small inputs as the image prior

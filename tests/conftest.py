@@ -13,11 +13,18 @@ from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import Dense
 from repro.nn.model import Model
 from repro.nn.store import WeightStore
+from repro.nn.workspace import Workspace
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def ws() -> Workspace:
+    """A fresh scratch arena for standalone layer and loss calls."""
+    return Workspace()
 
 
 @pytest.fixture
@@ -78,10 +85,12 @@ def numeric_gradient_check(model: Model, x: np.ndarray, y: np.ndarray,
                 orig = flat[j]
                 flat[j] = orig + eps
                 up = loss.forward(
-                    model.forward(x, training=training_forward), y)
+                    model.forward(x, training=training_forward), y,
+                    workspace=model.workspace)
                 flat[j] = orig - eps
                 down = loss.forward(
-                    model.forward(x, training=training_forward), y)
+                    model.forward(x, training=training_forward), y,
+                    workspace=model.workspace)
                 flat[j] = orig
                 numeric = (up - down) / (2 * eps)
                 value = analytic[(i, key)].ravel()[j]

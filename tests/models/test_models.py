@@ -53,13 +53,13 @@ class TestResNet:
         # stem conv + 2 blocks + classifier
         assert model.num_trainable_layers == 4
 
-    def test_residual_block_identity_path(self, rng):
+    def test_residual_block_identity_path(self, rng, ws):
         """With zeroed convs the block is relu(x) (pure skip)."""
         block = ResidualBlock(2, rng)
         for key in block.params:
             block.params[key][...] = 0.0
         x = rng.standard_normal((2, 2, 4, 4))
-        out = block.forward(x)
+        out = block.forward(x, workspace=ws)
         assert np.allclose(out, np.maximum(x, 0.0))
 
     def test_residual_block_merged_params(self, rng):
@@ -129,9 +129,11 @@ class TestRegistry:
         y = np.array([0, 1] * 8)
         loss = SoftmaxCrossEntropy()
         optimizer = SGD(model, 0.05)
-        start = loss.forward(model.predict_logits(x), y)
+        start = loss.forward(model.predict_logits(x), y,
+                             workspace=model.workspace)
         for _ in range(15):
             model.loss_and_grad(x, y, loss)
             optimizer.step()
-        end = loss.forward(model.predict_logits(x), y)
+        end = loss.forward(model.predict_logits(x), y,
+                           workspace=model.workspace)
         assert end < start

@@ -23,9 +23,9 @@ TOL = 1e-6
 
 
 class TestDense:
-    def test_forward_shape(self, rng):
+    def test_forward_shape(self, rng, ws):
         layer = Dense(10, 7, rng)
-        out = layer.forward(rng.standard_normal((4, 10)))
+        out = layer.forward(rng.standard_normal((4, 10)), workspace=ws)
         assert out.shape == (4, 7)
 
     def test_gradient_exact(self, rng):
@@ -43,23 +43,23 @@ class TestDense:
         layer = Dense(10, 7, rng)
         assert layer.num_parameters() == 10 * 7 + 7
 
-    def test_backward_returns_input_gradient_shape(self, rng):
+    def test_backward_returns_input_gradient_shape(self, rng, ws):
         layer = Dense(10, 7, rng)
         x = rng.standard_normal((4, 10))
-        layer.forward(x)
-        dx = layer.backward(rng.standard_normal((4, 7)))
+        layer.forward(x, workspace=ws)
+        dx = layer.backward(rng.standard_normal((4, 7)), workspace=ws)
         assert dx.shape == x.shape
 
 
 class TestConv2d:
-    def test_forward_shape_with_padding(self, rng):
+    def test_forward_shape_with_padding(self, rng, ws):
         layer = Conv2d(3, 5, 3, rng, padding=1)
-        out = layer.forward(rng.standard_normal((2, 3, 8, 8)))
+        out = layer.forward(rng.standard_normal((2, 3, 8, 8)), workspace=ws)
         assert out.shape == (2, 5, 8, 8)
 
-    def test_forward_shape_with_stride(self, rng):
+    def test_forward_shape_with_stride(self, rng, ws):
         layer = Conv2d(3, 5, 3, rng, stride=2, padding=1)
-        out = layer.forward(rng.standard_normal((2, 3, 8, 8)))
+        out = layer.forward(rng.standard_normal((2, 3, 8, 8)), workspace=ws)
         assert out.shape == (2, 5, 4, 4)
 
     def test_gradient_exact(self, rng):
@@ -78,20 +78,20 @@ class TestConv2d:
         err = numeric_gradient_check(model, x, y, SoftmaxCrossEntropy(), rng)
         assert err < TOL
 
-    def test_matches_manual_convolution(self, rng):
+    def test_matches_manual_convolution(self, rng, ws):
         """One output position equals the explicit dot product."""
         layer = Conv2d(1, 1, 2, rng)
         x = rng.standard_normal((1, 1, 3, 3))
-        out = layer.forward(x)
+        out = layer.forward(x, workspace=ws)
         w = layer.params["W"][0, 0]
         expected = (x[0, 0, :2, :2] * w).sum() + layer.params["b"][0]
         assert np.isclose(out[0, 0, 0, 0], expected)
 
 
 class TestConv1d:
-    def test_forward_shape(self, rng):
+    def test_forward_shape(self, rng, ws):
         layer = Conv1d(1, 4, 9, rng, stride=4, padding=4)
-        out = layer.forward(rng.standard_normal((2, 1, 64)))
+        out = layer.forward(rng.standard_normal((2, 1, 64)), workspace=ws)
         assert out.shape == (2, 4, 16)
 
     def test_gradient_exact(self, rng):
@@ -104,18 +104,18 @@ class TestConv1d:
 
 
 class TestPooling:
-    def test_maxpool2d_selects_maxima(self, rng):
+    def test_maxpool2d_selects_maxima(self, rng, ws):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2).forward(x)
+        out = MaxPool2d(2).forward(x, workspace=ws)
         assert out.tolist() == [[[[5.0, 7.0], [13.0, 15.0]]]]
 
-    def test_maxpool2d_rejects_indivisible(self, rng):
+    def test_maxpool2d_rejects_indivisible(self, rng, ws):
         with pytest.raises(ValueError):
-            MaxPool2d(3).forward(np.zeros((1, 1, 4, 4)))
+            MaxPool2d(3).forward(np.zeros((1, 1, 4, 4)), workspace=ws)
 
-    def test_avgpool2d_averages(self):
+    def test_avgpool2d_averages(self, ws):
         x = np.ones((1, 1, 4, 4))
-        out = AvgPool2d(2).forward(x)
+        out = AvgPool2d(2).forward(x, workspace=ws)
         assert np.allclose(out, 1.0)
 
     def test_maxpool2d_gradient_exact(self, rng):
@@ -142,71 +142,72 @@ class TestPooling:
         err = numeric_gradient_check(model, x, y, SoftmaxCrossEntropy(), rng)
         assert err < TOL
 
-    def test_maxpool1d_rejects_indivisible(self):
+    def test_maxpool1d_rejects_indivisible(self, ws):
         with pytest.raises(ValueError):
-            MaxPool1d(3).forward(np.zeros((1, 1, 16)))
+            MaxPool1d(3).forward(np.zeros((1, 1, 16)), workspace=ws)
 
 
 class TestFlatten:
-    def test_roundtrip(self, rng):
+    def test_roundtrip(self, rng, ws):
         layer = Flatten()
         x = rng.standard_normal((3, 2, 4, 4))
-        out = layer.forward(x)
+        out = layer.forward(x, workspace=ws)
         assert out.shape == (3, 32)
-        back = layer.backward(out)
+        back = layer.backward(out, workspace=ws)
         assert back.shape == x.shape
 
 
 class TestDropout:
-    def test_identity_at_eval(self, rng):
+    def test_identity_at_eval(self, rng, ws):
         layer = Dropout(0.5)
         layer.attach_rng(rng)
         x = rng.standard_normal((4, 10))
-        assert np.array_equal(layer.forward(x, training=False), x)
+        out = layer.forward(x, training=False, workspace=ws)
+        assert np.array_equal(out, x)
 
-    def test_scales_kept_units(self, rng):
+    def test_scales_kept_units(self, rng, ws):
         layer = Dropout(0.5)
         layer.attach_rng(rng)
         x = np.ones((2000, 10))
-        out = layer.forward(x, training=True)
+        out = layer.forward(x, training=True, workspace=ws)
         kept = out[out > 0]
         assert np.allclose(kept, 2.0)  # inverted dropout scaling
         assert abs(out.mean() - 1.0) < 0.1
 
-    def test_requires_rng_when_training(self):
+    def test_requires_rng_when_training(self, ws):
         with pytest.raises(RuntimeError):
-            Dropout(0.5).forward(np.ones((2, 2)), training=True)
+            Dropout(0.5).forward(np.ones((2, 2)), training=True, workspace=ws)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
 
-    def test_zero_rate_is_identity(self, rng):
+    def test_zero_rate_is_identity(self, rng, ws):
         layer = Dropout(0.0)
         layer.attach_rng(rng)
         x = rng.standard_normal((3, 3))
-        assert np.array_equal(layer.forward(x, training=True), x)
+        assert np.array_equal(layer.forward(x, training=True, workspace=ws), x)
 
 
 class TestBatchNorm1d:
-    def test_normalizes_batch(self, rng):
+    def test_normalizes_batch(self, rng, ws):
         layer = BatchNorm1d(5)
         x = rng.standard_normal((64, 5)) * 3.0 + 2.0
-        out = layer.forward(x, training=True)
+        out = layer.forward(x, training=True, workspace=ws)
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-7)
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-2)
 
-    def test_running_stats_updated(self, rng):
+    def test_running_stats_updated(self, rng, ws):
         layer = BatchNorm1d(5, momentum=1.0)
         x = rng.standard_normal((64, 5)) + 4.0
-        layer.forward(x, training=True)
+        layer.forward(x, training=True, workspace=ws)
         assert np.allclose(layer.buffers["running_mean"], x.mean(axis=0))
 
-    def test_eval_uses_running_stats(self, rng):
+    def test_eval_uses_running_stats(self, rng, ws):
         layer = BatchNorm1d(3, momentum=1.0)
         x = rng.standard_normal((32, 3))
-        layer.forward(x, training=True)
-        single = layer.forward(x[:1], training=False)
+        layer.forward(x, training=True, workspace=ws)
+        single = layer.forward(x[:1], training=False, workspace=ws)
         expected = (x[:1] - layer.buffers["running_mean"]) / np.sqrt(
             layer.buffers["running_var"] + layer.eps)
         assert np.allclose(single, expected)

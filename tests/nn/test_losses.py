@@ -28,33 +28,34 @@ class TestSoftmaxHelpers:
 
 
 class TestSoftmaxCrossEntropy:
-    def test_uniform_logits_give_log_classes(self):
+    def test_uniform_logits_give_log_classes(self, ws):
         loss = SoftmaxCrossEntropy()
-        value = loss.forward(np.zeros((5, 10)), np.zeros(5, dtype=int))
+        value = loss.forward(np.zeros((5, 10)), np.zeros(5, dtype=int),
+                             workspace=ws)
         assert np.isclose(value, np.log(10))
 
-    def test_perfect_prediction_near_zero(self):
+    def test_perfect_prediction_near_zero(self, ws):
         loss = SoftmaxCrossEntropy()
         logits = np.full((3, 4), -100.0)
         logits[np.arange(3), [0, 1, 2]] = 100.0
-        assert loss.forward(logits, np.array([0, 1, 2])) < 1e-6
+        assert loss.forward(logits, np.array([0, 1, 2]), workspace=ws) < 1e-6
 
-    def test_backward_is_probs_minus_onehot(self, rng):
+    def test_backward_is_probs_minus_onehot(self, rng, ws):
         loss = SoftmaxCrossEntropy()
         logits = rng.standard_normal((4, 5))
         y = np.array([0, 1, 2, 3])
-        loss.forward(logits, y)
+        loss.forward(logits, y, workspace=ws)
         grad = loss.backward()
         probs = softmax(logits)
         expected = probs.copy()
         expected[np.arange(4), y] -= 1.0
         assert np.allclose(grad, expected / 4)
 
-    def test_per_example_mean_matches_forward(self, rng):
+    def test_per_example_mean_matches_forward(self, rng, ws):
         loss = SoftmaxCrossEntropy()
         logits = rng.standard_normal((6, 3))
         y = rng.integers(0, 3, 6)
-        batch = loss.forward(logits, y)
+        batch = loss.forward(logits, y, workspace=ws)
         per = loss.per_example(logits, y)
         assert per.shape == (6,)
         assert np.isclose(per.mean(), batch)
@@ -67,19 +68,20 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestMSELoss:
-    def test_zero_for_exact_match(self, rng):
+    def test_zero_for_exact_match(self, rng, ws):
         loss = MSELoss()
         x = rng.standard_normal((4, 3))
-        assert loss.forward(x, x.copy()) == 0.0
+        assert loss.forward(x, x.copy(), workspace=ws) == 0.0
 
-    def test_value(self):
+    def test_value(self, ws):
         loss = MSELoss()
-        value = loss.forward(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
+        value = loss.forward(np.array([[1.0, 1.0]]),
+                             np.array([[0.0, 0.0]]), workspace=ws)
         assert np.isclose(value, 1.0)
 
-    def test_gradient_direction(self):
+    def test_gradient_direction(self, ws):
         loss = MSELoss()
-        loss.forward(np.array([[2.0]]), np.array([[0.0]]))
+        loss.forward(np.array([[2.0]]), np.array([[0.0]]), workspace=ws)
         grad = loss.backward()
         assert grad[0, 0] > 0  # pushing the prediction down
 

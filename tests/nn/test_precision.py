@@ -148,9 +148,11 @@ def test_float32_batchnorm_gradient_check(rng):
                                 replace=False):
                 orig = flat[j]
                 flat[j] = orig + F32_EPS
-                up = loss.forward(model.forward(x, training=True), y)
+                up = loss.forward(model.forward(x, training=True), y,
+                                  workspace=model.workspace)
                 flat[j] = orig - F32_EPS
-                down = loss.forward(model.forward(x, training=True), y)
+                down = loss.forward(model.forward(x, training=True), y,
+                                    workspace=model.workspace)
                 flat[j] = orig
                 numeric = (up - down) / (2 * F32_EPS)
                 value = analytic[(i, key)].ravel()[j]
@@ -159,13 +161,13 @@ def test_float32_batchnorm_gradient_check(rng):
                     f"layer {i} {key}[{j}]: {numeric} vs {value}"
 
 
-def test_dropout_mask_adopts_input_dtype(rng):
+def test_dropout_mask_adopts_input_dtype(rng, ws):
     layer = Dropout(0.5)
     layer.attach_rng(np.random.default_rng(0))
     x = rng.standard_normal((16, 8)).astype(np.float32)
-    out = layer.forward(x, training=True)
+    out = layer.forward(x, training=True, workspace=ws)
     assert out.dtype == np.float32
-    assert layer.backward(out).dtype == np.float32
+    assert layer.backward(out, workspace=ws).dtype == np.float32
 
 
 def test_set_store_rejects_mismatched_dtype():
@@ -238,15 +240,16 @@ def test_dtype_gated_draws_match_legacy_float64_bitwise():
     assert gaussian(a, 0.7, 4, np.float32).dtype == np.float32
 
 
-def test_eval_forward_releases_caches(rng):
+def test_eval_forward_releases_caches(rng, ws):
     dense = Dense(6, 4, rng)
     conv = Conv2d(2, 3, 3, rng, padding=1)
-    dense.forward(rng.standard_normal((5, 6)), training=False)
-    conv.forward(rng.standard_normal((2, 2, 6, 6)), training=False)
+    dense.forward(rng.standard_normal((5, 6)), training=False, workspace=ws)
+    conv.forward(rng.standard_normal((2, 2, 6, 6)), training=False,
+                 workspace=ws)
     assert dense._x is None
     assert conv._cols is None
     # training-mode forward still caches for backward
-    dense.forward(rng.standard_normal((5, 6)), training=True)
+    dense.forward(rng.standard_normal((5, 6)), training=True, workspace=ws)
     assert dense._x is not None
 
 
@@ -260,10 +263,12 @@ def test_eval_backward_yields_input_gradient(rng):
     # reference input gradient from a training-mode pass
     model.loss_and_grad(x, y, loss)
     logits = model.forward(x, training=True)
-    loss.forward(logits, y)
-    ref = model.backward(loss.backward())
+    loss.forward(logits, y, workspace=model.workspace)
+    # the input gradient is an arena buffer the next backward refills
+    ref = model.backward(loss.backward()).copy()
     # eval-mode pass: same statistics for this model, same input grad
-    loss.forward(model.forward(x, training=False), y)
+    loss.forward(model.forward(x, training=False), y,
+                 workspace=model.workspace)
     got = model.backward(loss.backward())
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
@@ -292,6 +297,7 @@ def test_float32_training_reduces_loss():
     for _ in range(30):
         model.loss_and_grad(x, y, loss)
         optimizer.step()
-    last = loss.forward(model.forward(x, training=False), y)
+    last = loss.forward(model.forward(x, training=False), y,
+                        workspace=model.workspace)
     assert math.isfinite(last)
     assert last < first * 0.7

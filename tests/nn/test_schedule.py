@@ -99,11 +99,13 @@ class TestScheduledOptimizer:
         scheduled = ScheduledOptimizer(
             SGD(model, 0.2), CosineDecay(total_steps=80))
         loss = SoftmaxCrossEntropy()
-        start = loss.forward(model.predict_logits(x), y)
+        start = loss.forward(model.predict_logits(x), y,
+                             workspace=model.workspace)
         for _ in range(60):
             model.loss_and_grad(x, y, loss)
             scheduled.step()
-        assert loss.forward(model.predict_logits(x), y) < start
+        assert loss.forward(model.predict_logits(x), y,
+                            workspace=model.workspace) < start
 
     def test_forwards_batch_size_hint(self, rng):
         from repro.privacy.defenses.dpsgd import DPSGD

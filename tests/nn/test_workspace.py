@@ -7,13 +7,14 @@ The workspace's contract has four legs:
   ``(owner index, role, trailing shape, dtype)``; any differing
   component means a distinct buffer, and the leading axis is capacity:
   a shorter request is a prefix view, a longer one reallocates.
-* **Bitwise parity** — training with the arena enabled produces the
-  exact same float trajectory as with it disabled (which is the
-  pre-workspace allocating path), at float64 *and* float32, including
-  partial final batches served from the full-batch buffers.
+* **Bitwise parity** — training on a warm arena produces the exact
+  same float trajectory as training with the arena cleared before
+  every step (every request a miss, so each batch computes in buffers
+  of its own size), at float64 *and* float32, including partial final
+  batches served from the full-batch buffers.
 * **Lifecycle** — an arena is freed by refcounting with its model
-  (no cyclic GC pass needed), and neither fresh losses nor partial
-  batches grow it.
+  (no cyclic GC pass needed); once warm it stops allocating: neither
+  more steps, fresh losses nor partial batches grow it.
 * **Process-locality** — workspaces and per-batch layer caches never
   survive pickling; ``Workspace`` itself refuses to pickle, so a
   successful ``pickle.dumps`` of any payload doubles as proof that no
@@ -22,6 +23,7 @@ The workspace's contract has four legs:
 
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -34,9 +36,7 @@ from repro.data.datasets import load_dataset
 from repro.data.partition import split_for_membership
 from repro.models.fcnn import build_fcnn
 from repro.models.vgg import build_vgg_small
-from repro.nn.layers import Dense
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.nn.workspace import Workspace
 from repro.privacy.attacks.shadow import ShadowAttack
@@ -128,35 +128,44 @@ def _dense_setup(dtype, seed=3):
     return model, x, y
 
 
-def _train(model, x, y, steps=3, batch_sizes=None):
-    """A few SGD steps; returns (losses, final flat buffer copy)."""
+def _train(model, x, y, steps=3, batch_sizes=None, clear=False):
+    """A few SGD steps; returns (losses, final flat buffer copy).
+
+    ``clear=True`` empties the arena before every step, so every
+    request misses and each batch computes in buffers of its own size:
+    the reference the warm arena must match bitwise.
+    """
     loss = SoftmaxCrossEntropy()
     optimizer = SGD(model, 0.05)
     losses = []
-    start = 0
     for step in range(steps):
         if batch_sizes is None:
             xb, yb = x, y
         else:
             size = batch_sizes[step % len(batch_sizes)]
             xb, yb = x[:size], y[:size]
+        if clear:
+            model.workspace.clear()
         losses.append(model.loss_and_grad(xb, yb, loss))
         optimizer.step()
-        start += 1
     return losses, model.weights.buffer.copy()
+
+
+def _arena_footprint(ws):
+    return ws.misses, ws.num_buffers, ws.nbytes
 
 
 @pytest.mark.parametrize("setup", [_conv_setup, _dense_setup],
                          ids=["conv", "dense"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_workspace_on_off_bitwise_identical(setup, dtype):
+    """A warm arena ("on") trains exactly as one cleared before every
+    step ("off": no buffer outlives its step)."""
     model_on, x, y = setup(dtype)
     model_off, _, _ = setup(dtype)
-    model_off.use_workspace(False)
-    assert model_off.workspace is None
 
     losses_on, final_on = _train(model_on, x, y)
-    losses_off, final_off = _train(model_off, x, y)
+    losses_off, final_off = _train(model_off, x, y, clear=True)
     assert losses_on == losses_off
     assert np.array_equal(final_on, final_off)
     ws = model_on.workspace
@@ -170,21 +179,20 @@ def test_workspace_on_off_bitwise_identical(setup, dtype):
 @given(partial=st.integers(min_value=1, max_value=11),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_partial_batches_rekey_bitwise(setup, dtype, partial, seed):
-    """full / partial / full batch alternation matches a fresh model.
+    """full / partial / full batch alternation matches a cleared arena.
 
     A smaller final batch is served a prefix of the full-batch buffers;
-    it must compute exactly as buffers of its own would, so the
-    arena-backed run stays bitwise equal to an arena-free one.
+    it must compute exactly as buffers of its own would, so the warm
+    run stays bitwise equal to one whose arena is emptied every step.
     """
     sizes = [12, partial, 12]
     model_ws, x, y = setup(dtype, seed=seed % 97)
     model_fresh, _, _ = setup(dtype, seed=seed % 97)
-    model_fresh.use_workspace(False)
 
     losses_ws, final_ws = _train(model_ws, x, y, steps=6,
                                  batch_sizes=sizes)
     losses_fresh, final_fresh = _train(model_fresh, x, y, steps=6,
-                                       batch_sizes=sizes)
+                                       batch_sizes=sizes, clear=True)
     assert losses_ws == losses_fresh
     assert np.array_equal(final_ws, final_fresh)
 
@@ -222,6 +230,35 @@ class TestLifecycle:
             assert all(arena() is None for arena in arenas)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("setup", [_conv_setup, _dense_setup],
+                             ids=["conv", "dense"])
+    def test_warm_arena_stops_allocating(self, setup):
+        model, x, y = setup("float64")
+        _train(model, x, y, steps=1)
+        warm = _arena_footprint(model.workspace)
+        _train(model, x, y, steps=5)
+        assert _arena_footprint(model.workspace) == warm
+        # a shorter batch is served prefixes of the full-batch buffers
+        _train(model, x, y, steps=1, batch_sizes=[len(x) // 2])
+        assert _arena_footprint(model.workspace) == warm
+
+    def test_steady_conv_step_allocates_a_fraction_of_the_arena(self):
+        model, x, y = _conv_setup("float64")
+        loss = SoftmaxCrossEntropy()
+        optimizer = SGD(model, 0.05)
+        model.loss_and_grad(x, y, loss)
+        optimizer.step()
+        tracemalloc.start()
+        try:
+            model.loss_and_grad(x, y, loss)
+            optimizer.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.workspace.nbytes / 4, \
+            f"steady step peaked at {peak} B beside a " \
+            f"{model.workspace.nbytes} B arena"
 
     def test_fresh_loss_per_call_does_not_grow_arena(self):
         def arena_after(fresh):
@@ -289,10 +326,3 @@ class TestPicklingHygiene:
         clone = model.clone()
         assert clone.workspace is not model.workspace
         assert clone.workspace.num_buffers == 0
-
-    def test_workspace_disabled_model_roundtrips(self):
-        model = Model([Dense(6, 3, np.random.default_rng(0))])
-        model.use_workspace(False)
-        restored = pickle.loads(pickle.dumps(model))
-        # unpickling always rebuilds an arena (the default state)
-        assert isinstance(restored.workspace, Workspace)

@@ -5,9 +5,10 @@ import pytest
 
 from repro.data.loader import iterate_batches
 from repro.data.synthetic import synthetic_tabular
+from repro.models.vgg import build_vgg_small
 from repro.nn.activations import Tanh
 from repro.nn.layers import Dense
-from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.privacy.attacks.inversion import (
@@ -38,6 +39,28 @@ def test_inversion_output_shape(trained):
     reconstruction = invert_class(model, 0, (16,), steps=50)
     assert reconstruction.shape == (16,)
     assert np.all(np.isfinite(reconstruction))
+
+
+def _written_out_inversion(model, target_class, input_shape, *, steps,
+                           lr=0.5, l2_prior=1e-3):
+    """``invert_class`` with the loss gradient spelled out: softmax of
+    the logits, minus the one-hot target, divided by the batch size."""
+    x = np.random.default_rng(0).standard_normal((1, *input_shape)) * 0.1
+    for _ in range(steps):
+        grad = softmax(model.forward(x, training=False))
+        grad[0, target_class] -= 1.0
+        grad /= len(grad)
+        x = x - lr * (model.backward(grad) + l2_prior * x)
+    return x[0]
+
+
+def test_inversion_matches_written_out_loop_bitwise(trained):
+    model, _ = trained
+    vgg = build_vgg_small((3, 8, 8), 5, np.random.default_rng(4))
+    for net, shape in [(model, (16,)), (vgg, (3, 8, 8))]:
+        got = invert_class(net, 1, shape, steps=20)
+        want = _written_out_inversion(net, 1, shape, steps=20)
+        assert np.array_equal(got, want)
 
 
 def test_inversion_is_classified_as_target(trained):
