@@ -15,19 +15,23 @@ Quickstart::
     print(result.local_auc, result.client_accuracy)
 """
 
-from repro.bench.harness import (
-    ExperimentResult,
-    quick_experiment,
-    run_experiment,
-)
-from repro.analysis import leakage_over_training
-from repro.core import DINAR, DINARMiddleware, dinar_initialization
-from repro.data import load_dataset, split_for_membership
-from repro.fl import FederatedSimulation, FLConfig
-from repro.privacy.attacks import LossThresholdAttack, ShadowAttack
-from repro.privacy.defenses import make_defense
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis.leakage_over_time": "leakage_over_training",
+    "bench.harness": "ExperimentResult quick_experiment run_experiment",
+    "core.dinar": "DINAR dinar_initialization",
+    "core.middleware": "DINARMiddleware",
+    "data.datasets": "load_dataset",
+    "data.partition": "split_for_membership",
+    "fl.config": "FLConfig",
+    "fl.simulation": "FederatedSimulation",
+    "privacy.attacks.shadow": "ShadowAttack",
+    "privacy.attacks.threshold": "LossThresholdAttack",
+    "privacy.defenses": "make_defense",
+})
 
 __all__ = [
     "DINAR",

@@ -1,19 +1,14 @@
 """Analysis utilities: divergence measures and loss distributions."""
 
-from repro.analysis.divergence import (
-    histogram_distribution,
-    jensen_shannon_divergence,
-    js_divergence_from_samples,
-)
-from repro.analysis.leakage_over_time import (
-    LeakagePoint,
-    LeakageTrajectory,
-    leakage_over_training,
-)
-from repro.analysis.loss_distribution import (
-    LossDistributions,
-    loss_distributions,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "divergence": ("histogram_distribution jensen_shannon_divergence"
+                   " js_divergence_from_samples"),
+    "leakage_over_time": ("LeakagePoint LeakageTrajectory"
+                          " leakage_over_training"),
+    "loss_distribution": "LossDistributions loss_distributions",
+})
 
 __all__ = [
     "LeakagePoint",

@@ -1,13 +1,13 @@
 """Benchmark harness: one call = one (dataset, defense, attack) cell of
 the paper's evaluation, returning privacy, utility and cost metrics."""
 
-from repro.bench.harness import (
-    ExperimentResult,
-    make_model_factory,
-    quick_experiment,
-    run_experiment,
-)
-from repro.bench.reporting import format_table, paper_vs_measured
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "harness": ("ExperimentResult make_model_factory quick_experiment"
+                " run_experiment"),
+    "reporting": "format_table paper_vs_measured",
+})
 
 __all__ = [
     "ExperimentResult",

@@ -23,8 +23,6 @@ from repro.fl.simulation import FederatedSimulation
 from repro.models.registry import build_model
 from repro.nn.model import Model
 from repro.privacy.attacks.metrics import global_model_auc, local_models_auc
-from repro.privacy.attacks.shadow import ShadowAttack
-from repro.privacy.attacks.threshold import LossThresholdAttack
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.make import make_defense_for_config
 
@@ -102,6 +100,7 @@ def build_attack(name: str, dataset_name: str, split: MembershipSplit, *,
     training runs at the same precision as the target.
     """
     if name == "yeom":
+        from repro.privacy.attacks.threshold import LossThresholdAttack
         return LossThresholdAttack()
     if name == "entropy":
         from repro.privacy.attacks.threshold import EntropyThresholdAttack
@@ -112,6 +111,7 @@ def build_attack(name: str, dataset_name: str, split: MembershipSplit, *,
         )
         return ConfidenceThresholdAttack()
     if name == "shadow":
+        from repro.privacy.attacks.shadow import ShadowAttack
         attack = ShadowAttack(
             make_model_factory(dataset_name, dtype=dtype),
             num_shadows=num_shadows, epochs=shadow_epochs, seed=seed)

@@ -25,7 +25,6 @@ from repro.bench.harness import (
     make_model_factory,
     run_experiment,
 )
-from repro.bench.reporting import format_table
 from repro.data import available_datasets
 from repro.fl.aggregation import AGGREGATOR_CHOICES
 from repro.fl.behavior import BEHAVIOR_CHOICES
@@ -146,6 +145,8 @@ def _config_from_args(args) -> FLConfig:
 
 
 def _cmd_run(args) -> int:
+    from repro.bench.reporting import format_table
+
     result = run_experiment(
         args.dataset, args.defense, attack=args.attack,
         config=_config_from_args(args), dirichlet_alpha=args.alpha,
@@ -184,6 +185,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from repro.bench.reporting import format_table
     from repro.core.sensitivity import layer_divergences
 
     print(f"training an unprotected FL model on {args.dataset}...")

@@ -9,14 +9,14 @@
 * :mod:`~repro.core.consensus` — Byzantine-tolerant broadcast voting.
 """
 
-from repro.core.consensus import (
-    BroadcastVoting,
-    ConsensusResult,
-    agree_on_private_layer,
-)
-from repro.core.dinar import DINAR, InitializationResult, dinar_initialization
-from repro.core.middleware import DINARMiddleware
-from repro.core.sensitivity import LayerSensitivity, layer_divergences
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "consensus": "BroadcastVoting ConsensusResult agree_on_private_layer",
+    "dinar": "DINAR InitializationResult dinar_initialization",
+    "middleware": "DINARMiddleware",
+    "sensitivity": "LayerSensitivity layer_divergences",
+})
 
 __all__ = [
     "BroadcastVoting",

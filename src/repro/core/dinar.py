@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.consensus import ConsensusResult, agree_on_private_layer
-from repro.core.sensitivity import LayerSensitivity, layer_divergences
 from repro.data.loader import iterate_batches
 from repro.data.synthetic import Dataset
 from repro.nn.dtypes import standard_normal
@@ -35,6 +34,10 @@ from repro.nn.model import Model
 from repro.nn.optim import Optimizer, make_optimizer
 from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
+
+if TYPE_CHECKING:
+    from repro.core.consensus import ConsensusResult
+    from repro.core.sensitivity import LayerSensitivity
 
 
 class DINAR(Defense):
@@ -224,6 +227,9 @@ def dinar_initialization(
     divergence, and proposes its argmax layer.  The broadcast vote
     (optionally with injected Byzantine voters) fixes the global ``p``.
     """
+    from repro.core.consensus import agree_on_private_layer
+    from repro.core.sensitivity import layer_divergences
+
     if not client_datasets:
         raise ValueError("need at least one client dataset")
     proposals: dict[int, int] = {}

@@ -9,25 +9,15 @@ set is partitioned across FL clients IID or with a Dirichlet(alpha)
 distribution (§5.1, §5.3, §5.8).
 """
 
-from repro.data.datasets import (
-    DATASET_SPECS,
-    DatasetSpec,
-    available_datasets,
-    load_dataset,
-)
-from repro.data.loader import iterate_batches
-from repro.data.partition import (
-    MembershipSplit,
-    partition_dirichlet,
-    partition_iid,
-    split_for_membership,
-)
-from repro.data.synthetic import (
-    Dataset,
-    synthetic_audio,
-    synthetic_images,
-    synthetic_tabular,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "datasets": "DATASET_SPECS DatasetSpec available_datasets load_dataset",
+    "loader": "iterate_batches",
+    "partition": ("MembershipSplit partition_dirichlet partition_iid"
+                  " split_for_membership"),
+    "synthetic": "Dataset synthetic_audio synthetic_images synthetic_tabular",
+})
 
 __all__ = [
     "DATASET_SPECS",

@@ -7,25 +7,19 @@ participating clients (and nobody else).  Defenses plug in through the
 hook interface in :mod:`repro.privacy.defenses.base`.
 """
 
-from repro.fl.aggregation import (
-    AGGREGATOR_CHOICES,
-    StreamingAccumulator,
-    clustered_mean,
-    coordinate_median,
-    fedavg,
-    trimmed_mean,
-)
-from repro.fl.behavior import (
-    BEHAVIOR_CHOICES,
-    ClientBehavior,
-    make_behavior,
-    select_adversaries,
-)
-from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.config import FLConfig
-from repro.fl.costs import CostMeter, CostReport
-from repro.fl.server import FLServer
-from repro.fl.simulation import FederatedSimulation, History, RoundRecord
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "aggregation": ("AGGREGATOR_CHOICES StreamingAccumulator clustered_mean"
+                    " coordinate_median fedavg trimmed_mean"),
+    "behavior": ("BEHAVIOR_CHOICES ClientBehavior make_behavior"
+                 " select_adversaries"),
+    "client": "ClientUpdate FLClient",
+    "config": "FLConfig",
+    "costs": "CostMeter CostReport",
+    "server": "FLServer",
+    "simulation": "FederatedSimulation History RoundRecord",
+})
 
 __all__ = [
     "AGGREGATOR_CHOICES",

@@ -283,20 +283,6 @@ class FLClient:
                     add_proximal_term(self.model, mu, anchor)
                 optimizer.step()
 
-    def personalized_model(self) -> Model:
-        """The client's prediction model (private layer restored).
-
-        Returns an independent clone the caller owns; the hot
-        evaluation path (:meth:`evaluate`) goes through a reused eval
-        model instead and never clones per call.
-        """
-        if self.personal_weights is None:
-            raise RuntimeError(
-                f"client {self.client_id} has not trained yet")
-        model = self.model.clone()
-        model.set_store(self.personal_weights)
-        return model
-
     def _eval_model(self) -> Model:
         """The reused evaluation model: fleet-shared when bound through
         the virtual plane, a lazily cloned singleton otherwise.

@@ -96,28 +96,6 @@ class TrafficReport:
 
     records: list[TrafficRecord] = field(default_factory=list)
 
-    @property
-    def total_upload_bytes(self) -> int:
-        return sum(r.upload_bytes for r in self.records)
-
-    @property
-    def total_download_bytes(self) -> int:
-        return sum(r.download_bytes for r in self.records)
-
-    @property
-    def total_network_seconds(self) -> float:
-        """Simulated time spent on the wire across all transfers."""
-        return sum(r.download_seconds + r.upload_seconds
-                   for r in self.records)
-
-    def per_round_upload_bytes(self) -> dict[int, int]:
-        """Upload bytes aggregated per round index."""
-        out: dict[int, int] = {}
-        for record in self.records:
-            out[record.round_index] = out.get(record.round_index, 0) \
-                + record.upload_bytes
-        return out
-
 
 class TrafficMeter:
     """Accounts the per-round FL message exchange."""

@@ -246,13 +246,6 @@ class ShmChannel:
     def is_open(self) -> bool:
         return self._weights is not None
 
-    def segment_names(self) -> tuple[str, ...]:
-        """Names of the currently live segments (tests, leak checks)."""
-        return tuple(
-            segment.name
-            for segment in (self._weights, self._slabs, self._state)
-            if segment is not None)
-
     # ------------------------------------------------------------------
     # down-link: per-round broadcast
     # ------------------------------------------------------------------
@@ -327,11 +320,6 @@ class ShmChannel:
             raise ValueError(f"slab {index} recycled twice")
         self._free.append(index)
 
-    @property
-    def free_slabs(self) -> int:
-        """How many slabs are currently leasable (tests)."""
-        return len(self._free)
-
     def read_slab(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Copy one slab's ``(update, personal)`` rows out.
 
@@ -356,15 +344,6 @@ class ShmChannel:
         offset = index * 2 * self._num_params * itemsize
         return np.ndarray((2, self._num_params), dtype=self._dtype,
                           buffer=self._slabs.buf, offset=offset)
-
-    def write_slab(self, index: int, update: np.ndarray,
-                   personal: np.ndarray) -> None:
-        """Write both result rows of one slab (parent-side; tests —
-        workers go through :func:`_worker_write_slab`)."""
-        rows = self._slab_rows(index)
-        rows[0] = update
-        rows[1] = personal
-        del rows
 
 
 # ----------------------------------------------------------------------

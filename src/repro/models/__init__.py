@@ -8,11 +8,15 @@ conv nets keep their family signature (residual blocks / VGG conv-pool
 stacks / deep 1-D conv audio nets) at reduced width.
 """
 
-from repro.models.audio import build_audio_m5
-from repro.models.fcnn import PAPER_FCNN_HIDDEN, build_fcnn
-from repro.models.registry import ModelBuilder, available_models, build_model
-from repro.models.resnet import ResidualBlock, build_resnet_small
-from repro.models.vgg import build_vgg_small
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "audio": "build_audio_m5",
+    "fcnn": "PAPER_FCNN_HIDDEN build_fcnn",
+    "registry": "ModelBuilder available_models build_model",
+    "resnet": "ResidualBlock build_resnet_small",
+    "vgg": "build_vgg_small",
+})
 
 __all__ = [
     "ModelBuilder",

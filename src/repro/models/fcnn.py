@@ -25,19 +25,22 @@ PAPER_FCNN_HIDDEN: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
 DEFAULT_HIDDEN: tuple[int, ...] = (256, 128, 128, 64, 64, 64)
 
 
-def build_fcnn(input_dim: int, num_classes: int, rng: np.random.Generator, *,
+def build_fcnn(input_dim: int | Sequence[int], num_classes: int,
+               rng: np.random.Generator, *,
                hidden: Sequence[int] = DEFAULT_HIDDEN,
                dtype: np.dtype | str = np.float64) -> Model:
     """Build the 6-hidden-layer Tanh FCNN plus a classification layer.
 
-    The resulting model has ``len(hidden) + 1`` trainable layers; the
-    penultimate trainable layer (index ``len(hidden) - 1``) is the one
-    the paper's analysis finds most privacy-sensitive.
+    ``input_dim`` is a feature count or an input shape, which the first
+    layer sees flattened.  The resulting model has ``len(hidden) + 1``
+    trainable layers; the penultimate trainable layer (index
+    ``len(hidden) - 1``) is the one the paper's analysis finds most
+    privacy-sensitive.
     """
     if not hidden:
         raise ValueError("hidden must contain at least one width")
     layers = []
-    prev = input_dim
+    prev = int(np.prod(input_dim))
     for width in hidden:
         layers.append(Dense(prev, width, rng, scheme="xavier", dtype=dtype))
         layers.append(Tanh())

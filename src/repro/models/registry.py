@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable
 
 import numpy as np
 
-from repro.models.audio import build_audio_m5
-from repro.models.fcnn import build_fcnn
-from repro.models.resnet import build_resnet_small
-from repro.models.vgg import build_vgg_small
 from repro.nn.model import Model
 
 #: Signature of a model factory:
 #: (input_shape, num_classes, rng, *, dtype=...) -> Model.
 ModelBuilder = Callable[..., Model]
 
-_REGISTRY: dict[str, ModelBuilder] = {
-    "fcnn": lambda shape, classes, rng, **kw: build_fcnn(
-        int(np.prod(shape)), classes, rng, **kw),
-    "resnet": build_resnet_small,
-    "vgg": build_vgg_small,
-    "audio": build_audio_m5,
+#: Model family -> (module, builder); the module is imported when the
+#: family is first built.
+_REGISTRY: dict[str, tuple[str, str]] = {
+    "fcnn": ("repro.models.fcnn", "build_fcnn"),
+    "resnet": ("repro.models.resnet", "build_resnet_small"),
+    "vgg": ("repro.models.vgg", "build_vgg_small"),
+    "audio": ("repro.models.audio", "build_audio_m5"),
 }
 
 
@@ -39,8 +37,9 @@ def build_model(name: str, input_shape: tuple, num_classes: int,
     of the model is allocated in (float64 default, float32 optional).
     """
     try:
-        builder = _REGISTRY[name]
+        module, builder = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; known: {available_models()}") from None
-    return builder(input_shape, num_classes, rng, dtype=np.dtype(dtype))
+    return getattr(importlib.import_module(module), builder)(
+        input_shape, num_classes, rng, dtype=np.dtype(dtype))

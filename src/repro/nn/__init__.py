@@ -7,54 +7,21 @@ personalization operate on), losses, initializers and the optimizer zoo
 used in the paper's ablation study (Fig. 11).
 """
 
-from repro.nn.activations import (
-    ELU,
-    GELU,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
-    Conv1d,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    Layer,
-    MaxPool1d,
-    MaxPool2d,
-)
-from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropy
-from repro.nn.model import Model
-from repro.nn.optim import (
-    ADGD,
-    AdaMax,
-    Adagrad,
-    Adam,
-    Optimizer,
-    RMSProp,
-    SGD,
-    make_optimizer,
-)
-from repro.nn.schedule import (
-    CosineDecay,
-    LRSchedule,
-    ScheduledOptimizer,
-    StepDecay,
-    WarmupSchedule,
-)
-from repro.nn.serialize import load_store, save_weights
-from repro.nn.store import (
-    Layout,
-    LayoutEntry,
-    WeightStore,
-    chunked_sq_sum,
-)
-from repro.nn.workspace import Workspace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "activations": "ELU GELU LeakyReLU ReLU Sigmoid Softmax Tanh",
+    "layers": ("AvgPool2d BatchNorm1d Conv1d Conv2d Dense Dropout Flatten"
+               " Layer MaxPool1d MaxPool2d"),
+    "losses": "Loss MSELoss SoftmaxCrossEntropy",
+    "model": "Model",
+    "optim": "ADGD AdaMax Adagrad Adam Optimizer RMSProp SGD make_optimizer",
+    "schedule": ("CosineDecay LRSchedule ScheduledOptimizer StepDecay"
+                 " WarmupSchedule"),
+    "serialize": "load_store save_weights",
+    "store": "Layout LayoutEntry WeightStore chunked_sq_sum",
+    "workspace": "Workspace",
+})
 
 __all__ = [
     "ADGD",

@@ -13,20 +13,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     if len(targets) == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float((predictions == targets).mean())
-
-
-def top_k_accuracy(logits: np.ndarray, targets: np.ndarray,
-                   k: int = 5) -> float:
-    """Fraction of instances whose label is in the top-k logits."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    top = np.argsort(logits, axis=-1)[:, -k:]
-    return float((top == targets[:, None]).any(axis=1).mean())
-
-
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    """(num_classes, num_classes) count matrix, rows = true class."""
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (targets, predictions), 1)
-    return matrix

@@ -250,20 +250,6 @@ class Layout:
         """
         return self._param_segments
 
-    def layer_param_slice(self, layer_idx: int) -> slice:
-        """The contiguous buffer range of one layer's trainable entries.
-
-        Well defined because per-layer layout order is params before
-        buffers; raises for exotic layouts where a non-trainable entry
-        interleaves a layer's parameters.
-        """
-        out = self._layer_param_slices[layer_idx]
-        if out is None:
-            raise ValueError(
-                f"layer {layer_idx}: trainable entries are not "
-                f"contiguous in this layout")
-        return out
-
     @property
     def nbytes(self) -> int:
         """Dense wire size of a store with this layout (dtype-aware)."""

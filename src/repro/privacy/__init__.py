@@ -8,6 +8,11 @@ Gradient Compression, Secure Aggregation); DINAR itself lives in
 :mod:`repro.core`.
 """
 
-from repro.privacy import attacks, defenses
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "attacks": "attacks",
+    "defenses": "defenses",
+})
 
 __all__ = ["attacks", "defenses"]

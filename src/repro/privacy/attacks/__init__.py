@@ -1,30 +1,19 @@
 """Membership inference attacks and privacy metrics (Appendix A)."""
 
-from repro.privacy.attacks.calibrated import ReferenceCalibratedAttack
-from repro.privacy.attacks.features import attack_features, FEATURE_NAMES
-from repro.privacy.attacks.gradient import (
-    LayerGradientAttack,
-    layer_gradient_scores,
-    per_example_layer_gradient_norms,
-)
-from repro.privacy.attacks.inversion import (
-    class_inversion_report,
-    invert_class,
-    inversion_fidelity,
-)
-from repro.privacy.attacks.metrics import (
-    attack_auc,
-    global_model_auc,
-    local_models_auc,
-    roc_auc,
-)
-from repro.privacy.attacks.roc import auc_from_curve, roc_curve, tpr_at_fpr
-from repro.privacy.attacks.shadow import ShadowAttack
-from repro.privacy.attacks.threshold import (
-    ConfidenceThresholdAttack,
-    EntropyThresholdAttack,
-    LossThresholdAttack,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "calibrated": "ReferenceCalibratedAttack",
+    "features": "FEATURE_NAMES attack_features",
+    "gradient": ("LayerGradientAttack layer_gradient_scores"
+                 " per_example_layer_gradient_norms"),
+    "inversion": "class_inversion_report invert_class inversion_fidelity",
+    "metrics": "attack_auc global_model_auc local_models_auc roc_auc",
+    "roc": "auc_from_curve roc_curve tpr_at_fpr",
+    "shadow": "ShadowAttack",
+    "threshold": ("ConfidenceThresholdAttack EntropyThresholdAttack"
+                  " LossThresholdAttack"),
+})
 
 __all__ = [
     "ConfidenceThresholdAttack",

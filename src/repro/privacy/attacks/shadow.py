@@ -21,7 +21,7 @@ from repro.nn.activations import ReLU
 from repro.nn.layers import Dense
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.model import Model
-from repro.nn.optim import Adam
+from repro.nn.optim import SGD, Adam
 from repro.privacy.attacks.features import attack_features
 
 
@@ -117,7 +117,6 @@ class ShadowAttack:
         shadow = self.model_factory(rng)
         shadow.attach_rng(rng)
         loss = SoftmaxCrossEntropy()
-        from repro.nn.optim import SGD  # local to avoid cycle at import
         optimizer = SGD(shadow, self.lr)
         for _ in range(self.epochs):
             for bx, by in iterate_batches(

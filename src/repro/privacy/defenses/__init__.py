@@ -7,40 +7,40 @@ name, with the paper's §5.2 parameterization as defaults.
 
 from __future__ import annotations
 
-from repro.privacy.defenses.accounting import (
-    PrivacyAccountant,
-    advanced_composition,
-    basic_composition,
-    gaussian_sigma,
-)
-from repro.privacy.defenses.base import Defense
-from repro.privacy.defenses.cdp import CentralDP
-from repro.privacy.defenses.compression import GradientCompression
-from repro.privacy.defenses.ladp import LayerwiseDP
-from repro.privacy.defenses.ldp import LocalDP, clip_store
-from repro.privacy.defenses.secure_aggregation import SecureAggregation
-from repro.privacy.defenses.wdp import WeakDP
+import importlib
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 
-def _make_dinar(**kwargs) -> Defense:
-    # Imported lazily: DINAR pulls in the sensitivity machinery, which
-    # the lightweight defenses never need.
-    from repro.core.dinar import DINAR
-    return DINAR(**kwargs)
+if TYPE_CHECKING:
+    from repro.privacy.defenses.base import Defense
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "accounting": ("PrivacyAccountant advanced_composition"
+                   " basic_composition gaussian_sigma"),
+    "base": "Defense",
+    "cdp": "CentralDP",
+    "compression": "GradientCompression",
+    "ladp": "LayerwiseDP",
+    "ldp": "LocalDP clip_store",
+    "secure_aggregation": "SecureAggregation",
+    "wdp": "WeakDP",
+})
 
 #: The defense registry — the single source of truth for defense
 #: names.  The CLI's ``--defense`` choices and ``make_defense`` both
-#: derive from it, so a new defense registers exactly once.
-DEFENSE_BUILDERS: dict = {
-    "none": Defense,
-    "wdp": WeakDP,
-    "ldp": LocalDP,
-    "cdp": CentralDP,
-    "gc": GradientCompression,
-    "sa": SecureAggregation,
-    "dinar": _make_dinar,
-    "ladp": LayerwiseDP,
+#: derive from it, so a new defense registers exactly once.  Each name
+#: maps to the module and class that build it; the module is imported
+#: when the defense is first built.
+DEFENSE_BUILDERS: dict[str, tuple[str, str]] = {
+    "none": ("repro.privacy.defenses.base", "Defense"),
+    "wdp": ("repro.privacy.defenses.wdp", "WeakDP"),
+    "ldp": ("repro.privacy.defenses.ldp", "LocalDP"),
+    "cdp": ("repro.privacy.defenses.cdp", "CentralDP"),
+    "gc": ("repro.privacy.defenses.compression", "GradientCompression"),
+    "sa": ("repro.privacy.defenses.secure_aggregation", "SecureAggregation"),
+    "dinar": ("repro.core.dinar", "DINAR"),
+    "ladp": ("repro.privacy.defenses.ladp", "LayerwiseDP"),
 }
 
 #: Valid ``--defense`` values, in display order.
@@ -58,10 +58,10 @@ def make_defense(name: str, **kwargs) -> Defense:
     """
     key = name.lower()
     key = _ALIASES.get(key, key)
-    builder = DEFENSE_BUILDERS.get(key)
-    if builder is None:
+    if key not in DEFENSE_BUILDERS:
         raise ValueError(f"unknown defense {name!r}")
-    return builder(**kwargs)
+    module, cls = DEFENSE_BUILDERS[key]
+    return getattr(importlib.import_module(module), cls)(**kwargs)
 
 
 __all__ = [

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic import Dataset, synthetic_tabular
 from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU, Tanh
@@ -122,3 +127,15 @@ def fedavg_reference(updates: Sequence[WeightStore],
             (n / total) * u.view(entry.layer_idx, entry.key)
             for u, n in zip(updates, num_samples))
     return out
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's ``repro`` (for tests of what importing loads)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout

@@ -34,15 +34,6 @@ class TestFLClient:
         assert update.num_samples == 60
         assert update.train_seconds > 0
 
-    def test_personalized_model_available_after_round(self, rng,
-                                                      tiny_model_factory):
-        client = _client(rng, tiny_model_factory)
-        with pytest.raises(RuntimeError):
-            client.personalized_model()
-        client.train_round(client.model.get_store(), 0)
-        model = client.personalized_model()
-        assert model.get_store().allclose(client.personal_weights)
-
     def test_evaluate_returns_accuracy(self, rng, tiny_model_factory,
                                        tiny_dataset):
         client = _client(rng, tiny_model_factory)

@@ -128,7 +128,9 @@ class TestChannel:
             assert {first, second} == {0, 1}
             assert channel.lease() is None  # exhausted
             channel.recycle(second)
-            assert channel.free_slabs == 1
+            assert channel.lease() == second
+            assert channel.lease() is None
+            channel.recycle(second)
             with pytest.raises(ValueError, match="twice"):
                 channel.recycle(second)
             with pytest.raises(ValueError, match="out of range"):
@@ -140,25 +142,29 @@ class TestChannel:
         channel = ShmChannel(slots=2)
         channel.open(6, np.dtype(np.float64))
         try:
+            ref = channel.publish_round(np.zeros(6), None)
             update = np.random.default_rng(0).standard_normal(6)
             personal = np.random.default_rng(1).standard_normal(6)
-            channel.write_slab(1, update, personal)
+            from repro.fl import shm as shm_mod
+            shm_mod._worker_write_slab(ref, 1, update, personal)
             got_update, got_personal = channel.read_slab(1)
             assert np.array_equal(got_update, update)
             assert np.array_equal(got_personal, personal)
             # parent-owned copies: recycling cannot corrupt them
-            channel.write_slab(1, personal, update)
+            shm_mod._worker_write_slab(ref, 1, personal, update)
             assert np.array_equal(got_update, update)
         finally:
             channel.close()
+            _reset_worker_caches()
 
     def test_close_is_idempotent_and_unlinks(self):
+        before = _psm_segments()
         channel = ShmChannel(slots=2)
         channel.publish_round(np.zeros(8), {"s": 1})
-        names = channel.segment_names()
-        assert all(name in _psm_segments() for name in names)
+        names = _psm_segments() - before
+        assert names
         channel.close()
-        assert all(name not in _psm_segments() for name in names)
+        assert not names & _psm_segments()
         channel.close()  # second close is a no-op
         assert not channel.is_open
 
@@ -224,11 +230,12 @@ class TestLifecycle:
         sim = _make_sim(rounds=1)
         executor = sim.executor
         executor.warm_up()
-        before = executor._channel.segment_names()
-        assert before  # the layout opened the channel ahead of time
+        channel = executor._channel
+        # the layout opened the channel ahead of time
+        before = (channel._weights.name, channel._slabs.name)
         sim.run_round(0)
         # the round reused the pre-opened weight + slab segments
-        assert executor._channel.segment_names()[:2] == before[:2]
+        assert (channel._weights.name, channel._slabs.name) == before
         executor.close()
 
     def test_pool_and_channel_recreated_after_close(

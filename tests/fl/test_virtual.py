@@ -222,8 +222,9 @@ def test_fleet_shares_one_eval_model():
     for cid in sim.registry.client_ids():
         client = sim.fleet.materialize(cid)
         via_shared = client.evaluate(test.x, test.y)
-        via_clone = float(np.mean(
-            client.personalized_model().predict(test.x) == test.y))
+        clone = client.model.clone()
+        clone.set_store(client.personal_weights)
+        via_clone = float(np.mean(clone.predict(test.x) == test.y))
         assert via_shared == via_clone
 
 

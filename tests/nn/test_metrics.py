@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -25,42 +25,3 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
 
-
-class TestTopK:
-    def test_top1_matches_accuracy(self, rng):
-        logits = rng.standard_normal((20, 5))
-        y = rng.integers(0, 5, 20)
-        assert np.isclose(top_k_accuracy(logits, y, k=1),
-                          accuracy(logits.argmax(axis=1), y))
-
-    def test_top_all_is_one(self, rng):
-        logits = rng.standard_normal((10, 4))
-        y = rng.integers(0, 4, 10)
-        assert top_k_accuracy(logits, y, k=4) == 1.0
-
-    def test_monotone_in_k(self, rng):
-        logits = rng.standard_normal((50, 8))
-        y = rng.integers(0, 8, 50)
-        values = [top_k_accuracy(logits, y, k=k) for k in (1, 2, 4, 8)]
-        assert values == sorted(values)
-
-    def test_rejects_bad_k(self, rng):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=0)
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect_predictions(self):
-        y = np.array([0, 1, 2, 2])
-        matrix = confusion_matrix(y, y, 3)
-        assert np.array_equal(matrix, np.diag([1, 1, 2]))
-
-    def test_counts_sum_to_samples(self, rng):
-        preds = rng.integers(0, 4, 30)
-        targets = rng.integers(0, 4, 30)
-        assert confusion_matrix(preds, targets, 4).sum() == 30
-
-    def test_rows_are_true_classes(self):
-        matrix = confusion_matrix(np.array([1]), np.array([0]), 2)
-        assert matrix[0, 1] == 1
-        assert matrix[1, 0] == 0

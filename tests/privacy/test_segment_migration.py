@@ -148,5 +148,5 @@ def test_per_layer_gradient_vectors_bitwise(bn_model, rng):
     twin.loss_and_grad(x, y, SoftmaxCrossEntropy())
     assert len(vectors) == layout.num_layers
     for idx, vector in enumerate(vectors):
-        legacy = twin.grad_vector[layout.layer_param_slice(idx)]
+        legacy = twin.grad_vector[layout.segmented()[idx].params]
         np.testing.assert_array_equal(vector, legacy)
