@@ -22,7 +22,7 @@ def test_fig3_loss_distributions(cells, results_dir, benchmark):
             split = sim.split
             # Fig. 3 looks at the attacked local model of a client.
             model = sim.transmitted_model(0)
-            members = sim.clients[0].data
+            members = sim.client_dataset(0)
             out[name] = loss_distributions(
                 model, members.x, members.y,
                 split.nonmembers.x, split.nonmembers.y)

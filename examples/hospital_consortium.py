@@ -22,7 +22,7 @@ import numpy as np
 from repro import FederatedSimulation, FLConfig, ShadowAttack
 from repro.bench.harness import make_model_factory
 from repro.core.dinar import DINAR, dinar_initialization
-from repro.data import load_dataset, split_for_membership
+from repro.data import client_shards, load_dataset, split_for_membership
 from repro.privacy.attacks.metrics import local_models_auc
 
 NUM_HOSPITALS = 5
@@ -36,11 +36,15 @@ def main() -> None:
 
     # --- 1 + 2: DINAR initialization with one compromised hospital ---
     print("Phase 1: per-hospital layer-sensitivity analysis + vote")
-    members = split.members
-    per_hospital = np.array_split(np.arange(len(members)), NUM_HOSPITALS)
+    # Each hospital analyses the records it will train on: the same
+    # shards the federated run below draws from the config's seed.
+    config = FLConfig(num_clients=NUM_HOSPITALS, rounds=12,
+                      local_epochs=3, lr=0.1, batch_size=64, seed=7,
+                      eval_every=4)
+    shards = client_shards(split, NUM_HOSPITALS, config.seed)
     init = dinar_initialization(
         factory,
-        [members.subset(idx) for idx in per_hospital],
+        [records.subset(shard) for shard in shards],
         warmup_epochs=3, lr=0.005, batch_size=64,
         byzantine={4: "equivocate"},  # hospital 4 is compromised
         seed=7)
@@ -53,9 +57,6 @@ def main() -> None:
 
     # --- 3: federated training under DINAR ---
     print("\nPhase 2: federated training (5 hospitals)")
-    config = FLConfig(num_clients=NUM_HOSPITALS, rounds=12,
-                      local_epochs=3, lr=0.1, batch_size=64, seed=7,
-                      eval_every=4)
     simulation = FederatedSimulation(
         split, factory, config,
         DINAR(private_layer=init.private_layer))

@@ -24,11 +24,7 @@ from repro.core.dinar import (
     InitializationResult,
     dinar_initialization,
 )
-from repro.data.partition import (
-    MembershipSplit,
-    partition_dirichlet,
-    partition_iid,
-)
+from repro.data.partition import MembershipSplit, client_shards
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.model import Model
@@ -65,17 +61,15 @@ class DINARMiddleware:
     def deploy(self, split: MembershipSplit, *,
                dirichlet_alpha: float = math.inf) -> FederatedSimulation:
         """Run initialization on the clients' shards and build the
-        defended simulation (not yet run)."""
-        rng = np.random.default_rng((self.config.seed, 41))
-        source, member_idx = split.source, split.member_idx
-        if math.isinf(dirichlet_alpha):
-            shards = partition_iid(len(member_idx), self.config.num_clients,
-                                   rng)
-        else:
-            shards = partition_dirichlet(
-                source.y[member_idx], self.config.num_clients,
-                dirichlet_alpha, rng, num_classes=source.num_classes)
-        client_datasets = [source.subset(member_idx[s]) for s in shards]
+        defended simulation (not yet run).
+
+        Each client analyses exactly the shard it then trains on: both
+        come from :func:`~repro.data.partition.client_shards` with the
+        run's seed.
+        """
+        shards = client_shards(split, self.config.num_clients,
+                               self.config.seed, dirichlet_alpha)
+        client_datasets = [split.source.subset(shard) for shard in shards]
 
         self.initialization = dinar_initialization(
             self.model_factory, client_datasets,

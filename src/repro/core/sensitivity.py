@@ -31,10 +31,6 @@ class LayerSensitivity:
         """Index p of the layer leaking the most membership signal."""
         return int(np.argmax(self.divergences))
 
-    def ranking(self) -> list[int]:
-        """Layer indices from most to least sensitive."""
-        return list(np.argsort(-self.divergences))
-
     def as_rows(self) -> list[tuple[int, str, float]]:
         """(index, name, divergence) rows for reporting."""
         return [

@@ -14,8 +14,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "datasets": "DATASET_SPECS DatasetSpec available_datasets load_dataset",
     "loader": "iterate_batches",
-    "partition": ("MembershipSplit partition_dirichlet partition_iid"
-                  " split_for_membership"),
+    "partition": ("MembershipSplit client_shards partition_dirichlet"
+                  " partition_iid split_for_membership"),
     "synthetic": "Dataset synthetic_audio synthetic_images synthetic_tabular",
 })
 
@@ -25,6 +25,7 @@ __all__ = [
     "DatasetSpec",
     "MembershipSplit",
     "available_datasets",
+    "client_shards",
     "iterate_batches",
     "load_dataset",
     "partition_dirichlet",

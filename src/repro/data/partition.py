@@ -185,3 +185,21 @@ def partition_dirichlet(labels: np.ndarray, num_clients: int, alpha: float,
     raise RuntimeError(
         f"could not draw a Dirichlet({alpha}) partition giving every one of "
         f"{num_clients} clients >= {min_samples} samples in 100 attempts")
+
+
+def client_shards(split: MembershipSplit, num_clients: int, seed: int,
+                  dirichlet_alpha: float = math.inf) -> ClientShards:
+    """The member pool's client shards, as rows of ``split.source``.
+
+    Drawn from ``default_rng(seed)`` over member positions — IID when
+    ``dirichlet_alpha`` is infinite, Dirichlet label skew otherwise —
+    then mapped to source rows with one gather on the packed indices.
+    Every consumer of a run's shards (the simulation, DINAR's
+    initialization) calls this, so they all see the same rows.
+    """
+    source, member_idx = split.source, split.member_idx
+    shard_list = partition_dirichlet(
+        source.y[member_idx], num_clients, dirichlet_alpha,
+        np.random.default_rng(seed), num_classes=source.num_classes)
+    packed = ClientShards.pack(shard_list)
+    return ClientShards(member_idx[packed.indices], packed.offsets)

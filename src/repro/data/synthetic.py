@@ -78,10 +78,6 @@ class Dataset:
             metadata=dict(self.metadata),
         )
 
-    def class_counts(self) -> np.ndarray:
-        """Per-class sample counts, length ``num_classes``."""
-        return np.bincount(self.y, minlength=self.num_classes)
-
 
 def _balanced_labels(rng: np.random.Generator, n_samples: int,
                      n_classes: int) -> np.ndarray:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.synthetic import Dataset
-
 
 class Standardizer:
     """Zero-mean unit-variance scaling per feature."""
@@ -58,23 +56,3 @@ class MinMaxScaler:
             raise RuntimeError("fit() before transform()")
         return (x - self.low) / self.span
 
-
-def standardize_split(members: Dataset, *others: Dataset
-                      ) -> tuple[Dataset, ...]:
-    """Standardize a member pool and apply the same statistics to the
-    other pools (non-members, attacker data, ...)."""
-    flat = members.x.reshape(len(members), -1)
-    scaler = Standardizer().fit(flat)
-
-    def apply(ds: Dataset) -> Dataset:
-        scaled = scaler.transform(ds.x.reshape(len(ds), -1))
-        return Dataset(
-            name=f"{ds.name}/std",
-            x=scaled.reshape(ds.x.shape),
-            y=ds.y.copy(),
-            num_classes=ds.num_classes,
-            data_type=ds.data_type,
-            metadata=dict(ds.metadata),
-        )
-
-    return tuple(apply(ds) for ds in (members, *others))

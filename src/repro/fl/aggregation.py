@@ -161,9 +161,7 @@ class StreamingAccumulator:
       normalized coefficient vector of the dense FedAvg path.
     * ``total_weight=None`` — plain weighted sum (secure aggregation's
       server step folds with weight 1.0 and rescales after
-      :meth:`drain`; callers with a genuinely unknown total divide the
-      drained sum by :attr:`weight_sum` themselves, accepting the one
-      extra rounding that late normalization costs).
+      :meth:`drain`).
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -180,17 +178,11 @@ class StreamingAccumulator:
                 f"total weight must be positive, got {total_weight}")
         self._total = None if total_weight is None else float(total_weight)
         self._count = 0
-        self._weight_sum = 0.0
 
     @property
     def count(self) -> int:
         """Updates folded since the last :meth:`reset`."""
         return self._count
-
-    @property
-    def weight_sum(self) -> float:
-        """Sum of the raw fold weights seen since the last reset."""
-        return self._weight_sum
 
     @property
     def nbytes(self) -> int:
@@ -214,7 +206,6 @@ class StreamingAccumulator:
                 np.einsum("i,ip->p", coeffs, pair,
                           out=self._partial[lo:hi])
         self._count += 1
-        self._weight_sum += weight
 
     def drain(self) -> WeightStore:
         """Finalize the reduction over everything folded so far.

@@ -1,7 +1,8 @@
 """Cost accounting for Table 3 (client train time, server aggregation
 time, defense memory).
 
-Wall-clock timers measure the simulated computations directly; memory is
+Wall-clock time is measured where each computation runs (the client
+trainer, the server's folds) and merged here; memory is
 accounted as the bytes of extra state a defense keeps alive (noise
 buffers, compression residuals, stored private layers), which is what
 dominates the paper's GPU-memory deltas.
@@ -9,8 +10,6 @@ dominates the paper's GPU-memory deltas.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -69,13 +68,6 @@ class CostReport:
             return 0.0
         return self.server_aggregate_seconds / self.server_rounds
 
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of sampled client slots that completed their round."""
-        if self.clients_sampled == 0:
-            return 0.0
-        return self.clients_completed / self.clients_sampled
-
     def participation_summary(self) -> str:
         """One-line fleet participation digest for run summaries."""
         summary = (f"{self.clients_completed}/{self.clients_sampled} "
@@ -122,36 +114,6 @@ class CostMeter:
 
     def __init__(self) -> None:
         self.report = CostReport()
-
-    @contextmanager
-    def client_training(self):
-        """Time one client's local-training phase of a round."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.report.client_train_seconds += time.perf_counter() - start
-            self.report.client_train_rounds += 1
-
-    @contextmanager
-    def client_defense(self):
-        """Time defense work on the client (noise, masking, compression)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.report.client_defense_seconds += time.perf_counter() - start
-
-    @contextmanager
-    def server_aggregation(self):
-        """Time one server aggregation (including server-side defense)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.report.server_aggregate_seconds += \
-                time.perf_counter() - start
-            self.report.server_rounds += 1
 
     def merge_client_round(self, train_seconds: float,
                            defense_seconds: float = 0.0) -> None:

@@ -34,9 +34,10 @@ What crosses the process boundary is explicit and nothing else does:
 
 Worker processes are forked from the fully constructed simulation, so
 datasets and model structure are inherited copy-on-write and are never
-pickled.  The parent's personal-weights registry stays authoritative
-for evaluation state, which the simulation writes back from the
-returned results.
+pickled.  Workers hold no per-client state: the simulation, in the
+parent, is the only writer of both weight registries (personalized
+weights and last uploads), and a worker's one write is its result
+slab.
 
 Virtual-client plane: executors resolve ``client_id -> FLClient``
 through a *provider* — anything with ``materialize(client_id)``.  The
@@ -142,16 +143,17 @@ class ClientRoundResult:
     #: ``None`` only in transit from a worker (its result slab holds
     #: the row).
     update_buffer: np.ndarray | None
-    #: The personalized (pre-defense) weights as a flat vector.
-    #: ``None`` only in transit from a worker.
+    #: The personalized (pre-defense) weights as a flat vector: the
+    #: trainer's live weight buffer, valid until the trainer is bound
+    #: again.  ``None`` only in transit from a worker.
     personal_buffer: np.ndarray | None
     num_samples: int
     train_seconds: float
     defense_seconds: float
     #: This client's defense state after the round.
-    client_state: Any
+    client_state: Any = None
     #: ``Defense.state_bytes()`` as seen where the round ran.
-    defense_state_bytes: int
+    defense_state_bytes: int = 0
     #: Virtual-client plane: the executing process's cumulative
     #: materializations (binds).  Zero when the provider counts none.
     materializations: int = 0
@@ -181,23 +183,20 @@ def execute_client_task(client: "FLClient", defense: "Defense",
     behavior noise draws from its own per-``(round, client)`` stream,
     the bitwise serial/parallel guarantee holds under every behavior
     mix.
+
+    The result's ``personal_buffer`` is the trainer's live weight
+    buffer, not a copy: the consumer's registry ``put`` (serial) or the
+    worker's slab write (parallel) is the one copy made of it.
     """
     defense.import_round_state(task.round_state)
     defense.import_client_state(task.client_id, task.client_state)
     global_weights = WeightStore(layout, task.global_buffer)
     rng = round_rng(client.config.seed, task.round_index, task.client_id)
-    update = client.train_round(global_weights, task.round_index, rng=rng,
-                                behavior=behavior)
-    return ClientRoundResult(
-        client_id=task.client_id,
-        update_buffer=update.weights.buffer,
-        personal_buffer=client.personal_weights.buffer,
-        num_samples=update.num_samples,
-        train_seconds=update.train_seconds,
-        defense_seconds=update.defense_seconds,
-        client_state=defense.export_client_state(task.client_id),
-        defense_state_bytes=defense.state_bytes(),
-    )
+    result = client.train_round(global_weights, task.round_index,
+                                rng=rng, behavior=behavior)
+    result.client_state = defense.export_client_state(task.client_id)
+    result.defense_state_bytes = defense.state_bytes()
+    return result
 
 
 class RoundExecutor:

@@ -25,7 +25,7 @@ before any client trains.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -149,12 +149,11 @@ class FLServer:
         no dense ``(clients, params)`` matrix ever exists.
 
         ``total_samples`` is the mixing total of the round's completion
-        set; when the caller knows it up front (the round-closing
-        policy fixes the completion set before aggregation starts) the
-        accumulator folds pre-normalized coefficients and reproduces
-        the dense FedAvg reduction exactly.  For a plain sequence it is
-        computed here; for an iterator without it, the drained sum is
-        normalized by the observed weight total (one extra rounding).
+        set, which the round-closing policy fixes before aggregation
+        starts: the accumulator folds pre-normalized coefficients and
+        reproduces the dense FedAvg reduction exactly.  A FedAvg call
+        without it raises ``ValueError`` before ``updates`` is
+        advanced.
 
         With a ``pre_weighted`` defense (secure aggregation) clients
         transmit ``num_samples * weights + mask``; the masks cancel in
@@ -177,12 +176,10 @@ class FLServer:
         if requires_dense(self.config.aggregator):
             return self._aggregate_dense(updates, expected=expected)
         pre = self.defense.pre_weighted
-        if isinstance(updates, Sequence):
-            if not updates:
-                raise ValueError("no updates to aggregate")
-            if not pre and total_samples is None:
-                total_samples = float(
-                    sum(u.num_samples for u in updates))
+        if not pre and total_samples is None:
+            raise ValueError(
+                "FedAvg needs the completion set's total_samples up "
+                "front (only a pre-weighted defense may omit it)")
         start = time.perf_counter()
         accumulator = self._acc()
         accumulator.reset(
@@ -212,11 +209,8 @@ class FLServer:
             if samples_total <= 0:
                 raise ValueError("total sample count must be positive")
             aggregated = accumulator.drain() * (1.0 / samples_total)
-        elif total_samples is not None:
-            aggregated = accumulator.drain()
         else:
-            aggregated = accumulator.drain() \
-                * (1.0 / accumulator.weight_sum)
+            aggregated = accumulator.drain()
         return self._finalize(aggregated, reduce_seconds, start)
 
     def _finalize(self, aggregated: WeightStore, reduce_seconds: float,

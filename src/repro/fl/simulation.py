@@ -28,10 +28,10 @@ rebound onto each client's descriptor on demand, and per-client residue
 (personalized weights) lives in a flat-buffer registry keyed by client
 id.  Each client's last upload lives in a second registry,
 ``last_updates``: it is the only copy of the upload, which the server
-folds or reads in column chunks in place.  ``simulation.clients`` is
-the fleet façade — indexing and iteration still hand back a live
-``FLClient`` — and every trajectory is bitwise-identical to the eager
-plane.
+folds or reads in column chunks in place.  The simulation is the only
+writer of both registries: the trainer returns its round's buffers
+and keeps nothing, and executor workers write only their result slab.
+Every trajectory is bitwise-identical to the eager plane.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.partition import (
-    ClientShards,
-    MembershipSplit,
-    partition_dirichlet,
-    partition_iid,
-)
+from repro.data.partition import MembershipSplit, client_shards
 from repro.data.synthetic import Dataset
 from repro.fl.behavior import make_behavior_for_config
 from repro.fl.client import ClientUpdate
@@ -134,26 +129,14 @@ class FederatedSimulation:
                 f"completion_threshold=1.0, or a different defense")
         self.cost_meter = CostMeter()
         self.traffic_meter = TrafficMeter(network)
-        self.rng = np.random.default_rng(config.seed)
-
-        source, member_idx = split.source, split.member_idx
-        if math.isinf(dirichlet_alpha):
-            shard_list = partition_iid(len(member_idx), config.num_clients,
-                                       self.rng)
-        else:
-            shard_list = partition_dirichlet(
-                source.y[member_idx], config.num_clients, dirichlet_alpha,
-                self.rng, num_classes=source.num_classes)
-        # Shards are drawn over member positions; one gather on the
-        # packed indices maps them to rows of the one loaded dataset.
-        packed = ClientShards.pack(shard_list)
-        self.shards = ClientShards(member_idx[packed.indices], packed.offsets)
+        self.shards = client_shards(split, config.num_clients, config.seed,
+                                    dirichlet_alpha)
 
         # Virtual-client plane: ONE template model (the eager plane
         # built N identical copies from the same seeded factory), a
         # flat-buffer registry for every client's personalized weights,
-        # and a fleet façade that rebinds one training FLClient, built
-        # on the template, onto each client on demand.
+        # and a fleet that rebinds one training FLClient, built on the
+        # template, onto each client on demand.
         template = model_factory(np.random.default_rng(config.seed))
         self._layout = template.weight_layout()
         if np.dtype(config.dtype) != self._layout.dtype:
@@ -163,9 +146,8 @@ class FederatedSimulation:
                 f"config dtype through to build_model")
         self.registry = PersonalWeightsRegistry(self._layout)
         self.fleet = VirtualClientFleet(
-            source, self.shards, template, config, self.defense,
-            registry=self.registry, name=f"{source.name}/members")
-        self.clients = self.fleet
+            split.source, self.shards, template, config, self.defense,
+            name=f"{split.source.name}/members")
         self.server = FLServer(
             initial_weights=template.get_store(),
             config=config,
@@ -184,11 +166,6 @@ class FederatedSimulation:
         #: one copy of it, which the server's rules read in place.
         self.last_updates = PersonalWeightsRegistry(self._layout)
         self.history = History()
-
-    @property
-    def client_data(self):
-        """Lazy per-client dataset views (materialized on access)."""
-        return self.fleet.datasets
 
     def client_dataset(self, client_id: int) -> Dataset:
         """Materialize one client's local dataset."""
@@ -283,8 +260,6 @@ class FederatedSimulation:
                     client_id=result.client_id,
                     weights=self.last_updates[result.client_id],
                     num_samples=result.num_samples,
-                    train_seconds=result.train_seconds,
-                    defense_seconds=result.defense_seconds,
                 )
                 self.traffic_meter.record_exchange(
                     round_index, update.client_id, download_bytes,

@@ -19,11 +19,13 @@ This module replaces live objects with three small pieces:
   state), and in a second instance each client's last upload, as rows
   of one growable flat 2D buffer keyed by client id.  Rows are written
   by copy and read as zero-copy :class:`~repro.nn.store.WeightStore`
-  views.
-* :class:`VirtualClientFleet` — a sequence-shaped façade over the
-  fleet.  ``fleet[i]`` / ``fleet.materialize(i)`` returns the
-  process's single training ``FLClient``, built on the template model
-  and rebound onto client ``i``'s descriptor.
+  views.  The simulation owns both registries and is their only
+  writer; the fleet holds neither.
+* :class:`VirtualClientFleet` — the fleet's descriptors plus the
+  process's single training ``FLClient``: ``fleet.materialize(i)``
+  builds it on the template model at first use and rebinds it onto
+  client ``i``'s descriptor.  It also hosts the one shared
+  evaluation model (:meth:`VirtualClientFleet.evaluate_weights`).
 
 Bitwise rules (why one reused model cannot change a trajectory):
 
@@ -174,50 +176,24 @@ class PersonalWeightsRegistry(Mapping[int, WeightStore]):
         self._rows[slot, :] = buffer
 
 
-class _FleetDatasets:
-    """Lazy stand-in for the eager ``simulation.client_data`` list.
-
-    Indexing materializes the shard subset afresh — nothing is cached,
-    so iterating a fleet's datasets costs one shard of memory at a
-    time instead of all of them at once.
-    """
-
-    def __init__(self, fleet: "VirtualClientFleet") -> None:
-        self._fleet = fleet
-
-    def __len__(self) -> int:
-        return len(self._fleet)
-
-    def __getitem__(self, client_id: int) -> Dataset:
-        return self._fleet.dataset(client_id)
-
-    def __iter__(self) -> Iterator[Dataset]:
-        for client_id in range(len(self._fleet)):
-            yield self._fleet.dataset(client_id)
-
-
 class VirtualClientFleet:
-    """Sequence-shaped fleet façade over one training model.
+    """A fleet of client descriptors over one training model.
 
-    ``fleet[i]`` (and iteration) materializes client ``i`` by rebinding
-    the process's single training ``FLClient`` — built on the template
-    model at first use — via :meth:`FLClient.bind`; no buffer is ever
-    reallocated.  Handles are therefore *transient*: ``fleet[i] is
-    fleet[j]``, bound to whichever client was materialized last, and
-    per-client state read off a handle must be read before the next
-    materialization (which is how every call site behaves —
-    comprehensions read ``personal_weights`` immediately).  Each
-    forked executor worker inherits the fleet and so trains on its own
-    copy-on-write training client.
+    :meth:`materialize` rebinds the process's single training
+    ``FLClient`` — built on the template model at first use — onto a
+    client's descriptor via :meth:`FLClient.bind`; no buffer is ever
+    reallocated, so successive calls return the same trainer bound to
+    whichever client was materialized last.  Each forked executor
+    worker inherits the fleet and so trains on its own copy-on-write
+    trainer.
 
-    The fleet also hosts the shared evaluation model (one lazy clone of
-    the template serving every client's :meth:`FLClient.evaluate`) and
+    The fleet also hosts the shared evaluation model (one lazy clone
+    of the template serving every :meth:`evaluate_weights` call) and
     counts ``materializations`` (descriptor binds) for the cost plane.
     """
 
     def __init__(self, source: Dataset, shards: ClientShards,
                  template: Model, config: FLConfig, defense: Defense, *,
-                 registry: PersonalWeightsRegistry | None = None,
                  name: str | None = None) -> None:
         if len(shards) != config.num_clients:
             raise ValueError(
@@ -228,8 +204,6 @@ class VirtualClientFleet:
         self.config = config
         self.defense = defense
         self._template = template
-        self.registry = registry if registry is not None \
-            else PersonalWeightsRegistry(template.weight_layout())
         self._client: FLClient | None = None
         self._eval_model: Model | None = None
         #: Cumulative descriptor binds, this process.
@@ -259,44 +233,21 @@ class VirtualClientFleet:
         """Shard size without materializing anything."""
         return self.shards.num_samples(client_id)
 
-    @property
-    def datasets(self) -> _FleetDatasets:
-        """Lazy sequence view over every client's dataset."""
-        return _FleetDatasets(self)
-
     # ------------------------------------------------------------------
     # the training client
     # ------------------------------------------------------------------
     def materialize(self, client_id: int) -> FLClient:
-        """The process's training ``FLClient``, bound to ``client_id``."""
-        n = len(self)
-        if client_id < 0:
-            client_id += n
-        if not 0 <= client_id < n:
-            raise IndexError(
-                f"client_id {client_id} out of range for fleet of {n}")
+        """The process's training ``FLClient``, bound to ``client_id``
+        (``IndexError`` outside the fleet)."""
+        descriptor = self.descriptor(client_id)
         if self._client is None:
             # The template's initial weights are already snapshotted
             # wherever they matter (the server's global store).
-            self._client = FLClient(
-                client_id=client_id, model=self._template, data=None,
-                config=self.config, defense=self.defense,
-                eval_model_provider=self.eval_model)
-        self._client.bind(self.descriptor(client_id),
-                          registry=self.registry)
+            self._client = FLClient(self._template, self.config,
+                                    self.defense)
+        self._client.bind(descriptor)
         self.materializations += 1
         return self._client
-
-    def __getitem__(self, client_id: int) -> FLClient:
-        if not isinstance(client_id, (int, np.integer)):
-            raise TypeError(
-                f"fleet indices must be integers, got "
-                f"{type(client_id).__name__}")
-        return self.materialize(int(client_id))
-
-    def __iter__(self) -> Iterator[FLClient]:
-        for client_id in range(len(self)):
-            yield self.materialize(client_id)
 
     # ------------------------------------------------------------------
     # shared evaluation

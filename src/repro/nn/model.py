@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.nn.losses import Loss, softmax
+from repro.nn.losses import Loss
 from repro.nn.store import Layout, SegmentedView, WeightStore
 from repro.nn.workspace import Workspace
 
@@ -220,10 +220,6 @@ class Model:
             out[i:i + batch_size] = self.forward(
                 x[i:i + batch_size], training=False)
         return out
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities in evaluation mode."""
-        return softmax(self.predict_logits(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions in evaluation mode."""

@@ -71,10 +71,3 @@ class PrivacyAccountant:
         """Whether the cumulative spend exceeds the target budget."""
         return (self.spent_epsilon > self.target_epsilon
                 or self.spent_delta > self.target_delta)
-
-    def per_step_epsilon(self, planned_steps: int) -> float:
-        """Evenly divide the target budget across planned releases."""
-        if planned_steps < 1:
-            raise ValueError(f"planned_steps must be >= 1, "
-                             f"got {planned_steps}")
-        return self.target_epsilon / planned_steps

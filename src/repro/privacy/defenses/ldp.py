@@ -59,11 +59,6 @@ class LocalDP(Defense):
         self._optimizers = 0
         self._state_bytes = 0
 
-    @property
-    def updates_released(self) -> int:
-        """Total updates released across all clients."""
-        return sum(self._released.values())
-
     def make_optimizer(self, model: Model, lr: float,
                        rng: np.random.Generator | None = None) -> Optimizer:
         self._optimizers += 1

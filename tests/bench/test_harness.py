@@ -54,8 +54,10 @@ class TestHarness:
         result = run_experiment("purchase100", "none", config=TINY,
                                 n_samples=600, attack="yeom",
                                 dirichlet_alpha=0.5)
-        sizes = [len(d) for d in result.simulation.client_data]
-        assert sum(sizes) == len(result.simulation.split.members)
+        sim = result.simulation
+        sizes = [len(sim.client_dataset(cid))
+                 for cid in range(sim.config.num_clients)]
+        assert sum(sizes) == len(sim.split.members)
 
     def test_quick_experiment_defaults(self):
         result = quick_experiment("purchase100", "none", attack="yeom")

@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 
 import repro
+from repro.data.partition import MembershipSplit
 from repro.data.synthetic import Dataset, synthetic_tabular
+from repro.fl.config import FLConfig
+from repro.fl.executor import round_rng
+from repro.fl.simulation import FederatedSimulation
 from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import Dense
 from repro.nn.model import Model
 from repro.nn.store import WeightStore
 from repro.nn.workspace import Workspace
+from repro.privacy.defenses.base import Defense
 
 
 @pytest.fixture
@@ -127,6 +132,29 @@ def fedavg_reference(updates: Sequence[WeightStore],
             (n / total) * u.view(entry.layer_idx, entry.key)
             for u, n in zip(updates, num_samples))
     return out
+
+
+def one_client_simulation(model_factory, config: FLConfig, data: Dataset,
+                          defense: Defense | None = None
+                          ) -> FederatedSimulation:
+    """A simulation whose one client trains on every row of ``data``."""
+    none = np.zeros(0, dtype=np.int64)
+    split = MembershipSplit(data, np.arange(len(data)), none, none)
+    return FederatedSimulation(split, model_factory, config, defense)
+
+
+def train_client_round(simulation: FederatedSimulation,
+                       round_index: int = 0, client_id: int = 0):
+    """One round of the fleet's trainer, bound to ``client_id``, from
+    the server's global weights; stores the personalized weights in the
+    simulation's registry as a round does, and returns the
+    ``ClientRoundResult``."""
+    client = simulation.fleet.materialize(client_id)
+    result = client.train_round(
+        simulation.server.global_weights, round_index,
+        rng=round_rng(simulation.config.seed, round_index, client_id))
+    simulation.registry.put(client_id, result.personal_buffer)
+    return result
 
 
 def run_fresh(code: str) -> str:

@@ -57,3 +57,27 @@ def test_describe_before_and_after(split, tiny_model_factory):
     text = middleware.describe()
     assert "private layer" in text
     assert "broadcast rounds" in text
+
+
+def test_initialization_analyses_the_training_shards(
+        split, tiny_model_factory, monkeypatch):
+    """Each client's §4.1 analysis runs on exactly the rows it then
+    trains on."""
+    import repro.core.middleware as middleware_module
+
+    seen = []
+    initialize = middleware_module.dinar_initialization
+
+    def spy(model_factory, client_datasets, **kwargs):
+        seen.extend(client_datasets)
+        return initialize(model_factory, client_datasets, **kwargs)
+
+    monkeypatch.setattr(middleware_module, "dinar_initialization", spy)
+    middleware = DINARMiddleware(tiny_model_factory, CONFIG,
+                                 warmup_epochs=1)
+    simulation = middleware.deploy(split, dirichlet_alpha=1.0)
+    assert len(seen) == CONFIG.num_clients
+    for cid, analysed in enumerate(seen):
+        trained = simulation.client_dataset(cid)
+        assert np.array_equal(analysed.x, trained.x)
+        assert np.array_equal(analysed.y, trained.y)

@@ -75,11 +75,6 @@ class TestLayerSensitivity:
                                 np.array([0.1, 0.5, 0.2]))
         assert sens.most_sensitive_layer == 1
 
-    def test_ranking_descends(self):
-        sens = LayerSensitivity(["a", "b", "c"],
-                                np.array([0.1, 0.5, 0.2]))
-        assert sens.ranking() == [1, 2, 0]
-
     def test_as_rows(self):
         sens = LayerSensitivity(["a", "b"], np.array([0.1, 0.2]))
         rows = sens.as_rows()

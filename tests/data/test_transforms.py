@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import synthetic_tabular
-from repro.data.transforms import (
-    MinMaxScaler,
-    Standardizer,
-    standardize_split,
-)
+from repro.data.transforms import MinMaxScaler, Standardizer
 
 
 class TestStandardizer:
@@ -53,18 +48,3 @@ class TestMinMaxScaler:
         scaled = MinMaxScaler().fit(x).transform(x)
         assert np.all(np.isfinite(scaled))
 
-
-class TestStandardizeSplit:
-    def test_shared_statistics(self, rng):
-        members = synthetic_tabular(rng, 100, 10, 3, binary=False)
-        others = synthetic_tabular(rng, 40, 10, 3, binary=False)
-        std_members, std_others = standardize_split(members, others)
-        assert np.allclose(
-            std_members.x.mean(axis=0), 0.0, atol=1e-9)
-        assert std_others.x.shape == others.x.shape
-        assert std_others.name.endswith("/std")
-
-    def test_preserves_labels(self, rng):
-        members = synthetic_tabular(rng, 60, 8, 3)
-        (scaled,) = standardize_split(members)
-        assert np.array_equal(scaled.y, members.y)

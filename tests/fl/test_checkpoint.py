@@ -46,9 +46,9 @@ def test_roundtrip_restores_personal_weights(make_sim, tmp_path):
     save_checkpoint(sim, tmp_path / "ckpt")
     fresh = make_sim()
     load_checkpoint(fresh, tmp_path / "ckpt")
-    for original, restored in zip(sim.clients, fresh.clients):
-        assert original.personal_weights.allclose(
-            restored.personal_weights, atol=0.0)
+    assert fresh.registry.client_ids() == sim.registry.client_ids()
+    for cid in sim.registry:
+        assert sim.registry[cid].allclose(fresh.registry[cid], atol=0.0)
 
 
 def test_roundtrip_restores_dinar_state(make_sim, tmp_path):

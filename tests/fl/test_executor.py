@@ -23,6 +23,7 @@ from repro.fl.config import FLConfig
 from repro.fl.executor import SerialExecutor, make_executor, round_rng
 from repro.fl.shm import ParallelExecutor, shm_available
 from repro.fl.simulation import FederatedSimulation
+from repro.fl.virtual import PersonalWeightsRegistry
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.compression import GradientCompression
 from repro.privacy.defenses.ldp import LocalDP
@@ -64,8 +65,7 @@ def _snapshot(sim, history):
     return {
         "global": sim.server.global_weights.buffer.copy(),
         "personal": {
-            c.client_id: c.personal_weights.buffer.copy()
-            for c in sim.clients if c.personal_weights is not None
+            cid: w.buffer.copy() for cid, w in sim.registry.items()
         },
         "transmitted": {
             cid: w.buffer.copy()
@@ -205,6 +205,58 @@ class TestBitwiseIdentity:
         assert serial_sim.cost_meter.report.client_train_rounds \
             == parallel_sim.cost_meter.report.client_train_rounds == 12
         assert parallel_sim.cost_meter.report.client_train_seconds > 0
+
+
+# ----------------------------------------------------------------------
+# registry writes: the simulation is the only writer
+# ----------------------------------------------------------------------
+
+class TestRegistryWriter:
+    def test_workers_never_put(self, small_split, tiny_model_factory,
+                               monkeypatch, tmp_path):
+        """A forked worker inherits the spy, so a put in any worker
+        would log that worker's pid."""
+        if not shm_available():
+            pytest.skip("shared memory unavailable on this platform")
+        log = tmp_path / "put_pids"
+        put = PersonalWeightsRegistry.put
+
+        def spy(self, client_id, buffer):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            put(self, client_id, buffer)
+
+        monkeypatch.setattr(PersonalWeightsRegistry, "put", spy)
+        sim, _ = _run(small_split, tiny_model_factory, DINAR(),
+                      workers=2)
+        assert isinstance(sim.executor, ParallelExecutor)
+        pids = log.read_text().split()
+        # 4 clients x 3 rounds, one put into each of the two registries
+        assert len(pids) == 24
+        assert set(pids) == {str(os.getpid())}
+
+    def test_one_put_per_registry_per_completing_client(
+            self, small_split, tiny_model_factory, monkeypatch):
+        sim = FederatedSimulation(
+            small_split, tiny_model_factory,
+            FLConfig(num_clients=4, rounds=1, local_epochs=1, seed=5,
+                     completion_threshold=0.75))
+        puts = []
+        put = PersonalWeightsRegistry.put
+
+        def spy(self, client_id, buffer):
+            assert not np.shares_memory(buffer, self._rows), (
+                f"client {client_id}: put from the target buffer")
+            puts.append((id(self), client_id))
+            put(self, client_id, buffer)
+
+        monkeypatch.setattr(PersonalWeightsRegistry, "put", spy)
+        record = sim.run_round(0)
+        assert record.completed == [0, 1, 2]
+        for registry in (sim.registry, sim.last_updates):
+            assert sorted(cid for owner, cid in puts
+                          if owner == id(registry)) == record.completed
+        assert len(puts) == 2 * len(record.completed)
 
 
 # ----------------------------------------------------------------------

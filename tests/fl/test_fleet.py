@@ -60,8 +60,7 @@ def _random_stores(rng, n, num_params=37, dtype=np.float64):
 
 def _updates_from(stores, num_samples):
     return [
-        ClientUpdate(client_id=i, weights=s, num_samples=n,
-                     train_seconds=0.0, defense_seconds=0.0)
+        ClientUpdate(client_id=i, weights=s, num_samples=n)
         for i, (s, n) in enumerate(zip(stores, num_samples))
     ]
 
@@ -114,20 +113,6 @@ class TestStreamingAccumulator:
         for store in stores:
             acc.fold(store)
         assert np.array_equal(acc.drain().buffer, dense.buffer)
-        assert acc.weight_sum == float(n)
-
-    def test_unknown_total_normalizes_close(self, rng):
-        """weight_sum normalization lands within the ULP envelope."""
-        stores, layout = _random_stores(rng, 9)
-        num_samples = [int(k) for k in rng.integers(1, 20, size=9)]
-        acc = StreamingAccumulator(layout)
-        acc.reset()
-        for store, k in zip(stores, num_samples):
-            acc.fold(store, weight=float(k))
-        streamed = acc.drain() * (1.0 / acc.weight_sum)
-        dense = fedavg(stores, num_samples)
-        np.testing.assert_allclose(streamed.buffer, dense.buffer,
-                                   rtol=1e-12)
 
     def test_zero_drain_rejected(self, rng):
         _, layout = _random_stores(rng, 1)
@@ -428,9 +413,7 @@ class TestRoundClosing:
         assert record.stragglers == [2, 3]
         assert record.dropped == []
         assert sorted(sim.last_updates) == [0, 1]
-        trained = [c.client_id for c in sim.clients
-                   if c.personal_weights is not None]
-        assert trained == [0, 1]
+        assert sim.registry.client_ids() == [0, 1]
 
     def test_threshold_exactly_met(self):
         """Survivors == needed closes the round with no stragglers."""
@@ -486,7 +469,6 @@ class TestRoundClosing:
         assert report.clients_completed == 4
         assert report.clients_straggled == 4
         assert report.clients_dropped == 0
-        assert report.completion_rate == 0.5
         assert "4/8 completed" in report.participation_summary()
 
 
@@ -624,7 +606,6 @@ class TestCostMeterFleet:
         assert report.clients_completed == 10
         assert report.clients_dropped == 3
         assert report.clients_straggled == 1
-        assert report.completion_rate == 10 / 14
         assert report.participation_summary() == \
             "10/14 completed (dropped 3, stragglers 1)"
 
@@ -638,7 +619,8 @@ class TestCostMeterFleet:
                                        dropped=-1, stragglers=0)
 
     def test_empty_report_rates(self):
-        assert CostMeter().report.completion_rate == 0.0
+        assert CostMeter().report.participation_summary() == \
+            "0/0 completed (dropped 0, stragglers 0)"
 
     def test_merge_server_round(self):
         meter = CostMeter()

@@ -85,8 +85,8 @@ class TestSimulationDtype:
         sim = _sim(small_split)
         history = sim.run()
         assert sim.server.global_weights.buffer.dtype == np.float32
-        for client in sim.clients:
-            assert client.personal_weights.buffer.dtype == np.float32
+        for cid in sim.registry:
+            assert sim.registry[cid].buffer.dtype == np.float32
         assert np.isfinite(history.records[-1].global_accuracy)
 
     @pytest.mark.parametrize(

@@ -199,7 +199,7 @@ def test_dense_aggregation_holds_no_update_matrix(aggregator):
     uploads.reserve(range(n))
     for cid in range(n):
         uploads.put(cid, rng.standard_normal(num_params))
-    arrivals = [ClientUpdate(cid, uploads[cid], 10, 0.0)
+    arrivals = [ClientUpdate(cid, uploads[cid], 10)
                 for cid in range(n)]
     server = FLServer(WeightStore(layout),
                       FLConfig(num_clients=n, aggregator=aggregator),
@@ -444,8 +444,7 @@ def _snapshot(sim, history):
     return {
         "global": sim.server.global_weights.buffer.copy(),
         "personal": {
-            c.client_id: c.personal_weights.buffer.copy()
-            for c in sim.clients if c.personal_weights is not None
+            cid: w.buffer.copy() for cid, w in sim.registry.items()
         },
         "transmitted": {
             cid: w.buffer.copy()

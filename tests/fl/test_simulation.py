@@ -43,7 +43,8 @@ class TestSimulation:
 
     def test_client_data_disjoint(self, small_split, tiny_model_factory):
         sim = _sim(small_split, tiny_model_factory)
-        total = sum(len(d) for d in sim.client_data)
+        total = sum(len(sim.client_dataset(cid))
+                    for cid in range(sim.config.num_clients))
         assert total == len(small_split.members)
 
     def test_accuracy_improves_over_rounds(self, small_split,
@@ -113,7 +114,8 @@ class TestSimulation:
         def skew(sim):
             stds = []
             for cls in range(small_split.members.num_classes):
-                counts = [np.sum(d.y == cls) for d in sim.client_data]
+                counts = [np.sum(sim.client_dataset(cid).y == cls)
+                          for cid in range(sim.config.num_clients)]
                 stds.append(np.std(counts))
             return np.mean(stds)
         assert skew(sim_skew) > skew(sim_iid)

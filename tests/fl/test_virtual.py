@@ -20,6 +20,7 @@ import pytest
 from repro.data.partition import ClientShards, split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
+from repro.fl.executor import round_rng
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.models.fcnn import build_fcnn
@@ -83,8 +84,9 @@ def test_one_training_model_per_process(monkeypatch):
     assert sim.fleet.materializations == 20
     assert sim.cost_meter.report.model_materializations == 20
     assert sim.cost_meter.report.registry_bytes == sim.registry.nbytes
-    assert sim.fleet[0] is sim.fleet[9]
-    assert sim.fleet[0].model is not sim.fleet.eval_model()
+    trainer = sim.fleet.materialize(0)
+    assert sim.fleet.materialize(9) is trainer
+    assert trainer.model is not sim.fleet.eval_model()
 
 
 def test_num_samples_answered_without_materialization():
@@ -100,39 +102,42 @@ def test_num_samples_answered_without_materialization():
 # ----------------------------------------------------------------------
 
 def test_rebind_exposes_only_the_new_clients_state():
+    """A trainer rebound from client 0 trains client 1 exactly as a
+    fresh trainer does, and leaves client 0's registry row alone."""
     sim = _run(3)
+    personal_0 = sim.registry[0].buffer.copy()
+    global_weights = sim.server.global_weights
     handle = sim.fleet.materialize(0)
-    assert handle.client_id == 0
-    personal_0 = handle.personal_weights.buffer.copy()
-    data_0 = handle.data
+    handle.train_round(global_weights, 2, rng=round_rng(0, 2, 0))
 
     rebound = sim.fleet.materialize(1)
     assert rebound is handle, "the fleet must reuse its one instance"
     assert handle.client_id == 1
-    # the handle's dataset and personal weights are client 1's now
-    shard_1 = sim.shards.shard(1)
-    np.testing.assert_array_equal(handle.data.y,
-                                  sim.split.source.y[shard_1])
-    assert not np.array_equal(handle.personal_weights.buffer, personal_0)
-    assert handle.data is not data_0
+    assert handle.num_samples == sim.shards.num_samples(1)
+    result = handle.train_round(global_weights, 2, rng=round_rng(0, 2, 1))
+    fresh = _run(3).fleet.materialize(1)
+    reference = fresh.train_round(global_weights, 2,
+                                  rng=round_rng(0, 2, 1))
+    assert np.array_equal(result.update_buffer, reference.update_buffer)
+    assert np.array_equal(result.personal_buffer,
+                          reference.personal_buffer)
     # ...and client 0's residue is untouched in the registry
-    np.testing.assert_array_equal(sim.registry.get(0).buffer, personal_0)
+    np.testing.assert_array_equal(sim.registry[0].buffer, personal_0)
 
 
 def test_unbound_rebind_has_no_personal_weights():
+    """Binding the trainer writes no registry row: a client has
+    personalized weights only once the simulation stores a round's."""
     config = FLConfig(num_clients=3, rounds=1, seed=0)
     sim = FederatedSimulation(_split(), _factory, config)
-    first = sim.fleet.materialize(0)
+    sim.fleet.materialize(0)
     # simulate residue for client 0 only
     sim.registry.put(0, np.ones(sim.server.global_weights.layout
                                 .num_params))
-    assert first.personal_weights is not None
-    second = sim.fleet.materialize(1)
-    assert second is first
-    assert second.personal_weights is None, (
+    sim.fleet.materialize(1)
+    assert sim.registry.get(1) is None, (
         "a rebound client must not see the previous client's weights")
-    with pytest.raises(RuntimeError, match="has not trained"):
-        second.evaluate(sim.split.nonmembers.x, sim.split.nonmembers.y)
+    assert sim.registry.client_ids() == [0]
 
 
 def test_registry_rows_survive_pooled_model_mutation():
@@ -220,10 +225,10 @@ def test_fleet_shares_one_eval_model():
     assert sim.fleet.eval_model() is sim.fleet.eval_model()
     test = sim.split.nonmembers
     for cid in sim.registry.client_ids():
-        client = sim.fleet.materialize(cid)
-        via_shared = client.evaluate(test.x, test.y)
-        clone = client.model.clone()
-        clone.set_store(client.personal_weights)
+        via_shared = sim.fleet.evaluate_weights(sim.registry[cid],
+                                                test.x, test.y)
+        clone = sim.fleet.materialize(cid).model.clone()
+        clone.set_store(sim.registry[cid])
         via_clone = float(np.mean(clone.predict(test.x) == test.y))
         assert via_shared == via_clone
 
@@ -238,7 +243,7 @@ def test_mean_client_accuracy_covers_exactly_the_registry():
     assert 0 < len(trained) < 5
     test = sim.split.nonmembers
     expected = float(np.mean([
-        sim.fleet.materialize(cid).evaluate(test.x, test.y)
+        sim.fleet.evaluate_weights(sim.registry[cid], test.x, test.y)
         for cid in trained
     ]))
     assert sim.mean_client_accuracy() == expected
@@ -253,7 +258,7 @@ def test_standalone_fleet_usable_without_simulation():
     fleet = VirtualClientFleet(members, shards, template, config,
                                make_defense_for_config("none", config))
     assert len(fleet) == 2
-    assert [c.client_id for c in fleet] == [0, 1]
+    assert [fleet.materialize(i).client_id for i in range(2)] == [0, 1]
     assert fleet.dataset(1).x.shape[0] == 45
     descriptor = fleet.descriptor(0)
     assert descriptor.num_samples == 30

@@ -40,13 +40,13 @@ def make_sim(rng, tiny_model_factory):
 
 
 def _run_warm(make_sim, defense=None, **cfg_kwargs):
-    """A finished simulation whose client models hold warm arenas."""
+    """A finished simulation whose training model holds a warm arena."""
     sim = make_sim(defense, **cfg_kwargs)
     sim.run()
-    warm = [client.model.workspace for client in sim.clients]
-    assert all(isinstance(ws, Workspace) for ws in warm)
-    assert any(ws.num_buffers > 0 for ws in warm), \
-        "expected training to populate at least one client arena"
+    warm = sim.fleet.materialize(0).model.workspace
+    assert isinstance(warm, Workspace)
+    assert warm.num_buffers > 0, \
+        "expected training to populate the training model's arena"
     return sim
 
 
@@ -59,8 +59,8 @@ def test_defense_export_state_pickles_without_workspace(
     sim = _run_warm(make_sim, defense)
     # a workspace anywhere in these payloads would make dumps() raise
     pickle.dumps(sim.defense.export_round_state())
-    for client in sim.clients:
-        pickle.dumps(sim.defense.export_client_state(client.client_id))
+    for cid in range(sim.config.num_clients):
+        pickle.dumps(sim.defense.export_client_state(cid))
 
 
 def test_checkpoint_files_hold_no_workspace(make_sim, tmp_path):
@@ -90,7 +90,7 @@ def test_executor_payloads_pickle_with_warm_arenas(make_sim):
     )
     restored = pickle.loads(pickle.dumps(task))
     layout = sim.server.global_weights.layout
-    result = execute_client_task(sim.clients[0], sim.defense,
+    result = execute_client_task(sim.fleet.materialize(0), sim.defense,
                                  layout, restored)
     # the worker->parent payload must also cross clean
     pickle.loads(pickle.dumps(result))
@@ -98,7 +98,7 @@ def test_executor_payloads_pickle_with_warm_arenas(make_sim):
 
 def test_client_model_pickle_rebuilds_fresh_arena(make_sim):
     sim = _run_warm(make_sim)
-    client = sim.clients[0]
+    client = sim.fleet.materialize(0)
     assert client.model.workspace.num_buffers > 0
     restored = pickle.loads(pickle.dumps(client.model))
     assert restored.workspace.num_buffers == 0

@@ -86,9 +86,8 @@ def test_dinar_preserves_client_utility(pipeline):
 def test_transmitted_layer_is_obfuscated(pipeline):
     init, _, defended = pipeline
     p = init.private_layer
-    client = defended.clients[0]
     sent = defended.last_updates[0]
-    personal = client.personal_weights
+    personal = defended.registry[0]
     # transmitted private layer differs from the client's real one...
     assert not np.allclose(sent.view(p, "W"), personal.view(p, "W"))
     # ...while the other layers match exactly
@@ -102,6 +101,7 @@ def test_personalized_model_beats_global_for_client(pipeline):
     (obfuscated) global model — and it is strictly better."""
     _, _, defended = pipeline
     test = defended.split.nonmembers
-    personalized = defended.clients[0].evaluate(test.x, test.y)
+    personalized = defended.fleet.evaluate_weights(
+        defended.registry[0], test.x, test.y)
     global_acc = defended.history.final_global_accuracy
     assert personalized > global_acc

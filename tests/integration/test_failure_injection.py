@@ -55,7 +55,7 @@ class TestGarbageUpdates:
                 weights.buffer[:] = 1e6
             else:
                 weights = template.copy()
-            updates.append(ClientUpdate(cid, weights, 10, 0.0))
+            updates.append(ClientUpdate(cid, weights, 10))
         return updates
 
     def test_fedavg_is_poisoned_by_garbage(self, split):

@@ -44,5 +44,6 @@ def test_middleware_noniid_deployment():
         make_model_factory("purchase100"), config, warmup_epochs=2)
     simulation = middleware.deploy(split, dirichlet_alpha=1.0)
     simulation.run()
-    sizes = [len(d) for d in simulation.client_data]
+    sizes = [len(simulation.client_dataset(cid))
+             for cid in range(config.num_clients)]
     assert sum(sizes) == len(split.members)

@@ -61,10 +61,6 @@ class TestWeightExchange:
 
 
 class TestInference:
-    def test_predict_proba_normalized(self, tiny_model, rng):
-        probs = tiny_model.predict_proba(rng.standard_normal((6, 20)))
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
     def test_predict_matches_argmax(self, tiny_model, rng):
         x = rng.standard_normal((6, 20))
         assert np.array_equal(

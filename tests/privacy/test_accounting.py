@@ -67,12 +67,6 @@ class TestAccountant:
         accountant.spend(0.6, 0.0)
         assert accountant.exhausted
 
-    def test_per_step_division(self):
-        accountant = PrivacyAccountant(2.0, 1e-5)
-        assert accountant.per_step_epsilon(4) == 0.5
-        with pytest.raises(ValueError):
-            accountant.per_step_epsilon(0)
-
 
 class TestDPSGDCalibration:
     def test_more_steps_need_more_noise(self):

@@ -101,8 +101,10 @@ class TestLocalDP:
     def test_counts_releases(self, template, rng):
         defense = LocalDP(noise_multiplier=1.0)
         defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, 10, rng)
         defense.on_send_update(1, template, 10, rng)
-        assert defense.updates_released == 2
+        assert defense.export_client_state(0) == 2
+        assert defense.export_client_state(1) == 1
 
     def test_state_bytes_after_optimizer(self, tiny_model):
         defense = LocalDP(noise_multiplier=1.0)
