@@ -165,6 +165,7 @@ def _cmd_run(args) -> int:
          f"{costs.defense_state_bytes / 1024:.0f} KiB"],
         ["fleet participation", costs.participation_summary()],
         ["client plane", costs.client_plane_summary()],
+        ["traffic", costs.traffic_summary()],
         ["executor IPC", costs.ipc_summary()],
         ["robustness",
          f"{args.aggregator} aggregator, "

@@ -149,7 +149,7 @@ class DINAR(Defense):
     # Algorithm 1, lines 15-17: model obfuscation
     # ------------------------------------------------------------------
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         out = weights.copy()
         stored: dict[int, np.ndarray] = {}

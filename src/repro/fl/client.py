@@ -4,8 +4,9 @@ Each round a participating client (i) passes the downloaded global
 model through ``defense.on_receive_global`` (DINAR's personalization
 step), (ii) trains locally — the defense may impose its optimizer
 (DINAR's adaptive gradient descent) — and (iii) passes the resulting
-weights through ``defense.on_send_update`` (DINAR's obfuscation, DP
-noise, compression or masking) before upload.
+weights, with the global model it received, through
+``defense.on_send_update`` (DINAR's obfuscation, DP noise, compression
+or masking) before upload.
 
 :class:`FLClient` is the per-process *trainer* of the virtual-client
 plane (see ``repro.fl.virtual``): the fleet builds one on its template
@@ -117,8 +118,8 @@ class FLClient:
         cell's dedicated behavior stream, never from ``rng``.
 
         The result's ``personal_buffer`` is the training model's live
-        weight buffer: the caller copies it out before the trainer is
-        bound again.
+        weight buffer (see :class:`ClientRoundResult` for how long it
+        stays valid).
         """
         client_id = self.client_id
         self.model.attach_rng(rng)
@@ -151,7 +152,7 @@ class FLClient:
 
         start = time.perf_counter()
         sent = self.defense.on_send_update(
-            client_id, outbound, self.num_samples, rng)
+            client_id, outbound, global_weights, self.num_samples, rng)
         defense_seconds = time.perf_counter() - start
 
         return ClientRoundResult(

@@ -1,5 +1,5 @@
 """Cost accounting for Table 3 (client train time, server aggregation
-time, defense memory).
+time, defense memory) and the FL message traffic.
 
 Wall-clock time is measured where each computation runs (the client
 trainer, the server's folds) and merged here; memory is
@@ -40,10 +40,15 @@ class CostReport:
     # allocated bytes.
     model_materializations: int = 0
     registry_bytes: int = 0
+    # FL message traffic, summed over completing clients and rounds:
+    # the dense global model each downloads, and its update in the
+    # defense's wire format (``Defense.upload_nbytes``).
+    download_bytes: int = 0
+    upload_bytes: int = 0
     # IPC-plane accounting, summed across rounds: bytes that crossed
     # the executor's process boundary through pickling (task/result
     # payloads on the pool pipe) vs through mapped shared-memory
-    # segments (weight broadcast, round state, result slabs).  Both
+    # segments (weight broadcast, result slabs).  Both
     # zero for serial runs — nothing crosses a process boundary.
     ipc_bytes_pickled: int = 0
     ipc_bytes_shared: int = 0
@@ -82,6 +87,11 @@ class CostReport:
         """One-line virtual-client-plane digest for run summaries."""
         return (f"{self.model_materializations} bind(s), "
                 f"registry {self.registry_bytes / 1024:.0f} KiB")
+
+    def traffic_summary(self) -> str:
+        """One-line FL message-traffic digest for run summaries."""
+        return (f"{_format_bytes(self.download_bytes)} down, "
+                f"{_format_bytes(self.upload_bytes)} up")
 
     def ipc_summary(self) -> str:
         """One-line executor-IPC digest for run summaries."""
@@ -190,6 +200,15 @@ class CostMeter:
             self.report.model_materializations, int(materializations))
         self.report.registry_bytes = max(
             self.report.registry_bytes, int(registry_bytes))
+
+    def record_traffic(self, *, download: int, upload: int) -> None:
+        """Fold one client's download + upload bytes into this meter."""
+        if download < 0 or upload < 0:
+            raise ValueError(
+                f"traffic byte counts must be >= 0, got "
+                f"{(download, upload)}")
+        self.report.download_bytes += int(download)
+        self.report.upload_bytes += int(upload)
 
     def record_ipc(self, *, pickled: int = 0, shared: int = 0) -> None:
         """Fold one round's executor-IPC byte counts into this meter."""

@@ -24,10 +24,11 @@ order — and serial and parallel executions are **bitwise identical**.
 
 What crosses the process boundary is explicit and nothing else does:
 
-* parent -> worker: the round index, the global weight-plane buffer,
-  the defense's round-shared state and the client's own defense state
-  (:meth:`Defense.export_round_state` /
-  :meth:`Defense.export_client_state`);
+* parent -> worker: the round index, the global weight-plane buffer
+  and the client's own defense state
+  (:meth:`Defense.export_client_state`); defenses that transform a
+  round delta read the global model from their hook argument, so
+  nothing else is broadcast;
 * worker -> parent: the transmitted update buffer, the personalized
   weight buffer, wall-clock deltas for the cost meters, and the
   client's post-round defense state.
@@ -116,9 +117,9 @@ def client_drops(seed: int, round_index: int, client_id: int,
 class ClientTask:
     """Everything one client needs to run one round, picklable.
 
-    Every task of a round carries the same ``global_buffer`` and
-    ``round_state`` objects; the parallel executor publishes them once
-    per round and ships tasks with both fields set to ``None``.
+    Every task of a round carries the same ``global_buffer`` object;
+    the parallel executor publishes it once per round and ships tasks
+    with the field set to ``None``.
     """
 
     round_index: int
@@ -127,8 +128,6 @@ class ClientTask:
     global_buffer: np.ndarray | None
     #: This client's defense state (``Defense.export_client_state``).
     client_state: Any = None
-    #: Round-shared defense state (``Defense.export_round_state``).
-    round_state: Any = None
     #: Injected dropout: a dropped client never trains and never
     #: produces a result (see :func:`client_drops`).
     dropped: bool = False
@@ -136,16 +135,24 @@ class ClientTask:
 
 @dataclass
 class ClientRoundResult:
-    """Everything one client's round produced, picklable."""
+    """Everything one client's round produced, picklable.
+
+    The two buffers are borrowed, not owned: each is valid until the
+    consumer asks the executor's stream for the next result (or closes
+    it).  In the serial executor ``personal_buffer`` is the trainer's
+    live weight buffer, which the next client's round overwrites; in
+    the parallel executor both are read-only views of the result slab,
+    which is recycled for another task.  A consumer that keeps a
+    buffer copies it — the simulation's registry ``put`` is that copy.
+    """
 
     client_id: int
     #: The transmitted (post-defense) update as a flat vector.
     #: ``None`` only in transit from a worker (its result slab holds
     #: the row).
     update_buffer: np.ndarray | None
-    #: The personalized (pre-defense) weights as a flat vector: the
-    #: trainer's live weight buffer, valid until the trainer is bound
-    #: again.  ``None`` only in transit from a worker.
+    #: The personalized (pre-defense) weights as a flat vector.
+    #: ``None`` only in transit from a worker.
     personal_buffer: np.ndarray | None
     num_samples: int
     train_seconds: float
@@ -172,11 +179,11 @@ def execute_client_task(client: "FLClient", defense: "Defense",
     """Run one client's round against explicit, shipped-in state.
 
     This is the single code path both executors share: import the
-    defense state the client's hooks read, rebuild the global model
-    from the flat buffer, train with the cell's spawned RNG, and
-    export everything the parent needs.  Running it in-process
-    (serial) or in a forked worker (parallel) is therefore the *same*
-    computation, bit for bit.
+    client's defense state, rebuild the global model from the flat
+    buffer, train with the cell's spawned RNG, and export everything
+    the parent needs.  Running it in-process (serial) or in a forked
+    worker (parallel) is therefore the *same* computation, bit for
+    bit.
 
     ``behavior`` is the run's adversarial-client behavior (see
     ``fl.behavior``); ``None`` means every client is honest.  Because
@@ -188,7 +195,6 @@ def execute_client_task(client: "FLClient", defense: "Defense",
     buffer, not a copy: the consumer's registry ``put`` (serial) or the
     worker's slab write (parallel) is the one copy made of it.
     """
-    defense.import_round_state(task.round_state)
     defense.import_client_state(task.client_id, task.client_state)
     global_weights = WeightStore(layout, task.global_buffer)
     rng = round_rng(client.config.seed, task.round_index, task.client_id)
@@ -219,11 +225,6 @@ class RoundExecutor:
                    ) -> Iterator[ClientRoundResult]:
         """Yield each non-dropped task's result, in task order."""
         raise NotImplementedError
-
-    def run_round(self, tasks: Sequence[ClientTask]
-                  ) -> list[ClientRoundResult]:
-        """Execute every task, returning results in task order."""
-        return list(self.iter_round(tasks))
 
     def close(self) -> None:
         """Release any held resources (idempotent)."""

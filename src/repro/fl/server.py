@@ -219,7 +219,8 @@ class FLServer:
         the tail every aggregation rule shares.  ``start`` is the
         ``perf_counter`` stamp of the current timed span."""
         aggregated = self._apply_server_momentum(aggregated)
-        aggregated = self.defense.on_aggregate(aggregated, self.rng)
+        aggregated = self.defense.on_aggregate(
+            aggregated, self.global_weights, self.rng)
         reduce_seconds += time.perf_counter() - start
         self.cost_meter.merge_server_round(reduce_seconds)
         self.global_weights = aggregated

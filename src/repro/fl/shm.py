@@ -9,24 +9,25 @@ weight vector ever crosses the pool pipe.  Per-client IPC is
 
 **Down-link (broadcast segment).**  One ``multiprocessing.
 shared_memory`` segment per executor holds the round's global buffer.
-The parent writes it once per round and bumps a generation counter;
-tasks carry only a tiny :class:`ShmRound` descriptor ``(segment
-names, generation, geometry)``.  Workers map the segment and wrap it
-in a *read-only* zero-copy view — safe because the serial executor
-already hands every task of a round the very same buffer object, so
-nothing in the round path mutates the received global in place (DINAR
-copies before personalizing, ``set_store`` copies in).  The
-round-shared defense state is pickled **once** per round into a second
-segment; each worker unpickles it once per generation (not once per
-task) and caches it.
+The parent writes it once per round; tasks carry only a tiny
+:class:`ShmRound` descriptor ``(segment names, geometry)``.  Workers
+map the segment and wrap it in a *read-only* zero-copy view — safe
+because the serial executor already hands every task of a round the
+very same buffer object, so nothing in the round path mutates the
+received global in place (DINAR copies before personalizing,
+``set_store`` copies in).  It is the only thing broadcast: defenses
+that transform a round delta read this same view as their
+``global_weights`` hook argument.
 
 **Up-link (result slab ring).**  A ring of ``workers + 1``
 preallocated slabs — two rows of ``num_params`` each — receives every
 client's ``update_buffer`` / ``personal_buffer`` directly from the
 worker; the result that travels back through the pipe carries neither
-vector.  The parent copies the two rows out (parent-owned arrays, so
-downstream consumers keep their lifetime guarantees) and recycles the
-slab.
+vector.  The parent yields the result with both buffers set to
+read-only views of the slab rows and recycles the slab when the
+consumer asks for the next result — the borrowing contract of
+:class:`~repro.fl.executor.ClientRoundResult`, so the consumer's
+registry ``put`` is the one copy the parent makes of a row.
 
 **Lifecycle.**  ``ShmChannel.close()`` is idempotent and unlinks every
 segment; an ``atexit`` hook covers channels that are never closed
@@ -34,14 +35,13 @@ explicitly.  Workers attach segments *without* registering them with
 the ``resource_tracker`` — on Python < 3.13 an attach re-registers the
 name, and a worker that later exits (or crashes) would have the
 tracker unlink segments the parent still owns (the classic
-double-unlink).  Generation overwrite is safe: the parent only
+double-unlink).  Overwriting the broadcast is safe: the parent only
 publishes round ``g+1`` after round ``g`` closed, and the only tasks
 still reading by then are stragglers whose results are discarded.
 
 The transport is **bitwise invisible**: the mapped view holds the
-identical float64/float32 values the parent published, the round
-state round-trips through ``pickle`` (bitwise for numpy payloads), and
-every per-cell RNG stream is untouched — serial and parallel runs are
+identical float64/float32 values the parent published, and every
+per-cell RNG stream is untouched — serial and parallel runs are
 trajectory-identical (pinned by the golden fixtures and
 hypothesis-tested across worker counts and defenses).
 """
@@ -144,13 +144,6 @@ class ShmRound:
     weights_name: str
     #: Segment holding the result slab ring.
     slabs_name: str
-    #: Segment holding the round state's pickle bytes (None = no state).
-    state_name: str | None
-    #: Length of the round state's pickle payload inside ``state_name``.
-    state_len: int
-    #: Monotonic per-channel round counter; workers key their
-    #: unpickled-round-state cache on it.
-    generation: int
     num_params: int
     dtype: str
     #: Slab count of the ring (ring geometry, for the worker's view).
@@ -160,18 +153,16 @@ class ShmRound:
 class ShmChannel:
     """Parent-side owner of one executor's shared-memory segments.
 
-    Three segments, all created lazily on first use and owned (and
+    Two segments, both created lazily on first use and owned (and
     unlinked) exclusively by the parent:
 
     * ``weights`` — ``num_params`` values; rewritten every round;
-    * ``state``   — the round state's pickle bytes; recreated at a
-      doubled capacity (new name) when a round's state outgrows it;
     * ``slabs``   — ``slots`` result slabs of 2 rows x ``num_params``.
 
     Slab leases are plain parent-side bookkeeping: ``lease`` pops a
     free index (or reports exhaustion with ``None``), ``recycle``
-    returns one.  ``read_slab`` copies both rows out so the slab can
-    be recycled immediately.
+    returns one.  ``read_slab`` views both rows in place; the slab
+    stays leased until the reader is done with them.
     """
 
     def __init__(self, slots: int) -> None:
@@ -180,9 +171,6 @@ class ShmChannel:
         self.slots = slots
         self._weights: Any = None
         self._slabs: Any = None
-        self._state: Any = None
-        self._state_capacity = 0
-        self._generation = 0
         self._num_params: int | None = None
         self._dtype: np.dtype | None = None
         self._free: deque[int] = deque()
@@ -222,20 +210,29 @@ class ShmChannel:
         if self._closed:
             return
         self._closed = True
-        for segment in (self._weights, self._slabs, self._state):
+        for segment in (self._weights, self._slabs):
             if segment is None:
                 continue
-            for release in (segment.close, segment.unlink):
-                try:
-                    release()
-                except FileNotFoundError:
-                    # Already unlinked (resource tracker raced us, or
-                    # a second close path); the goal state is reached.
-                    pass
-                except Exception:  # pragma: no cover - best effort
-                    pass
-        self._weights = self._slabs = self._state = None
-        self._state_capacity = 0
+            try:
+                segment.close()
+            except BufferError:
+                # A slab row view outlived the round and pins the
+                # mapping (see read_slab): drop the segment's handle
+                # on the mmap, which unmaps when the last view dies,
+                # and close the fd.
+                segment._mmap = None
+                segment.close()
+            except Exception:  # pragma: no cover - best effort
+                pass
+            try:
+                segment.unlink()
+            except FileNotFoundError:
+                # Already unlinked (resource tracker raced us, or a
+                # second close path); the goal state is reached.
+                pass
+            except Exception:  # pragma: no cover - best effort
+                pass
+        self._weights = self._slabs = None
         self._free = deque()
         try:
             atexit.unregister(self.close)
@@ -249,58 +246,22 @@ class ShmChannel:
     # ------------------------------------------------------------------
     # down-link: per-round broadcast
     # ------------------------------------------------------------------
-    def publish_round(self, buffer: np.ndarray,
-                      round_state: Any) -> ShmRound:
-        """Write one round's global buffer + round state, bump the
-        generation, and return the descriptor tasks will carry."""
+    def publish_round(self, buffer: np.ndarray) -> ShmRound:
+        """Write one round's global buffer and return the descriptor
+        tasks will carry."""
         buffer = np.ascontiguousarray(buffer)
         self.open(buffer.size, buffer.dtype)
-        self._generation += 1
         view = np.ndarray((self._num_params,), dtype=self._dtype,
                           buffer=self._weights.buf)
         view[:] = buffer
         del view  # drop the buffer export so close() stays legal
-        state_name: str | None = None
-        state_len = 0
-        if round_state is not None:
-            payload = pickle.dumps(round_state,
-                                   protocol=_PICKLE_PROTOCOL)
-            self._ensure_state_capacity(len(payload))
-            self._state.buf[:len(payload)] = payload
-            state_name = self._state.name
-            state_len = len(payload)
         return ShmRound(
             weights_name=self._weights.name,
             slabs_name=self._slabs.name,
-            state_name=state_name,
-            state_len=state_len,
-            generation=self._generation,
             num_params=self._num_params,
             dtype=self._dtype.name,
             slots=self.slots,
         )
-
-    def _ensure_state_capacity(self, needed: int) -> None:
-        """Grow the round-state segment by recreation (fresh name).
-
-        Segments cannot resize in place; the old one is unlinked and a
-        doubled replacement created.  Stragglers still mapping the old
-        segment keep a valid mapping until their process drops it —
-        unlink only removes the name.
-        """
-        if self._state is not None and needed <= self._state_capacity:
-            return
-        if self._state is not None:
-            try:
-                self._state.close()
-                self._state.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced
-                pass
-        capacity = 1024
-        while capacity < needed:
-            capacity *= 2
-        self._state = _shm.SharedMemory(create=True, size=capacity)
-        self._state_capacity = capacity
 
     # ------------------------------------------------------------------
     # up-link: the result slab ring
@@ -321,29 +282,25 @@ class ShmChannel:
         self._free.append(index)
 
     def read_slab(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Copy one slab's ``(update, personal)`` rows out.
+        """Read-only views of one slab's ``(update, personal)`` rows.
 
-        The copies are parent-owned, so the slab can be recycled the
-        moment this returns; the simulation then copies each row into
-        its registry (personal weights, ``last_updates``), which the
-        server reads.
+        No copy is made: the views are valid until the slab is
+        recycled, and the simulation's registry ``put`` of each row is
+        the one copy the parent makes of it.  The views sit on a
+        memoryview slice, whose buffer export pins the mapping: numpy
+        holds none of its own, so ``close()`` would otherwise unmap the
+        segment under a view that outlived the round.
         """
-        rows = self._slab_rows(index)
-        update = rows[0].copy()
-        personal = rows[1].copy()
-        del rows
-        return update, personal
-
-    def _slab_rows(self, index: int) -> np.ndarray:
         if self._slabs is None:
             raise RuntimeError("channel is not open")
         if not 0 <= index < self.slots:
             raise ValueError(f"slab index {index} out of range "
                              f"[0, {self.slots})")
-        itemsize = self._dtype.itemsize
-        offset = index * 2 * self._num_params * itemsize
-        return np.ndarray((2, self._num_params), dtype=self._dtype,
-                          buffer=self._slabs.buf, offset=offset)
+        nbytes = 2 * self._num_params * self._dtype.itemsize
+        window = self._slabs.buf[index * nbytes:(index + 1) * nbytes]
+        rows = np.frombuffer(window, dtype=self._dtype).reshape(2, -1)
+        rows.flags.writeable = False
+        return rows[0], rows[1]
 
 
 # ----------------------------------------------------------------------
@@ -355,14 +312,6 @@ class ShmChannel:
 #: cache never grows past a handful of names).
 _WORKER_SEGMENTS: dict[str, Any] = {}
 
-#: Single-slot cache of the current round's unpickled state:
-#: (weights_name, generation) -> state.  One unpickle per worker per
-#: round instead of one per task.
-_WORKER_ROUND_STATE: tuple[tuple[str, int], Any] | None = None
-
-#: Single-slot attachment for the (recreatable) state segment.
-_WORKER_STATE_SEGMENT: tuple[str, Any] | None = None
-
 
 def _worker_segment(name: str) -> Any:
     segment = _WORKER_SEGMENTS.get(name)
@@ -372,38 +321,13 @@ def _worker_segment(name: str) -> Any:
     return segment
 
 
-def _worker_state_bytes(name: str, length: int) -> bytes:
-    """Read the round state's pickle payload from its segment."""
-    global _WORKER_STATE_SEGMENT
-    if _WORKER_STATE_SEGMENT is None \
-            or _WORKER_STATE_SEGMENT[0] != name:
-        if _WORKER_STATE_SEGMENT is not None:
-            try:  # the old segment was outgrown and unlinked
-                _WORKER_STATE_SEGMENT[1].close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-        _WORKER_STATE_SEGMENT = (name, _attach(name))
-    return bytes(_WORKER_STATE_SEGMENT[1].buf[:length])
-
-
-def _worker_resolve(ref: ShmRound) -> tuple[np.ndarray, Any]:
-    """Map one round's broadcast: the read-only global buffer view
-    plus the (cached) unpickled round state."""
-    global _WORKER_ROUND_STATE
+def _worker_resolve(ref: ShmRound) -> np.ndarray:
+    """Map one round's broadcast: the read-only global buffer view."""
     segment = _worker_segment(ref.weights_name)
     buffer = np.ndarray((ref.num_params,), dtype=np.dtype(ref.dtype),
                         buffer=segment.buf)
     buffer.flags.writeable = False
-    if ref.state_name is None:
-        return buffer, None
-    key = (ref.weights_name, ref.generation)
-    if _WORKER_ROUND_STATE is not None \
-            and _WORKER_ROUND_STATE[0] == key:
-        return buffer, _WORKER_ROUND_STATE[1]
-    state = pickle.loads(_worker_state_bytes(ref.state_name,
-                                             ref.state_len))
-    _WORKER_ROUND_STATE = (key, state)
-    return buffer, state
+    return buffer
 
 
 def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
@@ -451,23 +375,23 @@ def _run_in_worker(task: ClientTask, ref: ShmRound,
                    slab: int) -> ClientRoundResult:
     """Worker entry point: one client's round over shared memory.
 
-    Maps the round's broadcast (read-only global buffer + cached round
-    state), runs the same :func:`execute_client_task` path as the
-    serial executor, then writes the two result vectors into the
-    leased slab so only a descriptor travels back through the pipe.
+    Maps the round's broadcast (the read-only global buffer), runs the
+    same :func:`execute_client_task` path as the serial executor, then
+    writes the two result vectors into the leased slab so only a
+    descriptor travels back through the pipe.
     """
     context = _WORKER_CONTEXT
     if context is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process has no bound context; "
                            "the pool initializer did not run")
     try:
-        buffer, round_state = _worker_resolve(ref)
+        buffer = _worker_resolve(ref)
     except Exception as exc:
         raise RuntimeError(
             f"client {task.client_id} could not map the round "
             f"{task.round_index} shared-memory broadcast: "
             f"{exc!r}") from exc
-    task = replace(task, global_buffer=buffer, round_state=round_state)
+    task = replace(task, global_buffer=buffer)
     try:
         result = execute_client_task(
             context.clients.materialize(task.client_id),
@@ -494,13 +418,15 @@ class ParallelExecutor(RoundExecutor):
 
     Workers fork from the fully constructed simulation (datasets and
     models are inherited, never pickled).  Each round's global buffer
-    and round state are published once into a :class:`ShmChannel`;
-    tasks cross the pool pipe as descriptors and every result comes
-    back through a leased slab of the channel's ring.  Submission is
-    windowed by that ring: at most ``workers + 1`` tasks are in
-    flight, which also caps how much result memory a round can pin.
-    Results are yielded strictly in task order, so aggregation
-    consumes updates in exactly the serial cohort order.
+    is published once into a :class:`ShmChannel`; tasks cross the pool
+    pipe as descriptors and every result comes back through a leased
+    slab of the channel's ring.  A slab stays leased from submission
+    until the consumer has read the yielded result, so the ring
+    windows the round: at most ``workers + 1`` tasks are in flight,
+    buffered out of order or being read, which also caps how much
+    result memory a round can pin.  Results are yielded strictly in
+    task order, so aggregation consumes updates in exactly the serial
+    cohort order.
     """
 
     def __init__(self, clients: Any, defense: "Defense",
@@ -602,26 +528,27 @@ class ParallelExecutor(RoundExecutor):
                    ) -> Iterator[ClientRoundResult]:
         """Stream results in task order over shared memory.
 
-        The round's buffer + state are published once; stripped tasks
-        are submitted in task order as slabs free up, completions land
-        in a reorder buffer, and each collected result has its slab
-        copied out and recycled before it is yielded — so a consumer
-        sees exactly the serial executor's stream.  A consumer that
-        stops early (round closed at its completion threshold)
-        triggers the ``finally`` below, which cancels every
-        not-yet-started future; in-flight stragglers keep their slab
-        until they finish and are then discarded.
+        The round's buffer is published once; stripped tasks are
+        submitted in task order as slabs free up, completions land in
+        a reorder buffer, and each result is yielded with its buffers
+        viewing its slab, which is recycled when the consumer asks for
+        the next result — so a consumer sees exactly the serial
+        executor's stream.  A consumer that stops early (round closed
+        at its completion threshold) triggers the ``finally`` below,
+        which recycles the slabs of the last yielded and every
+        buffered result and cancels every not-yet-started future;
+        in-flight stragglers keep their slab until they finish and are
+        then discarded.
         """
         pool = self._ensure_pool()
         live = [task for task in tasks if not task.dropped]
         if not live:
             return
-        ref = self._channel.publish_round(live[0].global_buffer,
-                                          live[0].round_state)
+        ref = self._channel.publish_round(live[0].global_buffer)
         pending = deque(
-            (index, replace(task, global_buffer=None, round_state=None))
+            (index, replace(task, global_buffer=None))
             for index, task in enumerate(live))
-        shared_bytes = live[0].global_buffer.nbytes + ref.state_len
+        shared_bytes = live[0].global_buffer.nbytes
         pickled_bytes = 0
         task_probe: int | None = None
         result_probe: int | None = None
@@ -674,15 +601,17 @@ class ParallelExecutor(RoundExecutor):
                         result_probe = len(pickle.dumps(
                             result, protocol=_PICKLE_PROTOCOL))
                     pickled_bytes += result_probe
-                    slab = slab_of.pop(index)
-                    update, personal = self._channel.read_slab(slab)
-                    self._channel.recycle(slab)
+                    update, personal = self._channel.read_slab(
+                        slab_of[index])
                     shared_bytes += update.nbytes + personal.nbytes
                     result.update_buffer = update
                     result.personal_buffer = personal
                     buffered[index] = result
                 while next_index in buffered:
                     yield buffered.pop(next_index)
+                    # the consumer asked for the next result: it is
+                    # done with this one's rows
+                    self._channel.recycle(slab_of.pop(next_index))
                     next_index += 1
         finally:
             for future, index in futures.items():
@@ -697,6 +626,10 @@ class ParallelExecutor(RoundExecutor):
                     self._channel.recycle(slab)
                 else:
                     self._stragglers.append((future, slab))
+            if self._channel.is_open:
+                # read back but never (or only just) handed over
+                for slab in slab_of.values():
+                    self._channel.recycle(slab)
             if self.cost_meter is not None:
                 self.cost_meter.record_ipc(pickled=pickled_bytes,
                                            shared=shared_bytes)

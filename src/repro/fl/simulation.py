@@ -11,8 +11,8 @@ Client training within a round is delegated to a
 serial or process-parallel execution; both are bitwise identical).
 The simulation ships each client's round state through the executor
 explicitly — global weights out, update/personal weights and defense
-state back — and merges the returned cost/traffic deltas, so no
-client-side object is mutated behind the orchestrator's back.
+state back — and merges the returned cost deltas, so no client-side
+object is mutated behind the orchestrator's back.
 
 Rounds are **streaming**: executor results are consumed lazily and
 folded straight into the server's constant-memory accumulator, and the
@@ -49,7 +49,7 @@ from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.costs import CostMeter
 from repro.fl.executor import ClientTask, client_drops, make_executor
-from repro.fl.network import NetworkModel, TrafficMeter, dense_nbytes
+from repro.fl.network import dense_nbytes
 from repro.fl.server import FLServer
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.nn.model import Model
@@ -111,8 +111,7 @@ class FederatedSimulation:
     def __init__(self, split: MembershipSplit,
                  model_factory: Callable[[np.random.Generator], Model],
                  config: FLConfig, defense: Defense | None = None, *,
-                 dirichlet_alpha: float = math.inf,
-                 network: NetworkModel | None = None) -> None:
+                 dirichlet_alpha: float = math.inf) -> None:
         self.split = split
         self.model_factory = model_factory
         self.config = config
@@ -128,7 +127,6 @@ class FederatedSimulation:
                 f"permit short rounds; use drop_rate=0 and "
                 f"completion_threshold=1.0, or a different defense")
         self.cost_meter = CostMeter()
-        self.traffic_meter = TrafficMeter(network)
         self.shards = client_shards(split, config.num_clients, config.seed,
                                     dirichlet_alpha)
 
@@ -223,16 +221,14 @@ class FederatedSimulation:
         segment_report = getattr(self.defense, "segment_report", None)
         if segment_report is not None:
             self.cost_meter.record_segment_budget(segment_report())
-        download_bytes = dense_nbytes(self.server.global_weights)
         global_store = self.server.global_weights
-        round_state = self.defense.export_round_state()
+        download_bytes = dense_nbytes(global_store)
         tasks = [
             ClientTask(
                 round_index=round_index,
                 client_id=cid,
                 global_buffer=global_store.buffer,
                 client_state=self.defense.export_client_state(cid),
-                round_state=round_state,
                 dropped=cid in dropped_set,
             )
             for cid in cohort
@@ -261,9 +257,10 @@ class FederatedSimulation:
                     weights=self.last_updates[result.client_id],
                     num_samples=result.num_samples,
                 )
-                self.traffic_meter.record_exchange(
-                    round_index, update.client_id, download_bytes,
-                    self.defense.upload_nbytes(update.weights))
+                self.cost_meter.record_traffic(
+                    download=download_bytes,
+                    upload=self.defense.upload_nbytes(update.weights,
+                                                      global_store))
                 yield update
                 folded += 1
                 if folded >= needed:

@@ -21,10 +21,14 @@ The export/import state hooks make that keyed state explicit so the
 round executor (see ``repro.fl.executor``) can ship exactly one
 client's slice of it into a worker process and merge the post-round
 slice back — the defense object itself is never synchronized across
-processes.  ``export_round_state`` covers state ``on_round_start``
-computes on the parent that every client's hooks read (SA's cohort
-masks, compression's round-start global).  The default hooks carry
-nothing, which is correct for any stateless defense.
+processes.  The default hooks carry nothing, which is correct for any
+stateless defense.
+
+Defenses that transform a round *delta* (CDP, WDP, GC, LaDP) read the
+round's global model from the hook argument ``global_weights``: the
+store the client received (``on_send_update``) or the server's
+round-start model (``on_aggregate``).  Every process already holds
+it, so no defense keeps a copy of it.
 
 Weight-plane defenses (noise, clipping, masking, compression) operate
 on the flat ``WeightStore`` buffer; gradient-plane defenses that hook
@@ -75,14 +79,23 @@ class Defense:
         return weights
 
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
-        """Transform the update a client is about to upload."""
+        """Transform the update a client is about to upload.
+
+        ``global_weights`` is the global model the client received,
+        before ``on_receive_global``; it is read-only.
+        """
         return weights
 
     def on_aggregate(self, weights: WeightStore,
+                     global_weights: WeightStore,
                      rng: np.random.Generator) -> WeightStore:
-        """Transform the aggregated model on the server."""
+        """Transform the aggregated model on the server.
+
+        ``global_weights`` is the round's start model, the one every
+        client received.
+        """
         return weights
 
     def make_optimizer(self, model: Model, lr: float,
@@ -106,22 +119,14 @@ class Defense:
     def import_client_state(self, client_id: int, state: Any) -> None:
         """Install one client's defense state; None clears it."""
 
-    def export_round_state(self) -> Any:
-        """Picklable snapshot of round-shared state (or None).
+    def upload_nbytes(self, weights: WeightStore,
+                      global_weights: WeightStore) -> int:
+        """Wire size of one transmitted update against the round's
+        global model.
 
-        Called on the parent after ``on_round_start``; shipped to every
-        client task of the round.
-        """
-        return None
-
-    def import_round_state(self, state: Any) -> None:
-        """Install round-shared state before a client's hooks run."""
-
-    def upload_nbytes(self, weights: WeightStore) -> int:
-        """Wire size of one transmitted update.
-
-        Defaults to a dense float64 encoding; defenses with a cheaper
-        wire format (gradient compression's sparse deltas) override.
+        Defaults to a dense encoding at the store's precision; defenses
+        with a cheaper wire format (gradient compression's sparse
+        deltas) override.
         """
         from repro.fl.network import dense_nbytes
         return dense_nbytes(weights)

@@ -46,15 +46,10 @@ class CentralDP(Defense):
                 2.0 * math.log(1.25 / delta)) / per_round_eps
         self.noise_multiplier = noise_multiplier
         self.accountant = PrivacyAccountant(epsilon, delta)
-        self._round_global: WeightStore | None = None
         self._noise_buffer_bytes = 0
 
-    def on_round_start(self, round_index, client_ids, template,
-                       rng) -> None:
-        self._round_global = template.copy()
-
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         """Bound this client's influence (server-enforced clipping).
 
@@ -62,36 +57,20 @@ class CentralDP(Defense):
         conceptually happens there; implementing it in the upload path
         keeps the simulator's message flow unchanged.
         """
-        if self._round_global is None:
-            raise RuntimeError("on_round_start was never called")
-        bounded = clip_store(weights - self._round_global, self.clip_norm)
-        return self._round_global + bounded
+        bounded = clip_store(weights - global_weights, self.clip_norm)
+        return global_weights + bounded
 
     def on_aggregate(self, weights: WeightStore,
+                     global_weights: WeightStore,
                      rng: np.random.Generator) -> WeightStore:
-        if self._round_global is None:
-            raise RuntimeError("on_round_start was never called")
-        noisy = weights - self._round_global
+        noisy = weights - global_weights
         sigma = self.noise_multiplier * self.clip_norm / self.num_clients
         noisy.buffer += gaussian(rng, sigma, noisy.num_params,
                                  noisy.buffer.dtype)
         self.accountant.spend(
             self.epsilon / math.sqrt(self.rounds), self.delta)
         self._noise_buffer_bytes = noisy.nbytes
-        return self._round_global + noisy
-
-    # ------------------------------------------------------------------
-    # executor state protocol
-    # ------------------------------------------------------------------
-    def export_round_state(self):
-        if self._round_global is None:
-            return None
-        return (self._round_global.layout, self._round_global.buffer)
-
-    def import_round_state(self, state) -> None:
-        if state is not None:
-            layout, buffer = state
-            self._round_global = WeightStore(layout, buffer)
+        return global_weights + noisy
 
     def state_bytes(self) -> int:
         return self._noise_buffer_bytes

@@ -31,30 +31,24 @@ class GradientCompression(Defense):
             raise ValueError(
                 f"keep_ratio must be in (0, 1], got {keep_ratio}")
         self.keep_ratio = keep_ratio
-        self._round_global: WeightStore | None = None
         self._residuals: dict[int, np.ndarray] = {}
 
-    def on_round_start(self, round_index, client_ids, template, rng) -> None:
-        self._round_global = template.copy()
-
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
-        if self._round_global is None:
-            raise RuntimeError("on_round_start was never called")
-        delta = weights - self._round_global
+        delta = weights - global_weights
         flat = delta.buffer
         residual = self._residuals.get(client_id)
         if residual is not None:
             flat += residual
         k = max(1, int(self.keep_ratio * flat.size))
-        view = self._round_global.layout.segmented()
+        view = global_weights.layout.segmented()
         keep_idx = view.top_k_indices(flat, k)
         sparse = np.zeros_like(flat)
         sparse[keep_idx] = flat[keep_idx]
         self._residuals[client_id] = flat - sparse
-        return WeightStore(self._round_global.layout,
-                           self._round_global.buffer + sparse)
+        return WeightStore(global_weights.layout,
+                           global_weights.buffer + sparse)
 
     # ------------------------------------------------------------------
     # executor state protocol
@@ -68,22 +62,11 @@ class GradientCompression(Defense):
         else:
             self._residuals[client_id] = state
 
-    def export_round_state(self):
-        if self._round_global is None:
-            return None
-        return (self._round_global.layout, self._round_global.buffer)
-
-    def import_round_state(self, state) -> None:
-        if state is not None:
-            layout, buffer = state
-            self._round_global = WeightStore(layout, buffer)
-
-    def upload_nbytes(self, weights: WeightStore) -> int:
+    def upload_nbytes(self, weights: WeightStore,
+                      global_weights: WeightStore) -> int:
         """GC transmits the sparse delta, not the dense model."""
         from repro.fl.network import sparse_nbytes
-        if self._round_global is None:
-            return super().upload_nbytes(weights)
-        return sparse_nbytes(weights, self._round_global)
+        return sparse_nbytes(weights, global_weights)
 
     def state_bytes(self) -> int:
         return sum(r.nbytes for r in self._residuals.values())

@@ -116,7 +116,6 @@ class LayerwiseDP(Defense):
         self._divergences = None if divergences is None \
             else np.asarray(divergences, dtype=np.float64)
         self.accountant = PrivacyAccountant(epsilon, delta)
-        self._round_global: WeightStore | None = None
         self._plan: list[dict] | None = None
         self._noise_buffer_bytes = 0
 
@@ -140,9 +139,10 @@ class LayerwiseDP(Defense):
     def _resolve_plan(self, layout) -> None:
         """Fix the per-segment (epsilon, clip, sigma) schedule.
 
-        Deterministic from the layout alone, so parent and workers
-        resolve identical plans from the round state — no plan data
-        crosses the IPC boundary.
+        Deterministic from the layout alone, so a forked worker that
+        never ran ``on_round_start`` resolves the parent's plan from
+        the received global model's layout — no plan data crosses the
+        IPC boundary.
         """
         view = layout.segmented()
         shares = self._layer_shares(len(view))
@@ -183,17 +183,16 @@ class LayerwiseDP(Defense):
     # ------------------------------------------------------------------
     def on_round_start(self, round_index, client_ids, template,
                        rng) -> None:
-        self._round_global = template.copy()
-        self._resolve_plan(self._round_global.layout)
+        self._resolve_plan(template.layout)
         self.accountant.spend(self.epsilon / math.sqrt(self.rounds),
                               self.delta)
 
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
-        if self._round_global is None or self._plan is None:
-            raise RuntimeError("on_round_start was never called")
-        delta = weights - self._round_global
+        if self._plan is None:  # a forked worker: never ran round start
+            self._resolve_plan(global_weights.layout)
+        delta = weights - global_weights
         view = delta.layout.segmented()
         sq = view.segment_sq_sums(delta.buffer)
         for entry in self._plan:
@@ -205,22 +204,7 @@ class LayerwiseDP(Defense):
             view.segment_add_gaussian(delta.buffer, seg, rng,
                                       entry["sigma"])
         self._noise_buffer_bytes = delta.nbytes
-        return self._round_global + delta
-
-    # ------------------------------------------------------------------
-    # executor state protocol: the flat global buffer travels; the
-    # budget plan is re-derived from its layout on the far side
-    # ------------------------------------------------------------------
-    def export_round_state(self):
-        if self._round_global is None:
-            return None
-        return (self._round_global.layout, self._round_global.buffer)
-
-    def import_round_state(self, state) -> None:
-        if state is not None:
-            layout, buffer = state
-            self._round_global = WeightStore(layout, buffer)
-            self._resolve_plan(layout)
+        return global_weights + delta
 
     def state_bytes(self) -> int:
         return self._noise_buffer_bytes

@@ -78,7 +78,7 @@ class LocalDP(Defense):
             rng=rng)
 
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         # The privacy spend happened inside DP-SGD (accounted in the
         # noise-multiplier derivation); just count the release.

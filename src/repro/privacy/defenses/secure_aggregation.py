@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.nn.dtypes import standard_normal
-from repro.nn.store import Layout, WeightStore
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -46,7 +46,6 @@ class SecureAggregation(Defense):
             raise ValueError(f"mask_scale must be positive, "
                              f"got {mask_scale}")
         self.mask_scale = mask_scale
-        self._layout: Layout | None = None
         self._masks: dict[int, np.ndarray] = {}
 
     def on_round_start(self, round_index: int, client_ids: Sequence[int],
@@ -58,9 +57,8 @@ class SecureAggregation(Defense):
         the real protocol; both endpoints derive the same mask and apply
         it with opposite signs, so the cohort-wide sum is exactly zero.
         """
-        self._layout = template.layout
-        num_params = self._layout.num_params
-        dtype = self._layout.dtype
+        num_params = template.layout.num_params
+        dtype = template.layout.dtype
         self._masks = {
             cid: np.zeros(num_params, dtype=dtype) for cid in client_ids
         }
@@ -75,7 +73,7 @@ class SecureAggregation(Defense):
                 self._masks[j] -= pair_mask
 
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
         """Transmit ``num_samples * weights + mask`` (pre-weighted)."""
         if client_id not in self._masks:
@@ -97,13 +95,6 @@ class SecureAggregation(Defense):
             self._masks.pop(client_id, None)
         else:
             self._masks[client_id] = state
-
-    def export_round_state(self):
-        return self._layout
-
-    def import_round_state(self, state) -> None:
-        if state is not None:
-            self._layout = state
 
     def state_bytes(self) -> int:
         return sum(mask.nbytes for mask in self._masks.values())

@@ -38,37 +38,17 @@ class WeakDP(Defense):
                              f"got {norm_bound}")
         self.norm_bound = norm_bound
         self.sigma = sigma
-        self._round_global: WeightStore | None = None
         self._noise_buffer_bytes = 0
 
-    def on_round_start(self, round_index, client_ids, template,
-                       rng) -> None:
-        self._round_global = template.copy()
-
     def on_send_update(self, client_id: int, weights: WeightStore,
-                       num_samples: int,
+                       global_weights: WeightStore, num_samples: int,
                        rng: np.random.Generator) -> WeightStore:
-        if self._round_global is None:
-            raise RuntimeError("on_round_start was never called")
-        delta = weights - self._round_global
+        delta = weights - global_weights
         bounded = clip_store(delta, self.norm_bound)
         bounded.buffer += gaussian(rng, self.sigma, bounded.num_params,
                                    bounded.buffer.dtype)
         self._noise_buffer_bytes = bounded.nbytes
-        return self._round_global + bounded
-
-    # ------------------------------------------------------------------
-    # executor state protocol
-    # ------------------------------------------------------------------
-    def export_round_state(self):
-        if self._round_global is None:
-            return None
-        return (self._round_global.layout, self._round_global.buffer)
-
-    def import_round_state(self, state) -> None:
-        if state is not None:
-            layout, buffer = state
-            self._round_global = WeightStore(layout, buffer)
+        return global_weights + bounded
 
     def state_bytes(self) -> int:
         return self._noise_buffer_bytes

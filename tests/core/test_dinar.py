@@ -24,34 +24,34 @@ class TestObfuscation:
 
     def test_private_layer_replaced_with_random(self, template, rng):
         defense = DINAR(private_layer=-2)
-        sent = defense.on_send_update(0, template, 10, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
         p = defense.protected_indices(template.layout.num_layers)[0]
         assert p == 1  # penultimate of 3 trainable layers
         assert not np.allclose(sent.view(p, "W"), template.view(p, "W"))
 
     def test_other_layers_untouched(self, template, rng):
         defense = DINAR(private_layer=-2)
-        sent = defense.on_send_update(0, template, 10, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
         assert np.array_equal(sent.view(0, "W"), template.view(0, "W"))
         assert np.array_equal(sent.view(2, "W"), template.view(2, "W"))
 
     def test_raw_layer_stored_client_side(self, template, rng):
         defense = DINAR(private_layer=-2)
-        defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
         stored = defense._stored[0][1]
         assert np.array_equal(stored, template.layer_flat(1))
 
     def test_obfuscation_scale(self, template):
         small = DINAR(private_layer=0, obfuscation_scale=1e-6)
         sent = small.on_send_update(
-            0, template, 10, np.random.default_rng(0))
+            0, template, template, 10, np.random.default_rng(0))
         assert np.abs(sent.view(0, "W")).max() < 1e-3
 
     def test_per_client_isolation(self, template, rng):
         defense = DINAR(private_layer=0)
-        defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
         defense.on_send_update(1, template + _filled(template, 1.0),
-                               10, rng)
+                               template, 10, rng)
         assert not np.array_equal(defense._stored[0][0],
                                   defense._stored[1][0])
 
@@ -66,7 +66,7 @@ class TestPersonalization:
 
     def test_private_layer_restored(self, template, rng):
         defense = DINAR(private_layer=-2)
-        defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
         obfuscated_global = _filled(template, 9.0)
         received = defense.on_receive_global(0, obfuscated_global)
         assert np.array_equal(received.view(1, "W"), template.view(1, "W"))
@@ -75,8 +75,8 @@ class TestPersonalization:
     def test_clients_get_their_own_layer_back(self, template, rng):
         defense = DINAR(private_layer=0)
         other = template * 2
-        defense.on_send_update(0, template, 10, rng)
-        defense.on_send_update(1, other, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
+        defense.on_send_update(1, other, other, 10, rng)
         r0 = defense.on_receive_global(0, template)
         r1 = defense.on_receive_global(1, template)
         assert np.array_equal(r0.view(0, "W"), template.view(0, "W"))
@@ -111,14 +111,14 @@ class TestMultiLayer:
     def test_extra_layers_obfuscated(self, template, rng):
         defense = DINAR(private_layer=-2, extra_layers=(-1, 0))
         assert defense.protected_indices(3) == [0, 1, 2]
-        sent = defense.on_send_update(0, template, 10, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
         for idx in range(3):
             assert not np.allclose(sent.view(idx, "W"),
                                    template.view(idx, "W"))
 
     def test_all_protected_layers_restored(self, template, rng):
         defense = DINAR(private_layer=0, extra_layers=(1,))
-        defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
         garbage = _filled(template, 5.0)
         received = defense.on_receive_global(0, garbage)
         assert np.array_equal(received.view(0, "W"), template.view(0, "W"))
@@ -130,7 +130,7 @@ class TestValidation:
     def test_out_of_range_layer_rejected_at_use(self, template, rng):
         defense = DINAR(private_layer=7)
         with pytest.raises(IndexError):
-            defense.on_send_update(0, template, 10, rng)
+            defense.on_send_update(0, template, template, 10, rng)
 
     def test_negative_indices_resolve(self):
         defense = DINAR(private_layer=-1)
@@ -143,7 +143,7 @@ class TestValidation:
     def test_state_bytes_tracks_stored_layers(self, template, rng):
         defense = DINAR(private_layer=0)
         assert defense.state_bytes() == 0
-        defense.on_send_update(0, template, 10, rng)
+        defense.on_send_update(0, template, template, 10, rng)
         assert defense.state_bytes() == template.layer_flat(0).nbytes
 
 

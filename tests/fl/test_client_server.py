@@ -54,8 +54,8 @@ class TestFLClient:
                 calls.append("receive")
                 return weights
 
-            def on_send_update(self, client_id, weights, num_samples,
-                               rng_):
+            def on_send_update(self, client_id, weights, global_weights,
+                               num_samples, rng_):
                 calls.append("send")
                 return weights
 

@@ -266,7 +266,8 @@ class TestRegistryWriter:
 class _ExplodingDefense(Defense):
     """Raises a normal exception inside one client's upload hook."""
 
-    def on_send_update(self, client_id, weights, num_samples, rng):
+    def on_send_update(self, client_id, weights, global_weights,
+                       num_samples, rng):
         if client_id == 1:
             raise ValueError("boom")
         return weights
@@ -275,7 +276,8 @@ class _ExplodingDefense(Defense):
 class _DyingDefense(Defense):
     """Kills the worker process hard inside one client's upload hook."""
 
-    def on_send_update(self, client_id, weights, num_samples, rng):
+    def on_send_update(self, client_id, weights, global_weights,
+                       num_samples, rng):
         if client_id == 1:
             os._exit(13)
         return weights

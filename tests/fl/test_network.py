@@ -1,4 +1,4 @@
-"""Network transport model and traffic accounting tests."""
+"""Wire encodings and the simulation's traffic accounting."""
 
 import numpy as np
 import pytest
@@ -6,34 +6,9 @@ import pytest
 from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
-from repro.fl.network import (
-    LinkSpec,
-    NetworkModel,
-    TrafficMeter,
-    dense_nbytes,
-    sparse_nbytes,
-)
+from repro.fl.network import dense_nbytes, sparse_nbytes
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.store import WeightStore
-
-
-class TestLinkSpec:
-    def test_transfer_time(self):
-        link = LinkSpec(latency_seconds=0.1,
-                        bandwidth_bytes_per_second=1000)
-        assert link.transfer_seconds(500) == pytest.approx(0.6)
-
-    def test_zero_bytes_costs_latency_only(self):
-        link = LinkSpec(latency_seconds=0.05)
-        assert link.transfer_seconds(0) == pytest.approx(0.05)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            LinkSpec(latency_seconds=-1)
-        with pytest.raises(ValueError):
-            LinkSpec(bandwidth_bytes_per_second=0)
-        with pytest.raises(ValueError):
-            LinkSpec().transfer_seconds(-1)
 
 
 class TestEncodings:
@@ -91,17 +66,6 @@ class TestEncodings:
         assert sparse_nbytes(store, store.copy()) == 0
 
 
-class TestTrafficMeter:
-    def test_records_exchange(self):
-        meter = TrafficMeter(NetworkModel(
-            uplink=LinkSpec(0.0, 1000), downlink=LinkSpec(0.0, 2000)))
-        record = meter.record_exchange(0, 3, download_bytes=2000,
-                                       upload_bytes=1000)
-        assert record.download_seconds == pytest.approx(1.0)
-        assert record.upload_seconds == pytest.approx(1.0)
-        assert meter.report.records == [record]
-
-
 class TestSimulationTraffic:
     @pytest.fixture
     def sim_factory(self, rng, tiny_model_factory):
@@ -118,14 +82,26 @@ class TestSimulationTraffic:
     def test_traffic_recorded_per_client_per_round(self, sim_factory):
         sim = sim_factory()
         sim.run()
-        assert len(sim.traffic_meter.report.records) == 6  # 3 x 2
+        report = sim.cost_meter.report
+        model_bytes = dense_nbytes(sim.server.global_weights)
+        # 3 clients x 2 rounds, each downloading and (undefended)
+        # uploading the dense model
+        assert report.download_bytes == 6 * model_bytes
+        assert report.upload_bytes == 6 * model_bytes
 
     def test_download_matches_model_size(self, sim_factory):
         sim = sim_factory()
+        downloads = []
+        record = sim.cost_meter.record_traffic
+
+        def spy(*, download, upload):
+            downloads.append(download)
+            record(download=download, upload=upload)
+        sim.cost_meter.record_traffic = spy
         sim.run()
         model_bytes = dense_nbytes(sim.server.global_weights)
-        for record in sim.traffic_meter.report.records:
-            assert record.download_bytes == model_bytes
+        assert len(downloads) == 6  # 3 clients x 2 rounds
+        assert all(d == model_bytes for d in downloads)
 
     def test_gc_uploads_less_than_dense(self, sim_factory):
         from repro.privacy.defenses.compression import GradientCompression
@@ -133,13 +109,7 @@ class TestSimulationTraffic:
         dense_sim.run()
         gc_sim = sim_factory(GradientCompression(keep_ratio=0.05))
         gc_sim.run()
-        def uploaded(sim):
-            records = sim.traffic_meter.report.records
-            return sum(r.upload_bytes for r in records)
-        assert uploaded(gc_sim) < uploaded(dense_sim) / 2
-
-    def test_network_seconds_positive(self, sim_factory):
-        sim = sim_factory()
-        sim.run()
-        assert sum(r.download_seconds + r.upload_seconds
-                   for r in sim.traffic_meter.report.records) > 0
+        dense = dense_sim.cost_meter.report
+        gc = gc_sim.cost_meter.report
+        assert gc.download_bytes == dense.download_bytes
+        assert gc.upload_bytes < dense.upload_bytes / 2

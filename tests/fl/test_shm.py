@@ -76,49 +76,39 @@ def _make_sim(defense=None, **cfg_kwargs):
 class TestChannel:
     def test_publish_roundtrips_buffer_and_state(self,
                                                  no_leaked_segments):
+        """The descriptor is the whole of a round's broadcast state:
+        it pickles to an equal handle that resolves the buffer."""
         channel = ShmChannel(slots=3)
         try:
             buffer = np.arange(7, dtype=np.float64)
-            state = {"round": 1, "mask": np.arange(4.0)}
-            ref = channel.publish_round(buffer, state)
-            assert ref.generation == 1
+            ref = channel.publish_round(buffer)
             assert ref.num_params == 7
             assert ref.slots == 3
+            assert pickle.loads(pickle.dumps(ref)) == ref
             from repro.fl import shm as shm_mod
-            view, decoded = shm_mod._worker_resolve(ref)
+            view = shm_mod._worker_resolve(ref)
             assert np.array_equal(view, buffer)
             assert not view.flags.writeable
-            assert decoded["round"] == 1
-            assert np.array_equal(decoded["mask"], state["mask"])
         finally:
             channel.close()
             _reset_worker_caches()
 
     def test_generation_bumps_segment_names_stable(
             self, no_leaked_segments):
+        """A round rewrites the same segments in place: the descriptor
+        carries no generation, so consecutive rounds' are equal."""
         channel = ShmChannel(slots=2)
         try:
-            a = channel.publish_round(np.zeros(4), None)
-            b = channel.publish_round(np.ones(4), None)
-            assert b.generation == a.generation + 1
+            a = channel.publish_round(np.zeros(4))
+            b = channel.publish_round(np.ones(4))
             assert b.weights_name == a.weights_name
             assert b.slabs_name == a.slabs_name
-            assert a.state_name is None and a.state_len == 0
+            assert b == a
+            from repro.fl import shm as shm_mod
+            assert np.array_equal(shm_mod._worker_resolve(a), np.ones(4))
         finally:
             channel.close()
-
-    def test_state_segment_grows_by_recreation(self,
-                                               no_leaked_segments):
-        channel = ShmChannel(slots=2)
-        try:
-            small = channel.publish_round(np.zeros(4), b"x")
-            big = channel.publish_round(np.zeros(4),
-                                        bytes(1 << 16))
-            assert big.state_name != small.state_name
-            assert big.state_len > small.state_len
-            assert small.state_name not in _psm_segments()
-        finally:
-            channel.close()
+            _reset_worker_caches()
 
     def test_slab_lease_recycle_discipline(self, no_leaked_segments):
         channel = ShmChannel(slots=2)
@@ -142,7 +132,7 @@ class TestChannel:
         channel = ShmChannel(slots=2)
         channel.open(6, np.dtype(np.float64))
         try:
-            ref = channel.publish_round(np.zeros(6), None)
+            ref = channel.publish_round(np.zeros(6))
             update = np.random.default_rng(0).standard_normal(6)
             personal = np.random.default_rng(1).standard_normal(6)
             from repro.fl import shm as shm_mod
@@ -150,17 +140,32 @@ class TestChannel:
             got_update, got_personal = channel.read_slab(1)
             assert np.array_equal(got_update, update)
             assert np.array_equal(got_personal, personal)
-            # parent-owned copies: recycling cannot corrupt them
+            assert not got_update.flags.writeable
+            # views, not copies: the slab's next write shows through,
+            # which is why a slab is recycled only after its reader
             shm_mod._worker_write_slab(ref, 1, personal, update)
-            assert np.array_equal(got_update, update)
+            assert np.array_equal(got_update, personal)
+            del got_update, got_personal
         finally:
             channel.close()
             _reset_worker_caches()
 
+    def test_slab_views_outlive_close(self, no_leaked_segments):
+        """A result held past the executor's close still reads its
+        rows: the views pin the mapping, so close() only unlinks."""
+        channel = ShmChannel(slots=2)
+        channel.publish_round(np.zeros(4))
+        channel._slabs.buf[:32] = np.arange(4.0).tobytes()
+        update, personal = channel.read_slab(0)
+        channel.close()
+        assert not channel.is_open
+        assert np.array_equal(update, np.arange(4.0))
+        assert np.array_equal(personal, np.zeros(4))
+
     def test_close_is_idempotent_and_unlinks(self):
         before = _psm_segments()
         channel = ShmChannel(slots=2)
-        channel.publish_round(np.zeros(8), {"s": 1})
+        channel.publish_round(np.zeros(8))
         names = _psm_segments() - before
         assert names
         channel.close()
@@ -171,9 +176,9 @@ class TestChannel:
     def test_reopen_after_close_rejects_nothing(self,
                                                 no_leaked_segments):
         channel = ShmChannel(slots=2)
-        channel.publish_round(np.zeros(8), None)
+        channel.publish_round(np.zeros(8))
         channel.close()
-        ref = channel.publish_round(np.ones(8), None)
+        ref = channel.publish_round(np.ones(8))
         assert channel.is_open
         assert ref.num_params == 8
         channel.close()
@@ -198,13 +203,6 @@ def _reset_worker_caches() -> None:
         except Exception:
             pass
     shm_mod._WORKER_SEGMENTS.clear()
-    if shm_mod._WORKER_STATE_SEGMENT is not None:
-        try:
-            shm_mod._WORKER_STATE_SEGMENT[1].close()
-        except Exception:
-            pass
-    shm_mod._WORKER_STATE_SEGMENT = None
-    shm_mod._WORKER_ROUND_STATE = None
 
 
 # ----------------------------------------------------------------------
@@ -273,10 +271,8 @@ class TestPayloads:
         """What actually crosses the pipe per task is tiny, no
         matter how large the model — the O(descriptor) contract."""
         ref = ShmRound(weights_name="psm_test", slabs_name="psm_test2",
-                       state_name=None, state_len=0, generation=3,
                        num_params=10_000_000, dtype="float64", slots=5)
-        task = ClientTask(round_index=2, client_id=7,
-                          global_buffer=None, round_state=None)
+        task = ClientTask(round_index=2, client_id=7, global_buffer=None)
         wire = (task, ref, 1)  # the worker entry point's arguments
         assert len(pickle.dumps(wire, pickle.HIGHEST_PROTOCOL)) < 1024
 
@@ -299,6 +295,43 @@ class TestPayloads:
         assert report.ipc_bytes_pickled == 0
         assert report.ipc_bytes_shared == 0
         assert report.ipc_summary() == "in-process (no executor IPC)"
+
+    @pytest.mark.parametrize("name", ["cdp", "wdp", "gc", "ladp", "sa"])
+    def test_shared_bytes_are_broadcast_plus_slabs(
+            self, name, no_leaked_segments):
+        """The global buffer is the only broadcast, whatever the
+        defense: per round one global buffer goes down, per completion
+        two rows come back."""
+        from repro.privacy.defenses.make import make_defense_for_config
+        config = FLConfig(num_clients=4, rounds=2, seed=5)
+        sim = _make_sim(defense=make_defense_for_config(name, config))
+        sim.run()
+        report = sim.cost_meter.report
+        nbytes = sim.server.global_weights.nbytes
+        assert report.ipc_bytes_shared == (
+            sim.config.rounds * nbytes
+            + 2 * nbytes * report.clients_completed)
+
+    def test_registry_puts_read_the_slab_in_place(
+            self, monkeypatch, no_leaked_segments):
+        """The parent copies each result row once: straight from the
+        slab into the registry."""
+        from repro.fl.virtual import PersonalWeightsRegistry
+        sim = _make_sim()
+        put = PersonalWeightsRegistry.put
+        sources = []
+
+        def spy(self, client_id, buffer):
+            slabs = np.frombuffer(sim.executor._channel._slabs.buf,
+                                  dtype=np.uint8)
+            sources.append(np.shares_memory(buffer, slabs))
+            del slabs
+            put(self, client_id, buffer)
+
+        monkeypatch.setattr(PersonalWeightsRegistry, "put", spy)
+        sim.run()
+        completed = sim.cost_meter.report.clients_completed
+        assert sources == [True] * (2 * completed)
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_defense_export_state_pickles_without_workspace(
     defense = make_defense_for_config(name, config)
     sim = _run_warm(make_sim, defense)
     # a workspace anywhere in these payloads would make dumps() raise
-    pickle.dumps(sim.defense.export_round_state())
     for cid in range(sim.config.num_clients):
         pickle.dumps(sim.defense.export_client_state(cid))
 
@@ -86,7 +85,6 @@ def test_executor_payloads_pickle_with_warm_arenas(make_sim):
         client_id=0,
         global_buffer=sim.server.global_weights.buffer.copy(),
         client_state=sim.defense.export_client_state(0),
-        round_state=sim.defense.export_round_state(),
     )
     restored = pickle.loads(pickle.dumps(task))
     layout = sim.server.global_weights.layout

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.fl.config import FLConfig
+from repro.nn.store import WeightStore
 from repro.privacy.defenses import make_defense
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.cdp import CentralDP
 from repro.privacy.defenses.compression import GradientCompression
+from repro.privacy.defenses.ladp import LayerwiseDP
 from repro.privacy.defenses.ldp import LocalDP, clip_store
 from repro.privacy.defenses.make import make_defense_for_config
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
@@ -30,8 +32,9 @@ class TestBaseDefense:
     def test_noop_passthrough(self, template, rng):
         defense = Defense()
         assert defense.on_receive_global(0, template) is template
-        assert defense.on_send_update(0, template, 10, rng) is template
-        assert defense.on_aggregate(template, rng) is template
+        assert defense.on_send_update(0, template, template, 10,
+                                      rng) is template
+        assert defense.on_aggregate(template, template, rng) is template
         assert defense.make_optimizer(None, 0.1) is None
         assert defense.state_bytes() == 0
 
@@ -60,22 +63,16 @@ class TestClipWeights:
 class TestWeakDP:
     def test_noise_added_to_delta(self, template, rng):
         defense = WeakDP(sigma=0.1)
-        defense.on_round_start(0, [0], template, rng)
-        sent = defense.on_send_update(0, template, 10, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
         # update == round global, so sent - global is pure noise
         delta = sent - template
         values = delta.buffer
         assert 0.05 < values.std() < 0.2
 
-    def test_requires_round_start(self, template, rng):
-        with pytest.raises(RuntimeError):
-            WeakDP().on_send_update(0, template, 10, rng)
-
     def test_delta_norm_bounded(self, template, rng):
         defense = WeakDP(norm_bound=0.5, sigma=0.0)
-        defense.on_round_start(0, [0], template, rng)
         far = _shifted(template, 10.0)
-        sent = defense.on_send_update(0, far, 10, rng)
+        sent = defense.on_send_update(0, far, template, 10, rng)
         delta = sent - template
         assert delta.l2() <= 0.5 + 1e-9
 
@@ -100,9 +97,8 @@ class TestLocalDP:
 
     def test_counts_releases(self, template, rng):
         defense = LocalDP(noise_multiplier=1.0)
-        defense.on_send_update(0, template, 10, rng)
-        defense.on_send_update(0, template, 10, rng)
-        defense.on_send_update(1, template, 10, rng)
+        for client_id in (0, 0, 1):
+            defense.on_send_update(client_id, template, template, 10, rng)
         assert defense.export_client_state(0) == 2
         assert defense.export_client_state(1) == 1
 
@@ -114,9 +110,8 @@ class TestLocalDP:
 
 class TestCentralDP:
     def _run_round(self, defense, template, rng):
-        defense.on_round_start(0, [0, 1], template, rng)
-        sent = defense.on_send_update(0, template, 10, rng)
-        return defense.on_aggregate(sent, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
+        return defense.on_aggregate(sent, template, rng)
 
     def test_adds_noise_on_aggregate(self, template, rng):
         defense = CentralDP(noise_multiplier=1.0, num_clients=2)
@@ -139,53 +134,41 @@ class TestCentralDP:
         self._run_round(defense, template, rng)
         assert defense.accountant.spent_epsilon > 0
 
-    def test_requires_round_start(self, template, rng):
-        with pytest.raises(RuntimeError):
-            CentralDP().on_aggregate(template, rng)
-
 
 class TestGradientCompression:
     def test_sparsifies_delta(self, template, rng):
         defense = GradientCompression(keep_ratio=0.1)
-        defense.on_round_start(0, [0], template, rng)
         update = _shifted(template, rng.standard_normal(template.num_params))
-        sent = defense.on_send_update(0, update, 10, rng)
+        sent = defense.on_send_update(0, update, template, 10, rng)
         delta = (sent - template).buffer
         nonzero = np.count_nonzero(delta)
         assert nonzero <= int(0.1 * delta.size) + 1
 
     def test_keeps_largest_coordinates(self, template, rng):
         defense = GradientCompression(keep_ratio=0.01)
-        defense.on_round_start(0, [0], template, rng)
         update = template.copy()
         update.view(0, "W")[0, 0] += 100.0  # dominant coordinate
-        sent = defense.on_send_update(0, update, 10, rng)
+        sent = defense.on_send_update(0, update, template, 10, rng)
         assert np.isclose(sent.view(0, "W")[0, 0], update.view(0, "W")[0, 0])
 
     def test_error_feedback_accumulates(self, template, rng):
         """Coordinates dropped in round 1 are carried into round 2."""
         defense = GradientCompression(keep_ratio=0.01)
-        defense.on_round_start(0, [0], template, rng)
         update = _shifted(template, 0.01)
-        defense.on_send_update(0, update, 10, rng)
+        defense.on_send_update(0, update, template, 10, rng)
         assert defense.state_bytes() > 0
         residual = defense._residuals[0]
         assert np.abs(residual).sum() > 0
 
     def test_full_keep_is_lossless(self, template, rng):
         defense = GradientCompression(keep_ratio=1.0)
-        defense.on_round_start(0, [0], template, rng)
         update = _shifted(template, rng.standard_normal(template.num_params))
-        sent = defense.on_send_update(0, update, 10, rng)
+        sent = defense.on_send_update(0, update, template, 10, rng)
         assert sent.allclose(update, atol=1e-12)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
             GradientCompression(keep_ratio=0.0)
-
-    def test_requires_round_start(self, template, rng):
-        with pytest.raises(RuntimeError):
-            GradientCompression().on_send_update(0, template, 10, rng)
 
 
 class TestSecureAggregation:
@@ -193,7 +176,7 @@ class TestSecureAggregation:
         defense = SecureAggregation()
         cohort = [0, 1, 2]
         defense.on_round_start(0, cohort, template, rng)
-        masked = [defense.on_send_update(c, template, 10, rng)
+        masked = [defense.on_send_update(c, template, template, 10, rng)
                   for c in cohort]
         total = masked[0]
         for m in masked[1:]:
@@ -205,7 +188,7 @@ class TestSecureAggregation:
     def test_individual_update_is_garbled(self, template, rng):
         defense = SecureAggregation(mask_scale=50.0)
         defense.on_round_start(0, [0, 1], template, rng)
-        sent = defense.on_send_update(0, template, 10, rng)
+        sent = defense.on_send_update(0, template, template, 10, rng)
         assert sent.l2() > 10 * template.l2()
 
     def test_is_pre_weighted(self):
@@ -213,18 +196,44 @@ class TestSecureAggregation:
 
     def test_requires_round_start(self, template, rng):
         with pytest.raises(RuntimeError):
-            SecureAggregation().on_send_update(0, template, 10, rng)
+            SecureAggregation().on_send_update(0, template, template, 10,
+                                               rng)
 
     def test_single_client_has_zero_mask(self, template, rng):
         defense = SecureAggregation()
         defense.on_round_start(0, [0], template, rng)
-        sent = defense.on_send_update(0, template, 1, rng)
+        sent = defense.on_send_update(0, template, template, 1, rng)
         assert sent.allclose(template)
 
     def test_state_bytes_nonzero_with_cohort(self, template, rng):
         defense = SecureAggregation()
         defense.on_round_start(0, [0, 1], template, rng)
         assert defense.state_bytes() > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CentralDP(noise_multiplier=1.0),
+    lambda: WeakDP(sigma=0.1),
+    lambda: GradientCompression(keep_ratio=0.1),
+    lambda: LayerwiseDP(epsilon=2.2, divergences=[0.1, 0.5, 0.2],
+                        rounds=3),
+], ids=["cdp", "wdp", "gc", "ladp"])
+def test_fresh_instance_releases_parent_upload(make, template):
+    """A forked worker's defense never ran ``on_round_start``: the
+    received global model, a read-only hook argument, is all it needs
+    to release the parent's upload bitwise."""
+    parent, worker = make(), make()
+    parent.on_round_start(0, [0], template, np.random.default_rng(1))
+    received = WeightStore(template.layout, template.buffer.copy())
+    received.buffer.flags.writeable = False
+    update = _shifted(template, np.random.default_rng(2).standard_normal(
+        template.num_params))
+    sent = [defense.on_send_update(0, update, received, 10,
+                                   np.random.default_rng(3))
+            for defense in (parent, worker)]
+    assert np.array_equal(sent[0].buffer, sent[1].buffer)
+    if isinstance(parent, LayerwiseDP):
+        assert worker.segment_report() == parent.segment_report()
 
 
 class TestFactories:

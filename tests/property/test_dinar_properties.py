@@ -27,7 +27,7 @@ def test_obfuscate_then_personalize_is_identity_on_p(num_layers, p_raw,
     rng = np.random.default_rng(seed)
     weights = _structure(rng, num_layers)
     defense = DINAR(private_layer=p)
-    defense.on_send_update(0, weights, 10, rng)
+    defense.on_send_update(0, weights, weights, 10, rng)
     garbage = weights.zeros_like()
     garbage.buffer[:] = 123.0
     received = defense.on_receive_global(0, garbage)
@@ -53,9 +53,9 @@ def test_obfuscated_layer_carries_no_information(num_layers, seed):
     weights_b = _structure(data_rng, num_layers)  # different secrets
 
     sent_a = DINAR(private_layer=0, obfuscation="gaussian") \
-        .on_send_update(0, weights_a, 1, rng_a)
+        .on_send_update(0, weights_a, weights_a, 1, rng_a)
     sent_b = DINAR(private_layer=0, obfuscation="gaussian") \
-        .on_send_update(0, weights_b, 1, rng_b)
+        .on_send_update(0, weights_b, weights_b, 1, rng_b)
     # same rng stream => identical noise regardless of the layer values
     assert np.array_equal(sent_a.view(0, "W"), sent_b.view(0, "W"))
 
@@ -71,7 +71,7 @@ def test_sa_masks_cancel_for_any_cohort(num_clients, seed, round_index):
     zeros = template.zeros_like()
     total = zeros
     for cid in cohort:
-        sent = defense.on_send_update(cid, zeros, 1, rng)
+        sent = defense.on_send_update(cid, zeros, zeros, 1, rng)
         total = total + sent
     # zero updates + masks: the sum must be exactly the zero structure
     assert total.allclose(zeros, atol=1e-6)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.data.partition import partition_dirichlet, partition_iid
 from repro.data.synthetic import synthetic_tabular
-from repro.fl.network import LinkSpec, dense_nbytes, sparse_nbytes
+from repro.fl.network import dense_nbytes, sparse_nbytes
 from repro.fl.shm import shm_available
 from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import gaussian_sigma
@@ -92,16 +92,6 @@ def test_gaussian_sigma_monotone_in_epsilon(eps_a, eps_b):
     if lo == hi:
         return
     assert gaussian_sigma(lo, 1e-5) >= gaussian_sigma(hi, 1e-5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000_000), st.integers(0, 10_000_000))
-def test_link_transfer_time_additive_in_bytes(a, b):
-    link = LinkSpec(latency_seconds=0.0,
-                    bandwidth_bytes_per_second=1e6)
-    combined = link.transfer_seconds(a + b)
-    split = link.transfer_seconds(a) + link.transfer_seconds(b)
-    assert abs(combined - split) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)

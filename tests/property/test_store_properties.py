@@ -211,9 +211,9 @@ def test_obfuscation_bitwise_matches_legacy(weights, mode, seed):
         weights, protected, np.random.default_rng(seed), mode,
         defense.obfuscation_scale)
 
+    store = WeightStore.from_layers(weights)
     sent = defense.on_send_update(
-        0, WeightStore.from_layers(weights), num_samples=10,
-        rng=np.random.default_rng(seed))
+        0, store, store, num_samples=10, rng=np.random.default_rng(seed))
     assert_bitwise_equal(sent, expected)
 
     # the stored private layer is the exact pre-obfuscation content
