@@ -24,7 +24,7 @@ from repro.core.dinar import (
     InitializationResult,
     dinar_initialization,
 )
-from repro.data.partition import MembershipSplit, client_shards
+from repro.data.partition import MembershipSplit
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.model import Model
@@ -63,28 +63,25 @@ class DINARMiddleware:
         """Run initialization on the clients' shards and build the
         defended simulation (not yet run).
 
-        Each client analyses exactly the shard it then trains on: both
-        come from :func:`~repro.data.partition.client_shards` with the
-        run's seed.
+        Each client analyses exactly the shard it then trains on: the
+        simulation partitions the members once, and the analysis reads
+        each client's dataset from it.
         """
-        shards = client_shards(split, self.config.num_clients,
-                               self.config.seed, dirichlet_alpha)
-        client_datasets = [split.source.subset(shard) for shard in shards]
-
+        self.defense = DINAR(**self.dinar_kwargs)
+        simulation = FederatedSimulation(
+            split, self.model_factory, self.config, self.defense,
+            dirichlet_alpha=dirichlet_alpha)
         self.initialization = dinar_initialization(
-            self.model_factory, client_datasets,
+            self.model_factory,
+            [simulation.client_dataset(cid)
+             for cid in range(self.config.num_clients)],
             warmup_epochs=self.warmup_epochs,
             lr=self.dinar_kwargs.get("lr") or 0.005,
             batch_size=self.config.batch_size,
             byzantine=self.byzantine,
             seed=self.config.seed)
-
-        self.defense = DINAR(
-            private_layer=self.initialization.private_layer,
-            **self.dinar_kwargs)
-        return FederatedSimulation(
-            split, self.model_factory, self.config, self.defense,
-            dirichlet_alpha=dirichlet_alpha)
+        self.defense.private_layer = self.initialization.private_layer
+        return simulation
 
     def describe(self) -> str:
         """Human-readable deployment summary."""

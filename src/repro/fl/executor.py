@@ -37,7 +37,8 @@ Worker processes are forked from the fully constructed simulation, so
 datasets and model structure are inherited copy-on-write and are never
 pickled.  Workers hold no per-client state: the simulation, in the
 parent, is the only writer of both weight registries (personalized
-weights and last uploads), and a worker's one write is its result
+weights and last uploads), a worker clears the client's defense state
+once its task returns it, and a worker's one write is its result
 slab.
 
 Virtual-client plane: executors resolve ``client_id -> FLClient``
@@ -128,9 +129,6 @@ class ClientTask:
     global_buffer: np.ndarray | None
     #: This client's defense state (``Defense.export_client_state``).
     client_state: Any = None
-    #: Injected dropout: a dropped client never trains and never
-    #: produces a result (see :func:`client_drops`).
-    dropped: bool = False
 
 
 @dataclass
@@ -142,7 +140,7 @@ class ClientRoundResult:
     it).  In the serial executor ``personal_buffer`` is the trainer's
     live weight buffer, which the next client's round overwrites; in
     the parallel executor both are read-only views of the result slab,
-    which is recycled for another task.  A consumer that keeps a
+    which a later task then writes.  A consumer that keeps a
     buffer copies it — the simulation's registry ``put`` is that copy.
     """
 
@@ -208,14 +206,14 @@ def execute_client_task(client: "FLClient", defense: "Defense",
 class RoundExecutor:
     """Runs one FL round's cohort of client tasks.
 
-    The primitive is :meth:`iter_round`: results stream back one at a
-    time, **always in cohort (task) order**, with dropped tasks
-    skipped.  Streaming in a fixed order is what lets the server fold
-    updates into its constant-memory accumulator as they arrive while
-    staying bitwise independent of the executor — and it makes round
-    closing lazy: a consumer that stops iterating once its completion
-    threshold is met never pays for the stragglers it will discard
-    (the serial executor literally never trains them).
+    The primitive is :meth:`iter_round`: every task runs, and results
+    stream back one at a time, **always in task order**.  Which
+    clients run is the caller's decision, made before the round
+    starts (the simulation passes exactly the round's completion set),
+    so an executor never trains a client whose result is discarded.
+    Streaming in a fixed order is what lets the server fold updates
+    into its constant-memory accumulator as they arrive while staying
+    bitwise independent of the executor.
     """
 
     #: How many OS processes this executor trains clients on.
@@ -223,7 +221,7 @@ class RoundExecutor:
 
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
-        """Yield each non-dropped task's result, in task order."""
+        """Yield each task's result, in task order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -247,8 +245,6 @@ class SerialExecutor(RoundExecutor):
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
         for task in tasks:
-            if task.dropped:
-                continue
             result = execute_client_task(
                 self.clients.materialize(task.client_id),
                 self.defense, self.layout, task, self.behavior)

@@ -1,6 +1,6 @@
 """The parallel executor and its zero-copy shared-memory transport.
 
-:class:`ParallelExecutor` fans a round's cohort out across a
+:class:`ParallelExecutor` fans a round's client tasks out across a
 ``fork``-based process pool.  Workers fork from the fully constructed
 simulation, so datasets and models are inherited copy-on-write, and
 the weight plane is one process-invariant contiguous buffer, so no
@@ -23,9 +23,11 @@ that transform a round delta read this same view as their
 preallocated slabs — two rows of ``num_params`` each — receives every
 client's ``update_buffer`` / ``personal_buffer`` directly from the
 worker; the result that travels back through the pipe carries neither
-vector.  The parent yields the result with both buffers set to
-read-only views of the slab rows and recycles the slab when the
-consumer asks for the next result — the borrowing contract of
+vector.  Task ``i`` of a round writes slab ``i % (workers + 1)``, and
+the ring is an in-order window: the parent yields results in task
+order with both buffers set to read-only views of the slab rows, and
+submits the task that reuses a slab only when the consumer asks for
+the result after the one reading it — the borrowing contract of
 :class:`~repro.fl.executor.ClientRoundResult`, so the consumer's
 registry ``put`` is the one copy the parent makes of a row.
 
@@ -35,9 +37,10 @@ explicitly.  Workers attach segments *without* registering them with
 the ``resource_tracker`` — on Python < 3.13 an attach re-registers the
 name, and a worker that later exits (or crashes) would have the
 tracker unlink segments the parent still owns (the classic
-double-unlink).  Overwriting the broadcast is safe: the parent only
-publishes round ``g+1`` after round ``g`` closed, and the only tasks
-still reading by then are stragglers whose results are discarded.
+double-unlink).  Overwriting the broadcast is safe: a round's stream
+does not end — exhausted, closed early or failed — before every task
+it submitted has finished or been cancelled, so no task reads round
+``g``'s broadcast once round ``g+1`` publishes.
 
 The transport is **bitwise invisible**: the mapped view holds the
 identical float64/float32 values the parent published, and every
@@ -53,7 +56,7 @@ import multiprocessing
 import pickle
 from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import wait
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -159,10 +162,8 @@ class ShmChannel:
     * ``weights`` — ``num_params`` values; rewritten every round;
     * ``slabs``   — ``slots`` result slabs of 2 rows x ``num_params``.
 
-    Slab leases are plain parent-side bookkeeping: ``lease`` pops a
-    free index (or reports exhaustion with ``None``), ``recycle``
-    returns one.  ``read_slab`` views both rows in place; the slab
-    stays leased until the reader is done with them.
+    Which task writes which slab is the executor's window, not channel
+    state; ``read_slab`` views both rows of one slab in place.
     """
 
     def __init__(self, slots: int) -> None:
@@ -173,7 +174,6 @@ class ShmChannel:
         self._slabs: Any = None
         self._num_params: int | None = None
         self._dtype: np.dtype | None = None
-        self._free: deque[int] = deque()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -199,7 +199,6 @@ class ShmChannel:
         self._slabs = _shm.SharedMemory(
             create=True,
             size=max(1, self.slots * 2 * self._num_params * itemsize))
-        self._free = deque(range(self.slots))
         self._closed = False
         # Cover executors that are never closed explicitly; close()
         # unregisters, so a clean close leaves no hook behind.
@@ -233,7 +232,6 @@ class ShmChannel:
             except Exception:  # pragma: no cover - best effort
                 pass
         self._weights = self._slabs = None
-        self._free = deque()
         try:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover - interpreter teardown
@@ -266,26 +264,11 @@ class ShmChannel:
     # ------------------------------------------------------------------
     # up-link: the result slab ring
     # ------------------------------------------------------------------
-    def lease(self) -> int | None:
-        """Pop a free slab index, or None when the ring is exhausted."""
-        if not self._free:
-            return None
-        return self._free.popleft()
-
-    def recycle(self, index: int) -> None:
-        """Return a slab to the free list."""
-        if not 0 <= index < self.slots:
-            raise ValueError(f"slab index {index} out of range "
-                             f"[0, {self.slots})")
-        if index in self._free:
-            raise ValueError(f"slab {index} recycled twice")
-        self._free.append(index)
-
     def read_slab(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of one slab's ``(update, personal)`` rows.
 
-        No copy is made: the views are valid until the slab is
-        recycled, and the simulation's registry ``put`` of each row is
+        No copy is made: the views are valid until a later task writes
+        the slab, and the simulation's registry ``put`` of each row is
         the one copy the parent makes of it.  The views sit on a
         memoryview slice, whose buffer export pins the mapping: numpy
         holds none of its own, so ``close()`` would otherwise unmap the
@@ -332,7 +315,7 @@ def _worker_resolve(ref: ShmRound) -> np.ndarray:
 
 def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
                        personal: np.ndarray) -> None:
-    """Write one result's two rows into its leased slab."""
+    """Write one result's two rows into its slab."""
     segment = _worker_segment(ref.slabs_name)
     dtype = np.dtype(ref.dtype)
     offset = index * 2 * ref.num_params * dtype.itemsize
@@ -377,7 +360,7 @@ def _run_in_worker(task: ClientTask, ref: ShmRound,
 
     Maps the round's broadcast (the read-only global buffer), runs the
     same :func:`execute_client_task` path as the serial executor, then
-    writes the two result vectors into the leased slab so only a
+    writes the two result vectors into the task's slab so only a
     descriptor travels back through the pipe.
     """
     context = _WORKER_CONTEXT
@@ -401,6 +384,9 @@ def _run_in_worker(task: ClientTask, ref: ShmRound,
             f"client {task.client_id} failed in round "
             f"{task.round_index}: {exc!r}") from exc
     _stamp_materializations(result, context.clients)
+    # The parent holds every client's defense state; the worker keeps
+    # none of it past the task.
+    context.defense.import_client_state(task.client_id, None)
     try:
         _worker_write_slab(ref, slab, result.update_buffer,
                            result.personal_buffer)
@@ -419,13 +405,13 @@ class ParallelExecutor(RoundExecutor):
     Workers fork from the fully constructed simulation (datasets and
     models are inherited, never pickled).  Each round's global buffer
     is published once into a :class:`ShmChannel`; tasks cross the pool
-    pipe as descriptors and every result comes back through a leased
-    slab of the channel's ring.  A slab stays leased from submission
-    until the consumer has read the yielded result, so the ring
-    windows the round: at most ``workers + 1`` tasks are in flight,
-    buffered out of order or being read, which also caps how much
-    result memory a round can pin.  Results are yielded strictly in
-    task order, so aggregation consumes updates in exactly the serial
+    pipe as descriptors and task ``i``'s result comes back through slab
+    ``i % slots`` of the channel's ring.  The ring is an in-order
+    window: task ``i + slots`` is submitted once the consumer has asked
+    for the result after task ``i``, so at most ``workers + 1`` tasks
+    are in flight or being read, which also caps how much result
+    memory a round can pin.  Results are yielded strictly in task
+    order, so aggregation consumes updates in exactly the serial
     cohort order.
     """
 
@@ -449,9 +435,6 @@ class ParallelExecutor(RoundExecutor):
         self.cost_meter = cost_meter
         self._pool: _PoolExecutor | None = None
         self._channel = ShmChannel(slots=workers + 1)
-        #: Abandoned stragglers still holding a leased slab:
-        #: ``(future, slab_index)``; reaped lazily.
-        self._stragglers: list[tuple[Any, int]] = []
 
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> _PoolExecutor:
@@ -475,9 +458,6 @@ class ParallelExecutor(RoundExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        # Pending stragglers were cancelled or die with their workers;
-        # unlinking now is safe because mappings survive the unlink.
-        self._stragglers = []
         self._channel.close()
 
     def __del__(self) -> None:  # pragma: no cover - best effort
@@ -486,150 +466,74 @@ class ParallelExecutor(RoundExecutor):
         except Exception:
             pass
 
-    # -- slab leasing with backpressure --------------------------------
-    def _reap_stragglers(self, *, block: bool) -> None:
-        """Recycle slabs of abandoned tasks whose futures finished.
-
-        ``block=True`` waits for at least one straggler to finish —
-        the backpressure path when the whole ring is leased out.
-        Straggler outcomes (results and exceptions alike) are
-        discarded: the round that owned them closed long ago.
-        """
-        if not self._stragglers:
-            return
-        if block:
-            wait([future for future, _ in self._stragglers],
-                 return_when=FIRST_COMPLETED)
-        keep: list[tuple[Any, int]] = []
-        for future, slab in self._stragglers:
-            if future.done():
-                try:
-                    future.result()
-                except Exception:
-                    pass
-                self._channel.recycle(slab)
-            else:
-                keep.append((future, slab))
-        self._stragglers = keep
-
-    def _acquire_slab(self) -> int | None:
-        """Lease a slab, reaping stragglers; None when the current
-        round itself holds every slab (its own completions will free
-        one)."""
-        self._reap_stragglers(block=False)
-        slab = self._channel.lease()
-        if slab is None and self._stragglers:
-            self._reap_stragglers(block=True)
-            slab = self._channel.lease()
-        return slab
+    def _crashed(self, where: str) -> RuntimeError:
+        """Shut the broken pool down; the error names what it aborted."""
+        self.close()
+        return RuntimeError(
+            f"a worker process died {where} (killed or crashed hard); "
+            f"the pool has been shut down and the round aborted")
 
     # -- the round loop ------------------------------------------------
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
         """Stream results in task order over shared memory.
 
-        The round's buffer is published once; stripped tasks are
-        submitted in task order as slabs free up, completions land in
-        a reorder buffer, and each result is yielded with its buffers
-        viewing its slab, which is recycled when the consumer asks for
-        the next result — so a consumer sees exactly the serial
-        executor's stream.  A consumer that stops early (round closed
-        at its completion threshold) triggers the ``finally`` below,
-        which recycles the slabs of the last yielded and every
-        buffered result and cancels every not-yet-started future;
-        in-flight stragglers keep their slab until they finish and are
-        then discarded.
+        The round's buffer is published once and stripped tasks are
+        submitted in task order, task ``i`` writing slab ``i % slots``.
+        Each result is yielded with its buffers viewing its slab; when
+        the consumer asks for the next result, that slab is free and
+        the task ``slots`` places later is submitted into it — so a
+        consumer sees exactly the serial executor's stream.  If the
+        consumer stops early or a task fails, the ``finally`` below
+        cancels every not-yet-started task and waits for the running
+        ones: no task outlives its round.
         """
-        pool = self._ensure_pool()
-        live = [task for task in tasks if not task.dropped]
-        if not live:
+        if not tasks:
             return
-        ref = self._channel.publish_round(live[0].global_buffer)
-        pending = deque(
-            (index, replace(task, global_buffer=None))
-            for index, task in enumerate(live))
-        shared_bytes = live[0].global_buffer.nbytes
+        pool = self._ensure_pool()
+        slots = self._channel.slots
+        ref = self._channel.publish_round(tasks[0].global_buffer)
+        shared_bytes = tasks[0].global_buffer.nbytes
         pickled_bytes = 0
         task_probe: int | None = None
         result_probe: int | None = None
-        futures: dict[Any, int] = {}
-        slab_of: dict[int, int] = {}
-        buffered: dict[int, ClientRoundResult] = {}
-        next_index = 0
+        futures: deque[Any] = deque()
         try:
-            while next_index < len(live):
-                while pending:
-                    slab = self._acquire_slab()
-                    if slab is None:
-                        break
-                    index, task = pending.popleft()
+            for index, task in enumerate(tasks):
+                while len(futures) < slots \
+                        and index + len(futures) < len(tasks):
+                    ahead = index + len(futures)
+                    stripped = replace(tasks[ahead], global_buffer=None)
+                    wire = (stripped, ref, ahead % slots)
                     if task_probe is None:
                         task_probe = len(pickle.dumps(
-                            (task, ref, slab), protocol=_PICKLE_PROTOCOL))
+                            wire, protocol=_PICKLE_PROTOCOL))
                     pickled_bytes += task_probe
-                    slab_of[index] = slab
                     try:
-                        futures[pool.submit(_run_in_worker, task, ref,
-                                            slab)] = index
+                        futures.append(pool.submit(_run_in_worker, *wire))
                     except BrokenProcessPool as exc:
                         # a worker died before this submission landed
-                        self.close()
-                        raise RuntimeError(
-                            f"a worker process died during round "
-                            f"{task.round_index} (killed or crashed "
-                            f"hard); the pool has been shut down and "
-                            f"the round aborted") from exc
-                done, _ = wait(list(futures),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        self.close()
-                        task = live[index]
-                        raise RuntimeError(
-                            f"a worker process died while training "
-                            f"client {task.client_id} in round "
-                            f"{task.round_index} (killed or crashed "
-                            f"hard); the pool has been shut down and "
-                            f"the round aborted") from exc
-                    except Exception:
-                        self._channel.recycle(slab_of.pop(index))
-                        raise
-                    if result_probe is None:
-                        result_probe = len(pickle.dumps(
-                            result, protocol=_PICKLE_PROTOCOL))
-                    pickled_bytes += result_probe
-                    update, personal = self._channel.read_slab(
-                        slab_of[index])
-                    shared_bytes += update.nbytes + personal.nbytes
-                    result.update_buffer = update
-                    result.personal_buffer = personal
-                    buffered[index] = result
-                while next_index in buffered:
-                    yield buffered.pop(next_index)
-                    # the consumer asked for the next result: it is
-                    # done with this one's rows
-                    self._channel.recycle(slab_of.pop(next_index))
-                    next_index += 1
+                        raise self._crashed(
+                            f"during round {task.round_index}") from exc
+                try:
+                    result = futures.popleft().result()
+                except BrokenProcessPool as exc:
+                    raise self._crashed(
+                        f"while training client {task.client_id} in "
+                        f"round {task.round_index}") from exc
+                if result_probe is None:
+                    result_probe = len(pickle.dumps(
+                        result, protocol=_PICKLE_PROTOCOL))
+                pickled_bytes += result_probe
+                update, personal = self._channel.read_slab(index % slots)
+                shared_bytes += update.nbytes + personal.nbytes
+                result.update_buffer = update
+                result.personal_buffer = personal
+                yield result
         finally:
-            for future, index in futures.items():
-                slab = slab_of.pop(index)
-                if not self._channel.is_open:
-                    # The channel was torn down mid-round (worker
-                    # crash path): every lease died with it, and
-                    # registering stragglers against a future
-                    # channel's fresh free list would double-recycle.
-                    continue
-                if future.cancel():
-                    self._channel.recycle(slab)
-                else:
-                    self._stragglers.append((future, slab))
-            if self._channel.is_open:
-                # read back but never (or only just) handed over
-                for slab in slab_of.values():
-                    self._channel.recycle(slab)
+            for future in futures:
+                future.cancel()
+            wait(futures)
             if self.cost_meter is not None:
                 self.cost_meter.record_ipc(pickled=pickled_bytes,
                                            shared=shared_bytes)

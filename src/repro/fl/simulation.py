@@ -14,12 +14,15 @@ explicitly — global weights out, update/personal weights and defense
 state back — and merges the returned cost deltas, so no client-side
 object is mutated behind the orchestrator's back.
 
-Rounds are **streaming**: executor results are consumed lazily and
-folded straight into the server's constant-memory accumulator, and the
-fleet knobs (``sample_fraction``, ``drop_rate``,
+Rounds are **streaming**: executor results are consumed as they
+arrive and folded straight into the server's constant-memory
+accumulator, and the fleet knobs (``sample_fraction``, ``drop_rate``,
 ``completion_threshold``) turn the round loop into a partial-
 participation, straggler-tolerant pipeline whose defaults reproduce
-the pre-fleet trajectories bitwise (see :meth:`run_round`).
+the pre-fleet trajectories bitwise.  The round's completion set is
+fixed before training starts and the executor runs exactly that set:
+dropouts and stragglers are recorded, never trained (see
+:meth:`run_round`).
 
 The client plane is **virtual** (see ``repro.fl.virtual``): clients
 exist as descriptors over a packed shard assignment, full
@@ -67,8 +70,9 @@ class RoundRecord:
     participating: list[int]
     #: Fleet participation: the sampled cohort partitions into clients
     #: whose updates were folded (``completed``), clients that dropped
-    #: out before reporting (``dropped``), and survivors that reported
-    #: after the round had already closed (``stragglers``, discarded).
+    #: out before reporting (``dropped``), and survivors beyond the
+    #: completion threshold (``stragglers``).  Only ``completed``
+    #: clients train.
     #: At default fleet settings completed == participating and the
     #: other two are empty.
     completed: list[int] = field(default_factory=list)
@@ -188,10 +192,12 @@ class FederatedSimulation:
         decided up front from their dedicated per-cell streams, the
         round closes once ``completion_threshold`` of the cohort has
         reported (cohort order models arrival order), and survivors
-        beyond that point are stragglers whose results are discarded.
-        Because the executor streams lazily and the server folds each
+        beyond that point are stragglers.  The completion set is thus
+        fixed before any client trains, and the executor runs exactly
+        it: dropouts and stragglers are recorded, never trained.
+        Because the executor streams results and the server folds each
         update on arrival, a dense per-cohort update matrix never
-        exists and the serial executor never even trains a straggler.
+        exists.
         """
         config = self.config
         cohort = self.server.select_clients(round_index)
@@ -229,16 +235,12 @@ class FederatedSimulation:
                 client_id=cid,
                 global_buffer=global_store.buffer,
                 client_state=self.defense.export_client_state(cid),
-                dropped=cid in dropped_set,
             )
-            for cid in cohort
+            for cid in completed
         ]
 
         def stream_updates():
-            """Yield each completing client's update, closing the
-            round (and abandoning the executor's stream) once the
-            threshold is met."""
-            folded = 0
+            """Yield each completing client's update as it arrives."""
             for result in self.executor.iter_round(tasks):
                 self.defense.import_client_state(
                     result.client_id, result.client_state)
@@ -262,9 +264,6 @@ class FederatedSimulation:
                     upload=self.defense.upload_nbytes(update.weights,
                                                       global_store))
                 yield update
-                folded += 1
-                if folded >= needed:
-                    break
 
         # The completion set is fixed before aggregation starts, so the
         # mixing total is known up front and the streaming accumulator
@@ -277,8 +276,8 @@ class FederatedSimulation:
         # Grow both registries before the stream: a mid-round growth
         # would leave the updates already handed to a dense rule as
         # views that keep the old buffer alive.
-        self.registry.reserve(cohort)
-        self.last_updates.reserve(cohort)
+        self.registry.reserve(completed)
+        self.last_updates.reserve(completed)
         self.server.aggregate(stream_updates(), expected=len(cohort),
                               total_samples=total_samples)
         # The parent's defense holds the merged per-client state, so

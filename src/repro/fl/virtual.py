@@ -146,8 +146,8 @@ class PersonalWeightsRegistry(Mapping[int, WeightStore]):
     def reserve(self, client_ids: Iterable[int]) -> None:
         """Grow capacity, at most once, to fit every id not yet present.
 
-        Assigns no slot.  Called with a round's cohort before the
-        round streams, so no ``put`` mid-round reallocates the buffer
+        Assigns no slot.  Called with a round's completion set before
+        the round streams, so no ``put`` mid-round reallocates the buffer
         under views handed out earlier in the round.
         """
         new = {cid for cid in client_ids if cid not in self._slot}

@@ -55,7 +55,6 @@ class LocalDP(Defense):
         self.noise_multiplier = noise_multiplier
         self.accountant = PrivacyAccountant(epsilon, delta)
         self.seed = seed
-        self._released: dict[int, int] = {}
         self._optimizers = 0
         self._state_bytes = 0
 
@@ -76,24 +75,6 @@ class LocalDP(Defense):
             model, lr, clip_norm=self.clip_norm,
             noise_multiplier=self.noise_multiplier,
             rng=rng)
-
-    def on_send_update(self, client_id: int, weights: WeightStore,
-                       global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
-        # The privacy spend happened inside DP-SGD (accounted in the
-        # noise-multiplier derivation); just count the release.
-        self._released[client_id] = self._released.get(client_id, 0) + 1
-        return weights
-
-    # ------------------------------------------------------------------
-    # executor state protocol: per-client release counts travel so the
-    # parent's accounting stays exact under parallel execution
-    # ------------------------------------------------------------------
-    def export_client_state(self, client_id: int):
-        return self._released.get(client_id, 0)
-
-    def import_client_state(self, client_id: int, state) -> None:
-        self._released[client_id] = int(state or 0)
 
     def state_bytes(self) -> int:
         return self._state_bytes

@@ -3,9 +3,9 @@
 The transport's bitwise contract is pinned elsewhere (executor
 identity matrix, trajectory pins, hypothesis parity); this module
 covers what is *specific* to shared memory — segment lifecycle
-(idempotent close, warm-up reuse, crash paths), the slab-ring lease
-discipline, O(descriptor) wire payloads, and above all that no
-``psm_*`` segment outlives its executor in ``/dev/shm``.
+(idempotent close, warm-up reuse, crash paths), the in-order slab
+window, O(descriptor) wire payloads, and above all that no ``psm_*``
+segment outlives its executor in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import pathlib
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.fl.shm import (
     shm_available,
 )
 from repro.fl.simulation import FederatedSimulation
+from repro.privacy.defenses.base import Defense
 
 pytestmark = [
     pytest.mark.skipif(not shm_available(),
@@ -110,24 +112,6 @@ class TestChannel:
             channel.close()
             _reset_worker_caches()
 
-    def test_slab_lease_recycle_discipline(self, no_leaked_segments):
-        channel = ShmChannel(slots=2)
-        channel.open(5, np.dtype(np.float64))
-        try:
-            first, second = channel.lease(), channel.lease()
-            assert {first, second} == {0, 1}
-            assert channel.lease() is None  # exhausted
-            channel.recycle(second)
-            assert channel.lease() == second
-            assert channel.lease() is None
-            channel.recycle(second)
-            with pytest.raises(ValueError, match="twice"):
-                channel.recycle(second)
-            with pytest.raises(ValueError, match="out of range"):
-                channel.recycle(7)
-        finally:
-            channel.close()
-
     def test_slab_roundtrip_is_bitwise(self, no_leaked_segments):
         channel = ShmChannel(slots=2)
         channel.open(6, np.dtype(np.float64))
@@ -142,7 +126,7 @@ class TestChannel:
             assert np.array_equal(got_personal, personal)
             assert not got_update.flags.writeable
             # views, not copies: the slab's next write shows through,
-            # which is why a slab is recycled only after its reader
+            # which is why a slab is reused only after its reader
             shm_mod._worker_write_slab(ref, 1, personal, update)
             assert np.array_equal(got_update, personal)
             del got_update, got_personal
@@ -332,6 +316,102 @@ class TestPayloads:
         sim.run()
         completed = sim.cost_meter.report.clients_completed
         assert sources == [True] * (2 * completed)
+
+
+# ----------------------------------------------------------------------
+# the in-order window: exactly the completion set, nothing outlives it
+# ----------------------------------------------------------------------
+
+class _SlowUploadDefense(Defense):
+    """Holds every client but 0 in its upload hook for a moment, so
+    later tasks are still running when the first result arrives."""
+
+    def on_send_update(self, client_id, weights, global_weights,
+                       num_samples, rng):
+        if client_id:
+            time.sleep(0.05)
+        return weights
+
+
+def _spy_submits(executor) -> list:
+    """Warm the executor's pool and record every future it submits."""
+    executor.warm_up()
+    pool = executor._pool
+    submit = pool.submit
+    futures = []
+
+    def spy(*args, **kwargs):
+        future = submit(*args, **kwargs)
+        futures.append(future)
+        return future
+
+    pool.submit = spy
+    return futures
+
+
+class TestWindow:
+    def test_submits_only_the_completion_set(self, no_leaked_segments):
+        """At threshold 0.5 of 8 clients, 4 tasks run per round: no
+        straggler is trained."""
+        sim = _make_sim(num_clients=8, rounds=3,
+                        completion_threshold=0.5)
+        futures = _spy_submits(sim.executor)
+        try:
+            for round_index in range(3):
+                before = len(futures)
+                sim.run_round(round_index)
+                assert len(futures) - before == 4
+                assert all(future.done() for future in futures)
+        finally:
+            sim.executor.close()
+
+    def test_early_close_leaves_no_pending_future(
+            self, no_leaked_segments):
+        """Closing the stream after its first result waits out the
+        running tasks, and the next round still matches serial."""
+        kwargs = dict(num_clients=8, rounds=1)
+        sim = _make_sim(defense=_SlowUploadDefense(), **kwargs)
+        futures = _spy_submits(sim.executor)
+        try:
+            buffer = sim.server.global_weights.buffer
+            stream = sim.executor.iter_round([
+                ClientTask(round_index=0, client_id=cid,
+                           global_buffer=buffer)
+                for cid in range(8)])
+            assert next(stream).client_id == 0
+            stream.close()
+            assert len(futures) > 1
+            assert all(future.done() for future in futures)
+            sim.run_round(0)
+        finally:
+            sim.executor.close()
+        serial = _make_sim(defense=_SlowUploadDefense(), workers=0,
+                           **kwargs)
+        serial.run()
+        assert np.array_equal(serial.server.global_weights.buffer,
+                              sim.server.global_weights.buffer)
+
+    def test_workers_keep_no_client_defense_state(
+            self, no_leaked_segments):
+        """A worker reports only the state of the client it just ran:
+        GC's residuals of earlier tasks are not left behind."""
+        from repro.privacy.defenses.make import make_defense_for_config
+        config = FLConfig(num_clients=8, rounds=3, seed=5)
+        sim = _make_sim(defense=make_defense_for_config("gc", config),
+                        num_clients=8, rounds=3)
+        reported = []
+        iter_round = sim.executor.iter_round
+
+        def spy(tasks):
+            for result in iter_round(tasks):
+                reported.append(result.defense_state_bytes)
+                yield result
+
+        sim.executor.iter_round = spy
+        sim.run()
+        residual = max(r.nbytes for r in sim.defense._residuals.values())
+        assert len(reported) == 24
+        assert 0 < max(reported) <= residual
 
 
 # ----------------------------------------------------------------------

@@ -95,13 +95,6 @@ class TestLocalDP:
         loose = LocalDP(epsilon=10.0, sample_rate=0.1, steps=100)
         assert tight.noise_multiplier > loose.noise_multiplier
 
-    def test_counts_releases(self, template, rng):
-        defense = LocalDP(noise_multiplier=1.0)
-        for client_id in (0, 0, 1):
-            defense.on_send_update(client_id, template, template, 10, rng)
-        assert defense.export_client_state(0) == 2
-        assert defense.export_client_state(1) == 1
-
     def test_state_bytes_after_optimizer(self, tiny_model):
         defense = LocalDP(noise_multiplier=1.0)
         defense.make_optimizer(tiny_model, 0.1)
