@@ -32,7 +32,7 @@ from repro.nn.dtypes import standard_normal
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
 from repro.nn.optim import Optimizer, make_optimizer
-from repro.nn.store import WeightStore
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 
 if TYPE_CHECKING:
@@ -102,10 +102,6 @@ class DINAR(Defense):
         self.optimizer_name = optimizer
         self.lr = lr
         self.extra_layers = tuple(extra_layers)
-        #: client id -> {protected layer index -> that layer's flat
-        #: coordinate range, ``Layout.layer_slice(p)``, before
-        #: obfuscation}.
-        self._stored: dict[int, dict[int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _resolve(self, index: int, num_layers: int) -> int:
@@ -123,17 +119,31 @@ class DINAR(Defense):
             self._resolve(i, num_layers) for i in self.extra_layers)
         return sorted(indices)
 
+    def _coordinates(self, layout: Layout) -> np.ndarray:
+        """Flat indices of the protected layers, in layer order: the
+        layout of a client's state row, theta_p*."""
+        return np.r_[tuple(layout.layer_slice(idx) for idx
+                           in self.protected_indices(layout.num_layers))]
+
+    def state_width(self, layout: Layout) -> int:
+        return self._coordinates(layout).size
+
+    def init_state(self, state: np.ndarray,
+                   global_weights: WeightStore) -> None:
+        # restoring the global's own layers changes nothing
+        state[:] = global_weights.buffer[
+            self._coordinates(global_weights.layout)]
+
     # ------------------------------------------------------------------
     # Algorithm 1, lines 1-6: model personalization
     # ------------------------------------------------------------------
-    def on_receive_global(self, client_id: int,
-                          weights: WeightStore) -> WeightStore:
-        stored = self._stored.get(client_id)
-        if stored is None or not self.personalize:
-            return weights  # first round / ablated: nothing to restore
+    def on_receive_global(self, client_id: int, weights: WeightStore,
+                          state: np.ndarray | None = None
+                          ) -> WeightStore:
+        if state is None or not self.personalize:
+            return weights  # nothing stored / ablated: nothing to restore
         personalized = weights.copy()
-        for layer_idx, flat in stored.items():
-            personalized.layer_flat(layer_idx)[:] = flat
+        personalized.buffer[self._coordinates(weights.layout)] = state
         return personalized
 
     # ------------------------------------------------------------------
@@ -150,11 +160,14 @@ class DINAR(Defense):
     # ------------------------------------------------------------------
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
         out = weights.copy()
-        stored: dict[int, np.ndarray] = {}
+        if state is not None:
+            # theta_p* comes from the outbound weights: an adversary's
+            # corrupted layer is what it stores.
+            state[:] = weights.buffer[self._coordinates(weights.layout)]
         for layer_idx in self.protected_indices(out.layout.num_layers):
-            stored[layer_idx] = weights.layer_flat(layer_idx).copy()
             for e in out.layout.layer_entries(layer_idx):
                 view = out.view(layer_idx, e.key)
                 # the noise std derives from the replaced array itself,
@@ -163,7 +176,6 @@ class DINAR(Defense):
                 noise = standard_normal(rng, e.shape, out.layout.dtype)
                 noise *= self._noise_std(view)
                 view[:] = noise
-        self._stored[client_id] = stored
         return out
 
     def _noise_std(self, array: np.ndarray) -> float:
@@ -173,24 +185,6 @@ class DINAR(Defense):
         # scaled: match the replaced array's own magnitude (floored so
         # an all-zero bias vector still gets non-degenerate noise)
         return self.obfuscation_scale * max(float(array.std()), 1e-3)
-
-    # ------------------------------------------------------------------
-    # executor state protocol: a client's state is its stored layers
-    # ------------------------------------------------------------------
-    def export_client_state(self, client_id: int):
-        return self._stored.get(client_id)
-
-    def import_client_state(self, client_id: int, state) -> None:
-        if state is None:
-            self._stored.pop(client_id, None)
-        else:
-            self._stored[client_id] = state
-
-    def state_bytes(self) -> int:
-        return sum(
-            flat.nbytes
-            for per_client in self._stored.values()
-            for flat in per_client.values())
 
     def describe(self) -> str:
         extra = f", extra={list(self.extra_layers)}" if self.extra_layers \

@@ -15,8 +15,8 @@ descriptor without reallocating anything.  A round returns its outputs
 as buffers — the transmitted update and the *personalized* weights
 (post-training, pre-upload transform), which §4.3 says the client
 predicts with — and the trainer keeps no per-client state afterwards:
-the simulation stores the personalized weights in its registry, the
-one place they live.
+the executor copies both into the client's registry rows, the one
+place they live.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class FLClient:
 
     def train_round(self, global_weights: WeightStore,
                     round_index: int, *, rng: np.random.Generator,
-                    behavior: ClientBehavior | None = None
+                    behavior: ClientBehavior | None = None,
+                    state: np.ndarray | None = None
                     ) -> ClientRoundResult:
         """Run one FL round: personalize, train locally, protect, upload.
 
@@ -117,14 +118,16 @@ class FLClient:
         they hand to the defense pipeline — corruption draws from the
         cell's dedicated behavior stream, never from ``rng``.
 
+        ``state`` is the client's defense-state row, handed to both
+        defense hooks (``None`` keeps no state).
+
         The result's ``personal_buffer`` is the training model's live
-        weight buffer (see :class:`ClientRoundResult` for how long it
-        stays valid).
+        weight buffer, which the trainer's next round overwrites.
         """
         client_id = self.client_id
         self.model.attach_rng(rng)
         received = self.defense.on_receive_global(client_id,
-                                                  global_weights)
+                                                  global_weights, state)
         self.model.set_store(received)
 
         adversarial = behavior is not None \
@@ -152,7 +155,8 @@ class FLClient:
 
         start = time.perf_counter()
         sent = self.defense.on_send_update(
-            client_id, outbound, global_weights, self.num_samples, rng)
+            client_id, outbound, global_weights, self.num_samples, rng,
+            state)
         defense_seconds = time.perf_counter() - start
 
         return ClientRoundResult(

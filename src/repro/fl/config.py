@@ -31,10 +31,10 @@ class FLConfig:
     #: Worker processes for client training; 0/1 = serial reference.
     #: Any value produces bitwise-identical results (see fl.executor).
     workers: int = 0
-    #: Parallel-executor transport.  "shm" is the only one: weights
-    #: go out through one shared-memory segment and results come back
-    #: through preallocated slabs (see fl.shm).  Accepted so existing
-    #: configs that name it keep working.
+    #: Parallel-executor transport.  "shm" is the only one: the global
+    #: buffer and the client registry live in shared-memory segments
+    #: (see fl.shm).  Accepted so existing configs that name it keep
+    #: working.
     ipc: str = "shm"
     #: Fraction of the (clients_per_round-limited) cohort actually
     #: sampled each round, cfraction-style; 1.0 = everyone selected

@@ -48,8 +48,8 @@ class CostReport:
     # IPC-plane accounting, summed across rounds: bytes that crossed
     # the executor's process boundary through pickling (task/result
     # payloads on the pool pipe) vs through mapped shared-memory
-    # segments (weight broadcast, result slabs).  Both
-    # zero for serial runs — nothing crosses a process boundary.
+    # segments (weight broadcast, registry rows).  Both zero for
+    # serial runs — nothing crosses a process boundary.
     ipc_bytes_pickled: int = 0
     ipc_bytes_shared: int = 0
     # Segment-plane accounting: the per-layer privacy-budget schedule

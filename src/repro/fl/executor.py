@@ -1,19 +1,14 @@
 """Round executors: the per-round client fan-out as a subsystem.
 
-After the flat weight plane made aggregation cheap, per-round
-wall-clock is dominated by the strictly sequential client-training
-loop.  This module turns that loop into a pluggable
+This module makes the per-round client-training loop a pluggable
 :class:`RoundExecutor`:
 
 * :class:`SerialExecutor` — the reference implementation, one client
   after another in the parent process;
 * :class:`repro.fl.shm.ParallelExecutor` — fans the cohort out across
-  a ``fork``-based process pool over a zero-copy shared-memory
-  transport: each task crosses the pool pipe as a :class:`ClientTask`
-  descriptor while the weight vectors move through mapped segments,
-  and the parent reassembles full :class:`ClientRoundResult` objects.
-  Where segments cannot be created, :func:`make_executor` falls back
-  to the serial executor.
+  a ``fork``-based process pool over zero-copy shared memory.  Where
+  segments cannot be created, :func:`make_executor` falls back to the
+  serial executor.
 
 Determinism is the design constraint, not an afterthought: every
 client's round RNG is derived via
@@ -23,38 +18,22 @@ client's round RNG is derived via
 order — and serial and parallel executions are **bitwise identical**.
 
 What crosses the process boundary is explicit and nothing else does:
+a small :class:`ClientTask` (round, client, registry row, cohort) goes
+down and a :class:`ClientRoundResult` (sample count, timings, bind
+count) comes back, pickled; the global buffer and every client's
+registry rows — personalized weights, last upload, defense state — are
+shared, and :func:`execute_client_task` reads and writes the rows in
+place, in the parent for serial runs and in a worker for parallel
+ones.  Workers fork from the fully constructed simulation, inherit
+datasets and models copy-on-write, and hold no per-client state.
 
-* parent -> worker: the round index, the global weight-plane buffer
-  and the client's own defense state
-  (:meth:`Defense.export_client_state`); defenses that transform a
-  round delta read the global model from their hook argument, so
-  nothing else is broadcast;
-* worker -> parent: the transmitted update buffer, the personalized
-  weight buffer, wall-clock deltas for the cost meters, and the
-  client's post-round defense state.
-
-Worker processes are forked from the fully constructed simulation, so
-datasets and model structure are inherited copy-on-write and are never
-pickled.  Workers hold no per-client state: the simulation, in the
-parent, is the only writer of both weight registries (personalized
-weights and last uploads), a worker clears the client's defense state
-once its task returns it, and a worker's one write is its result
-slab.
-
-Virtual-client plane: executors resolve ``client_id -> FLClient``
-through a *provider* — anything with ``materialize(client_id)``.  The
-simulation passes its :class:`~repro.fl.virtual.VirtualClientFleet`, so
-each process (the parent for serial, every forked worker for parallel)
-rebinds its one training client on demand instead of indexing a
-fleet-sized list.  Each result carries the executing process's
-cumulative ``materializations`` back to the parent's cost meter.
-
-Workspace arenas (:class:`repro.nn.workspace.Workspace`) are strictly
-process-local: a forked worker inherits the parent model's arena
-copy-on-write and re-warms its own buffers on first use, and no arena
-ever rides in a :class:`ClientTask` or :class:`ClientRoundResult` —
-``Workspace`` refuses to pickle, so any payload that serializes at all
-is proven free of scratch state.
+Executors resolve ``client_id -> FLClient`` through a *provider* —
+anything with ``materialize(client_id)``, such as the simulation's
+:class:`~repro.fl.virtual.VirtualClientFleet` — so each process
+rebinds its one training client on demand; each result carries that
+process's cumulative ``materializations`` to the parent's cost meter.
+Workspace arenas are process-local: ``Workspace`` refuses to pickle,
+so any task or result that serializes is free of scratch state.
 """
 
 from __future__ import annotations
@@ -70,9 +49,9 @@ from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.fl.behavior import ClientBehavior
-    from repro.fl.client import FLClient
     from repro.fl.config import FLConfig
     from repro.fl.costs import CostMeter
+    from repro.fl.virtual import RegistryRows
     from repro.privacy.defenses.base import Defense
 
 
@@ -114,92 +93,97 @@ def client_drops(seed: int, round_index: int, client_id: int,
     return float(np.random.default_rng(sequence).random()) < drop_rate
 
 
+def round_start_rng(seed: int, round_index: int) -> np.random.Generator:
+    """The generator ``Defense.on_round_start`` receives, in every
+    process that runs the round's setup."""
+    return np.random.default_rng((seed, 3, round_index))
+
+
+class HeapRows:
+    """Registry buffers in process-private memory (serial runs)."""
+
+    def allocate(self, size: int, dtype: np.dtype) -> np.ndarray:
+        return np.empty(size, dtype=dtype)
+
+    def release(self, buffer: np.ndarray) -> None:
+        pass  # freed with its last view
+
+
 @dataclass
 class ClientTask:
     """Everything one client needs to run one round, picklable.
 
-    Every task of a round carries the same ``global_buffer`` object;
-    the parallel executor publishes it once per round and ships tasks
-    with the field set to ``None``.
+    Every task of a round carries the same ``global_buffer`` and
+    ``cohort`` objects; the parallel executor moves both into the
+    round's descriptor and ships tasks without them.
     """
 
     round_index: int
     client_id: int
     #: The global model as the flat weight-plane vector.
     global_buffer: np.ndarray | None
-    #: This client's defense state (``Defense.export_client_state``).
-    client_state: Any = None
+    #: The client's row in every plane of the executor's registry.
+    row: int
+    #: The round's sampled cohort (``Defense.on_round_start``'s ids).
+    cohort: tuple[int, ...] = ()
 
 
 @dataclass
 class ClientRoundResult:
     """Everything one client's round produced, picklable.
 
-    The two buffers are borrowed, not owned: each is valid until the
-    consumer asks the executor's stream for the next result (or closes
-    it).  In the serial executor ``personal_buffer`` is the trainer's
-    live weight buffer, which the next client's round overwrites; in
-    the parallel executor both are read-only views of the result slab,
-    which a later task then writes.  A consumer that keeps a
-    buffer copies it — the simulation's registry ``put`` is that copy.
+    The trainer returns its two buffers; :func:`execute_client_task`
+    copies them into the client's registry rows and clears both, so
+    an executor's results carry no vector.
     """
 
     client_id: int
     #: The transmitted (post-defense) update as a flat vector.
-    #: ``None`` only in transit from a worker (its result slab holds
-    #: the row).
     update_buffer: np.ndarray | None
-    #: The personalized (pre-defense) weights as a flat vector.
-    #: ``None`` only in transit from a worker.
+    #: The personalized (pre-defense) weights as a flat vector: the
+    #: trainer's live weight buffer, overwritten by its next round.
     personal_buffer: np.ndarray | None
     num_samples: int
     train_seconds: float
     defense_seconds: float
-    #: This client's defense state after the round.
-    client_state: Any = None
-    #: ``Defense.state_bytes()`` as seen where the round ran.
-    defense_state_bytes: int = 0
     #: Virtual-client plane: the executing process's cumulative
     #: materializations (binds).  Zero when the provider counts none.
     materializations: int = 0
 
 
-def _stamp_materializations(result: ClientRoundResult,
-                            provider: Any) -> None:
-    """Record the executing process's bind count on the result."""
-    result.materializations = int(getattr(provider, "materializations", 0))
-
-
-def execute_client_task(client: "FLClient", defense: "Defense",
+def execute_client_task(clients: Any, defense: "Defense",
                         layout: Layout, task: ClientTask,
+                        rows: "RegistryRows",
                         behavior: "ClientBehavior | None" = None
                         ) -> ClientRoundResult:
-    """Run one client's round against explicit, shipped-in state.
+    """Run one client's round and write it into the client's rows.
 
-    This is the single code path both executors share: import the
-    client's defense state, rebuild the global model from the flat
-    buffer, train with the cell's spawned RNG, and export everything
-    the parent needs.  Running it in-process (serial) or in a forked
-    worker (parallel) is therefore the *same* computation, bit for
-    bit.
+    This is the single code path both executors share: bind the
+    provider's trainer (``clients.materialize``) to the client,
+    rebuild the global model from the flat buffer, train with the
+    cell's spawned RNG — the defense reads and rewrites the client's
+    state row in place — and copy the update and the personalized
+    weights into their rows of ``rows``.  Running it in-process
+    (serial) or in a forked worker over shared rows (parallel) is
+    therefore the *same* computation, bit for bit.
 
     ``behavior`` is the run's adversarial-client behavior (see
     ``fl.behavior``); ``None`` means every client is honest.  Because
     behavior noise draws from its own per-``(round, client)`` stream,
     the bitwise serial/parallel guarantee holds under every behavior
     mix.
-
-    The result's ``personal_buffer`` is the trainer's live weight
-    buffer, not a copy: the consumer's registry ``put`` (serial) or the
-    worker's slab write (parallel) is the one copy made of it.
     """
-    defense.import_client_state(task.client_id, task.client_state)
+    client = clients.materialize(task.client_id)
     global_weights = WeightStore(layout, task.global_buffer)
     rng = round_rng(client.config.seed, task.round_index, task.client_id)
     result = client.train_round(global_weights, task.round_index,
-                                rng=rng, behavior=behavior)
-    result.client_state = defense.export_client_state(task.client_id)
-    result.defense_state_bytes = defense.state_bytes()
+                                rng=rng, behavior=behavior,
+                                state=rows.state[task.row])
+    rows.uploads[task.row] = result.update_buffer
+    rows.personal[task.row] = result.personal_buffer
+    result.update_buffer = result.personal_buffer = None
+    # the executing process's bind count, for the parent's cost meter
+    result.materializations = int(getattr(clients, "materializations", 0))
     return result
 
 
@@ -213,15 +197,32 @@ class RoundExecutor:
     so an executor never trains a client whose result is discarded.
     Streaming in a fixed order is what lets the server fold updates
     into its constant-memory accumulator as they arrive while staying
-    bitwise independent of the executor.
+    bitwise independent of the executor.  The executor owns the run's
+    client registry, built on its :attr:`allocator`; a yielded result's
+    rows are already written.
     """
 
     #: How many OS processes this executor trains clients on.
     workers: int = 1
+    #: Where the registry's buffer lives.
+    allocator: Any = HeapRows()
+
+    def __init__(self, clients: Any, defense: "Defense",
+                 layout: Layout,
+                 behavior: "ClientBehavior | None" = None) -> None:
+        # Imported here: repro.fl.virtual imports this module.
+        from repro.fl.virtual import PersonalWeightsRegistry
+        self.clients = clients
+        self.defense = defense
+        self.layout = layout
+        self.behavior = behavior
+        self.registry = PersonalWeightsRegistry(layout, defense,
+                                                self.allocator)
 
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
-        """Yield each task's result, in task order."""
+        """Yield each task's result, in task order, once the task's
+        rows are written."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -234,22 +235,12 @@ class RoundExecutor:
 class SerialExecutor(RoundExecutor):
     """The reference executor: clients run one after another."""
 
-    def __init__(self, clients: Any, defense: "Defense",
-                 layout: Layout,
-                 behavior: "ClientBehavior | None" = None) -> None:
-        self.clients = clients
-        self.defense = defense
-        self.layout = layout
-        self.behavior = behavior
-
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
         for task in tasks:
-            result = execute_client_task(
-                self.clients.materialize(task.client_id),
-                self.defense, self.layout, task, self.behavior)
-            _stamp_materializations(result, self.clients)
-            yield result
+            yield execute_client_task(
+                self.clients, self.defense, self.layout, task,
+                self.registry.rows, self.behavior)
 
 
 def make_executor(clients: Any, defense: "Defense",

@@ -3,58 +3,36 @@
 :class:`ParallelExecutor` fans a round's client tasks out across a
 ``fork``-based process pool.  Workers fork from the fully constructed
 simulation, so datasets and models are inherited copy-on-write, and
-the weight plane is one process-invariant contiguous buffer, so no
-weight vector ever crosses the pool pipe.  Per-client IPC is
-``O(descriptor)``:
+every vector a round moves lives in a shared segment: per-client IPC
+is ``O(descriptor)`` — a task, plus a :class:`ShmRound` naming the
+segments, the registry geometry and the round's cohort.
 
-**Down-link (broadcast segment).**  One ``multiprocessing.
-shared_memory`` segment per executor holds the round's global buffer.
-The parent writes it once per round; tasks carry only a tiny
-:class:`ShmRound` descriptor ``(segment names, geometry)``.  Workers
-map the segment and wrap it in a *read-only* zero-copy view — safe
-because the serial executor already hands every task of a round the
-very same buffer object, so nothing in the round path mutates the
-received global in place (DINAR copies before personalizing,
-``set_store`` copies in).  It is the only thing broadcast: defenses
-that transform a round delta read this same view as their
-``global_weights`` hook argument.
+* **Broadcast.**  The round's global buffer, written once per round;
+  workers map it read-only (nothing in the round path mutates the
+  received global in place) and the delta defenses read that view.
+* **Registry.**  The executor's client registry allocates its planes
+  here, one segment each: every client's personalized weights, last
+  upload and defense state, which the worker training a client writes
+  in place.  A grown registry moves to new segments between rounds; a
+  worker drops any attachment the current descriptor does not name.
 
-**Up-link (result slab ring).**  A ring of ``workers + 1``
-preallocated slabs — two rows of ``num_params`` each — receives every
-client's ``update_buffer`` / ``personal_buffer`` directly from the
-worker; the result that travels back through the pipe carries neither
-vector.  Task ``i`` of a round writes slab ``i % (workers + 1)``, and
-the ring is an in-order window: the parent yields results in task
-order with both buffers set to read-only views of the slab rows, and
-submits the task that reuses a slab only when the consumer asks for
-the result after the one reading it — the borrowing contract of
-:class:`~repro.fl.executor.ClientRoundResult`, so the consumer's
-registry ``put`` is the one copy the parent makes of a row.
-
-**Lifecycle.**  ``ShmChannel.close()`` is idempotent and unlinks every
-segment; an ``atexit`` hook covers channels that are never closed
-explicitly.  Workers attach segments *without* registering them with
-the ``resource_tracker`` — on Python < 3.13 an attach re-registers the
-name, and a worker that later exits (or crashes) would have the
-tracker unlink segments the parent still owns (the classic
-double-unlink).  Overwriting the broadcast is safe: a round's stream
-does not end — exhausted, closed early or failed — before every task
-it submitted has finished or been cancelled, so no task reads round
-``g``'s broadcast once round ``g+1`` publishes.
-
-The transport is **bitwise invisible**: the mapped view holds the
-identical float64/float32 values the parent published, and every
-per-cell RNG stream is untouched — serial and parallel runs are
-trajectory-identical (pinned by the golden fixtures and
-hypothesis-tested across worker counts and defenses).
+Segments are created with their pages reserved, so an exhausted
+``/dev/shm`` fails with the requested bytes before a round submits a
+task, not with a ``SIGBUS``.  ``close()`` unlinks every segment; the
+parent's registry stays readable after it, as its views pin the
+mapping.  Workers attach without registering with the
+``resource_tracker``, so a worker exit cannot unlink segments the
+parent owns.  No task outlives its round's stream, and serial and
+parallel runs are trajectory-identical.
 """
 
 from __future__ import annotations
 
 import atexit
+import errno
 import multiprocessing
+import os
 import pickle
-from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import wait
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
@@ -68,14 +46,16 @@ from repro.fl.executor import (
     ClientRoundResult,
     ClientTask,
     RoundExecutor,
-    _stamp_materializations,
     execute_client_task,
+    round_start_rng,
 )
-from repro.nn.store import Layout
+from repro.fl.virtual import RegistryRows
+from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.fl.behavior import ClientBehavior
     from repro.fl.costs import CostMeter
+    from repro.fl.virtual import PersonalWeightsRegistry
     from repro.privacy.defenses.base import Defense
 
 try:  # platforms without POSIX/System V shared memory lack the module
@@ -99,16 +79,11 @@ def shm_available() -> bool:
     """
     global _AVAILABLE
     if _AVAILABLE is None:
-        if _shm is None:
+        try:
+            _release(_create(1, "probe"))
+            _AVAILABLE = True
+        except Exception:
             _AVAILABLE = False
-        else:
-            try:
-                probe = _shm.SharedMemory(create=True, size=1)
-                probe.close()
-                probe.unlink()
-                _AVAILABLE = True
-            except Exception:
-                _AVAILABLE = False
     return _AVAILABLE
 
 
@@ -135,103 +110,128 @@ def _attach(name: str) -> Any:
         resource_tracker.register = original
 
 
+def _create(nbytes: int, what: str) -> Any:
+    """A new segment of ``nbytes`` with its tmpfs pages reserved.
+
+    ``SharedMemory`` only truncates the file to size, so a segment
+    larger than the free space of ``/dev/shm`` would kill the first
+    process that touches a missing page with ``SIGBUS``.  Reserving
+    the pages here turns that into an error before anything runs.
+    """
+    if _shm is None:  # pragma: no cover - guarded by shm_available
+        raise RuntimeError("shared memory is unavailable here")
+    nbytes = max(1, int(nbytes))
+    try:
+        segment = _shm.SharedMemory(create=True, size=nbytes)
+        reserve = getattr(os, "posix_fallocate", None)
+        try:
+            if reserve is not None:
+                reserve(segment._fd, 0, nbytes)
+        except OSError as exc:
+            # a file system that cannot reserve pages reserves lazily
+            if exc.errno == errno.ENOSPC:
+                _release(segment)
+                raise
+    except OSError as exc:
+        raise RuntimeError(
+            f"could not reserve {nbytes} bytes in /dev/shm for the "
+            f"{what} ({exc.strerror or exc}); free space there or run "
+            f"with workers=0") from exc
+    return segment
+
+
+def _view(segment: Any, size: int, dtype: np.dtype) -> np.ndarray:
+    """``size`` values at the start of a segment, zero-copy.
+
+    The array sits on a memoryview slice, whose buffer export pins
+    the mapping: numpy holds none of its own, so closing the segment
+    would otherwise unmap it under a live view.
+    """
+    dtype = np.dtype(dtype)
+    return np.frombuffer(segment.buf[:size * dtype.itemsize], dtype=dtype)
+
+
+def _unmap(segment: Any) -> None:
+    """Close this process's handle on a segment."""
+    try:
+        segment.close()
+    except BufferError:
+        # A view outlived the segment's use and pins the mapping: drop
+        # the segment's handle on the mmap, which unmaps when the last
+        # view dies, and close the fd.
+        segment._mmap = None
+        segment.close()
+
+
+def _release(segment: Any) -> None:
+    """Unmap (when no view pins it) and unlink one owned segment."""
+    _unmap(segment)
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        # Already unlinked (resource tracker raced us, or a second
+        # close path); the goal state is reached.
+        pass
+
+
 @dataclass(frozen=True)
 class ShmRound:
-    """O(descriptor) handle to one round's shared-memory broadcast.
-
-    This — not the weight vectors — is what travels with each task
-    through the pool pipe.
-    """
+    """O(descriptor) handle to one round's shared memory: what travels
+    with each task through the pool pipe instead of any vector."""
 
     #: Segment holding the round's global flat buffer.
     weights_name: str
-    #: Segment holding the result slab ring.
-    slabs_name: str
+    #: Segments holding the client registry's planes.
+    rows_names: tuple[str, str, str]
+    #: Rows in each registry plane.
+    capacity: int
     num_params: int
     dtype: str
-    #: Slab count of the ring (ring geometry, for the worker's view).
-    slots: int
+    round_index: int
+    #: The round's sampled cohort: a worker replays the defense's
+    #: ``on_round_start`` with it.
+    cohort: tuple[int, ...]
 
 
 class ShmChannel:
-    """Parent-side owner of one executor's shared-memory segments.
+    """Parent-side owner of one executor's shared-memory segments: the
+    broadcast (``num_params`` values, rewritten every round) and the
+    registry's plane buffers :meth:`allocate` hands out.  Each is a
+    (segment, array) pair."""
 
-    Two segments, both created lazily on first use and owned (and
-    unlinked) exclusively by the parent:
+    def __init__(self) -> None:
+        self._weights: tuple[Any, np.ndarray] | None = None
+        self._rows: list[tuple[Any, np.ndarray]] = []
 
-    * ``weights`` — ``num_params`` values; rewritten every round;
-    * ``slabs``   — ``slots`` result slabs of 2 rows x ``num_params``.
-
-    Which task writes which slab is the executor's window, not channel
-    state; ``read_slab`` views both rows of one slab in place.
-    """
-
-    def __init__(self, slots: int) -> None:
-        if slots < 1:
-            raise ValueError(f"slab ring needs >= 1 slot, got {slots}")
-        self.slots = slots
-        self._weights: Any = None
-        self._slabs: Any = None
-        self._num_params: int | None = None
-        self._dtype: np.dtype | None = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def open(self, num_params: int, dtype: np.dtype) -> None:
-        """Create the weights + slab segments (idempotent)."""
-        if self._weights is not None:
-            if num_params != self._num_params \
-                    or np.dtype(dtype) != self._dtype:
-                raise ValueError(
-                    f"channel already open for {self._num_params} "
-                    f"params ({self._dtype}), asked to reopen for "
-                    f"{num_params} ({np.dtype(dtype)})")
-            return
-        if _shm is None:  # pragma: no cover - guarded by shm_available
-            raise RuntimeError("shared memory is unavailable here")
-        self._num_params = int(num_params)
-        self._dtype = np.dtype(dtype)
-        itemsize = self._dtype.itemsize
-        self._weights = _shm.SharedMemory(
-            create=True, size=max(1, self._num_params * itemsize))
-        self._slabs = _shm.SharedMemory(
-            create=True,
-            size=max(1, self.slots * 2 * self._num_params * itemsize))
-        self._closed = False
+    def _new(self, size: int, dtype: np.dtype,
+             what: str) -> tuple[Any, np.ndarray]:
+        segment = _create(size * np.dtype(dtype).itemsize, what)
         # Cover executors that are never closed explicitly; close()
         # unregisters, so a clean close leaves no hook behind.
+        atexit.unregister(self.close)
         atexit.register(self.close)
+        return segment, _view(segment, size, dtype)
+
+    def open(self, num_params: int, dtype: np.dtype) -> None:
+        """Create the broadcast segment (idempotent)."""
+        if self._weights is None:
+            self._weights = self._new(num_params, dtype, "round broadcast")
+        elif self._weights[1].shape != (num_params,) \
+                or self._weights[1].dtype != np.dtype(dtype):
+            raise ValueError(
+                f"channel already open for {self._weights[1].size} "
+                f"params ({self._weights[1].dtype}), asked to reopen for "
+                f"{num_params} ({np.dtype(dtype)})")
 
     def close(self) -> None:
         """Unlink every segment (idempotent, crash-tolerant)."""
-        if self._closed:
-            return
-        self._closed = True
-        for segment in (self._weights, self._slabs):
-            if segment is None:
-                continue
+        owned = self._rows + ([self._weights] if self._weights else [])
+        self._weights, self._rows = None, []
+        for segment, _ in owned:
             try:
-                segment.close()
-            except BufferError:
-                # A slab row view outlived the round and pins the
-                # mapping (see read_slab): drop the segment's handle
-                # on the mmap, which unmaps when the last view dies,
-                # and close the fd.
-                segment._mmap = None
-                segment.close()
+                _release(segment)
             except Exception:  # pragma: no cover - best effort
                 pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                # Already unlinked (resource tracker raced us, or a
-                # second close path); the goal state is reached.
-                pass
-            except Exception:  # pragma: no cover - best effort
-                pass
-        self._weights = self._slabs = None
         try:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover - interpreter teardown
@@ -239,164 +239,115 @@ class ShmChannel:
 
     @property
     def is_open(self) -> bool:
-        return self._weights is not None
+        return self._weights is not None or bool(self._rows)
 
-    # ------------------------------------------------------------------
-    # down-link: per-round broadcast
-    # ------------------------------------------------------------------
-    def publish_round(self, buffer: np.ndarray) -> ShmRound:
+    def allocate(self, size: int, dtype: np.dtype) -> np.ndarray:
+        """A registry plane buffer of ``size`` values in a new segment."""
+        self._rows.append(self._new(size, dtype, "client registry"))
+        return self._rows[-1][1]
+
+    def release(self, buffer: np.ndarray) -> None:
+        """Unlink the segment behind a buffer the registry replaced
+        (a no-op for one this channel no longer owns)."""
+        for entry in self._rows:
+            if entry[1] is buffer:
+                self._rows.remove(entry)
+                return _release(entry[0])
+
+    def holds(self, buffer: np.ndarray) -> bool:
+        """Whether ``buffer`` lives in a segment workers can map."""
+        return any(array is buffer for _, array in self._rows)
+
+    def publish_round(self, buffer: np.ndarray,
+                      registry: "PersonalWeightsRegistry",
+                      round_index: int,
+                      cohort: tuple[int, ...]) -> ShmRound:
         """Write one round's global buffer and return the descriptor
-        tasks will carry."""
-        buffer = np.ascontiguousarray(buffer)
+        tasks will carry (``registry``'s planes must live here)."""
         self.open(buffer.size, buffer.dtype)
-        view = np.ndarray((self._num_params,), dtype=self._dtype,
-                          buffer=self._weights.buf)
-        view[:] = buffer
-        del view  # drop the buffer export so close() stays legal
+        self._weights[1][:] = buffer
         return ShmRound(
-            weights_name=self._weights.name,
-            slabs_name=self._slabs.name,
-            num_params=self._num_params,
-            dtype=self._dtype.name,
-            slots=self.slots,
+            weights_name=self._weights[0].name,
+            rows_names=tuple(segment.name for plane in registry.buffers
+                             for segment, array in self._rows
+                             if array is plane),
+            capacity=registry.capacity,
+            num_params=buffer.size,
+            dtype=buffer.dtype.name,
+            round_index=int(round_index),
+            cohort=tuple(int(cid) for cid in cohort),
         )
 
-    # ------------------------------------------------------------------
-    # up-link: the result slab ring
-    # ------------------------------------------------------------------
-    def read_slab(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of one slab's ``(update, personal)`` rows.
-
-        No copy is made: the views are valid until a later task writes
-        the slab, and the simulation's registry ``put`` of each row is
-        the one copy the parent makes of it.  The views sit on a
-        memoryview slice, whose buffer export pins the mapping: numpy
-        holds none of its own, so ``close()`` would otherwise unmap the
-        segment under a view that outlived the round.
-        """
-        if self._slabs is None:
-            raise RuntimeError("channel is not open")
-        if not 0 <= index < self.slots:
-            raise ValueError(f"slab index {index} out of range "
-                             f"[0, {self.slots})")
-        nbytes = 2 * self._num_params * self._dtype.itemsize
-        window = self._slabs.buf[index * nbytes:(index + 1) * nbytes]
-        rows = np.frombuffer(window, dtype=self._dtype).reshape(2, -1)
-        rows.flags.writeable = False
-        return rows[0], rows[1]
-
 
 # ----------------------------------------------------------------------
-# worker-side attachment cache
+# worker side: the current round's mappings
 # ----------------------------------------------------------------------
 
-#: name -> attached SharedMemory, for the per-executor-constant
-#: weights/slab segments (one pool serves exactly one executor, so the
-#: cache never grows past a handful of names).
+#: name -> attached SharedMemory, for the last descriptor's segments.
 _WORKER_SEGMENTS: dict[str, Any] = {}
+#: The descriptor whose ``on_round_start`` this worker last replayed.
+_WORKER_ROUND: ShmRound | None = None
 
 
-def _worker_segment(name: str) -> Any:
-    segment = _WORKER_SEGMENTS.get(name)
-    if segment is None:
-        segment = _attach(name)
-        _WORKER_SEGMENTS[name] = segment
-    return segment
-
-
-def _worker_resolve(ref: ShmRound) -> np.ndarray:
-    """Map one round's broadcast: the read-only global buffer view."""
-    segment = _worker_segment(ref.weights_name)
-    buffer = np.ndarray((ref.num_params,), dtype=np.dtype(ref.dtype),
-                        buffer=segment.buf)
+def _worker_map(ref: ShmRound, state_width: int):
+    """Attach the descriptor's segments, dropping any other: the
+    read-only global buffer and the registry's planes."""
+    current = (ref.weights_name, *ref.rows_names)
+    for name in [name for name in _WORKER_SEGMENTS
+                 if name not in current]:
+        _unmap(_WORKER_SEGMENTS.pop(name))
+    for name in current:
+        if name not in _WORKER_SEGMENTS:
+            _WORKER_SEGMENTS[name] = _attach(name)
+    buffer = _view(_WORKER_SEGMENTS[ref.weights_name], ref.num_params,
+                   ref.dtype)
     buffer.flags.writeable = False
-    return buffer
-
-
-def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
-                       personal: np.ndarray) -> None:
-    """Write one result's two rows into its slab."""
-    segment = _worker_segment(ref.slabs_name)
-    dtype = np.dtype(ref.dtype)
-    offset = index * 2 * ref.num_params * dtype.itemsize
-    rows = np.ndarray((2, ref.num_params), dtype=dtype,
-                      buffer=segment.buf, offset=offset)
-    rows[0] = update
-    rows[1] = personal
-    del rows
+    widths = (ref.num_params, ref.num_params, state_width)
+    rows = RegistryRows(*(
+        _view(_WORKER_SEGMENTS[name], ref.capacity * width,
+              ref.dtype).reshape(ref.capacity, width)
+        for name, width in zip(ref.rows_names, widths)))
+    return buffer, rows
 
 
 # ----------------------------------------------------------------------
 # the executor
 # ----------------------------------------------------------------------
 
-@dataclass
-class _WorkerContext:
-    """Per-process replica of the simulation's client-side objects.
-
-    ``clients`` is a provider (anything with ``materialize``)
-    inherited via fork; each worker rebinds its *own* copy-on-write
-    training client, so every process holds one training model.
-    """
-
-    clients: Any
-    defense: Any
-    layout: Layout
-    behavior: Any = None
+#: (clients, defense, layout, behavior) of the executor this worker
+#: serves, inherited through fork.
+_WORKER: tuple | None = None
 
 
-#: Bound once per worker process by the pool initializer.
-_WORKER_CONTEXT: _WorkerContext | None = None
+def _bind_worker(*context: Any) -> None:
+    global _WORKER
+    _WORKER = context
 
 
-def _bind_worker_context(context: _WorkerContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_in_worker(task: ClientTask, ref: ShmRound,
-                   slab: int) -> ClientRoundResult:
-    """Worker entry point: one client's round over shared memory.
-
-    Maps the round's broadcast (the read-only global buffer), runs the
-    same :func:`execute_client_task` path as the serial executor, then
-    writes the two result vectors into the task's slab so only a
-    descriptor travels back through the pipe.
-    """
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process has no bound context; "
+def _run_in_worker(task: ClientTask, ref: ShmRound) -> ClientRoundResult:
+    """Worker entry point: map the round's segments, replay the
+    defense's round setup once per round, and run the serial path
+    (:func:`execute_client_task`) on the shared registry rows."""
+    global _WORKER_ROUND
+    if _WORKER is None:  # pragma: no cover - defensive
+        raise RuntimeError("worker process has no bound executor; "
                            "the pool initializer did not run")
+    clients, defense, layout, behavior = _WORKER
     try:
-        buffer = _worker_resolve(ref)
-    except Exception as exc:
-        raise RuntimeError(
-            f"client {task.client_id} could not map the round "
-            f"{task.round_index} shared-memory broadcast: "
-            f"{exc!r}") from exc
-    task = replace(task, global_buffer=buffer)
-    try:
-        result = execute_client_task(
-            context.clients.materialize(task.client_id),
-            context.defense, context.layout, task, context.behavior)
+        buffer, rows = _worker_map(ref, defense.state_width(layout))
+        if ref != _WORKER_ROUND:
+            defense.on_round_start(
+                ref.round_index, list(ref.cohort),
+                WeightStore(layout, buffer),
+                round_start_rng(clients.config.seed, ref.round_index))
+            _WORKER_ROUND = ref
+        return execute_client_task(
+            clients, defense, layout,
+            replace(task, global_buffer=buffer), rows, behavior)
     except Exception as exc:
         raise RuntimeError(
             f"client {task.client_id} failed in round "
             f"{task.round_index}: {exc!r}") from exc
-    _stamp_materializations(result, context.clients)
-    # The parent holds every client's defense state; the worker keeps
-    # none of it past the task.
-    context.defense.import_client_state(task.client_id, None)
-    try:
-        _worker_write_slab(ref, slab, result.update_buffer,
-                           result.personal_buffer)
-    except Exception as exc:
-        raise RuntimeError(
-            f"client {task.client_id} failed writing its round "
-            f"{task.round_index} result slab: {exc!r}") from exc
-    result.update_buffer = None
-    result.personal_buffer = None
-    return result
 
 
 class ParallelExecutor(RoundExecutor):
@@ -404,15 +355,11 @@ class ParallelExecutor(RoundExecutor):
 
     Workers fork from the fully constructed simulation (datasets and
     models are inherited, never pickled).  Each round's global buffer
-    is published once into a :class:`ShmChannel`; tasks cross the pool
-    pipe as descriptors and task ``i``'s result comes back through slab
-    ``i % slots`` of the channel's ring.  The ring is an in-order
-    window: task ``i + slots`` is submitted once the consumer has asked
-    for the result after task ``i``, so at most ``workers + 1`` tasks
-    are in flight or being read, which also caps how much result
-    memory a round can pin.  Results are yielded strictly in task
-    order, so aggregation consumes updates in exactly the serial
-    cohort order.
+    is published once into a :class:`ShmChannel`, which also holds the
+    registry; every task of the round is submitted as a descriptor,
+    and a worker writes the client's rows in place.  Results are
+    yielded strictly in task order, so aggregation consumes updates
+    in exactly the serial cohort order.
     """
 
     def __init__(self, clients: Any, defense: "Defense",
@@ -427,14 +374,16 @@ class ParallelExecutor(RoundExecutor):
             raise RuntimeError(
                 "ParallelExecutor requires the 'fork' start method "
                 "(unavailable on this platform); run with workers=0")
-        self.clients = clients
-        self.defense = defense
-        self.layout = layout
         self.workers = workers
-        self.behavior = behavior
         self.cost_meter = cost_meter
         self._pool: _PoolExecutor | None = None
-        self._channel = ShmChannel(slots=workers + 1)
+        self._channel = ShmChannel()
+        super().__init__(clients, defense, layout, behavior)
+
+    @property
+    def allocator(self) -> ShmChannel:
+        """Registry buffers live in the channel's segments."""
+        return self._channel
 
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> _PoolExecutor:
@@ -442,10 +391,9 @@ class ParallelExecutor(RoundExecutor):
             self._pool = _PoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_bind_worker_context,
-                initargs=(_WorkerContext(self.clients, self.defense,
-                                         self.layout, self.behavior),),
-            )
+                initializer=_bind_worker,
+                initargs=(self.clients, self.defense, self.layout,
+                          self.behavior))
         return self._pool
 
     def warm_up(self) -> None:
@@ -478,45 +426,46 @@ class ParallelExecutor(RoundExecutor):
                    ) -> Iterator[ClientRoundResult]:
         """Stream results in task order over shared memory.
 
-        The round's buffer is published once and stripped tasks are
-        submitted in task order, task ``i`` writing slab ``i % slots``.
-        Each result is yielded with its buffers viewing its slab; when
-        the consumer asks for the next result, that slab is free and
-        the task ``slots`` places later is submitted into it — so a
-        consumer sees exactly the serial executor's stream.  If the
-        consumer stops early or a task fails, the ``finally`` below
-        cancels every not-yet-started task and waits for the running
-        ones: no task outlives its round.
+        The round's buffer is published once and every task is
+        submitted as a descriptor; each result is yielded once its
+        worker has written the client's rows.  If the consumer stops
+        early or a task fails, the ``finally`` below cancels every
+        unstarted task and waits for the running ones: no task
+        outlives its round.
         """
         if not tasks:
             return
         pool = self._ensure_pool()
-        slots = self._channel.slots
-        ref = self._channel.publish_round(tasks[0].global_buffer)
-        shared_bytes = tasks[0].global_buffer.nbytes
+        if not all(map(self._channel.holds, self.registry.buffers)):
+            # close() unlinked its segments
+            self.registry.relocate(self.registry.capacity)
+        first = tasks[0]
+        ref = self._channel.publish_round(
+            first.global_buffer, self.registry, first.round_index,
+            first.cohort)
+        # each result's three rows of the registry
+        row_bytes = sum(buffer.nbytes for buffer in self.registry.buffers) \
+            // self.registry.capacity
+        shared_bytes = first.global_buffer.nbytes
         pickled_bytes = 0
-        task_probe: int | None = None
-        result_probe: int | None = None
-        futures: deque[Any] = deque()
+        futures: list[Any] = []
         try:
-            for index, task in enumerate(tasks):
-                while len(futures) < slots \
-                        and index + len(futures) < len(tasks):
-                    ahead = index + len(futures)
-                    stripped = replace(tasks[ahead], global_buffer=None)
-                    wire = (stripped, ref, ahead % slots)
-                    if task_probe is None:
-                        task_probe = len(pickle.dumps(
-                            wire, protocol=_PICKLE_PROTOCOL))
-                    pickled_bytes += task_probe
-                    try:
-                        futures.append(pool.submit(_run_in_worker, *wire))
-                    except BrokenProcessPool as exc:
-                        # a worker died before this submission landed
-                        raise self._crashed(
-                            f"during round {task.round_index}") from exc
+            for task in tasks:
+                wire = (replace(task, global_buffer=None, cohort=()), ref)
+                if not futures:
+                    task_probe = len(pickle.dumps(
+                        wire, protocol=_PICKLE_PROTOCOL))
+                pickled_bytes += task_probe
                 try:
-                    result = futures.popleft().result()
+                    futures.append(pool.submit(_run_in_worker, *wire))
+                except BrokenProcessPool as exc:
+                    # a worker died before this submission landed
+                    raise self._crashed(
+                        f"during round {task.round_index}") from exc
+            result_probe: int | None = None
+            for task, future in zip(tasks, futures):
+                try:
+                    result = future.result()
                 except BrokenProcessPool as exc:
                     raise self._crashed(
                         f"while training client {task.client_id} in "
@@ -525,10 +474,7 @@ class ParallelExecutor(RoundExecutor):
                     result_probe = len(pickle.dumps(
                         result, protocol=_PICKLE_PROTOCOL))
                 pickled_bytes += result_probe
-                update, personal = self._channel.read_slab(index % slots)
-                shared_bytes += update.nbytes + personal.nbytes
-                result.update_buffer = update
-                result.personal_buffer = personal
+                shared_bytes += row_bytes
                 yield result
         finally:
             for future in futures:

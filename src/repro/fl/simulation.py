@@ -8,11 +8,8 @@ what the client actually predicts with.
 
 Client training within a round is delegated to a
 :class:`~repro.fl.executor.RoundExecutor` (``config.workers`` selects
-serial or process-parallel execution; both are bitwise identical).
-The simulation ships each client's round state through the executor
-explicitly — global weights out, update/personal weights and defense
-state back — and merges the returned cost deltas, so no client-side
-object is mutated behind the orchestrator's back.
+serial or process-parallel execution; both are bitwise identical),
+whose tasks write each client's rows of the executor's registry.
 
 Rounds are **streaming**: executor results are consumed as they
 arrive and folded straight into the server's constant-memory
@@ -28,13 +25,10 @@ The client plane is **virtual** (see ``repro.fl.virtual``): clients
 exist as descriptors over a packed shard assignment, full
 ``FLClient``/``Model`` state is one training client per process,
 rebound onto each client's descriptor on demand, and per-client residue
-(personalized weights) lives in a flat-buffer registry keyed by client
-id.  Each client's last upload lives in a second registry,
-``last_updates``: it is the only copy of the upload, which the server
-folds or reads in column chunks in place.  The simulation is the only
-writer of both registries: the trainer returns its round's buffers
-and keeps nothing, and executor workers write only their result slab.
-Every trajectory is bitwise-identical to the eager plane.
+lives in one registry keyed by client id: personalized weights
+(``registry``), the last upload (``last_updates``, the only copy of it,
+which the server reads in place) and the defense's state.  Every
+trajectory is bitwise-identical to the eager plane.
 """
 
 from __future__ import annotations
@@ -51,10 +45,15 @@ from repro.fl.behavior import make_behavior_for_config
 from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.costs import CostMeter
-from repro.fl.executor import ClientTask, client_drops, make_executor
+from repro.fl.executor import (
+    ClientTask,
+    client_drops,
+    make_executor,
+    round_start_rng,
+)
 from repro.fl.network import dense_nbytes
 from repro.fl.server import FLServer
-from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
+from repro.fl.virtual import VirtualClientFleet
 from repro.nn.model import Model
 from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
@@ -135,10 +134,10 @@ class FederatedSimulation:
                                     dirichlet_alpha)
 
         # Virtual-client plane: ONE template model (the eager plane
-        # built N identical copies from the same seeded factory), a
-        # flat-buffer registry for every client's personalized weights,
-        # and a fleet that rebinds one training FLClient, built on the
-        # template, onto each client on demand.
+        # built N identical copies from the same seeded factory) and a
+        # fleet that rebinds one training FLClient, built on the
+        # template, onto each client on demand; the executor's
+        # registry holds every client's rows.
         template = model_factory(np.random.default_rng(config.seed))
         self._layout = template.weight_layout()
         if np.dtype(config.dtype) != self._layout.dtype:
@@ -146,7 +145,6 @@ class FederatedSimulation:
                 f"FLConfig.dtype={config.dtype!r} but the model factory "
                 f"builds {self._layout.dtype.name} models; pass the "
                 f"config dtype through to build_model")
-        self.registry = PersonalWeightsRegistry(self._layout)
         self.fleet = VirtualClientFleet(
             split.source, self.shards, template, config, self.defense,
             name=f"{split.source.name}/members")
@@ -164,9 +162,12 @@ class FederatedSimulation:
         self.executor = make_executor(
             self.fleet, self.defense, self._layout, config,
             behavior=self.behavior, cost_meter=self.cost_meter)
+        #: Every client's rows: personalized weights (the mapping),
+        #: last upload and defense state.
+        self.registry = self.executor.registry
         #: Each client's last transmitted (post-defense) upload: the
         #: one copy of it, which the server's rules read in place.
-        self.last_updates = PersonalWeightsRegistry(self._layout)
+        self.last_updates = self.registry.uploads
         self.history = History()
 
     def client_dataset(self, client_id: int) -> Dataset:
@@ -220,7 +221,7 @@ class FederatedSimulation:
 
         self.defense.on_round_start(
             round_index, cohort, self.server.global_weights,
-            np.random.default_rng((config.seed, 3, round_index)))
+            round_start_rng(config.seed, round_index))
         # Segment-plane accounting: a layer-wise defense publishes its
         # per-segment budget schedule after resolving it against the
         # round's layout.
@@ -229,12 +230,19 @@ class FederatedSimulation:
             self.cost_meter.record_segment_budget(segment_report())
         global_store = self.server.global_weights
         download_bytes = dense_nbytes(global_store)
+        # Rows for every completing client before any task runs: the
+        # registry grows only here, between rounds.
+        for cid in self.registry.assign(completed):
+            self.defense.init_state(
+                self.registry.rows.state[self.registry.row(cid)],
+                global_store)
         tasks = [
             ClientTask(
                 round_index=round_index,
                 client_id=cid,
                 global_buffer=global_store.buffer,
-                client_state=self.defense.export_client_state(cid),
+                row=self.registry.row(cid),
+                cohort=tuple(cohort),
             )
             for cid in completed
         ]
@@ -242,18 +250,10 @@ class FederatedSimulation:
         def stream_updates():
             """Yield each completing client's update as it arrives."""
             for result in self.executor.iter_round(tasks):
-                self.defense.import_client_state(
-                    result.client_id, result.client_state)
-                self.registry.put(result.client_id,
-                                  result.personal_buffer)
                 self.cost_meter.merge_client_round(
                     result.train_seconds, result.defense_seconds)
-                self.cost_meter.record_defense_state(
-                    result.defense_state_bytes)
                 self.cost_meter.record_client_plane(
                     materializations=result.materializations)
-                self.last_updates.put(result.client_id,
-                                      result.update_buffer)
                 update = ClientUpdate(
                     client_id=result.client_id,
                     weights=self.last_updates[result.client_id],
@@ -273,17 +273,12 @@ class FederatedSimulation:
         # materialized to answer "how big is your shard".
         total_samples = float(sum(
             self.shards.num_samples(cid) for cid in completed))
-        # Grow both registries before the stream: a mid-round growth
-        # would leave the updates already handed to a dense rule as
-        # views that keep the old buffer alive.
-        self.registry.reserve(completed)
-        self.last_updates.reserve(completed)
         self.server.aggregate(stream_updates(), expected=len(cohort),
                               total_samples=total_samples)
-        # The parent's defense holds the merged per-client state, so
-        # its memory footprint is authoritative (worker copies only
-        # ever see one client's slice).
-        self.cost_meter.record_defense_state(self.defense.state_bytes())
+        # Per-client defense state is the registry's state rows; the
+        # defense adds whatever it keeps besides.
+        self.cost_meter.record_defense_state(
+            self.defense.state_bytes() + self.registry.state_nbytes)
         # Serial rounds bind in the parent; parallel rounds in the
         # workers (reported per result above).  Max-merging both keeps
         # the report meaningful either way.

@@ -15,12 +15,14 @@ This module replaces live objects with three small pieces:
   shared dataset its shard indexes.  Descriptors are created on
   demand and garbage-collected freely.
 * :class:`PersonalWeightsRegistry` — the per-client *residue* that must
-  outlive materialization: personalized weights (§4.3 prediction
-  state), and in a second instance each client's last upload, as rows
-  of one growable flat 2D buffer keyed by client id.  Rows are written
-  by copy and read as zero-copy :class:`~repro.nn.store.WeightStore`
-  views.  The simulation owns both registries and is their only
-  writer; the fleet holds neither.
+  outlive materialization, as rows of growable flat buffers keyed by
+  client id.  Three planes share one row assignment: personalized
+  weights (§4.3 prediction state), each client's last upload, and the
+  defense's per-client state.  The buffer comes from the executor's
+  allocator — private memory in serial runs, a shared segment under
+  the parallel executor — and the round's task for a client writes
+  its rows in place, in whichever process runs it.  The fleet holds
+  no registry.
 * :class:`VirtualClientFleet` — the fleet's descriptors plus the
   process's single training ``FLClient``: ``fleet.materialize(i)``
   builds it on the template model at first use and rebinds it onto
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from repro.data.partition import ClientShards
 from repro.data.synthetic import Dataset
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
+from repro.fl.executor import HeapRows
 from repro.nn.metrics import accuracy
 from repro.nn.model import Model
 from repro.nn.store import Layout, WeightStore
@@ -64,6 +68,7 @@ from repro.privacy.defenses.base import Defense
 __all__ = [
     "ClientDescriptor",
     "PersonalWeightsRegistry",
+    "RegistryRows",
     "VirtualClientFleet",
 ]
 
@@ -86,94 +91,165 @@ class ClientDescriptor:
         return self.source.subset(self.shard, name=self.name)
 
 
-class PersonalWeightsRegistry(Mapping[int, WeightStore]):
-    """Per-client weight rows of one flat 2D buffer, keyed by client id.
+class RegistryRows(NamedTuple):
+    """A registry buffer's planes, one row per client."""
 
-    A simulation keeps two: each client's personalized weights (§4.3
-    prediction state) and each client's last transmitted upload (the
-    server-side attacker's view).  The eager plane kept one
-    ``WeightStore`` object (buffer + header) alive per client; the
-    registry packs the same state into a single
-    ``(capacity, num_params)`` array that doubles as needed, so a
-    fleet's per-client state is one allocation plus an id->row dict.
+    personal: np.ndarray
+    uploads: np.ndarray
+    state: np.ndarray
 
-    It is a read-only ``Mapping[int, WeightStore]``: ``put`` copies the
-    incoming buffer into the client's row, and indexing returns a
-    zero-copy store view of that row.  Mutating the training model
-    after a round therefore never corrupts stored state, but a held
-    view shows the client's *next* ``put``.
-    """
 
-    def __init__(self, layout: Layout) -> None:
-        self.layout = layout
-        self._rows = np.empty((0, layout.num_params), dtype=layout.dtype)
-        self._slot: dict[int, int] = {}
+class _Plane(Mapping[int, WeightStore]):
+    """A registry's weight plane as a read-only mapping of zero-copy
+    row views (a held view shows the client's next round)."""
+
+    def __init__(self, registry: "PersonalWeightsRegistry",
+                 plane: str) -> None:
+        self._registry, self._plane = registry, plane
 
     def __len__(self) -> int:
-        return len(self._slot)
+        return len(self._registry._slot)
 
     def __contains__(self, client_id: object) -> bool:
-        return client_id in self._slot
+        return client_id in self._registry._slot
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._slot)
+        return iter(self._registry._slot)
 
     def __getitem__(self, client_id: int) -> WeightStore:
-        """Zero-copy store view of a client's row (``KeyError`` if
-        absent).  The view aliases the row, so it shows the client's
-        next ``put`` — copy it to keep this round's values."""
-        return WeightStore(self.layout, self._rows[self._slot[client_id]])
+        registry = self._registry
+        rows = getattr(registry.rows, self._plane)
+        return WeightStore(registry.layout,
+                           rows[registry._slot[client_id]])
+
+
+class PersonalWeightsRegistry(_Plane):
+    """Every client's per-client state, in rows of flat buffers.
+
+    Three planes share one row assignment: personalized weights (§4.3
+    prediction state; the registry is their mapping), last uploads
+    (the server-side attacker's view; :attr:`uploads`) and the
+    defense's state, ``Defense.state_width(layout)`` values per row
+    (fixed when the first rows are allocated: DINAR's ``private_layer``
+    may be set after the simulation is built).  Each plane's buffer
+    comes from ``allocator`` — :class:`~repro.fl.executor.HeapRows` in
+    serial runs, a shared segment under the parallel executor — and at
+    least doubles when it grows.
+    """
+
+    _plane = "personal"
+
+    def __init__(self, layout: Layout, defense: Defense | None = None,
+                 allocator: Any = None) -> None:
+        self.layout = layout
+        self.defense = defense or Defense()
+        self._allocator = allocator or HeapRows()
+        self._slot: dict[int, int] = {}
+        self.capacity = 0
+        #: The allocator's flat buffers behind the planes of :attr:`rows`.
+        self.buffers: tuple[np.ndarray, ...] = ()
+        self.rows: RegistryRows | None = None
+        self.uploads = _Plane(self, "uploads")
+
+    @property
+    def _registry(self) -> "PersonalWeightsRegistry":
+        return self
 
     def client_ids(self) -> list[int]:
-        """Ids with a stored row, ascending (the eager plane's
-        evaluation order)."""
+        """Ids with a row, ascending (the evaluation order)."""
         return sorted(self._slot)
+
+    def row(self, client_id: int) -> int:
+        """A client's row index, the same in every plane."""
+        return self._slot[client_id]
+
+    @property
+    def state_width(self) -> int:
+        """Values in one client's defense-state row."""
+        if self.rows is not None:
+            return self.rows.state.shape[1]
+        return self.defense.state_width(self.layout)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the allocated row buffer."""
-        return int(self._rows.nbytes)
+        """Bytes of the allocated personalized-weights plane."""
+        return 0 if self.rows is None else int(self.rows.personal.nbytes)
 
-    def _grow(self, needed: int) -> None:
-        """Reallocate to hold ``needed`` rows (at least doubling),
-        keeping every stored row."""
-        capacity = max(needed, 8, 2 * len(self._rows))
-        grown = np.empty((capacity, self.layout.num_params),
-                         dtype=self.layout.dtype)
-        grown[:len(self._slot)] = self._rows[:len(self._slot)]
-        self._rows = grown
+    @property
+    def state_nbytes(self) -> int:
+        """Bytes of the defense-state rows in use."""
+        return len(self) * self.state_width * self.layout.dtype.itemsize
+
+    def _widths(self) -> tuple[int, int, int]:
+        return (self.layout.num_params, self.layout.num_params,
+                self.state_width)
+
+    def relocate(self, capacity: int) -> None:
+        """Move every row into new buffers of ``capacity`` rows from the
+        allocator.  Planes move one at a time, each old buffer released
+        as soon as it is copied, so at most one plane is held twice."""
+        widths = self._widths()
+        # A failed allocation leaves every row where it was (a parallel
+        # executor's close() unlinks any new segment).
+        buffers = [self._allocator.allocate(capacity * width,
+                                            self.layout.dtype)
+                   for width in widths]
+        old = list(zip(self.rows or (), self.buffers))
+        self.buffers, self.capacity = tuple(buffers), capacity
+        self.rows = RegistryRows(*(buffer.reshape(capacity, width)
+                                   for buffer, width in zip(buffers, widths)))
+        for new in self.rows[:len(old)]:
+            self._move(new, *old.pop(0))
+
+    def _move(self, new: np.ndarray, plane: np.ndarray,
+              buffer: np.ndarray) -> None:
+        new[:len(self)] = plane[:len(self)]
+        self._allocator.release(buffer)
 
     def reserve(self, client_ids: Iterable[int]) -> None:
-        """Grow capacity, at most once, to fit every id not yet present.
+        """Grow capacity, at most once, to fit every id not yet present
+        (assigning no row)."""
+        needed = len(self) + len(set(client_ids) - self._slot.keys())
+        if needed > self.capacity:
+            self.relocate(max(needed, 8, 2 * self.capacity))
 
-        Assigns no slot.  Called with a round's completion set before
-        the round streams, so no ``put`` mid-round reallocates the buffer
-        under views handed out earlier in the round.
-        """
-        new = {cid for cid in client_ids if cid not in self._slot}
-        if len(self._slot) + len(new) > len(self._rows):
-            self._grow(len(self._slot) + len(new))
-
-    def _ensure_row(self, client_id: int) -> int:
-        slot = self._slot.get(client_id)
-        if slot is not None:
-            return slot
-        slot = len(self._slot)
-        if slot >= len(self._rows):
-            self._grow(slot + 1)
-        self._slot[client_id] = slot
-        return slot
+    def assign(self, client_ids: Iterable[int]) -> list[int]:
+        """Give every id a row and return the new ones, whose rows are
+        unwritten.  Called before a round, so a round never grows the
+        buffer under the rows its tasks and dense rules hold."""
+        client_ids = list(client_ids)
+        self.reserve(client_ids)
+        new = [cid for cid in dict.fromkeys(client_ids)
+               if cid not in self._slot]
+        for cid in new:
+            self._slot[cid] = len(self._slot)
+        return new
 
     def put(self, client_id: int, buffer: np.ndarray) -> None:
-        """Copy a client's weight buffer into its row."""
+        """Copy a client's personalized weights into its row (a new
+        row's other planes stay unwritten)."""
         if buffer.shape != (self.layout.num_params,):
             raise ValueError(
                 f"client {client_id}: buffer shape {buffer.shape} does "
                 f"not match layout with {self.layout.num_params} params")
-        # Resolve the row before subscripting: _ensure_row may replace
-        # self._rows with a grown buffer.
-        slot = self._ensure_row(client_id)
-        self._rows[slot, :] = buffer
+        self.assign([client_id])
+        self.rows.personal[self._slot[client_id]] = buffer
+
+    def planes(self) -> dict[str, np.ndarray]:
+        """Each plane's rows in use, plus ``ids``: row ``i`` belongs to
+        client ``ids[i]`` (what a checkpoint saves)."""
+        ids = np.array(sorted(self._slot, key=self._slot.get), np.int64)
+        rows = self.rows or [np.empty((0, width), self.layout.dtype)
+                             for width in self._widths()]
+        return {"ids": ids, **{name: plane[:len(self)] for name, plane
+                               in zip(RegistryRows._fields, rows)}}
+
+    def restore(self, planes: Mapping[str, np.ndarray]) -> None:
+        """Replace every row with :meth:`planes` output."""
+        self._slot = {}
+        self.assign(int(cid) for cid in planes["ids"])
+        for name, plane in zip(RegistryRows._fields, self.rows or ()):
+            plane[:len(self)] = planes[name]
 
 
 class VirtualClientFleet:

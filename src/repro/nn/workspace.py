@@ -45,8 +45,8 @@ dropped.  An array a forward returns is valid only until the next
 request for its key, of any batch length.  A workspace is
 **process-local**: it is excluded from model pickling (a fresh empty
 arena is rebuilt on unpickle and on :meth:`Model.clone`), never appears
-in defense ``export_state`` payloads, checkpoints, or executor
-task/result messages, and attempting to pickle one directly raises
+in registry rows, checkpoints, or executor task/result
+messages, and attempting to pickle one directly raises
 ``TypeError``.  Forked executor workers inherit the parent's arena
 pages copy-on-write and then fill their own private copies — scratch
 contents never travel between processes.

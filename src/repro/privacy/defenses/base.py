@@ -9,20 +9,22 @@ FL message flow at four points:
   (DINAR obfuscates, LDP/WDP add noise, GC compresses, SA masks);
 * ``on_aggregate``       — server finishes aggregation
   (CDP adds central noise);
-* ``on_round_start``     — per-round setup (SA negotiates pairwise
-  masks for the selected cohort).
+* ``on_round_start``     — per-round setup (SA records the cohort its
+  pairwise masks derive from); a parallel worker replays it before its
+  first task of the round, so run-wide accounting reads the parent's
+  instance.
 
-Per-client state (DINAR's stored private layers, SA's masks) is keyed
-by client id inside the defense object.  ``make_optimizer`` lets a
-defense impose its own local-training optimizer (DINAR's adaptive
-gradient descent); returning None keeps the experiment default.
+``make_optimizer`` lets a defense impose its own local-training
+optimizer (DINAR's adaptive gradient descent); returning None keeps
+the experiment default.
 
-The export/import state hooks make that keyed state explicit so the
-round executor (see ``repro.fl.executor``) can ship exactly one
-client's slice of it into a worker process and merge the post-round
-slice back — the defense object itself is never synchronized across
-processes.  The default hooks carry nothing, which is correct for any
-stateless defense.
+A defense keeps no per-client state of its own: it declares a row
+width (``state_width``) and each client owns a row of that many values
+in the executor's registry (DINAR's stored layers, GC's residual),
+shared with the worker that trains the client.  ``init_state`` fills a
+new client's row; both client-side hooks receive the row as ``state``,
+and ``on_send_update`` rewrites it in place (``state=None`` keeps
+nothing).
 
 Defenses that transform a round *delta* (CDP, WDP, GC, LaDP) read the
 round's global model from the hook argument ``global_weights``: the
@@ -40,13 +42,12 @@ gradient vector directly — see *The parameter plane* in
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
 from repro.nn.model import Model
 from repro.nn.optim import Optimizer
-from repro.nn.store import WeightStore
+from repro.nn.store import Layout, WeightStore
 
 
 class Defense:
@@ -73,14 +74,16 @@ class Defense:
                        rng: np.random.Generator) -> None:
         """Per-round setup before any client trains."""
 
-    def on_receive_global(self, client_id: int,
-                          weights: WeightStore) -> WeightStore:
+    def on_receive_global(self, client_id: int, weights: WeightStore,
+                          state: np.ndarray | None = None
+                          ) -> WeightStore:
         """Transform the downloaded global model for one client."""
         return weights
 
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
         """Transform the update a client is about to upload.
 
         ``global_weights`` is the global model the client received,
@@ -109,15 +112,14 @@ class Defense:
         """
         return None
 
-    # ------------------------------------------------------------------
-    # executor state protocol
-    # ------------------------------------------------------------------
-    def export_client_state(self, client_id: int) -> Any:
-        """Picklable snapshot of one client's defense state (or None)."""
-        return None
+    def state_width(self, layout: Layout) -> int:
+        """Values in one client's state row; 0 keeps none."""
+        return 0
 
-    def import_client_state(self, client_id: int, state: Any) -> None:
-        """Install one client's defense state; None clears it."""
+    def init_state(self, state: np.ndarray,
+                   global_weights: WeightStore) -> None:
+        """Fill a new client's state row from the round's global model,
+        so the hooks behave exactly as for a client with no history."""
 
     def upload_nbytes(self, weights: WeightStore,
                       global_weights: WeightStore) -> int:
@@ -132,7 +134,7 @@ class Defense:
         return dense_nbytes(weights)
 
     def state_bytes(self) -> int:
-        """Extra bytes this defense keeps alive (Table 3 memory column)."""
+        """Extra bytes kept alive besides the state rows (Table 3)."""
         return 0
 
     def describe(self) -> str:

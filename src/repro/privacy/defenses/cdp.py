@@ -50,7 +50,8 @@ class CentralDP(Defense):
 
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
         """Bound this client's influence (server-enforced clipping).
 
         In the CDP threat model the server is trusted, so the clipping

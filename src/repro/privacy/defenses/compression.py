@@ -10,14 +10,15 @@ between original and compressed gradients").
 
 Store-native: the round delta *is* a flat vector on the weight plane,
 so sparsification works directly on the store buffer — no flatten /
-unflatten round-trips — and residuals are plain flat vectors.
+unflatten round-trips — and a client's residual is its state row, one
+value per parameter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.store import WeightStore
+from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -31,45 +32,40 @@ class GradientCompression(Defense):
             raise ValueError(
                 f"keep_ratio must be in (0, 1], got {keep_ratio}")
         self.keep_ratio = keep_ratio
-        self._residuals: dict[int, np.ndarray] = {}
+
+    def state_width(self, layout: Layout) -> int:
+        return layout.num_params
+
+    def init_state(self, state: np.ndarray,
+                   global_weights: WeightStore) -> None:
+        # -0.0 is the exact additive identity (x + -0.0 == x for every
+        # x, signed zeros included): a new client's first delta passes
+        # through bit for bit.
+        state.fill(-0.0)
 
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
         delta = weights - global_weights
         flat = delta.buffer
-        residual = self._residuals.get(client_id)
-        if residual is not None:
-            flat += residual
+        if state is not None:
+            flat += state
         k = max(1, int(self.keep_ratio * flat.size))
         view = global_weights.layout.segmented()
         keep_idx = view.top_k_indices(flat, k)
         sparse = np.zeros_like(flat)
         sparse[keep_idx] = flat[keep_idx]
-        self._residuals[client_id] = flat - sparse
+        if state is not None:
+            np.subtract(flat, sparse, out=state)
         return WeightStore(global_weights.layout,
                            global_weights.buffer + sparse)
-
-    # ------------------------------------------------------------------
-    # executor state protocol
-    # ------------------------------------------------------------------
-    def export_client_state(self, client_id: int):
-        return self._residuals.get(client_id)
-
-    def import_client_state(self, client_id: int, state) -> None:
-        if state is None:
-            self._residuals.pop(client_id, None)
-        else:
-            self._residuals[client_id] = state
 
     def upload_nbytes(self, weights: WeightStore,
                       global_weights: WeightStore) -> int:
         """GC transmits the sparse delta, not the dense model."""
         from repro.fl.network import sparse_nbytes
         return sparse_nbytes(weights, global_weights)
-
-    def state_bytes(self) -> int:
-        return sum(r.nbytes for r in self._residuals.values())
 
     def describe(self) -> str:
         return f"gc(keep={self.keep_ratio})"

@@ -139,10 +139,9 @@ class LayerwiseDP(Defense):
     def _resolve_plan(self, layout) -> None:
         """Fix the per-segment (epsilon, clip, sigma) schedule.
 
-        Deterministic from the layout alone, so a forked worker that
-        never ran ``on_round_start`` resolves the parent's plan from
-        the received global model's layout — no plan data crosses the
-        IPC boundary.
+        Deterministic from the layout alone, so an instance that never
+        ran ``on_round_start`` resolves the same plan from the received
+        global model's layout — no plan data crosses the IPC boundary.
         """
         view = layout.segmented()
         shares = self._layer_shares(len(view))
@@ -184,13 +183,15 @@ class LayerwiseDP(Defense):
     def on_round_start(self, round_index, client_ids, template,
                        rng) -> None:
         self._resolve_plan(template.layout)
+        self._noise_buffer_bytes = template.nbytes
         self.accountant.spend(self.epsilon / math.sqrt(self.rounds),
                               self.delta)
 
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
-        if self._plan is None:  # a forked worker: never ran round start
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
+        if self._plan is None:  # called without a round start
             self._resolve_plan(global_weights.layout)
         delta = weights - global_weights
         view = delta.layout.segmented()
@@ -203,7 +204,6 @@ class LayerwiseDP(Defense):
                                    entry["clip"] / norm)
             view.segment_add_gaussian(delta.buffer, seg, rng,
                                       entry["sigma"])
-        self._noise_buffer_bytes = delta.nbytes
         return global_weights + delta
 
     def state_bytes(self) -> int:

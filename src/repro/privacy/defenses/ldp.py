@@ -58,14 +58,17 @@ class LocalDP(Defense):
         self._optimizers = 0
         self._state_bytes = 0
 
-    def make_optimizer(self, model: Model, lr: float,
-                       rng: np.random.Generator | None = None) -> Optimizer:
-        self._optimizers += 1
+    def on_round_start(self, round_index, client_ids, template,
+                       rng) -> None:
         # Per-parameter noise buffers live alongside the model, which is
         # what drives the paper's DP memory overhead — scaled by the
         # model's compute precision.
-        self._state_bytes = (2 * model.num_parameters()
-                             * model.dtype.itemsize)
+        self._state_bytes = (2 * template.layout.num_trainable
+                             * template.layout.dtype.itemsize)
+
+    def make_optimizer(self, model: Model, lr: float,
+                       rng: np.random.Generator | None = None) -> Optimizer:
+        self._optimizers += 1
         if rng is None:
             # Legacy standalone path: a fresh counter-derived stream.
             # FL rounds pass the client's (round, client) stream instead

@@ -15,7 +15,9 @@ is exactly as attackable as the no-defense baseline.
 Store-native: each mask is one flat vector over the weight plane,
 drawn in a single PRG call that consumes the pair stream in layout
 order — the same values the legacy per-array loop drew — and applied
-as one vectorized add.
+as one vectorized add.  Nothing per-client is stored: a client's mask
+is a pure function of (round, sorted cohort, client id), derived in
+whichever process trains the client.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class SecureAggregation(Defense):
     # it into the sum: a missing client leaves its partners' masks
     # un-cancelled and the aggregate silently corrupt.  Declaring it
     # lets the fleet plane reject dropout configs before any mask is
-    # ever negotiated.
+    # ever drawn.
     requires_full_cohort = True
 
     def __init__(self, *, mask_scale: float = 50.0) -> None:
@@ -46,58 +48,56 @@ class SecureAggregation(Defense):
             raise ValueError(f"mask_scale must be positive, "
                              f"got {mask_scale}")
         self.mask_scale = mask_scale
-        self._masks: dict[int, np.ndarray] = {}
+        #: The current round and its sorted cohort.
+        self._round: tuple[int, tuple[int, ...]] | None = None
 
     def on_round_start(self, round_index: int, client_ids: Sequence[int],
                        template: WeightStore,
                        rng: np.random.Generator) -> None:
-        """Negotiate pairwise masks for this round's cohort.
+        """Record the round's cohort: every client derives its masks
+        from it, wherever it trains."""
+        self._round = (int(round_index), tuple(sorted(client_ids)))
 
-        The per-pair PRG seed models the Diffie-Hellman shared secret of
-        the real protocol; both endpoints derive the same mask and apply
-        it with opposite signs, so the cohort-wide sum is exactly zero.
+    def client_mask(self, client_id: int, num_params: int,
+                    dtype: np.dtype) -> np.ndarray:
+        """One client's sum of pairwise masks for the current round.
+
+        Both endpoints of pair ``(i, j)``, ``i < j``, draw its mask from
+        a per-pair seed (the real protocol's Diffie-Hellman secret);
+        ``i`` adds it and ``j`` subtracts it, so the cohort's masks sum
+        to zero.  Lower ids come first, as in a loop over every pair of
+        the sorted cohort, which keeps that loop's bits.
         """
-        num_params = template.layout.num_params
-        dtype = template.layout.dtype
-        self._masks = {
-            cid: np.zeros(num_params, dtype=dtype) for cid in client_ids
-        }
-        ids = sorted(client_ids)
-        for pos, i in enumerate(ids):
-            for j in ids[pos + 1:]:
-                pair_rng = np.random.default_rng(
-                    (int(round_index), int(i), int(j)))
-                pair_mask = standard_normal(pair_rng, num_params, dtype)
-                pair_mask *= self.mask_scale
-                self._masks[i] += pair_mask
-                self._masks[j] -= pair_mask
-
-    def on_send_update(self, client_id: int, weights: WeightStore,
-                       global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
-        """Transmit ``num_samples * weights + mask`` (pre-weighted)."""
-        if client_id not in self._masks:
+        if self._round is None or client_id not in self._round[1]:
             raise RuntimeError(
                 f"client {client_id} has no mask for this round; "
                 "on_round_start must run first")
+        round_index, cohort = self._round
+        mask = np.zeros(num_params, dtype=dtype)
+        for other in cohort:
+            if other == client_id:
+                continue
+            low, high = sorted((other, client_id))
+            pair_rng = np.random.default_rng(
+                (round_index, int(low), int(high)))
+            pair_mask = standard_normal(pair_rng, num_params, dtype)
+            pair_mask *= self.mask_scale
+            if other < client_id:
+                mask -= pair_mask
+            else:
+                mask += pair_mask
+        return mask
+
+    def on_send_update(self, client_id: int, weights: WeightStore,
+                       global_weights: WeightStore, num_samples: int,
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
+        """Transmit ``num_samples * weights + mask`` (pre-weighted)."""
+        mask = self.client_mask(client_id, weights.layout.num_params,
+                                weights.layout.dtype)
         masked = weights * float(num_samples)
-        masked.buffer += self._masks[client_id]
+        masked.buffer += mask
         return masked
-
-    # ------------------------------------------------------------------
-    # executor state protocol: a client's state is its round mask
-    # ------------------------------------------------------------------
-    def export_client_state(self, client_id: int):
-        return self._masks.get(client_id)
-
-    def import_client_state(self, client_id: int, state) -> None:
-        if state is None:
-            self._masks.pop(client_id, None)
-        else:
-            self._masks[client_id] = state
-
-    def state_bytes(self) -> int:
-        return sum(mask.nbytes for mask in self._masks.values())
 
     def describe(self) -> str:
         return f"sa(mask_scale={self.mask_scale})"

@@ -40,14 +40,19 @@ class WeakDP(Defense):
         self.sigma = sigma
         self._noise_buffer_bytes = 0
 
+    def on_round_start(self, round_index, client_ids, template,
+                       rng) -> None:
+        # one noise buffer the size of the model
+        self._noise_buffer_bytes = template.nbytes
+
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
-                       rng: np.random.Generator) -> WeightStore:
+                       rng: np.random.Generator,
+                       state: np.ndarray | None = None) -> WeightStore:
         delta = weights - global_weights
         bounded = clip_store(delta, self.norm_bound)
         bounded.buffer += gaussian(rng, self.sigma, bounded.num_params,
                                    bounded.buffer.dtype)
-        self._noise_buffer_bytes = bounded.nbytes
         return global_weights + bounded
 
     def state_bytes(self) -> int:

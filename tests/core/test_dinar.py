@@ -19,6 +19,11 @@ def _filled(template, value):
     return out
 
 
+def _row(defense, template):
+    """A client's empty state row, as the registry allocates it."""
+    return np.full(defense.state_width(template.layout), np.nan)
+
+
 class TestObfuscation:
     """Algorithm 1, lines 15-17."""
 
@@ -37,9 +42,9 @@ class TestObfuscation:
 
     def test_raw_layer_stored_client_side(self, template, rng):
         defense = DINAR(private_layer=-2)
-        defense.on_send_update(0, template, template, 10, rng)
-        stored = defense._stored[0][1]
-        assert np.array_equal(stored, template.layer_flat(1))
+        state = _row(defense, template)
+        defense.on_send_update(0, template, template, 10, rng, state)
+        assert np.array_equal(state, template.layer_flat(1))
 
     def test_obfuscation_scale(self, template):
         small = DINAR(private_layer=0, obfuscation_scale=1e-6)
@@ -49,11 +54,11 @@ class TestObfuscation:
 
     def test_per_client_isolation(self, template, rng):
         defense = DINAR(private_layer=0)
-        defense.on_send_update(0, template, template, 10, rng)
+        rows = [_row(defense, template) for _ in range(2)]
+        defense.on_send_update(0, template, template, 10, rng, rows[0])
         defense.on_send_update(1, template + _filled(template, 1.0),
-                               template, 10, rng)
-        assert not np.array_equal(defense._stored[0][0],
-                                  defense._stored[1][0])
+                               template, 10, rng, rows[1])
+        assert not np.array_equal(rows[0], rows[1])
 
 
 class TestPersonalization:
@@ -64,21 +69,32 @@ class TestPersonalization:
         received = defense.on_receive_global(0, template)
         assert received is template  # nothing stored yet
 
+    def test_first_round_restores_the_global_layer(self, template):
+        """A new client's row holds the global's own layer, so the
+        personalized model equals the global bit for bit."""
+        defense = DINAR(private_layer=-2)
+        state = _row(defense, template)
+        defense.init_state(state, template)
+        received = defense.on_receive_global(0, template, state)
+        assert received.buffer.tobytes() == template.buffer.tobytes()
+
     def test_private_layer_restored(self, template, rng):
         defense = DINAR(private_layer=-2)
-        defense.on_send_update(0, template, template, 10, rng)
+        state = _row(defense, template)
+        defense.on_send_update(0, template, template, 10, rng, state)
         obfuscated_global = _filled(template, 9.0)
-        received = defense.on_receive_global(0, obfuscated_global)
+        received = defense.on_receive_global(0, obfuscated_global, state)
         assert np.array_equal(received.view(1, "W"), template.view(1, "W"))
         assert np.all(received.view(0, "W") == 9.0)  # global for other layers
 
     def test_clients_get_their_own_layer_back(self, template, rng):
         defense = DINAR(private_layer=0)
         other = template * 2
-        defense.on_send_update(0, template, template, 10, rng)
-        defense.on_send_update(1, other, other, 10, rng)
-        r0 = defense.on_receive_global(0, template)
-        r1 = defense.on_receive_global(1, template)
+        rows = [_row(defense, template) for _ in range(2)]
+        defense.on_send_update(0, template, template, 10, rng, rows[0])
+        defense.on_send_update(1, other, other, 10, rng, rows[1])
+        r0 = defense.on_receive_global(0, template, rows[0])
+        r1 = defense.on_receive_global(1, template, rows[1])
         assert np.array_equal(r0.view(0, "W"), template.view(0, "W"))
         assert np.array_equal(r1.view(0, "W"), other.view(0, "W"))
 
@@ -118,9 +134,10 @@ class TestMultiLayer:
 
     def test_all_protected_layers_restored(self, template, rng):
         defense = DINAR(private_layer=0, extra_layers=(1,))
-        defense.on_send_update(0, template, template, 10, rng)
+        state = _row(defense, template)
+        defense.on_send_update(0, template, template, 10, rng, state)
         garbage = _filled(template, 5.0)
-        received = defense.on_receive_global(0, garbage)
+        received = defense.on_receive_global(0, garbage, state)
         assert np.array_equal(received.view(0, "W"), template.view(0, "W"))
         assert np.array_equal(received.view(1, "W"), template.view(1, "W"))
         assert np.all(received.view(2, "W") == 5.0)
@@ -141,10 +158,15 @@ class TestValidation:
             DINAR(obfuscation_scale=0.0)
 
     def test_state_bytes_tracks_stored_layers(self, template, rng):
-        defense = DINAR(private_layer=0)
+        """The stored layers are the state row; the defense itself
+        keeps nothing besides."""
+        defense = DINAR(private_layer=0, extra_layers=(2,))
+        layout = template.layout
+        assert defense.state_width(layout) == (
+            template.layer_flat(0).size + template.layer_flat(2).size)
+        defense.on_send_update(0, template, template, 10, rng,
+                               _row(defense, template))
         assert defense.state_bytes() == 0
-        defense.on_send_update(0, template, template, 10, rng)
-        assert defense.state_bytes() == template.layer_flat(0).nbytes
 
 
 class TestInitialization:

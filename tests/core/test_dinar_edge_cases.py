@@ -42,10 +42,11 @@ def test_gaussian_noise_uses_fixed_scale(template, rng):
 
 def test_no_personalize_mode_keeps_global(template, rng):
     defense = DINAR(private_layer=0, personalize=False)
-    defense.on_send_update(0, template, template, 10, rng)
+    state = np.empty(defense.state_width(template.layout))
+    defense.on_send_update(0, template, template, 10, rng, state)
     garbage = template.zeros_like()
     garbage.buffer[:] = 9.0
-    received = defense.on_receive_global(0, garbage)
+    received = defense.on_receive_global(0, garbage, state)
     assert np.all(received.view(0, "W") == 9.0)  # nothing restored
 
 
@@ -56,9 +57,10 @@ def test_describe_mentions_extras():
 
 def test_repeated_rounds_update_stored_layer(template, rng):
     defense = DINAR(private_layer=0)
-    defense.on_send_update(0, template, template, 10, rng)
+    state = np.empty(defense.state_width(template.layout))
+    defense.on_send_update(0, template, template, 10, rng, state)
     newer = template.copy()
     newer.buffer += 1.0
-    defense.on_send_update(0, newer, newer, 10, rng)
-    restored = defense.on_receive_global(0, template)
+    defense.on_send_update(0, newer, newer, 10, rng, state)
+    restored = defense.on_receive_global(0, template, state)
     assert np.array_equal(restored.view(0, "W"), newer.view(0, "W"))

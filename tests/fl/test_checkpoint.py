@@ -51,20 +51,63 @@ def test_roundtrip_restores_personal_weights(make_sim, tmp_path):
         assert sim.registry[cid].allclose(fresh.registry[cid], atol=0.0)
 
 
+def _assert_planes_equal(sim, fresh):
+    """Every registry plane of ``fresh`` equals ``sim``'s bitwise."""
+    saved, restored = sim.registry.planes(), fresh.registry.planes()
+    assert saved.keys() == restored.keys()
+    for name in saved:
+        assert restored[name].dtype == saved[name].dtype
+        assert restored[name].shape == saved[name].shape
+        assert restored[name].tobytes() == saved[name].tobytes(), name
+
+
 def test_roundtrip_restores_dinar_state(make_sim, tmp_path):
     sim = make_sim(DINAR(private_layer=-2))
     sim.run()
     save_checkpoint(sim, tmp_path / "ckpt")
     fresh = make_sim(DINAR(private_layer=-2))
     load_checkpoint(fresh, tmp_path / "ckpt")
-    assert sorted(fresh.defense._stored) == sorted(sim.defense._stored)
-    for client_id, layers in sim.defense._stored.items():
-        restored = fresh.defense._stored[client_id]
-        assert sorted(restored) == sorted(layers)
-        for idx, flat in layers.items():
-            assert restored[idx].dtype == flat.dtype
-            assert restored[idx].tobytes() == flat.tobytes()
-    assert fresh.defense.state_bytes() == sim.defense.state_bytes()
+    # DINAR's stored layers are the registry's state plane
+    assert sim.registry.state_width \
+        == sim.server.global_weights.layer_flat(1).size
+    _assert_planes_equal(sim, fresh)
+    for cid in sim.registry:
+        assert fresh.registry.row(cid) == sim.registry.row(cid)
+
+
+@pytest.mark.parametrize("name", ["gc", "dinar"])
+def test_roundtrip_restores_every_plane(make_sim, tmp_path, name):
+    """Saved after round 1, a fresh simulation holds the same
+    personalized weights, last uploads and defense state rows."""
+    from repro.privacy.defenses.make import make_defense_for_config
+    config = FLConfig(num_clients=3, rounds=2, seed=0)
+    sim = make_sim(make_defense_for_config(name, config))
+    sim.run_round(0)
+    assert sim.registry.state_width > 0
+    save_checkpoint(sim, tmp_path / "ckpt")
+    fresh = make_sim(make_defense_for_config(name, config))
+    load_checkpoint(fresh, tmp_path / "ckpt")
+    _assert_planes_equal(sim, fresh)
+    assert sorted(fresh.last_updates) == sorted(sim.last_updates)
+
+
+def test_missing_array_or_truncated_meta_raises(make_sim, tmp_path):
+    sim = make_sim(DINAR(private_layer=-2))
+    sim.run_round(0)
+    directory = save_checkpoint(sim, tmp_path / "ckpt")
+    meta = (directory / "meta.json").read_text()
+    (directory / "meta.json").write_text(meta[:len(meta) // 2])
+    with pytest.raises(ValueError, match="meta.json"):
+        load_checkpoint(make_sim(DINAR(private_layer=-2)), directory)
+
+    directory = save_checkpoint(sim, tmp_path / "ckpt2")
+    planes = sim.registry.planes()
+    del planes["state"]
+    np.savez(directory / "registry.npz", **planes)
+    fresh = make_sim(DINAR(private_layer=-2))
+    with pytest.raises(ValueError, match="state"):
+        load_checkpoint(fresh, directory)
+    assert len(fresh.registry) == 0
 
 
 @pytest.mark.parametrize("hidden", [(2, 66), (8,)],
@@ -83,8 +126,8 @@ def test_load_rejects_other_architecture(make_sim, tmp_path, hidden):
     buffer_before = global_before.buffer.copy()
     personal_before = {cid: other.registry.get(cid).buffer.copy()
                        for cid in other.registry.client_ids()}
-    stored_before = {cid: dict(layers) for cid, layers
-                     in other.defense._stored.items()}
+    planes_before = {name: plane.copy() for name, plane
+                     in other.registry.planes().items()}
 
     with pytest.raises(ValueError, match="layout"):
         load_checkpoint(other, tmp_path / "ckpt")
@@ -94,11 +137,8 @@ def test_load_rejects_other_architecture(make_sim, tmp_path, hidden):
     assert other.registry.client_ids() == sorted(personal_before)
     for cid, buffer in personal_before.items():
         assert np.array_equal(other.registry.get(cid).buffer, buffer)
-    assert other.defense._stored.keys() == stored_before.keys()
-    for cid, layers in stored_before.items():
-        assert other.defense._stored[cid].keys() == layers.keys()
-        for idx, flat in layers.items():
-            assert other.defense._stored[cid][idx] is flat
+    for name, plane in other.registry.planes().items():
+        assert np.array_equal(plane, planes_before[name])
 
 
 def test_restored_simulation_continues_identically(make_sim, tmp_path):

@@ -50,12 +50,12 @@ class TestFLClient:
         calls = []
 
         class Spy(Defense):
-            def on_receive_global(self, client_id, weights):
+            def on_receive_global(self, client_id, weights, state=None):
                 calls.append("receive")
                 return weights
 
             def on_send_update(self, client_id, weights, global_weights,
-                               num_samples, rng_):
+                               num_samples, rng_, state=None):
                 calls.append("send")
                 return weights
 

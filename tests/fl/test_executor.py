@@ -208,14 +208,15 @@ class TestBitwiseIdentity:
 
 
 # ----------------------------------------------------------------------
-# registry writes: the simulation is the only writer
+# registry writes: each task writes its client's rows in place
 # ----------------------------------------------------------------------
 
 class TestRegistryWriter:
     def test_workers_never_put(self, small_split, tiny_model_factory,
                                monkeypatch, tmp_path):
-        """A forked worker inherits the spy, so a put in any worker
-        would log that worker's pid."""
+        """No process copies a result into the registry: a forked
+        worker inherits the spy, so a put in any process would log
+        that process's pid — and the rows still match serial."""
         if not shm_available():
             pytest.skip("shared memory unavailable on this platform")
         log = tmp_path / "put_pids"
@@ -230,33 +231,66 @@ class TestRegistryWriter:
         sim, _ = _run(small_split, tiny_model_factory, DINAR(),
                       workers=2)
         assert isinstance(sim.executor, ParallelExecutor)
-        pids = log.read_text().split()
-        # 4 clients x 3 rounds, one put into each of the two registries
-        assert len(pids) == 24
-        assert set(pids) == {str(os.getpid())}
+        assert not log.exists()
+        serial, _ = _run(small_split, tiny_model_factory, DINAR(),
+                         workers=0)
+        for name, plane in serial.registry.planes().items():
+            assert plane.tobytes() \
+                == sim.registry.planes()[name].tobytes(), name
 
-    def test_one_put_per_registry_per_completing_client(
-            self, small_split, tiny_model_factory, monkeypatch):
+    def test_rows_assigned_to_exactly_the_completion_set(
+            self, small_split, tiny_model_factory):
+        """Rows go to the completing clients before the round, in
+        completion order, and the round fills every plane of them."""
         sim = FederatedSimulation(
             small_split, tiny_model_factory,
             FLConfig(num_clients=4, rounds=1, local_epochs=1, seed=5,
-                     completion_threshold=0.75))
-        puts = []
-        put = PersonalWeightsRegistry.put
-
-        def spy(self, client_id, buffer):
-            assert not np.shares_memory(buffer, self._rows), (
-                f"client {client_id}: put from the target buffer")
-            puts.append((id(self), client_id))
-            put(self, client_id, buffer)
-
-        monkeypatch.setattr(PersonalWeightsRegistry, "put", spy)
+                     completion_threshold=0.75), DINAR())
         record = sim.run_round(0)
         assert record.completed == [0, 1, 2]
-        for registry in (sim.registry, sim.last_updates):
-            assert sorted(cid for owner, cid in puts
-                          if owner == id(registry)) == record.completed
-        assert len(puts) == 2 * len(record.completed)
+        assert [sim.registry.row(cid) for cid in record.completed] \
+            == [0, 1, 2]
+        planes = sim.registry.planes()
+        assert planes["ids"].tolist() == record.completed
+        for name in ("personal", "uploads", "state"):
+            assert np.isfinite(planes[name]).all(), name
+        assert sim.last_updates.keys() == sim.registry.keys()
+
+
+class TestDefenseStateRows:
+    @pytest.mark.parametrize("workers", [0, 2],
+                             ids=["serial", "shm"])
+    def test_byzantine_dinar_restores_its_corrupted_layer(
+            self, small_split, tiny_model_factory, workers):
+        """DINAR stores layer p from the outbound weights, which a
+        Byzantine client has already corrupted: its round-2
+        personalized layer p is its round-1 *corrupted* layer, not
+        the layer of its personal row."""
+        if workers and not shm_available():
+            pytest.skip("shared memory unavailable on this platform")
+        from repro.fl.behavior import behavior_rng
+        config = FLConfig(num_clients=4, rounds=2, local_epochs=1,
+                          lr=0.1, batch_size=32, seed=5, workers=workers,
+                          adversary="byzantine", adversary_fraction=0.5)
+        sim = FederatedSimulation(small_split, tiny_model_factory,
+                                  config, DINAR())
+        start = sim.server.global_weights.copy()
+        try:
+            sim.run_round(0)
+        finally:
+            sim.executor.close()
+        adversary = min(sim.behavior.adversaries)
+        personal = sim.registry[adversary].copy()
+        corrupted = sim.behavior.corrupt_update(
+            adversary, personal, start, behavior_rng(5, 0, adversary))
+        p = sim.defense.protected_indices(personal.layout.num_layers)[0]
+        state = sim.registry.rows.state[sim.registry.row(adversary)]
+        assert np.array_equal(state, corrupted.layer_flat(p))
+        assert not np.array_equal(state, personal.layer_flat(p))
+        received = sim.defense.on_receive_global(
+            adversary, sim.server.global_weights, state)
+        assert np.array_equal(received.layer_flat(p),
+                              corrupted.layer_flat(p))
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +301,7 @@ class _ExplodingDefense(Defense):
     """Raises a normal exception inside one client's upload hook."""
 
     def on_send_update(self, client_id, weights, global_weights,
-                       num_samples, rng):
+                       num_samples, rng, state=None):
         if client_id == 1:
             raise ValueError("boom")
         return weights
@@ -277,7 +311,7 @@ class _DyingDefense(Defense):
     """Kills the worker process hard inside one client's upload hook."""
 
     def on_send_update(self, client_id, weights, global_weights,
-                       num_samples, rng):
+                       num_samples, rng, state=None):
         if client_id == 1:
             os._exit(13)
         return weights

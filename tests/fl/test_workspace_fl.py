@@ -57,9 +57,11 @@ def test_defense_export_state_pickles_without_workspace(
                       batch_size=32, seed=0)
     defense = make_defense_for_config(name, config)
     sim = _run_warm(make_sim, defense)
-    # a workspace anywhere in these payloads would make dumps() raise
-    for cid in range(sim.config.num_clients):
-        pickle.dumps(sim.defense.export_client_state(cid))
+    # a defense's per-client state is its registry rows, exported as
+    # plain arrays; a workspace anywhere in them, or in the defense a
+    # worker inherits, would make dumps() raise
+    pickle.dumps(sim.registry.planes())
+    pickle.dumps(sim.defense)
 
 
 def test_checkpoint_files_hold_no_workspace(make_sim, tmp_path):
@@ -84,12 +86,13 @@ def test_executor_payloads_pickle_with_warm_arenas(make_sim):
         round_index=len(sim.history.records),
         client_id=0,
         global_buffer=sim.server.global_weights.buffer.copy(),
-        client_state=sim.defense.export_client_state(0),
+        row=sim.registry.row(0),
+        cohort=(0, 1, 2),
     )
     restored = pickle.loads(pickle.dumps(task))
     layout = sim.server.global_weights.layout
-    result = execute_client_task(sim.fleet.materialize(0), sim.defense,
-                                 layout, restored)
+    result = execute_client_task(sim.fleet, sim.defense, layout, restored,
+                                 sim.registry.rows)
     # the worker->parent payload must also cross clean
     pickle.loads(pickle.dumps(result))
 

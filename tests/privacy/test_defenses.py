@@ -95,10 +95,20 @@ class TestLocalDP:
         loose = LocalDP(epsilon=10.0, sample_rate=0.1, steps=100)
         assert tight.noise_multiplier > loose.noise_multiplier
 
-    def test_state_bytes_after_optimizer(self, tiny_model):
+    @pytest.mark.parametrize("name,shape", [
+        ("fcnn", (20,)), ("vgg", (3, 8, 8)), ("resnet", (3, 8, 8)),
+        ("audio", (1, 64))])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_state_bytes_from_round_layout(self, name, shape, dtype, rng):
+        """The noise buffers are sized from the round's layout, as the
+        model's trainable parameters: batch-norm running statistics
+        are not trained and get no noise buffer."""
+        from repro.models.registry import build_model
+        model = build_model(name, shape, 4, rng, dtype=dtype)
         defense = LocalDP(noise_multiplier=1.0)
-        defense.make_optimizer(tiny_model, 0.1)
-        assert defense.state_bytes() > 0
+        defense.on_round_start(0, [0], model.get_store(), rng)
+        assert defense.state_bytes() == (
+            2 * model.num_parameters() * model.dtype.itemsize)
 
 
 class TestCentralDP:
@@ -148,10 +158,34 @@ class TestGradientCompression:
         """Coordinates dropped in round 1 are carried into round 2."""
         defense = GradientCompression(keep_ratio=0.01)
         update = _shifted(template, 0.01)
-        defense.on_send_update(0, update, template, 10, rng)
-        assert defense.state_bytes() > 0
-        residual = defense._residuals[0]
+        residual = np.empty(defense.state_width(template.layout))
+        defense.init_state(residual, template)
+        first = defense.on_send_update(0, update, template, 10, rng,
+                                       residual)
         assert np.abs(residual).sum() > 0
+        # the residual is what the sparse upload left out...
+        np.testing.assert_allclose(
+            (first - template).buffer + residual, (update - template).buffer)
+        # ...and it rides on the next round's delta
+        second = defense.on_send_update(0, template, template, 10, rng,
+                                        residual.copy())
+        assert np.count_nonzero((second - template).buffer) > 0
+
+    def test_fresh_row_is_bitwise_stateless(self, template, rng):
+        """A new client's row changes nothing: -0.0 is the additive
+        identity, signed zeros included."""
+        defense = GradientCompression(keep_ratio=0.1)
+        residual = np.empty(defense.state_width(template.layout))
+        defense.init_state(residual, template)
+        delta = rng.standard_normal(template.num_params)
+        delta[:2] = (-0.0, 0.0)
+        assert (delta + residual).tobytes() == delta.tobytes()
+        update = _shifted(template, delta)
+        with_row = defense.on_send_update(
+            0, update, template, 10, np.random.default_rng(0), residual)
+        without = defense.on_send_update(
+            0, update, template, 10, np.random.default_rng(0))
+        assert with_row.buffer.tobytes() == without.buffer.tobytes()
 
     def test_full_keep_is_lossless(self, template, rng):
         defense = GradientCompression(keep_ratio=1.0)
@@ -198,10 +232,27 @@ class TestSecureAggregation:
         sent = defense.on_send_update(0, template, template, 1, rng)
         assert sent.allclose(template)
 
-    def test_state_bytes_nonzero_with_cohort(self, template, rng):
-        defense = SecureAggregation()
-        defense.on_round_start(0, [0, 1], template, rng)
-        assert defense.state_bytes() > 0
+    def test_masks_match_the_pairwise_loop(self, template, rng):
+        """Each client's derived mask has the bits of the loop over
+        every pair of the sorted cohort, and nothing is stored."""
+        from repro.nn.dtypes import standard_normal
+        defense = SecureAggregation(mask_scale=7.0)
+        cohort = [5, 2, 9, 4]
+        defense.on_round_start(3, cohort, template, rng)
+        n, dtype = template.num_params, template.layout.dtype
+        masks = {cid: np.zeros(n, dtype=dtype) for cid in cohort}
+        ids = sorted(cohort)
+        for pos, i in enumerate(ids):
+            for j in ids[pos + 1:]:
+                pair = standard_normal(np.random.default_rng((3, i, j)),
+                                       n, dtype)
+                pair *= 7.0
+                masks[i] += pair
+                masks[j] -= pair
+        for cid in cohort:
+            mask = defense.client_mask(cid, n, dtype)
+            assert mask.tobytes() == masks[cid].tobytes()
+        assert defense.state_bytes() == 0
 
 
 @pytest.mark.parametrize("make", [

@@ -27,10 +27,11 @@ def test_obfuscate_then_personalize_is_identity_on_p(num_layers, p_raw,
     rng = np.random.default_rng(seed)
     weights = _structure(rng, num_layers)
     defense = DINAR(private_layer=p)
-    defense.on_send_update(0, weights, weights, 10, rng)
+    state = np.empty(defense.state_width(weights.layout))
+    defense.on_send_update(0, weights, weights, 10, rng, state)
     garbage = weights.zeros_like()
     garbage.buffer[:] = 123.0
-    received = defense.on_receive_global(0, garbage)
+    received = defense.on_receive_global(0, garbage, state)
     assert np.array_equal(received.view(p, "W"), weights.view(p, "W"))
     assert np.array_equal(received.view(p, "b"), weights.view(p, "b"))
     for j in range(num_layers):

@@ -212,13 +212,14 @@ def test_obfuscation_bitwise_matches_legacy(weights, mode, seed):
         defense.obfuscation_scale)
 
     store = WeightStore.from_layers(weights)
+    state = np.empty(defense.state_width(store.layout))
     sent = defense.on_send_update(
-        0, store, store, num_samples=10, rng=np.random.default_rng(seed))
+        0, store, store, num_samples=10, rng=np.random.default_rng(seed),
+        state=state)
     assert_bitwise_equal(sent, expected)
 
     # the stored private layer is the exact pre-obfuscation content
-    for layer_idx in protected:
-        raw = np.concatenate(
-            [v.ravel() for v in weights[layer_idx].values()])
-        assert np.array_equal(defense._stored[0][layer_idx], raw)
+    raw = np.concatenate([v.ravel() for idx in protected
+                          for v in weights[idx].values()])
+    assert np.array_equal(state, raw)
 
