@@ -216,10 +216,13 @@ def _virtual_round(template, n: int):
     start = time.perf_counter()
     fleet = VirtualClientFleet(members, shards, template, config,
                                defense)
+    registry = PersonalWeightsRegistry(template.weight_layout(), defense)
+    registry.assign(cohort)
     for client_id in cohort:
         client = fleet.materialize(client_id)
-        data = client.data  # the round's lazy, transient subset
-        fleet.registry.put(client_id, client.model.weights.buffer)
+        # the round's transient subset
+        data = fleet.descriptor(client_id).materialize_data()
+        registry.put(client_id, client.model.weights.buffer)
         del data
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()

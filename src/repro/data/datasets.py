@@ -98,8 +98,11 @@ def load_dataset(name: str, rng: np.random.Generator | int | None = None, *,
         Override the generator noise (higher noise widens the
         generalization gap a model must close by memorizing).
     dtype:
-        Feature precision; the same seeded data cast to float32 or kept
-        at the float64 default.
+        Precision of continuous features (images, audio): the same
+        seeded data cast to float32 or kept at the float64 default.
+        Binary tabular features (purchase100, texas100) are stored as
+        ``bool`` at any ``dtype``; models cast them per batch at
+        ``Model.forward``.
     """
     try:
         spec = DATASET_SPECS[name]

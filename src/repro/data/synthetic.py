@@ -7,10 +7,14 @@ generator therefore produces class-prototype data with a controllable
 noise level: prototypes define the classes, noise controls how much a
 model must memorize individual samples to fit them.
 
-Every generator draws in double precision with a fixed stream layout —
-``dtype`` only casts the finished feature tensor, so float32 and float64
-datasets are the same data at different precisions (and the float64 path
-consumes the generator exactly as before the dtype knob existed).
+Every generator draws in double precision with a fixed stream layout.
+Continuous features (Gaussian tabular, images, audio) are cast to
+``dtype`` once finished, so float32 and float64 datasets are the same
+data at different precisions and the generator's stream does not
+depend on the knob.  Binary tabular features are stored as ``bool``,
+one byte per 0/1 value, whatever ``dtype`` says: a model casts a
+non-floating batch to its own dtype at ``Model.forward``, which is
+exact because 0 and 1 are exact in every float dtype.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ class Dataset:
     x:
         Features; shape ``(n, *feature_shape)`` — flat for tabular,
         ``(n, c, h, w)`` for images, ``(n, c, length)`` for audio.
+        Binary tabular features are ``bool``; continuous ones are
+        floating.  Models cast a non-floating batch at
+        ``Model.forward``, so either reaches the network the same way.
     y:
         Integer class labels, shape ``(n,)``.
     """
@@ -116,8 +123,10 @@ def synthetic_tabular(rng: np.random.Generator, n_samples: int,
 
     Each class has a random binary prototype; samples copy their class
     prototype and flip each feature independently with probability
-    ``noise``.  With ``binary=False``, Gaussian prototypes plus
-    ``noise``-scaled Gaussian perturbations are used instead.
+    ``noise``; the features are returned as ``bool`` and ``dtype`` is
+    ignored.  With ``binary=False``, Gaussian prototypes plus
+    ``noise``-scaled Gaussian perturbations are used instead, cast to
+    ``dtype``.
     """
     if n_samples < 1 or n_features < 1 or n_classes < 2:
         raise ValueError("need n_samples>=1, n_features>=1, n_classes>=2")
@@ -130,7 +139,8 @@ def synthetic_tabular(rng: np.random.Generator, n_samples: int,
         prototypes = rng.standard_normal((n_classes, n_features))
         x = prototypes[y]
         _add_noise(rng, x, noise)
-    return Dataset(name=name, x=x.astype(dtype, copy=False), y=y,
+        x = x.astype(dtype, copy=False)
+    return Dataset(name=name, x=x, y=y,
                    num_classes=n_classes, data_type="tabular")
 
 

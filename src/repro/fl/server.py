@@ -63,7 +63,9 @@ class FLServer:
         self.defense = defense
         self.rng = rng
         self.cost_meter = cost_meter or CostMeter()
-        self._momentum_buffer: WeightStore | None = None
+        #: FedAvgM's accumulated delta (None until the first momentum
+        #: round); saved by checkpoints.
+        self.momentum_buffer: WeightStore | None = None
         self._accumulator: StreamingAccumulator | None = None
         #: Client ids the last round's robust aggregator rejected
         #: outright (norm clustering); empty for coordinate-wise rules
@@ -312,8 +314,8 @@ class FLServer:
         if beta <= 0.0:
             return aggregated
         delta = aggregated - self.global_weights
-        if self._momentum_buffer is None:
-            self._momentum_buffer = delta.zeros_like()
-        self._momentum_buffer *= beta
-        self._momentum_buffer += delta
-        return self.global_weights + self._momentum_buffer
+        if self.momentum_buffer is None:
+            self.momentum_buffer = delta.zeros_like()
+        self.momentum_buffer *= beta
+        self.momentum_buffer += delta
+        return self.global_weights + self.momentum_buffer

@@ -154,8 +154,20 @@ class Model:
         overwritten in place by the next forward pass of any batch
         length.  Callers that hold results across batches must copy (as
         :meth:`predict_logits` does).
+
+        This is the one place a non-floating batch (binary tabular
+        features are stored as ``bool``) becomes the model's
+        :attr:`dtype`: it is copied into an ``"input"`` workspace buffer
+        keyed on the first layer, which is exact for 0/1 values.
+        Floating batches pass through untouched.  The buffer is keyed
+        on a layer, not on the model, because the workspace holds its
+        owners alive and a model owner would close a reference cycle.
         """
         ws = self._workspace
+        if x.dtype.kind != "f":
+            cast = ws.request(self.layers[0], "input", x.shape, self.dtype)
+            np.copyto(cast, x)
+            x = cast
         for layer in self.layers:
             x = layer.forward(x, training=training, workspace=ws)
         return x

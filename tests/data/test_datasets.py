@@ -66,6 +66,13 @@ def test_noise_override(rng):
     assert loud.x.std() > quiet.x.std()
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_binary_features_take_one_byte_each(dtype):
+    n = 300
+    ds = load_dataset("purchase100", 0, n_samples=n, dtype=dtype)
+    assert ds.x.nbytes == n * 600
+
+
 def test_unknown_dataset_rejected():
     with pytest.raises(ValueError):
         load_dataset("imagenet")
@@ -79,7 +86,9 @@ def test_accepts_generator_seed():
 # sha256 of the feature bytes (float64, float32) and of the label bytes
 # for every dataset at seed 0 and its default size.  The datasets are a
 # pure function of the seed; any change to the draw order or to a
-# rounding step shows up here.
+# rounding step shows up here.  Binary tabular features are stored as
+# bool; their pins hash the features cast to the requested dtype, which
+# is what a model of that dtype computes on.
 PINNED_SHA256 = {
     "celeba": (
         "a1fd94a7590e6fb99fb4f1927b6e7f3d4e7c21ab34f0b9a09a33c7445e9a0060",
@@ -121,7 +130,8 @@ def test_pins_cover_registry():
 def test_dataset_bytes_pinned(name, dtype):
     x64, x32, y = PINNED_SHA256[name]
     ds = load_dataset(name, 0, dtype=dtype)
-    assert ds.x.dtype == np.dtype(dtype)
-    assert hashlib.sha256(ds.x.tobytes()).hexdigest() == \
+    binary = name in ("purchase100", "texas100")
+    assert ds.x.dtype == np.dtype(bool if binary else dtype)
+    assert hashlib.sha256(ds.x.astype(dtype).tobytes()).hexdigest() == \
         (x64 if dtype == "float64" else x32)
     assert hashlib.sha256(ds.y.tobytes()).hexdigest() == y

@@ -52,7 +52,7 @@ class TestTabular:
         def mean_intra_class_distance(ds):
             dists = []
             for c in range(ds.num_classes):
-                xc = ds.x[ds.y == c]
+                xc = ds.x[ds.y == c].astype(np.float64)
                 dists.append(np.abs(xc[0] - xc[1:]).mean())
             return np.mean(dists)
 

@@ -1,5 +1,7 @@
 """Simulation checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.fl.checkpoint import load_checkpoint, save_checkpoint
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.models.fcnn import build_fcnn
+from repro.privacy.defenses.make import make_defense_for_config
 
 
 @pytest.fixture
@@ -153,3 +156,76 @@ def test_restored_simulation_continues_identically(make_sim, tmp_path):
     record = fresh.run_round(1)
     assert record is None or 0.0 <= record.global_accuracy <= 1.0
     assert set(fresh.last_updates) == {0, 1, 2}
+
+
+@pytest.fixture
+def make_partial_sim(rng, tiny_model_factory):
+    """Two of four clients per round (the server generator draws each
+    cohort) under FedAvgM (the server keeps a momentum buffer)."""
+    data = synthetic_tabular(rng, 300, 20, 4, noise=0.3)
+    split = split_for_membership(data, np.random.default_rng(1))
+
+    def build(defense_name="none"):
+        config = FLConfig(num_clients=4, clients_per_round=2,
+                          server_momentum=0.9, rounds=4, local_epochs=1,
+                          batch_size=32, seed=0, eval_every=4)
+        return FederatedSimulation(
+            split, tiny_model_factory, config,
+            make_defense_for_config(defense_name, config))
+    return build
+
+
+@pytest.mark.parametrize("defense_name", ["none", "cdp"])
+def test_resume_matches_uninterrupted_run(make_partial_sim, tmp_path,
+                                          defense_name):
+    """run(4) equals run(2) -> save -> fresh load -> run(2), bitwise:
+    the server generator state and the momentum buffer are restored."""
+    whole = make_partial_sim(defense_name)
+    whole.run()
+
+    first = make_partial_sim(defense_name)
+    for r in range(2):
+        first.run_round(r)
+    save_checkpoint(first, tmp_path / "ckpt")
+    resumed = make_partial_sim(defense_name)
+    load_checkpoint(resumed, tmp_path / "ckpt")
+    for r in range(2, 4):
+        resumed.run_round(r)
+
+    assert resumed.server.global_weights.buffer.tobytes() \
+        == whole.server.global_weights.buffer.tobytes()
+    assert resumed.server.momentum_buffer.buffer.tobytes() \
+        == whole.server.momentum_buffer.buffer.tobytes()
+    assert resumed.server.rng.bit_generator.state \
+        == whole.server.rng.bit_generator.state
+    _assert_planes_equal(whole, resumed)
+
+
+def test_bad_server_state_raises_before_restoring(make_partial_sim,
+                                                  tmp_path):
+    sim = make_partial_sim()
+    sim.run_round(0)
+    directory = save_checkpoint(sim, tmp_path / "ckpt")
+    meta = json.loads((directory / "meta.json").read_text())
+
+    def fresh_rejects(match):
+        fresh = make_partial_sim()
+        state = fresh.server.rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(fresh, directory)
+        assert len(fresh.registry) == 0
+        assert fresh.server.momentum_buffer is None
+        assert fresh.server.rng.bit_generator.state == state
+
+    bad = dict(meta, server_rng={"bit_generator": "MT19937"})
+    (directory / "meta.json").write_text(json.dumps(bad))
+    fresh_rejects("server_rng")
+    del bad["server_rng"]
+    (directory / "meta.json").write_text(json.dumps(bad))
+    fresh_rejects("server_rng")
+
+    (directory / "meta.json").write_text(json.dumps(meta))
+    np.savez(directory / "server.npz", momentum=np.zeros(3))
+    fresh_rejects("momentum")
+    (directory / "server.npz").unlink()
+    fresh_rejects("server.npz")

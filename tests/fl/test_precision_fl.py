@@ -16,6 +16,7 @@ from repro.data.synthetic import synthetic_tabular
 from repro.fl.checkpoint import load_checkpoint, save_checkpoint
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
+from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU
 from repro.nn.layers import Dense
 from repro.nn.model import Model
@@ -144,9 +145,16 @@ class TestRoundTrips:
 
 class TestData:
     def test_load_dataset_dtype(self):
-        ds = load_dataset("purchase100", 0, n_samples=200,
-                          dtype="float32")
+        # the knob sets continuous features' precision; binary tabular
+        # features stay bool and a float32 model casts them per batch.
+        ds = load_dataset("gtsrb", 0, n_samples=200, dtype="float32")
         assert ds.x.dtype == np.float32
+        tab = load_dataset("purchase100", 0, n_samples=200,
+                           dtype="float32")
+        assert tab.x.dtype == np.bool_
+        model = build_fcnn(600, 100, np.random.default_rng(0),
+                           dtype="float32")
+        assert model.predict_logits(tab.x).dtype == np.float32
 
     def test_float32_data_is_cast_of_float64(self, rng):
         # generation always draws in float64 with the same RNG stream

@@ -1,7 +1,7 @@
 """Workspace-plane tests: arena keying, bitwise parity, lifecycle,
-pickling hygiene.
+input cast, pickling hygiene.
 
-The workspace's contract has four legs:
+The workspace's contract has five legs:
 
 * **Keying** — scratch buffers are interned by
   ``(owner index, role, trailing shape, dtype)``; any differing
@@ -15,6 +15,10 @@ The workspace's contract has four legs:
 * **Lifecycle** — an arena is freed by refcounting with its model
   (no cyclic GC pass needed); once warm it stops allocating: neither
   more steps, fresh losses nor partial batches grow it.
+* **Input cast** — a non-floating batch (binary tabular features are
+  bool) is copied into the first layer's ``"input"`` buffer in the
+  model's dtype, bitwise equal to passing the cast batch; a floating
+  batch of the model's dtype is passed through with no copy.
 * **Process-locality** — workspaces and per-batch layer caches never
   survive pickling; ``Workspace`` itself refuses to pickle, so a
   successful ``pickle.dumps`` of any payload doubles as proof that no
@@ -280,6 +284,74 @@ class TestLifecycle:
         one_batch = model.workspace.num_buffers
         model.predict_logits(x, batch_size=8)  # 8 + 8 + 4 rows
         assert model.workspace.num_buffers == one_batch
+
+
+def _bool_setup(dtype, seed=3):
+    model = build_fcnn(20, 4, np.random.default_rng(seed), dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.random((16, 20)) < 0.5
+    y = rng.integers(0, 4, 16)
+    return model, x, y
+
+
+def _input_keys(ws):
+    return [key for key in ws.keys() if key[1] == "input"]
+
+
+class TestInputCast:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bool_batch_matches_cast_batch_bitwise(self, dtype):
+        model_b, xb, y = _bool_setup(dtype)
+        model_f, _, _ = _bool_setup(dtype)
+        xf = xb.astype(dtype)
+        loss = SoftmaxCrossEntropy()
+
+        out_b = model_b.forward(xb, training=False)
+        assert out_b.dtype == np.dtype(dtype)
+        assert np.array_equal(out_b, model_f.forward(xf, training=False))
+
+        assert model_b.loss_and_grad(xb, y, loss) == \
+            model_f.loss_and_grad(xf, y, loss)
+        assert np.array_equal(model_b.grad_vector, model_f.grad_vector)
+
+        input_grads = []
+        for model, x in ((model_b, xb), (model_f, xf)):
+            logits = model.forward(x, training=True)
+            loss.forward(logits, y, workspace=model.workspace)
+            input_grads.append(model.backward(loss.backward()).copy())
+        assert input_grads[0].dtype == np.dtype(dtype)
+        assert np.array_equal(*input_grads)
+
+        # 16 rows in batches of 5: partial batches reuse the buffer
+        logits_b = model_b.predict_logits(xb, batch_size=5)
+        assert logits_b.dtype == np.dtype(dtype)
+        assert np.array_equal(logits_b,
+                              model_f.predict_logits(xf, batch_size=5))
+        assert len(_input_keys(model_b.workspace)) == 1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_floating_batch_is_not_copied(self, dtype):
+        model, xb, y = _bool_setup(dtype)
+        xf = xb.astype(dtype)
+        model.loss_and_grad(xf, y, SoftmaxCrossEntropy())
+        model.predict_logits(xf, batch_size=5)
+        assert _input_keys(model.workspace) == []
+        model.forward(xf, training=True)
+        assert model.layers[0]._x is xf
+
+    def test_model_dies_after_bool_forward(self):
+        model, xb, y = _bool_setup("float64")
+        gc.disable()
+        try:
+            model.loss_and_grad(xb, y, SoftmaxCrossEntropy())
+            model.predict_logits(xb, batch_size=5)
+            assert _input_keys(model.workspace)
+            ref = weakref.ref(model)
+            arena = weakref.ref(model.workspace)
+            del model
+            assert ref() is None and arena() is None
+        finally:
+            gc.enable()
 
 
 class TestPicklingHygiene:
