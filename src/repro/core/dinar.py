@@ -237,7 +237,6 @@ def dinar_initialization(
         d_m = data.subset(order[holdout:])
 
         model = model_factory(rng)
-        model.attach_rng(rng)
         loss = SoftmaxCrossEntropy()
         optimizer = make_optimizer("adagrad", model, lr)
         for _ in range(warmup_epochs):

@@ -125,7 +125,6 @@ class FLClient:
         weight buffer, which the trainer's next round overwrites.
         """
         client_id = self.client_id
-        self.model.attach_rng(rng)
         received = self.defense.on_receive_global(client_id,
                                                   global_weights, state)
         self.model.set_store(received)

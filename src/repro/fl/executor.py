@@ -229,7 +229,12 @@ class RoundExecutor:
         """Release any held resources (idempotent)."""
 
     def warm_up(self) -> None:
-        """Pre-acquire resources (worker pools) ahead of the first round."""
+        """Pre-acquire resources (the broadcast segment) ahead of the
+        first round."""
+
+    def start(self) -> None:
+        """Start the worker processes, if any and not yet running.  The
+        simulation calls it before a round grows the registry."""
 
 
 class SerialExecutor(RoundExecutor):

@@ -386,7 +386,14 @@ class ParallelExecutor(RoundExecutor):
         return self._channel
 
     # -- lifecycle -----------------------------------------------------
-    def _ensure_pool(self) -> _PoolExecutor:
+    def start(self) -> _PoolExecutor:
+        """Fork the pool now, not at its first task (idempotent).
+
+        A worker keeps every segment the parent mapped when it forked
+        until the pool closes, so forking before the registry
+        allocates lets a plane the registry grows out of be freed as
+        soon as the parent releases it.
+        """
         if self._pool is None:
             self._pool = _PoolExecutor(
                 max_workers=self.workers,
@@ -394,10 +401,13 @@ class ParallelExecutor(RoundExecutor):
                 initializer=_bind_worker,
                 initargs=(self.clients, self.defense, self.layout,
                           self.behavior))
+            # a pool forks its workers when tasks are submitted
+            for future in [self._pool.submit(int)
+                           for _ in range(self.workers)]:
+                future.result()
         return self._pool
 
     def warm_up(self) -> None:
-        self._ensure_pool()
         if self.layout is not None:
             self._channel.open(self.layout.num_params,
                                self.layout.dtype)
@@ -435,7 +445,7 @@ class ParallelExecutor(RoundExecutor):
         """
         if not tasks:
             return
-        pool = self._ensure_pool()
+        pool = self.start()
         if not all(map(self._channel.holds, self.registry.buffers)):
             # close() unlinked its segments
             self.registry.relocate(self.registry.capacity)

@@ -231,7 +231,9 @@ class FederatedSimulation:
         global_store = self.server.global_weights
         download_bytes = dense_nbytes(global_store)
         # Rows for every completing client before any task runs: the
-        # registry grows only here, between rounds.
+        # registry grows only here, between rounds, after the workers
+        # fork (they keep what they inherit mapped).
+        self.executor.start()
         for cid in self.registry.assign(completed):
             self.defense.init_state(
                 self.registry.rows.state[self.registry.row(cid)],

@@ -49,4 +49,4 @@ def build_audio_m5(input_shape: tuple[int, int], num_classes: int,
         Flatten(),
         Dense(prev * current_len, num_classes, rng, dtype=dtype),
     ])
-    return Model(layers, rng=rng, name=f"audio_m{2*len(widths)+1}")
+    return Model(layers, name=f"audio_m{2*len(widths)+1}")

@@ -46,4 +46,4 @@ def build_fcnn(input_dim: int | Sequence[int], num_classes: int,
         layers.append(Tanh())
         prev = width
     layers.append(Dense(prev, num_classes, rng, scheme="xavier", dtype=dtype))
-    return Model(layers, rng=rng, name=f"fcnn{len(hidden)}")
+    return Model(layers, name=f"fcnn{len(hidden)}")

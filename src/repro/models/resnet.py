@@ -147,4 +147,4 @@ def build_resnet_small(input_shape: tuple[int, int, int], num_classes: int,
         Dense(channels * (h // pool) * (w // pool), num_classes, rng,
               dtype=dtype),
     ])
-    return Model(layers, rng=rng, name=f"resnet{num_blocks}x{channels}")
+    return Model(layers, name=f"resnet{num_blocks}x{channels}")

@@ -44,4 +44,4 @@ def build_vgg_small(input_shape: tuple[int, int, int], num_classes: int,
         ReLU(),
         Dense(dense_width, num_classes, rng, dtype=dtype),
     ])
-    return Model(layers, rng=rng, name=f"vgg{len(widths)+2}")
+    return Model(layers, name=f"vgg{len(widths)+2}")

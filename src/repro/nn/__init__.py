@@ -10,14 +10,12 @@ used in the paper's ablation study (Fig. 11).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "activations": "ELU GELU LeakyReLU ReLU Sigmoid Softmax Tanh",
-    "layers": ("AvgPool2d BatchNorm1d Conv1d Conv2d Dense Dropout Flatten"
-               " Layer MaxPool1d MaxPool2d"),
-    "losses": "Loss MSELoss SoftmaxCrossEntropy",
+    "activations": "ReLU Tanh",
+    "layers": ("AvgPool2d BatchNorm1d Conv1d Conv2d Dense Flatten Layer"
+               " MaxPool1d MaxPool2d"),
+    "losses": "Loss SoftmaxCrossEntropy",
     "model": "Model",
     "optim": "ADGD AdaMax Adagrad Adam Optimizer RMSProp SGD make_optimizer",
-    "schedule": ("CosineDecay LRSchedule ScheduledOptimizer StepDecay"
-                 " WarmupSchedule"),
     "serialize": "load_store save_weights",
     "store": "Layout LayoutEntry WeightStore chunked_sq_sum",
     "workspace": "Workspace",
@@ -32,19 +30,12 @@ __all__ = [
     "BatchNorm1d",
     "Conv1d",
     "Conv2d",
-    "CosineDecay",
     "Dense",
-    "Dropout",
-    "ELU",
     "Flatten",
-    "GELU",
-    "LRSchedule",
     "Layer",
     "Layout",
     "LayoutEntry",
-    "LeakyReLU",
     "Loss",
-    "MSELoss",
     "MaxPool1d",
     "MaxPool2d",
     "Model",
@@ -52,13 +43,8 @@ __all__ = [
     "RMSProp",
     "ReLU",
     "SGD",
-    "ScheduledOptimizer",
-    "Sigmoid",
-    "Softmax",
     "SoftmaxCrossEntropy",
-    "StepDecay",
     "Tanh",
-    "WarmupSchedule",
     "WeightStore",
     "Workspace",
     "chunked_sq_sum",

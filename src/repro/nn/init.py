@@ -19,7 +19,7 @@ from repro.nn.dtypes import DTypeLike, standard_normal
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
                    fan_in: int, fan_out: int, *,
                    dtype: DTypeLike = np.float64) -> np.ndarray:
-    """Glorot/Xavier uniform initialization, suited to Tanh/Sigmoid nets.
+    """Glorot/Xavier uniform initialization, suited to saturating (Tanh) nets.
 
     ``Generator.uniform`` has no dtype parameter, so the draw is always
     double precision and cast once — identical stream for both dtypes.

@@ -95,9 +95,6 @@ class Layer:
                  workspace: Workspace) -> np.ndarray:
         raise NotImplementedError
 
-    def attach_rng(self, rng: np.random.Generator) -> None:
-        """Give stochastic layers (Dropout) their random source."""
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         for key in self._ephemeral:
@@ -236,23 +233,26 @@ class Dense(Layer):
         return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, *,
-            cols_out: np.ndarray,
+def _im2col(x: np.ndarray, kernel: tuple[int, int], stride: int,
+            pad: tuple[int, int], *, cols_out: np.ndarray,
             pad_out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold (N, C, H, W) into (N, out_h, out_w, C*kh*kw) patches.
+    """Unfold (N, C, H, W) into (N, out_h, out_w, C*kh*kw) patches of a
+    ``kernel = (kh, kw)`` window.
 
     ``cols_out`` is the 6-D patch destination
-    ``(N, out_h, out_w, C, kh, kw)``; ``pad_out``, the padded image, is
-    required when ``pad`` is nonzero.  It must arrive with its border
-    already zeroed (the border is constant across batches, so callers
-    zero it once per buffer); only the interior is written here.
+    ``(N, out_h, out_w, C, kh, kw)``; ``pad_out``, the image padded by
+    ``pad = (ph, pw)``, is required when either is nonzero.  It must
+    arrive with its border already zeroed (the border is constant across
+    batches, so callers zero it once per buffer); only the interior is
+    written here.
     """
     n, c, h, w = x.shape
-    if pad:
-        pad_out[:, :, pad:-pad, pad:-pad] = x
+    (kh, kw), (ph, pw) = kernel, pad
+    if ph or pw:
+        pad_out[:, :, ph:ph + h, pw:pw + w] = x
         x = pad_out
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
+    out_h = (h + 2 * ph - kh) // stride + 1
+    out_w = (w + 2 * pw - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -264,17 +264,18 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, *,
     return cols_out.reshape(n, out_h, out_w, -1)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int,
-            kw: int, stride: int, pad: int, *,
+def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
+            kernel: tuple[int, int], stride: int, pad: tuple[int, int], *,
             padded_out: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_im2col` — scatter-add patches back to an image.
 
-    ``padded_out`` is the ``(N, C, H + 2 pad, W + 2 pad)`` scatter
+    ``padded_out`` is the ``(N, C, H + 2 ph, W + 2 pw)`` scatter
     target; it is zeroed here on every call.
     """
     n, c, h, w = x_shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
+    (kh, kw), (ph, pw) = kernel, pad
+    out_h = (h + 2 * ph - kh) // stride + 1
+    out_w = (w + 2 * pw - kw) // stride + 1
     padded_out.fill(0)
     patches = cols.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
@@ -282,15 +283,21 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int,
             padded_out[:, :, i:i + stride * out_h:stride,
                        j:j + stride * out_w:stride] += \
                 patches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    if pad:
-        return padded_out[:, :, pad:-pad, pad:-pad]
-    return padded_out
+    return padded_out[:, :, ph:ph + h, pw:pw + w]
 
 
 class Conv2d(Layer):
-    """2-D convolution via im2col (NCHW layout)."""
+    """2-D convolution via im2col (NCHW layout).
+
+    The kernel runs a ``(kh, kw)`` window over an image zero-padded by
+    ``(ph, pw)`` (``_kernel``, ``_pad``); the constructor makes both
+    square.  :class:`Conv1d` runs it on a height-1 image.
+    """
 
     _ephemeral = ("_cols", "_x_shape")
+
+    #: Spatial axes of ``W``: 2 here, 1 for :class:`Conv1d`.
+    _ndim = 2
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, *, stride: int = 1, padding: int = 0,
@@ -301,36 +308,35 @@ class Conv2d(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        fan_out = out_channels * kernel_size * kernel_size
+        kh, ph = (kernel_size, padding) if self._ndim == 2 else (1, 0)
+        self._kernel, self._pad = (kh, kernel_size), (ph, padding)
+        taps = kh * kernel_size
         self.params["W"] = init_schemes.initialize(
-            rng, (out_channels, in_channels, kernel_size, kernel_size),
-            fan_in, fan_out, scheme, dtype=dtype)
+            rng, (out_channels, in_channels) + (kernel_size,) * self._ndim,
+            in_channels * taps, out_channels * taps, scheme, dtype=dtype)
         self.params["b"] = np.zeros(out_channels, dtype=dtype)
 
     @property
     def name(self) -> str:
-        return (f"Conv2d({self.in_channels}->{self.out_channels},"
-                f"k{self.kernel_size})")
-
-    def _geometry(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        return (f"{type(self).__name__}({self.in_channels}->"
+                f"{self.out_channels},k{self.kernel_size})")
 
     def forward(self, x: np.ndarray, *, training: bool = True,
                 workspace: Workspace) -> np.ndarray:
-        k, s, p = self.kernel_size, self.stride, self.padding
+        (kh, kw), (ph, pw), s = self._kernel, self._pad, self.stride
         n, c, h, w = x.shape
-        out_h, out_w = self._geometry(h, w)
+        out_h = (h + 2 * ph - kh) // s + 1
+        out_w = (w + 2 * pw - kw) // s + 1
         pad_out = None
-        if p:
+        if ph or pw:
             pad_out, fresh = workspace.request_info(
-                self, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
+                self, "pad", (n, c, h + 2 * ph, w + 2 * pw), x.dtype)
             if fresh:
                 pad_out.fill(0)
         cols_out = workspace.request(
-            self, "cols", (n, out_h, out_w, c, k, k), x.dtype)
-        cols = _im2col(x, k, k, s, p, cols_out=cols_out, pad_out=pad_out)
+            self, "cols", (n, out_h, out_w, c, kh, kw), x.dtype)
+        cols = _im2col(x, self._kernel, s, self._pad, cols_out=cols_out,
+                       pad_out=pad_out)
         self._cols = cols if training else None
         self._x_shape = x.shape
         w_flat = self.params["W"].reshape(self.out_channels, -1)
@@ -343,7 +349,7 @@ class Conv2d(Layer):
 
     def backward(self, grad: np.ndarray, *,
                  workspace: Workspace) -> np.ndarray:
-        k, s, p = self.kernel_size, self.stride, self.padding
+        ph, pw = self._pad
         grad_flat = grad.transpose(0, 2, 3, 1)
         # no cached patches after an eval-mode forward: produce the
         # input gradient only (weight grads need a training forward).
@@ -363,120 +369,63 @@ class Conv2d(Layer):
         np.matmul(grad_flat, w_flat, out=dcols)
         n, c, h, w = self._x_shape
         padded_out = workspace.request(
-            self, "col2im", (n, c, h + 2 * p, w + 2 * p), dcols.dtype)
-        out = _col2im(dcols, self._x_shape, k, k, s, p,
-                      padded_out=padded_out)
+            self, "col2im", (n, c, h + 2 * ph, w + 2 * pw), dcols.dtype)
+        out = _col2im(dcols, self._x_shape, self._kernel, self.stride,
+                      self._pad, padded_out=padded_out)
         self._cols = None
         return out
 
 
-class Conv1d(Layer):
-    """1-D convolution (NCL layout) — used by the audio classifier."""
+class Conv1d(Conv2d):
+    """1-D convolution (NCL layout) — used by the audio classifier.
 
-    _ephemeral = ("_cols", "_x_shape")
+    The :class:`Conv2d` kernel on the input as a height-1 image: a
+    ``(1, k)`` window and ``(0, padding)`` padding.  ``W`` keeps its
+    ``(out, in, k)`` shape.
+    """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, *, stride: int = 1, padding: int = 0,
-                 scheme: str = "he", dtype: DTypeLike = np.float64) -> None:
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size
-        self.params["W"] = init_schemes.initialize(
-            rng, (out_channels, in_channels, kernel_size), fan_in,
-            out_channels * kernel_size, scheme, dtype=dtype)
-        self.params["b"] = np.zeros(out_channels, dtype=dtype)
-
-    @property
-    def name(self) -> str:
-        return (f"Conv1d({self.in_channels}->{self.out_channels},"
-                f"k{self.kernel_size})")
-
-    def _padded4_shape(self, x_shape: tuple[int, int, int]
-                       ) -> tuple[int, int, int, int]:
-        """The height-1 padded image the length axis is convolved as."""
-        n, c, length = x_shape
-        return n, c, 1, length + 2 * self.padding
+    _ndim = 1
 
     def forward(self, x: np.ndarray, *, training: bool = True,
                 workspace: Workspace) -> np.ndarray:
-        k, s, p = self.kernel_size, self.stride, self.padding
-        x4 = x[:, :, None, :]  # treat length as width of a height-1 image
-        if p:
-            pad_out, fresh = workspace.request_info(
-                self, "pad", self._padded4_shape(x.shape), x.dtype)
-            if fresh:
-                pad_out.fill(0)
-            pad_out[:, :, :, p:-p] = x4
-            x4 = pad_out
-        n, _, _, padded_len = x4.shape
-        out_l = (padded_len - k) // s + 1
-        cols_out = workspace.request(
-            self, "cols", (n, 1, out_l, self.in_channels, 1, k), x.dtype)
-        cols = _im2col(x4, 1, k, s, 0, cols_out=cols_out)
-        self._cols = cols if training else None
-        self._x_shape = x.shape
-        w_flat = self.params["W"].reshape(self.out_channels, -1)
-        out = self._scratch(workspace, "out",
-                            (n, 1, out_l, self.out_channels),
-                            np.result_type(x.dtype, w_flat.dtype))
-        np.matmul(cols, w_flat.T, out=out)  # (n, 1, out_l, C_out)
-        out += self.params["b"]
-        return out[:, 0].transpose(0, 2, 1)
+        return super().forward(x[:, :, None, :], training=training,
+                               workspace=workspace)[:, :, 0, :]
 
     def backward(self, grad: np.ndarray, *,
                  workspace: Workspace) -> np.ndarray:
-        k, s, p = self.kernel_size, self.stride, self.padding
-        grad4 = grad.transpose(0, 2, 1)[:, None, :, :]  # (n,1,out_l,C_out)
-        # no cached patches after an eval-mode forward: produce the
-        # input gradient only (weight grads need a training forward).
-        if self._cols is not None:
-            cols2d = self._cols.reshape(-1, self._cols.shape[-1])
-            gout = self._scratch(workspace, "dout", grad4.shape, grad.dtype)
-            np.copyto(gout, grad4)
-            grad2d = gout.reshape(-1, self.out_channels)
-            np.matmul(grad2d.T, cols2d,
-                      out=self._grad_out("W").reshape(self.out_channels, -1))
-            grad2d.sum(axis=0, out=self._grad_out("b"))
-        w_flat = self.params["W"].reshape(self.out_channels, -1)
-        dcols = self._scratch(
-            workspace, "dcols", grad4.shape[:3] + (w_flat.shape[1],),
-            np.result_type(grad.dtype, w_flat.dtype))
-        np.matmul(grad4, w_flat, out=dcols)
-        x4_shape = self._padded4_shape(self._x_shape)
-        padded_out = workspace.request(self, "col2im", x4_shape,
-                                       dcols.dtype)
-        dx4 = _col2im(dcols, x4_shape, 1, k, s, 0, padded_out=padded_out)
-        self._cols = None
-        if p:
-            dx4 = dx4[:, :, :, p:-p]
-        return dx4[:, :, 0, :]
+        return super().backward(grad[:, :, None, :],
+                                workspace=workspace)[:, :, 0, :]
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping 2-D max pooling (stride == kernel size)."""
+    """Non-overlapping 2-D max pooling (stride == kernel size).
+
+    Pools ``(kh, kw)`` blocks (``_kernel``); the constructor makes them
+    square.  :class:`MaxPool1d` runs it on a height-1 image.
+    """
 
     _ephemeral = ("_mask", "_x_shape")
+
+    #: Spatial axes pooled: 2 here, 1 for :class:`MaxPool1d`.
+    _ndim = 2
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
         self.kernel_size = kernel_size
+        self._kernel = (kernel_size if self._ndim == 2 else 1, kernel_size)
 
     def forward(self, x: np.ndarray, *, training: bool = True,
                 workspace: Workspace) -> np.ndarray:
         n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"MaxPool2d({k}) needs H, W divisible by {k}, "
-                             f"got {h}x{w}")
-        blocks = x.reshape(n, c, h // k, k, w // k, k)
+        kh, kw = self._kernel
+        if h % kh or w % kw:
+            raise ValueError(f"{self.name}({self.kernel_size}) needs "
+                             f"{kh}x{kw} blocks to tile the {h}x{w} input")
+        blocks = x.reshape(n, c, h // kh, kh, w // kw, kw)
         # reductions bypass the arena: ``out=`` forces numpy's generic
         # strided reduce loop, ~3x slower than the allocating form on the
         # conv-transposed layouts that reach this layer.  The result is
-        # k*k times smaller than the input, so the churn is minor.
+        # kh*kw times smaller than the input, so the churn is minor.
         out = blocks.max(axis=(3, 5))
         mask = self._scratch_like(workspace, "mask", blocks, bool)
         np.equal(blocks, out[:, :, :, None, :, None], out=mask)
@@ -489,7 +438,7 @@ class MaxPool2d(Layer):
         n, c, h, w = self._x_shape
         # Stage the incoming grad into a buffer that shares the mask's
         # (conv-transposed) memory order, then give dx that layout too:
-        # elementwise values are layout-independent, the k*k broadcast
+        # elementwise values are layout-independent, the kh*kw broadcast
         # multiply runs coherently with the mask instead of gathering
         # from a foreign layout (~6x faster), and the 6D->4D reshape
         # stays zero-copy.
@@ -505,6 +454,24 @@ class MaxPool2d(Layer):
         expanded /= counts  # split ties evenly to keep grads exact
         self._mask = None
         return expanded.reshape(n, c, h, w)
+
+
+class MaxPool1d(MaxPool2d):
+    """Non-overlapping 1-D max pooling for audio nets: the
+    :class:`MaxPool2d` kernel with ``(1, k)`` blocks on the input as a
+    height-1 image."""
+
+    _ndim = 1
+
+    def forward(self, x: np.ndarray, *, training: bool = True,
+                workspace: Workspace) -> np.ndarray:
+        return super().forward(x[:, :, None, :], training=training,
+                               workspace=workspace)[:, :, 0, :]
+
+    def backward(self, grad: np.ndarray, *,
+                 workspace: Workspace) -> np.ndarray:
+        return super().backward(grad[:, :, None, :],
+                                workspace=workspace)[:, :, 0, :]
 
 
 class AvgPool2d(Layer):
@@ -542,46 +509,6 @@ class AvgPool2d(Layer):
         return expanded.reshape(n, c, h, w)
 
 
-class MaxPool1d(Layer):
-    """Non-overlapping 1-D max pooling for audio nets."""
-
-    _ephemeral = ("_mask", "_x_shape")
-
-    def __init__(self, kernel_size: int) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace) -> np.ndarray:
-        n, c, length = x.shape
-        k = self.kernel_size
-        if length % k:
-            raise ValueError(f"MaxPool1d({k}) needs L divisible by {k}, "
-                             f"got {length}")
-        blocks = x.reshape(n, c, length // k, k)
-        # allocating reduce: see MaxPool2d.forward.
-        out = blocks.max(axis=3)
-        mask = self._scratch_like(workspace, "mask", blocks, bool)
-        np.equal(blocks, out[:, :, :, None], out=mask)
-        self._mask = mask
-        self._x_shape = x.shape
-        return out
-
-    def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace) -> np.ndarray:
-        counts = self._mask.sum(axis=3, keepdims=True, dtype=grad.dtype)
-        # staged grad + layout-matched dx: see MaxPool2d.backward.
-        staged = self._scratch_like(workspace, "dgrad",
-                                    self._mask[:, :, :, 0], grad.dtype)
-        np.copyto(staged, grad)
-        expanded = self._scratch_like(workspace, "dx", self._mask,
-                                      grad.dtype)
-        np.multiply(staged[:, :, :, None], self._mask, out=expanded)
-        expanded /= counts
-        self._mask = None
-        return expanded.reshape(self._x_shape)
-
-
 class Flatten(Layer):
     """Flatten all but the batch dimension."""
 
@@ -595,54 +522,6 @@ class Flatten(Layer):
     def backward(self, grad: np.ndarray, *,
                  workspace: Workspace) -> np.ndarray:
         return grad.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    _ephemeral = ("_mask",)
-
-    def __init__(self, rate: float = 0.5) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng: np.random.Generator | None = None
-
-    def attach_rng(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def forward(self, x: np.ndarray, *, training: bool = True,
-                workspace: Workspace) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        if self._rng is None:
-            raise RuntimeError("Dropout used without an attached rng")
-        keep = 1.0 - self.rate
-        # the keep/drop draw stays float64 for every compute dtype so the
-        # generator stream matches the pinned trajectories; only the mask
-        # itself adopts the input precision.
-        draw = self._scratch(workspace, "draw", x.shape, np.float64)
-        self._rng.random(out=draw)
-        kept = self._scratch(workspace, "kept", x.shape, bool)
-        np.less(draw, keep, out=kept)
-        mask = self._scratch(workspace, "mask", x.shape, x.dtype)
-        np.copyto(mask, kept)   # the bool -> compute-dtype cast of astype
-        mask /= keep
-        self._mask = mask
-        out = self._scratch(workspace, "out", x.shape, x.dtype)
-        np.multiply(x, mask, out=out)
-        return out
-
-    def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        out = self._scratch(workspace, "dx", grad.shape, grad.dtype)
-        np.multiply(grad, self._mask, out=out)
-        self._mask = None
-        return out
 
 
 class BatchNorm1d(Layer):

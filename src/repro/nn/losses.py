@@ -113,23 +113,3 @@ class SoftmaxCrossEntropy(Loss):
         logp = log_softmax(logits)
         return -logp[np.arange(len(targets)), targets]
 
-
-class MSELoss(Loss):
-    """Mean squared error against one-hot or real-valued targets."""
-
-    _ephemeral = ("_diff",)
-
-    def forward(self, logits: np.ndarray, targets: np.ndarray, *,
-                workspace: Workspace) -> float:
-        self._diff = logits - targets
-        return float((self._diff ** 2).mean())
-
-    def backward(self) -> np.ndarray:
-        grad = 2.0 * self._diff / self._diff.size
-        self._diff = None
-        return grad
-
-    def per_example(self, logits: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-        return ((logits - targets) ** 2).mean(axis=tuple(
-            range(1, logits.ndim)))

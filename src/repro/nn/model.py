@@ -30,7 +30,6 @@ class Model:
     """A feed-forward stack of :class:`~repro.nn.layers.Layer` objects."""
 
     def __init__(self, layers: Sequence[Layer], *,
-                 rng: np.random.Generator | None = None,
                  name: str = "model") -> None:
         self.layers = list(layers)
         self.name = name
@@ -38,8 +37,6 @@ class Model:
         # and excluded from pickling/cloning (fresh arenas are rebuilt).
         self._workspace = Workspace()
         self._bind_flat()
-        if rng is not None:
-            self.attach_rng(rng)
 
     def _bind_flat(self) -> None:
         """Move every parameter onto the flat plane (construction-time).
@@ -93,11 +90,6 @@ class Model:
                 else:
                     buffers[entry.key] = view
             layer.adopt_views(params, buffers, grads)
-
-    def attach_rng(self, rng: np.random.Generator) -> None:
-        """Provide the random source consumed by stochastic layers."""
-        for layer in self.layers:
-            layer.attach_rng(rng)
 
     # ------------------------------------------------------------------
     # structure

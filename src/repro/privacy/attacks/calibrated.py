@@ -68,7 +68,6 @@ class ReferenceCalibratedAttack:
             subset = attacker_data.subset(
                 rng.choice(len(attacker_data), size=take, replace=False))
             reference = self.model_factory(rng)
-            reference.attach_rng(rng)
             loss = SoftmaxCrossEntropy()
             optimizer = SGD(reference, self.lr)
             for _ in range(self.epochs):

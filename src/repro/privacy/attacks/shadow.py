@@ -94,7 +94,7 @@ class ShadowAttack:
             Dense(x.shape[1], 32, rng),
             ReLU(),
             Dense(32, 2, rng),
-        ], rng=rng, name=f"attack_classifier_{tag}")
+        ], name=f"attack_classifier_{tag}")
         optimizer = Adam(classifier, 0.01)
         loss = SoftmaxCrossEntropy()
         for _ in range(self.attack_epochs):
@@ -115,7 +115,6 @@ class ShadowAttack:
         nonmember = data.subset(order[half:])
 
         shadow = self.model_factory(rng)
-        shadow.attach_rng(rng)
         loss = SoftmaxCrossEntropy()
         optimizer = SGD(shadow, self.lr)
         for _ in range(self.epochs):

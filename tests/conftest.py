@@ -50,7 +50,7 @@ def tiny_model(rng) -> Model:
         Dense(20, 16, rng), Tanh(),
         Dense(16, 8, rng), ReLU(),
         Dense(8, 4, rng),
-    ], rng=rng, name="tiny")
+    ], name="tiny")
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ def tiny_model_factory():
             Dense(20, 16, rng), Tanh(),
             Dense(16, 8, rng), ReLU(),
             Dense(8, 4, rng),
-        ], rng=rng, name="tiny")
+        ], name="tiny")
     return factory
 
 

@@ -28,7 +28,7 @@ def f32_factory(rng: np.random.Generator) -> Model:
     return Model([
         Dense(20, 16, rng, dtype="float32"), ReLU(),
         Dense(16, 4, rng, dtype="float32"),
-    ], rng=rng, name="tiny32")
+    ], name="tiny32")
 
 
 @pytest.fixture
@@ -159,9 +159,14 @@ class TestData:
     def test_float32_data_is_cast_of_float64(self, rng):
         # generation always draws in float64 with the same RNG stream
         # and casts once, so the float32 set is exactly the cast.
-        ds64 = synthetic_tabular(np.random.default_rng(7), 100, 20, 4)
+        # Binary features are bool at every dtype, so compare the
+        # continuous ones.
+        ds64 = synthetic_tabular(np.random.default_rng(7), 100, 20, 4,
+                                 binary=False)
         ds32 = synthetic_tabular(np.random.default_rng(7), 100, 20, 4,
-                                 dtype="float32")
+                                 binary=False, dtype="float32")
+        assert ds64.x.dtype == np.float64
+        assert ds32.x.dtype == np.float32
         np.testing.assert_array_equal(ds32.x,
                                       ds64.x.astype(np.float32))
         np.testing.assert_array_equal(ds32.y, ds64.y)

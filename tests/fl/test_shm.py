@@ -12,9 +12,7 @@ outlives its executor in ``/dev/shm``.
 from __future__ import annotations
 
 import errno
-import gc
 import multiprocessing
-import os
 import pathlib
 import pickle
 import time
@@ -422,8 +420,8 @@ class _SlowUploadDefense(Defense):
 
 
 def _spy_submits(executor) -> list:
-    """Warm the executor's pool and record every future it submits."""
-    executor.warm_up()
+    """Start the executor's pool and record every future it submits."""
+    executor.start()
     pool = executor._pool
     submit = pool.submit
     futures = []
@@ -557,29 +555,26 @@ class TestRegistryGrowth:
             self, no_leaked_segments):
         """New clients arrive every round (sample_fraction < 1): the
         registry grows into new segments between rounds, the run stays
-        bitwise equal to serial, and each worker maps only the current
-        segments — plus the registry segment it inherited when the
-        pool forked, which is the parent's mapping, not an attach."""
+        bitwise equal to serial, and no worker maps a registry segment
+        the parent has released.  The pool forks before the first
+        round's registry allocates, so no worker holds an inherited
+        mapping of one."""
         kwargs = dict(num_clients=30, rounds=4, sample_fraction=0.2)
         serial = _make_sim(_SlowCompression(), workers=0, **kwargs)
         serial.run()
         parallel = _make_sim(_SlowCompression(), **kwargs)
         channel = parallel.executor._channel
         proc = pathlib.Path("/proc/self/maps").exists()
-        gc.collect()
-        # what the pool inherits when it forks in round 0
-        inherited = _mapped_segments(os.getpid()) if proc else set()
         rows_names = []
         try:
             for round_index in range(4):
                 parallel.run_round(round_index)
                 rows_names.append({segment.name
                                    for segment, _ in channel._rows})
-                current = {channel._weights[0].name, *rows_names[-1]}
-                allowed = current | inherited | rows_names[0]
+                released = set().union(*rows_names) - rows_names[-1]
                 for pid in parallel.executor._pool._processes:
                     if proc:
-                        assert _mapped_segments(pid) <= allowed
+                        assert not _mapped_segments(pid) & released
         finally:
             parallel.executor.close()
         assert len({frozenset(names) for names in rows_names}) == 3, \

@@ -173,7 +173,7 @@ class TestOneCopyOfTheData:
 
         def factory(rng):
             return Model([Dense(dataset.x.shape[1], 8, rng),
-                          Dense(8, dataset.num_classes, rng)], rng=rng)
+                          Dense(8, dataset.num_classes, rng)])
 
         tracemalloc.start()
         try:

@@ -10,7 +10,6 @@ from repro.nn.layers import (
     Conv1d,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     MaxPool1d,
     MaxPool2d,
@@ -94,6 +93,14 @@ class TestConv1d:
         out = layer.forward(rng.standard_normal((2, 1, 64)), workspace=ws)
         assert out.shape == (2, 4, 16)
 
+    def test_keeps_1d_weight_shape_and_name(self, rng):
+        """Runs on the 2-D kernel, but layouts and segment names see a
+        1-D layer."""
+        layer = Conv1d(1, 4, 9, rng, stride=4, padding=4)
+        assert layer.params["W"].shape == (4, 1, 9)
+        assert layer.name == "Conv1d(1->4,k9)"
+        assert MaxPool1d(4).name == "MaxPool1d"
+
     def test_gradient_exact(self, rng):
         model = Model([Conv1d(1, 3, 5, rng, stride=2, padding=2),
                        ReLU(), Flatten(), Dense(3 * 16, 4, rng)])
@@ -155,38 +162,6 @@ class TestFlatten:
         assert out.shape == (3, 32)
         back = layer.backward(out, workspace=ws)
         assert back.shape == x.shape
-
-
-class TestDropout:
-    def test_identity_at_eval(self, rng, ws):
-        layer = Dropout(0.5)
-        layer.attach_rng(rng)
-        x = rng.standard_normal((4, 10))
-        out = layer.forward(x, training=False, workspace=ws)
-        assert np.array_equal(out, x)
-
-    def test_scales_kept_units(self, rng, ws):
-        layer = Dropout(0.5)
-        layer.attach_rng(rng)
-        x = np.ones((2000, 10))
-        out = layer.forward(x, training=True, workspace=ws)
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)  # inverted dropout scaling
-        assert abs(out.mean() - 1.0) < 0.1
-
-    def test_requires_rng_when_training(self, ws):
-        with pytest.raises(RuntimeError):
-            Dropout(0.5).forward(np.ones((2, 2)), training=True, workspace=ws)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_zero_rate_is_identity(self, rng, ws):
-        layer = Dropout(0.0)
-        layer.attach_rng(rng)
-        x = rng.standard_normal((3, 3))
-        assert np.array_equal(layer.forward(x, training=True, workspace=ws), x)
 
 
 class TestBatchNorm1d:

@@ -1,10 +1,8 @@
 """Loss function contracts: values, gradients, per-example views."""
 
 import numpy as np
-import pytest
 
 from repro.nn.losses import (
-    MSELoss,
     SoftmaxCrossEntropy,
     log_softmax,
     softmax,
@@ -66,28 +64,3 @@ class TestSoftmaxCrossEntropy:
         y = rng.integers(0, 5, 20)
         assert np.all(loss.per_example(logits, y) >= 0)
 
-
-class TestMSELoss:
-    def test_zero_for_exact_match(self, rng, ws):
-        loss = MSELoss()
-        x = rng.standard_normal((4, 3))
-        assert loss.forward(x, x.copy(), workspace=ws) == 0.0
-
-    def test_value(self, ws):
-        loss = MSELoss()
-        value = loss.forward(np.array([[1.0, 1.0]]),
-                             np.array([[0.0, 0.0]]), workspace=ws)
-        assert np.isclose(value, 1.0)
-
-    def test_gradient_direction(self, ws):
-        loss = MSELoss()
-        loss.forward(np.array([[2.0]]), np.array([[0.0]]), workspace=ws)
-        grad = loss.backward()
-        assert grad[0, 0] > 0  # pushing the prediction down
-
-    def test_per_example_shape(self, rng):
-        loss = MSELoss()
-        per = loss.per_example(rng.standard_normal((5, 4)),
-                               rng.standard_normal((5, 4)))
-        assert per.shape == (5,)
-        assert np.all(per >= 0)

@@ -19,7 +19,7 @@ from repro.models.fcnn import build_fcnn
 from repro.models.resnet import build_resnet_small
 from repro.models.vgg import build_vgg_small
 from repro.nn.dtypes import gaussian, resolve_dtype, standard_normal
-from repro.nn.layers import BatchNorm1d, Conv2d, Dense, Dropout, Flatten
+from repro.nn.layers import BatchNorm1d, Conv2d, Dense, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
 from repro.nn.optim import make_optimizer, optimizer_names
@@ -159,15 +159,6 @@ def test_float32_batchnorm_gradient_check(rng):
                 assert abs(numeric - value) <= \
                     F32_TOL * (abs(numeric) + abs(value)) + 2e-3, \
                     f"layer {i} {key}[{j}]: {numeric} vs {value}"
-
-
-def test_dropout_mask_adopts_input_dtype(rng, ws):
-    layer = Dropout(0.5)
-    layer.attach_rng(np.random.default_rng(0))
-    x = rng.standard_normal((16, 8)).astype(np.float32)
-    out = layer.forward(x, training=True, workspace=ws)
-    assert out.dtype == np.float32
-    assert layer.backward(out, workspace=ws).dtype == np.float32
 
 
 def test_set_store_rejects_mismatched_dtype():

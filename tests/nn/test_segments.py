@@ -36,7 +36,7 @@ def bn_model(rng) -> Model:
         Dense(6, 5, rng), BatchNorm1d(5), Tanh(),
         Dense(5, 4, rng), ReLU(),
         Dense(4, 3, rng),
-    ], rng=rng, name="bn")
+    ], name="bn")
 
 
 @pytest.fixture

@@ -185,7 +185,7 @@ class TestSerialization:
         assert np.array_equal(loaded.buffer, store.buffer)
 
     def test_load_onto_layout_keeps_it(self, rng, tmp_path):
-        model = Model([Dense(4, 3, rng), BatchNorm1d(3)], rng=rng)
+        model = Model([Dense(4, 3, rng), BatchNorm1d(3)])
         save_weights(model.get_store(), tmp_path / "w.npz")
         layout = model.weight_layout()
         assert not all(e.trainable for e in layout.entries)

@@ -115,7 +115,7 @@ class TestPlan:
         """A buffer-only release slot is impossible; its budget share
         re-spreads so the per-round epsilon spend is unchanged."""
         model = Model([Dense(6, 5, rng), BatchNorm1d(5), Tanh(),
-                       Dense(5, 3, rng)], rng=rng, name="bn")
+                       Dense(5, 3, rng)], name="bn")
         defense = LayerwiseDP(epsilon=1.0, rounds=1)
         defense.on_round_start(0, [0], model.weights,
                                np.random.default_rng(0))

@@ -32,7 +32,7 @@ def bn_model(rng) -> Model:
         Dense(12, 10, rng), BatchNorm1d(10), Tanh(),
         Dense(10, 6, rng), Tanh(),
         Dense(6, 4, rng),
-    ], rng=rng, name="bn")
+    ], name="bn")
 
 
 def _batch(rng, n=16, d=12, k=4):
