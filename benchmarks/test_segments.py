@@ -1,4 +1,4 @@
-"""Segment-plane benchmark: LaDP allocation + obfuscation-aware
+"""Layer-wise benchmark: LaDP allocation + obfuscation-aware
 distances.  Writes ``BENCH_segments.json`` at the repo root.
 
 Part A — layer-wise adaptive DP under label skew (Dirichlet

@@ -287,9 +287,9 @@ def _cluster_distances(updates: Sequence[WeightStore],
     Each column's median depends on that column alone, so the center
     is computed chunk by chunk too.
 
-    ``include`` is an optional boolean coordinate mask (segment-plane
-    shape, ``(num_params,)``): False coordinates are excluded from the
-    distance — how norm clustering ignores DINAR's obfuscated segment.
+    ``include`` is an optional boolean coordinate mask of shape
+    ``(num_params,)``: False coordinates are excluded from the
+    distance — how norm clustering ignores DINAR's obfuscated layer.
     Masked coordinates are zeroed in place (not compressed away), so
     every chunk keeps its shape and summation order and an all-True
     mask reproduces the unmasked distances bitwise.

@@ -54,14 +54,15 @@ def add_proximal_term(model: Model, mu: float,
                       anchor: np.ndarray) -> None:
     """Add the FedProx gradient ``mu * (w - w_anchor)`` in place.
 
-    One flat vector op per maximal trainable segment of the model's
-    gradient buffer — non-trainable coordinates (batch-norm running
-    statistics) carry no gradient and must stay exactly zero, so the
-    whole-buffer form is deliberately avoided.  ``anchor`` is a flat
-    snapshot of the round-start weight buffer.
+    One flat vector op per ``Layout.param_segments`` run of the
+    model's gradient buffer — non-trainable coordinates (batch-norm
+    running statistics) carry no gradient and must stay exactly zero,
+    so the whole-buffer form is deliberately avoided.  ``anchor`` is a
+    flat snapshot of the round-start weight buffer.
     """
-    model.segment_view().add_scaled_difference(
-        model.grad_vector, mu, model.weights.buffer, anchor)
+    grads, params = model.grad_vector, model.weights.buffer
+    for run in model.weight_layout().param_segments:
+        grads[run] += mu * (params[run] - anchor[run])
 
 
 class FLClient:

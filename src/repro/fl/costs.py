@@ -52,9 +52,9 @@ class CostReport:
     # serial runs — nothing crosses a process boundary.
     ipc_bytes_pickled: int = 0
     ipc_bytes_shared: int = 0
-    # Segment-plane accounting: the per-layer privacy-budget schedule
-    # of a layer-wise DP defense (one dict per parameter-bearing
-    # segment: name, share, epsilon, sigma, params).  Empty unless a
+    # Per-layer accounting: the privacy-budget schedule of a
+    # layer-wise DP defense (one dict per parameter-bearing layer:
+    # name, share, epsilon, sigma, params).  Empty unless a
     # defense publishes a ``segment_report``.
     segment_budget: list = field(default_factory=list)
 

@@ -120,7 +120,7 @@ class FLServer:
         ``distance_mask='obfuscated'`` excludes every coordinate of the
         defense's protected layers — their *full* ranges, because
         DINAR obfuscates whole layers including non-trainable buffers —
-        so the distance sees only segments the defense leaves honest.
+        so the distance sees only layers the defense leaves honest.
         Cached: the mask is a pure function of the layout and the
         defense's protected set.
         """
@@ -128,9 +128,10 @@ class FLServer:
             return None
         if self._distance_include is None:
             layout = self.global_weights.layout
-            protected = self.defense.protected_indices(layout.num_layers)
-            self._distance_include = layout.segmented().mask(
-                exclude=protected, full=True)
+            include = np.ones(layout.num_params, dtype=bool)
+            for p in self.defense.protected_indices(layout.num_layers):
+                include[layout.layer_slice(p)] = False
+            self._distance_include = include
         return self._distance_include
 
     def _acc(self) -> StreamingAccumulator:

@@ -45,6 +45,7 @@ import numpy as np
 from repro.fl.executor import (
     ClientRoundResult,
     ClientTask,
+    HeapRows,
     RoundExecutor,
     execute_client_task,
     round_start_rng,
@@ -179,7 +180,7 @@ class ShmRound:
     """O(descriptor) handle to one round's shared memory: what travels
     with each task through the pool pipe instead of any vector."""
 
-    #: Segment holding the round's global flat buffer.
+    #: Shared-memory segment holding the round's global flat buffer.
     weights_name: str
     #: Segments holding the client registry's planes.
     rows_names: tuple[str, str, str]
@@ -392,9 +393,14 @@ class ParallelExecutor(RoundExecutor):
         A worker keeps every segment the parent mapped when it forked
         until the pool closes, so forking before the registry
         allocates lets a plane the registry grows out of be freed as
-        soon as the parent releases it.
+        soon as the parent releases it.  For the same reason a re-fork
+        after :meth:`close` first moves the rows off the unlinked
+        segments close() left them on, into private memory;
+        :meth:`iter_round` moves them back into shared segments.
         """
         if self._pool is None:
+            if not all(map(self._channel.holds, self.registry.buffers)):
+                self.registry.relocate(self.registry.capacity, HeapRows())
             self._pool = _PoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -447,7 +453,7 @@ class ParallelExecutor(RoundExecutor):
             return
         pool = self.start()
         if not all(map(self._channel.holds, self.registry.buffers)):
-            # close() unlinked its segments
+            # the rows are in private memory (see start())
             self.registry.relocate(self.registry.capacity)
         first = tasks[0]
         ref = self._channel.publish_round(

@@ -222,8 +222,8 @@ class FederatedSimulation:
         self.defense.on_round_start(
             round_index, cohort, self.server.global_weights,
             round_start_rng(config.seed, round_index))
-        # Segment-plane accounting: a layer-wise defense publishes its
-        # per-segment budget schedule after resolving it against the
+        # Per-layer accounting: a layer-wise defense publishes its
+        # per-layer budget schedule after resolving it against the
         # round's layout.
         segment_report = getattr(self.defense, "segment_report", None)
         if segment_report is not None:

@@ -184,15 +184,16 @@ class PersonalWeightsRegistry(_Plane):
         return (self.layout.num_params, self.layout.num_params,
                 self.state_width)
 
-    def relocate(self, capacity: int) -> None:
-        """Move every row into new buffers of ``capacity`` rows from the
-        allocator.  Planes move one at a time, each old buffer released
-        as soon as it is copied, so at most one plane is held twice."""
+    def relocate(self, capacity: int, allocator: Any = None) -> None:
+        """Move every row into new buffers of ``capacity`` rows from
+        ``allocator`` (the registry's own by default).  Planes move one
+        at a time, each old buffer released as soon as it is copied, so
+        at most one plane is held twice."""
         widths = self._widths()
         # A failed allocation leaves every row where it was (a parallel
         # executor's close() unlinks any new segment).
-        buffers = [self._allocator.allocate(capacity * width,
-                                            self.layout.dtype)
+        buffers = [(allocator or self._allocator).allocate(
+                       capacity * width, self.layout.dtype)
                    for width in widths]
         old = list(zip(self.rows or (), self.buffers))
         self.buffers, self.capacity = tuple(buffers), capacity

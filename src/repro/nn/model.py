@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.losses import Loss
-from repro.nn.store import Layout, SegmentedView, WeightStore
+from repro.nn.store import Layout, WeightStore
 from repro.nn.workspace import Workspace
 
 
@@ -115,15 +115,6 @@ class Model:
         """Names of the parameter-carrying layers, front to back."""
         return [layer.name for layer in self.trainable]
 
-    def segment_view(self) -> "SegmentedView":
-        """The model's named segment plane (cached on the layout).
-
-        One :class:`~repro.nn.store.Segment` per trainable layer, named
-        from :meth:`layer_names` — the typed handle for per-layer
-        views, norms, masks and noise (see ``repro.nn.store``).
-        """
-        return self.weight_layout().segmented(tuple(self.layer_names()))
-
     def num_parameters(self) -> int:
         """Total trainable scalar count across the whole network."""
         return sum(layer.num_parameters() for layer in self.trainable)
@@ -194,10 +185,12 @@ class Model:
         next backward pass overwrites them.
         """
         self.loss_and_grad(x, y, loss)
-        view = self.segment_view()
+        layout = self.weight_layout()
         vectors = []
-        for seg in view:
-            vector = view.view(self._grad_buffer, seg)
+        for i in range(layout.num_layers):
+            # A layer's params precede its buffers: one contiguous run.
+            slices = layout.layer_param_slices(i)
+            vector = self._grad_buffer[slices[0].start:slices[-1].stop]
             vectors.append(vector.copy() if copy else vector)
         return vectors
 

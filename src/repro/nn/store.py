@@ -5,10 +5,14 @@ A model's state is one contiguous vector plus an immutable
 range.  Every subsystem — training, the defenses, DINAR, aggregation,
 traffic accounting, checkpoints — exchanges that vector; DINAR's
 "layer p" is the single slice ``Layout.layer_slice(p)``.  The layout
-also fixes the buffer's *precision* (float64 by default, float32 for
-the reduced-precision compute plane — see ``repro.nn.dtypes``); two
-layouts with the same geometry but different dtypes are distinct, so
-stores of different precisions never silently mix.
+holds all per-layer geometry (``layer_slice``, ``layer_param_slices``,
+``param_entry_slices``, ``param_segments``); each per-layer operation
+is a short loop over those slices in the one module that needs it.
+The layout also fixes the buffer's *precision* (float64 by default,
+float32 for the reduced-precision compute plane — see
+``repro.nn.dtypes``); two layouts with the same geometry but different
+dtypes are distinct, so stores of different precisions never silently
+mix.
 
 Design rules:
 
@@ -27,12 +31,12 @@ Design rules:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.dtypes import DTypeLike, gaussian, resolve_dtype
+from repro.nn.dtypes import DTypeLike, resolve_dtype
 
 #: Named arrays, one mapping per layer — the input of ``from_layers``.
 NamedLayers = Sequence[Mapping[str, np.ndarray]]
@@ -72,7 +76,7 @@ class Layout:
     __slots__ = ("entries", "num_params", "num_layers", "dtype",
                  "_by_key", "_layer_slices", "_hash",
                  "_param_entry_slices", "_param_segments",
-                 "_layer_param_slices", "num_trainable", "_segmented")
+                 "_layer_param_slices", "num_trainable")
 
     def __init__(self, entries: Sequence[LayoutEntry], *,
                  dtype: DTypeLike = np.float64) -> None:
@@ -111,7 +115,6 @@ class Layout:
             slice(starts[i], starts[i + 1])
             for i in range(self.num_layers))
         self._hash = hash((self.entries, self.dtype))
-        self._segmented = {}
         self._index_trainable()
 
     def _index_trainable(self) -> None:
@@ -122,7 +125,8 @@ class Layout:
         legacy per-array fold bitwise.  ``_param_segments`` merges
         adjacent trainable entries into maximal runs — the fewest
         slices that cover exactly the trainable coordinates, for
-        elementwise ops and contiguous RNG draws.
+        elementwise ops and contiguous RNG draws.  ``_layer_param_slices``
+        groups the entry slices by layer.
         """
         entry_slices: list[slice] = []
         segments: list[slice] = []
@@ -140,18 +144,7 @@ class Layout:
         self._param_entry_slices = tuple(entry_slices)
         self._param_segments = tuple(segments)
         self.num_trainable = sum(s.stop - s.start for s in entry_slices)
-        layer_param_slices: list[slice | None] = []
-        for slices in per_layer:
-            if not slices:
-                layer_param_slices.append(
-                    slice(self.num_params, self.num_params))
-            elif all(a.stop == b.start
-                     for a, b in zip(slices, slices[1:])):
-                layer_param_slices.append(
-                    slice(slices[0].start, slices[-1].stop))
-            else:
-                layer_param_slices.append(None)
-        self._layer_param_slices = tuple(layer_param_slices)
+        self._layer_param_slices = tuple(map(tuple, per_layer))
 
     # ------------------------------------------------------------------
     # construction
@@ -228,6 +221,11 @@ class Layout:
         return tuple(e.key for e in self.entries
                      if e.layer_idx == layer_idx)
 
+    def layer_param_slices(self, layer_idx: int) -> tuple[slice, ...]:
+        """One buffer slice per trainable entry of one layer, in layout
+        order (empty for a layer holding only buffers)."""
+        return self._layer_param_slices[layer_idx]
+
     @property
     def param_entry_slices(self) -> tuple[slice, ...]:
         """One buffer slice per *trainable* entry, in layout order.
@@ -261,28 +259,11 @@ class Layout:
             return self
         return Layout(self.entries, dtype=dtype)
 
-    def segmented(self,
-                  names: Sequence[str] | None = None) -> "SegmentedView":
-        """The named per-layer :class:`SegmentedView` of this layout.
-
-        ``names`` gives one name per layer (``Model.segment_view``
-        passes ``layer_names()``); omitted, layers are named
-        ``layer{i}``.  Views are cached per name tuple — repeated
-        lookups on hot paths (DP-SGD steps, per-round clipping) cost a
-        dict hit.
-        """
-        key = None if names is None else tuple(names)
-        view = self._segmented.get(key)
-        if view is None:
-            view = SegmentedView(self, names)
-            self._segmented[key] = view
-        return view
-
     # ------------------------------------------------------------------
     def __reduce__(self):
-        # Rebuild from the constructor arguments: the trainable indexes
-        # are recomputed (deterministic, cheap) and the segmented-view
-        # cache never travels through pickle.
+        # Rebuild from the constructor arguments: the lookup and
+        # trainable indexes are recomputed (deterministic, cheap)
+        # rather than pickled.
         return (_rebuild_layout, (self.entries, self.dtype.str))
 
     def __eq__(self, other: object) -> bool:
@@ -304,329 +285,6 @@ class Layout:
 def _rebuild_layout(entries, dtype_str) -> "Layout":
     """Unpickle helper for :meth:`Layout.__reduce__`."""
     return Layout(entries, dtype=dtype_str)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One named layer of a :class:`SegmentedView`.
-
-    A segment is the per-layer handle the segment plane deals in: the
-    layer's contiguous *trainable* coordinate range (``params``), its
-    full coordinate range including non-trainable buffers (``full``),
-    and the per-entry slices that are the bitwise reduction chunks of
-    :func:`chunked_sq_sum`.
-    """
-
-    index: int
-    name: str
-    #: Contiguous trainable range, or None for exotic layouts where a
-    #: buffer interleaves the layer's parameters (use ``entry_slices``).
-    params: slice | None
-    #: The whole layer's coordinate range (params and buffers).
-    full: slice
-    #: One slice per trainable entry, in layout order.
-    entry_slices: tuple[slice, ...]
-
-    @property
-    def num_params(self) -> int:
-        """Trainable scalar count of this segment."""
-        return sum(s.stop - s.start for s in self.entry_slices)
-
-    @property
-    def has_params(self) -> bool:
-        """Whether this segment carries any trainable coordinates."""
-        return bool(self.entry_slices)
-
-
-class SegmentedView:
-    """Named, typed per-layer view of a :class:`Layout`.
-
-    The segment plane: every consumer that used to hand-roll a
-    ``for segment in layout.param_segments`` loop goes through this
-    object instead.  It exposes
-
-    * zero-copy per-segment views of any flat vector
-      (:meth:`view`) or ``(clients, params)`` batch (:meth:`batch`),
-    * per-segment and whole-model squared norms whose reduction chunks
-      reproduce the legacy per-array fold bitwise (:meth:`sq_sum`,
-      :meth:`segment_sq_sums`),
-    * boolean segment masks over the flat coordinate space
-      (:meth:`mask`),
-    * the elementwise/RNG primitives the defenses need — Gaussian
-      noise drawn per maximal trainable run in layout order
-      (:meth:`add_gaussian`), per-segment noise and scaling
-      (:meth:`segment_add_gaussian`, :meth:`scale_segment`), the
-      FedProx proximal term (:meth:`add_scaled_difference`), global
-      norm clipping (:meth:`clip`) and top-k selection
-      (:meth:`top_k_indices`) — each bitwise-equal to the hand-rolled
-      loop it replaces.
-
-    Obtained via :meth:`Layout.segmented` (cached) or
-    ``Model.segment_view()`` (named from ``layer_names()``).
-    """
-
-    __slots__ = ("layout", "segments", "_by_name")
-
-    def __init__(self, layout: Layout,
-                 names: Sequence[str] | None = None) -> None:
-        if names is None:
-            names = [f"layer{i}" for i in range(layout.num_layers)]
-        names = list(names)
-        if len(names) != layout.num_layers:
-            raise ValueError(
-                f"got {len(names)} segment names for a layout with "
-                f"{layout.num_layers} layers")
-        self.layout = layout
-        per_layer: list[list[slice]] = [
-            [] for _ in range(layout.num_layers)]
-        for entry in layout.entries:
-            if entry.trainable:
-                per_layer[entry.layer_idx].append(
-                    slice(entry.offset, entry.stop))
-        self.segments = tuple(
-            Segment(
-                index=i, name=names[i],
-                params=layout._layer_param_slices[i],
-                full=layout.layer_slice(i),
-                entry_slices=tuple(per_layer[i]),
-            )
-            for i in range(layout.num_layers))
-        by_name: dict[str, int] = {}
-        for seg in self.segments:
-            # A repeated name (two identically named layers) stays
-            # listable but is rejected on lookup as ambiguous.
-            by_name[seg.name] = -1 if seg.name in by_name else seg.index
-        self._by_name = by_name
-
-    # ------------------------------------------------------------------
-    # container protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
-    def __getitem__(self, key: int | str) -> Segment:
-        return self.resolve(key)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Segment names, front to back."""
-        return tuple(seg.name for seg in self.segments)
-
-    def resolve(self, key: "int | str | Segment") -> Segment:
-        """Normalize an index, name or segment to a :class:`Segment`."""
-        if isinstance(key, Segment):
-            return key
-        if isinstance(key, str):
-            idx = self._by_name.get(key)
-            if idx is None:
-                raise KeyError(
-                    f"no segment named {key!r}; known: "
-                    f"{', '.join(self.names)}")
-            if idx < 0:
-                raise KeyError(
-                    f"segment name {key!r} is ambiguous in this view; "
-                    f"use the integer index")
-            return self.segments[idx]
-        n = len(self.segments)
-        idx = int(key)
-        if idx < 0:
-            idx += n
-        if not 0 <= idx < n:
-            raise IndexError(f"segment {key} out of range ({n})")
-        return self.segments[idx]
-
-    # ------------------------------------------------------------------
-    # trainable-coordinate geometry (the legacy loop shapes)
-    # ------------------------------------------------------------------
-    @property
-    def runs(self) -> tuple[slice, ...]:
-        """Maximal contiguous trainable runs, in layout order — the
-        shape of elementwise updates and contiguous RNG draws
-        (= :attr:`Layout.param_segments`)."""
-        return self.layout.param_segments
-
-    @property
-    def entry_slices(self) -> tuple[slice, ...]:
-        """One slice per trainable entry — the bitwise reduction
-        chunks (= :attr:`Layout.param_entry_slices`)."""
-        return self.layout.param_entry_slices
-
-    # ------------------------------------------------------------------
-    # zero-copy views
-    # ------------------------------------------------------------------
-    def _params_slice(self, seg: Segment) -> slice:
-        if seg.params is None:
-            raise ValueError(
-                f"segment {seg.index} ({seg.name!r}): trainable "
-                f"entries are not contiguous in this layout")
-        return seg.params
-
-    def view(self, vector: np.ndarray,
-             seg: "int | str | Segment") -> np.ndarray:
-        """Zero-copy view of one segment's trainable coordinates."""
-        return vector[self._params_slice(self.resolve(seg))]
-
-    def full_view(self, vector: np.ndarray,
-                  seg: "int | str | Segment") -> np.ndarray:
-        """Zero-copy view of one segment's full coordinate range
-        (params and non-trainable buffers)."""
-        return vector[self.resolve(seg).full]
-
-    def batch(self, matrix: np.ndarray,
-              seg: "int | str | Segment") -> np.ndarray:
-        """Zero-copy per-segment column block of a ``(clients,
-        params)`` batch — each row's slice of this segment."""
-        if matrix.ndim != 2 or matrix.shape[1] != self.layout.num_params:
-            raise ValueError(
-                f"batch shape {matrix.shape} does not match layout "
-                f"with {self.layout.num_params} params")
-        return matrix[:, self._params_slice(self.resolve(seg))]
-
-    # ------------------------------------------------------------------
-    # norms
-    # ------------------------------------------------------------------
-    def sq_sum(self, vector: np.ndarray) -> float:
-        """Whole-model trainable squared norm, folded per entry —
-        bitwise-equal to the legacy per-``(layer, key)`` fold (this is
-        DP-SGD's clip norm)."""
-        return chunked_sq_sum(vector, self.layout.param_entry_slices)
-
-    def segment_sq_sums(self, vector: np.ndarray) -> np.ndarray:
-        """Per-segment trainable squared norms, shape ``(J,)``.
-
-        Each segment folds over its own entry slices, so summing the
-        returned array reproduces :meth:`sq_sum` exactly (same chunks,
-        same order).  Segments without parameters read 0.0.
-        """
-        return np.array([
-            chunked_sq_sum(vector, seg.entry_slices)
-            for seg in self.segments])
-
-    # ------------------------------------------------------------------
-    # masks
-    # ------------------------------------------------------------------
-    def mask(self, include: "Sequence[int | str] | None" = None,
-             exclude: "Sequence[int | str] | None" = None, *,
-             full: bool = False) -> np.ndarray:
-        """Boolean coordinate mask selecting whole segments.
-
-        Exactly one of ``include`` / ``exclude`` names the segments;
-        the mask is True on the selected segments' trainable
-        coordinates (or their full coordinate ranges with
-        ``full=True`` — the shape DINAR's whole-layer obfuscation
-        protects) and False elsewhere.
-        """
-        if (include is None) == (exclude is None):
-            raise ValueError("pass exactly one of include= / exclude=")
-        mask = np.zeros(self.layout.num_params, dtype=bool)
-        for key in (include if include is not None else exclude):
-            seg = self.resolve(key)
-            if full:
-                mask[seg.full] = True
-            else:
-                for sl in seg.entry_slices:
-                    mask[sl] = True
-        return mask if include is not None else ~mask
-
-    # ------------------------------------------------------------------
-    # elementwise / RNG primitives (bitwise-pinned loop shapes)
-    # ------------------------------------------------------------------
-    def add_gaussian(self, vector: np.ndarray,
-                     rng: np.random.Generator, std: float) -> None:
-        """Add ``N(0, std^2)`` noise to every trainable coordinate.
-
-        One contiguous draw per maximal trainable run, in layout
-        order — the generator stream and addition order of the legacy
-        DP-SGD per-array loop, so migrated noise is bitwise-unchanged
-        while non-trainable buffers are skipped entirely.
-        """
-        for run in self.layout.param_segments:
-            vector[run] += gaussian(
-                rng, std, run.stop - run.start, vector.dtype)
-
-    def segment_add_gaussian(self, vector: np.ndarray,
-                             seg: "int | str | Segment",
-                             rng: np.random.Generator,
-                             std: float) -> None:
-        """Add Gaussian noise to one segment's trainable coordinates
-        (one contiguous draw per entry, in layout order)."""
-        for sl in self.resolve(seg).entry_slices:
-            vector[sl] += gaussian(
-                rng, std, sl.stop - sl.start, vector.dtype)
-
-    def scale_segment(self, vector: np.ndarray,
-                      seg: "int | str | Segment",
-                      factor: float) -> None:
-        """Scale one segment's trainable coordinates in place."""
-        for sl in self.resolve(seg).entry_slices:
-            vector[sl] *= factor
-
-    def add_scaled_difference(self, out: np.ndarray, factor: float,
-                              a: np.ndarray, b: np.ndarray) -> None:
-        """``out += factor * (a - b)`` over trainable coordinates.
-
-        The FedProx proximal term: one vector op per maximal trainable
-        run (bitwise-equal to the hand-rolled loop), leaving
-        non-trainable coordinates — which carry no gradient — exactly
-        untouched.
-        """
-        for run in self.layout.param_segments:
-            out[run] += factor * (a[run] - b[run])
-
-    def clip(self, store: "WeightStore",
-             max_norm: float) -> "WeightStore":
-        """Scale a store so its global L2 norm is <= ``max_norm``.
-
-        The degenerate one-segment clip (whole-buffer norm, including
-        non-trainable coordinates) — exactly the legacy ``clip_store``
-        the CDP/WDP delta bound uses, kept bitwise.  Per-segment
-        clipping composes :meth:`segment_sq_sums` +
-        :meth:`scale_segment` instead (see the LaDP defense).
-        """
-        if max_norm <= 0:
-            raise ValueError(
-                f"max_norm must be positive, got {max_norm}")
-        norm = store.l2()
-        if norm <= max_norm:
-            return store.copy()
-        return store * (max_norm / norm)
-
-    def top_k_indices(self, vector: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` largest-magnitude coordinates.
-
-        The gradient-compression threshold: whole-buffer
-        ``argpartition``, exactly the legacy selection (unordered
-        within the kept set, like the loop it replaces).
-        """
-        if not 1 <= k <= vector.size:
-            raise ValueError(
-                f"k must be in [1, {vector.size}], got {k}")
-        return np.argpartition(np.abs(vector),
-                               vector.size - k)[vector.size - k:]
-
-    def segment_top_k_indices(self, vector: np.ndarray,
-                              seg: "int | str | Segment",
-                              k: int) -> np.ndarray:
-        """Absolute indices of one segment's ``k`` largest-magnitude
-        trainable coordinates (per-segment sparsification)."""
-        seg = self.resolve(seg)
-        sl = self._params_slice(seg)
-        block = vector[sl]
-        if not 1 <= k <= block.size:
-            raise ValueError(
-                f"k must be in [1, {block.size}] for segment "
-                f"{seg.name!r}, got {k}")
-        local = np.argpartition(np.abs(block),
-                                block.size - k)[block.size - k:]
-        return local + sl.start
-
-    def __repr__(self) -> str:
-        return (f"SegmentedView(segments={len(self.segments)}, "
-                f"params={self.layout.num_params}, "
-                f"names=[{', '.join(self.names)}])")
 
 
 class WeightStore:

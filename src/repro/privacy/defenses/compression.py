@@ -52,8 +52,9 @@ class GradientCompression(Defense):
         if state is not None:
             flat += state
         k = max(1, int(self.keep_ratio * flat.size))
-        view = global_weights.layout.segmented()
-        keep_idx = view.top_k_indices(flat, k)
+        # Indices of the k largest magnitudes, unordered.
+        cut = flat.size - k
+        keep_idx = np.argpartition(np.abs(flat), cut)[cut:]
         sparse = np.zeros_like(flat)
         sparse[keep_idx] = flat[keep_idx]
         if state is not None:

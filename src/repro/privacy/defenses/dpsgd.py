@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
+from repro.nn.dtypes import gaussian
 from repro.nn.model import Model
 from repro.nn.optim import Optimizer
+from repro.nn.store import chunked_sq_sum
 
 
 def dp_sgd_noise_multiplier(epsilon: float, delta: float, *,
@@ -68,24 +70,28 @@ class DPSGD(Optimizer):
     def step(self) -> None:
         """Whole-model clip + noise + descent as flat vector ops.
 
-        The squared norm folds per layout entry
-        (:meth:`~repro.nn.store.SegmentedView.sq_sum`) and the Gaussian
-        noise is drawn per maximal trainable segment, so both the clip
-        scale and the RNG stream match the legacy per-``(layer, key)``
-        loop bitwise while skipping non-trainable buffer coordinates.
+        The squared norm folds per trainable layout entry
+        (:func:`~repro.nn.store.chunked_sq_sum` over
+        ``Layout.param_entry_slices``) and the Gaussian noise is drawn
+        once per ``Layout.param_segments`` run, in layout order, so
+        both the clip scale and the RNG stream match the legacy
+        per-``(layer, key)`` loop bitwise while skipping non-trainable
+        buffer coordinates.
         """
         self.steps += 1
         if self._paramless:
             return
         params, grads = self._flat_buffers()
-        view = self.model.segment_view()
-        norm = math.sqrt(view.sq_sum(grads))
+        layout = self.model.weight_layout()
+        norm = math.sqrt(chunked_sq_sum(grads, layout.param_entry_slices))
         scale = min(1.0, self.clip_norm / max(norm, 1e-12))
         noise_std = (self.noise_multiplier * self.clip_norm
                      / self._last_batch_size)
         update = grads * scale
         if noise_std > 0:
-            view.add_gaussian(update, self.rng, noise_std)
+            for run in layout.param_segments:
+                update[run] += gaussian(self.rng, noise_std,
+                                        run.stop - run.start, update.dtype)
         params -= self.lr * update
 
     def _update_flat(self, params, grads) -> None:  # pragma: no cover

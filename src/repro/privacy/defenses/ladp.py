@@ -1,4 +1,4 @@
-"""Layer-wise adaptive DP (LaDP) on the segment plane.
+"""Layer-wise adaptive DP (LaDP) over the flat buffer's layers.
 
 PAPERS.md's "Local Layer-wise Differential Privacy in Federated
 Learning": instead of one uniform (epsilon, delta) budget over the
@@ -11,14 +11,16 @@ total budget this trades noise from where it destroys utility to where
 it doesn't (the bench gates this against uniform-share LaDP).
 
 Mechanically each release is a WDP-shaped round-delta mechanism, but
-per segment: clip segment j's trainable coordinates to
-``clip_norm / sqrt(J)`` (so the per-segment bounds compose back to the
+per layer: clip layer j's trainable coordinates to
+``clip_norm / sqrt(J)`` (so the per-layer bounds compose back to the
 whole-model ``clip_norm``), then add Gaussian noise with
 ``sigma_j = gaussian_sigma(eps_j, delta_j, clip_j)`` where
 ``eps_j = share_j * epsilon / sqrt(rounds)`` and ``delta_j = delta/J``
 — sequential composition across the J per-layer releases of one
-update.  Every per-segment clip+noise is one masked-view operation on
-:class:`~repro.nn.store.SegmentedView`.
+update.  Layer j's trainable coordinates are the entry slices
+``Layout.layer_param_slices(j)``; norms fold over them with
+:func:`~repro.nn.store.chunked_sq_sum`, and scaling and noise go one
+entry at a time (one Gaussian draw per entry, in layout order).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.store import WeightStore
+from repro.nn.dtypes import gaussian
+from repro.nn.store import WeightStore, chunked_sq_sum
 from repro.privacy.defenses.accounting import (
     PrivacyAccountant,
     gaussian_sigma,
@@ -61,7 +64,7 @@ def allocate_shares(divergences: Sequence[float], *,
 
 
 class LayerwiseDP(Defense):
-    """Per-layer epsilon allocation over segment-wise clip + noise."""
+    """Per-layer epsilon allocation over layer-wise clip + noise."""
 
     name = "ladp"
 
@@ -137,43 +140,44 @@ class LayerwiseDP(Defense):
         return shares
 
     def _resolve_plan(self, layout) -> None:
-        """Fix the per-segment (epsilon, clip, sigma) schedule.
+        """Fix the per-layer (epsilon, clip, sigma) schedule.
 
         Deterministic from the layout alone, so an instance that never
         ran ``on_round_start`` resolves the same plan from the received
         global model's layout — no plan data crosses the IPC boundary.
         """
-        view = layout.segmented()
-        shares = self._layer_shares(len(view))
-        param_segs = [seg for seg in view if seg.has_params]
-        j = len(param_segs)
+        shares = self._layer_shares(layout.num_layers)
+        live_layers = [i for i in range(layout.num_layers)
+                       if layout.layer_param_slices(i)]
+        j = len(live_layers)
         if j == 0:
             self._plan = []
             return
-        # Budget shares land only on parameter-bearing segments; a
+        # Budget shares land only on parameter-bearing layers; a
         # buffer-only layer releases nothing, so its share re-spreads
         # over the layers that do (renormalized).
-        live = np.array([shares[seg.index] for seg in param_segs])
+        live = np.array([shares[i] for i in live_layers])
         live = live / live.sum()
         eps_round = self.epsilon / math.sqrt(self.rounds)
         clip_j = self.clip_norm / math.sqrt(j)
         delta_j = self.delta / j
         self._plan = [
             {
-                "segment": seg.index,
-                "name": seg.name,
+                "segment": i,
+                "name": f"layer{i}",
                 "share": float(share),
                 "epsilon": float(share * eps_round),
                 "clip": clip_j,
                 "sigma": gaussian_sigma(share * eps_round, delta_j,
                                         clip_j),
-                "params": seg.num_params,
+                "params": sum(sl.stop - sl.start
+                              for sl in layout.layer_param_slices(i)),
             }
-            for seg, share in zip(param_segs, live)
+            for i, share in zip(live_layers, live)
         ]
 
     def segment_report(self) -> list[dict]:
-        """Per-segment budget rows (name, share, epsilon, sigma) for
+        """Per-layer budget rows (name, share, epsilon, sigma) for
         cost accounting and the CLI summary; empty before round 1."""
         return list(self._plan or [])
 
@@ -194,16 +198,17 @@ class LayerwiseDP(Defense):
         if self._plan is None:  # called without a round start
             self._resolve_plan(global_weights.layout)
         delta = weights - global_weights
-        view = delta.layout.segmented()
-        sq = view.segment_sq_sums(delta.buffer)
+        buf = delta.buffer
         for entry in self._plan:
-            seg = view[entry["segment"]]
-            norm = math.sqrt(sq[seg.index])
+            slices = delta.layout.layer_param_slices(entry["segment"])
+            norm = math.sqrt(chunked_sq_sum(buf, slices))
             if norm > entry["clip"]:
-                view.scale_segment(delta.buffer, seg,
-                                   entry["clip"] / norm)
-            view.segment_add_gaussian(delta.buffer, seg, rng,
-                                      entry["sigma"])
+                factor = entry["clip"] / norm
+                for sl in slices:
+                    buf[sl] *= factor
+            for sl in slices:
+                buf[sl] += gaussian(rng, entry["sigma"],
+                                    sl.stop - sl.start, buf.dtype)
         return global_weights + delta
 
     def state_bytes(self) -> int:

@@ -22,8 +22,17 @@ from repro.privacy.defenses.dpsgd import DPSGD, dp_sgd_noise_multiplier
 
 
 def clip_store(store: WeightStore, max_norm: float) -> WeightStore:
-    """Scale a store so its global L2 norm is <= max_norm (new store)."""
-    return store.layout.segmented().clip(store, max_norm)
+    """Scale a store so its global L2 norm is <= max_norm (new store).
+
+    The norm covers the whole buffer, non-trainable coordinates
+    included: this is the CDP/WDP round-delta bound.
+    """
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    norm = store.l2()
+    if norm <= max_norm:
+        return store.copy()
+    return store * (max_norm / norm)
 
 
 class LocalDP(Defense):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import multiprocessing
+import os
 import pathlib
 import pickle
 import time
@@ -585,6 +586,29 @@ class TestRegistryGrowth:
         for name, plane in serial.registry.planes().items():
             assert plane.tobytes() \
                 == parallel.registry.planes()[name].tobytes(), name
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/maps").exists(),
+                        reason="needs /proc/<pid>/maps")
+    def test_refork_after_close_maps_only_held_segments(
+            self, no_leaked_segments):
+        """A simulation continued after run() closed its executor
+        re-forks the pool; no new worker maps a registry segment the
+        channel does not hold, such as the unlinked ones close() left
+        the rows on."""
+        # what this process maps already is no segment of this run
+        foreign = _mapped_segments(os.getpid())
+        sim = _make_sim(num_clients=30, sample_fraction=0.2)
+        sim.run()
+        channel = sim.executor._channel
+        try:
+            for round_index in range(2, 6):
+                sim.run_round(round_index)
+                held = {segment.name for segment, _ in channel._rows}
+                held.add(channel._weights[0].name)
+                for pid in sim.executor._pool._processes:
+                    assert _mapped_segments(pid) - foreign <= held
+        finally:
+            sim.executor.close()
 
     def test_exhausted_dev_shm_fails_before_any_task(
             self, monkeypatch, no_leaked_segments):

@@ -1,5 +1,7 @@
 """Unit tests for the flat-buffer weight plane (Layout + WeightStore)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,29 @@ class TestLayout:
             [{**layer.params, **layer.buffers}
              for layer in tiny_model.trainable])
         assert from_model == from_weights
+
+    def test_pickle_round_trip(self, rng):
+        layout = Model([Dense(6, 5, rng), BatchNorm1d(5),
+                        Dense(5, 3, rng)]).weight_layout()
+        clone = pickle.loads(pickle.dumps(layout))
+        assert clone == layout
+        assert clone.param_segments == layout.param_segments
+        assert clone.param_entry_slices == layout.param_entry_slices
+        assert clone.dtype == layout.dtype
+
+    def test_layer_param_slices_on_buffer_only_layer(self):
+        layout = Layout([
+            LayoutEntry(0, "W", (4,), 0, 4),
+            LayoutEntry(1, "mean", (3,), 4, 3, trainable=False),
+            LayoutEntry(1, "var", (3,), 7, 3, trainable=False),
+            LayoutEntry(2, "W", (5,), 10, 5),
+            LayoutEntry(2, "b", (2,), 15, 2),
+        ])
+        assert layout.layer_param_slices(0) == (slice(0, 4),)
+        assert layout.layer_param_slices(1) == ()
+        assert layout.layer_param_slices(2) == (slice(10, 15),
+                                                slice(15, 17))
+        assert layout.layer_slice(1) == slice(4, 10)
 
 
 class TestBridges:

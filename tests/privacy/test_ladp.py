@@ -1,14 +1,17 @@
 """Layer-wise adaptive DP (LaDP): shares, plan math, mechanism, and
 end-to-end determinism.
 
-The plan — per-segment (epsilon, clip, sigma) — must be a pure
-function of the layout so parent and workers re-derive it identically
-from the received global model; the mechanism itself is per-segment clip+noise
-on SegmentedView masked views.
+The plan — per-layer (epsilon, clip, sigma) — must be a pure function
+of the layout so parent and workers re-derive it identically from the
+received global model; the mechanism itself is per-layer clip+noise
+over each layer's trainable entry slices.  Two sha256 digests pin the
+whole mechanism's bits on a tiny federated run, with and without a
+batch-norm layer.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,11 +24,11 @@ from repro.fl.simulation import FederatedSimulation
 from repro.nn.activations import Tanh
 from repro.nn.layers import BatchNorm1d, Dense
 from repro.nn.model import Model
-from repro.nn.store import WeightStore
-from repro.privacy.defenses import make_defense
-from repro.privacy.defenses.make import make_defense_for_config
+from repro.nn.store import WeightStore, chunked_sq_sum
 from repro.privacy.defenses.accounting import gaussian_sigma
 from repro.privacy.defenses.ladp import LayerwiseDP, allocate_shares
+from repro.privacy.defenses.make import make_defense_for_config
+from tests.fl.trajectory_recipes import simulation_trajectory
 
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 
@@ -120,8 +123,10 @@ class TestPlan:
         defense.on_round_start(0, [0], model.weights,
                                np.random.default_rng(0))
         plan = defense.segment_report()
-        view = model.weights.layout.segmented()
-        assert len(plan) == sum(1 for s in view if s.has_params)
+        layout = model.weights.layout
+        assert [e["segment"] for e in plan] == [
+            i for i in range(layout.num_layers)
+            if layout.layer_param_slices(i)]
         assert sum(e["epsilon"] for e in plan) == pytest.approx(1.0)
 
     def test_accountant_spends_per_round(self, tiny_model):
@@ -158,11 +163,10 @@ class TestMechanism:
         released = defense.on_send_update(
             0, update, global_w, 10, np.random.default_rng(1))
         delta = released - global_w
-        view = delta.layout.segmented()
-        sq = view.segment_sq_sums(delta.buffer)
         clip_j = 0.01 / math.sqrt(len(defense.segment_report()))
         for entry in defense.segment_report():
-            norm = math.sqrt(sq[entry["segment"]])
+            slices = delta.layout.layer_param_slices(entry["segment"])
+            norm = math.sqrt(chunked_sq_sum(delta.buffer, slices))
             assert norm <= clip_j * (1 + 1e-6)
 
     def test_small_delta_not_scaled(self, tiny_model):
@@ -248,3 +252,18 @@ class TestEndToEnd:
             np.testing.assert_array_equal(
                 serial.last_updates[cid].buffer,
                 parallel.last_updates[cid].buffer)
+
+
+#: sha256 of ``simulation_trajectory("ladp", batchnorm=...)``: the final
+#: global and personalized weights of a 3-client, 2-round LaDP run.
+LADP_DIGESTS = {
+    False: "b3d02c16e9cb0541f1d4ebb684ec24ff715d0ae05ebcbee01b4eedc633781864",
+    True: "bce0c3c850970cd1d6b738449105286ffbff244f64bdeb0e065ccba5549b5d5e",
+}
+
+
+@pytest.mark.parametrize("batchnorm", [False, True])
+def test_ladp_trajectory_is_pinned(batchnorm):
+    vector = simulation_trajectory("ladp", batchnorm=batchnorm)
+    digest = hashlib.sha256(np.ascontiguousarray(vector).tobytes())
+    assert digest.hexdigest() == LADP_DIGESTS[batchnorm]
