@@ -67,7 +67,7 @@ def main() -> None:
     # --- 4: the server attacks each hospital's uploaded model ---
     print("\nPhase 3: server-side shadow-model attack on uploads")
     attack = ShadowAttack(factory, num_shadows=2, epochs=6, seed=7)
-    attack.fit(split.attacker)
+    attack.fit(split.source, split.attacker_idx)
     auc = local_models_auc(attack, simulation, max_samples=300)
     print(f"  mean attack AUC over hospital uploads: {100 * auc:.1f}% "
           "(50% = attacker reduced to guessing)")

@@ -56,10 +56,10 @@ def main() -> None:
         "modified entropy (Song & Mittal)": EntropyThresholdAttack(),
         "shadow models (Shokri)": ShadowAttack(
             factory, num_shadows=2, epochs=10, lr=0.15,
-            seed=3).fit(split.attacker),
+            seed=3).fit(split.source, split.attacker_idx),
         "calibrated (Watson)": ReferenceCalibratedAttack(
             factory, num_references=3, epochs=10, lr=0.15,
-            seed=3).fit(split.attacker),
+            seed=3).fit(split.source, split.attacker_idx),
     }
 
     idx = rng.choice(len(members), 400, replace=False)

@@ -115,7 +115,7 @@ def build_attack(name: str, dataset_name: str, split: MembershipSplit, *,
         attack = ShadowAttack(
             make_model_factory(dataset_name, dtype=dtype),
             num_shadows=num_shadows, epochs=shadow_epochs, seed=seed)
-        return attack.fit(split.attacker)
+        return attack.fit(split.source, split.attacker_idx)
     if name == "calibrated":
         from repro.privacy.attacks.calibrated import (
             ReferenceCalibratedAttack,
@@ -123,7 +123,7 @@ def build_attack(name: str, dataset_name: str, split: MembershipSplit, *,
         attack = ReferenceCalibratedAttack(
             make_model_factory(dataset_name, dtype=dtype),
             num_references=num_shadows, epochs=shadow_epochs, seed=seed)
-        return attack.fit(split.attacker)
+        return attack.fit(split.source, split.attacker_idx)
     raise ValueError(f"unknown attack {name!r}; known: yeom, entropy, "
                      "confidence, shadow, calibrated")
 

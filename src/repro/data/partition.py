@@ -22,8 +22,10 @@ from repro.data.synthetic import Dataset
 class MembershipSplit:
     """The paper's three disjoint pools as index arrays over the one
     loaded dataset.  Only ``nonmembers`` (read whole by every
-    evaluation, a tenth of the data) is built up front; ``members`` and
-    ``attacker`` copy their pool on each access and are not cached."""
+    evaluation, a tenth of the data) is built up front; ``members``
+    copies its pool on each access and is not cached, and the
+    attacker's pool stays rows (``attacker_idx``) that the shadow and
+    calibrated attacks gather batch by batch."""
 
     source: Dataset
     member_idx: np.ndarray     # FL training rows — the MIA positives
@@ -39,11 +41,6 @@ class MembershipSplit:
     def members(self) -> Dataset:
         return self.source.subset(self.member_idx,
                                   name=f"{self.source.name}/members")
-
-    @property
-    def attacker(self) -> Dataset:
-        return self.source.subset(self.attacker_idx,
-                                  name=f"{self.source.name}/attacker")
 
     @property
     def num_classes(self) -> int:

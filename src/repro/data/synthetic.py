@@ -95,23 +95,33 @@ def _balanced_labels(rng: np.random.Generator, n_samples: int,
     return labels
 
 
-#: Elements per block of Gaussian noise (1 MiB of float64).
+#: Elements per block of per-sample draws (1 MiB of float64).
 _NOISE_BLOCK = 1 << 17
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """``(rows, block)`` pairs covering ``n_rows`` rows in order: a row
+    slice and a float64 ``(len(rows), n_cols)`` block to draw into,
+    one reused buffer of about ``_NOISE_BLOCK`` elements.  Drawing
+    block by block reads the generator's stream exactly as one full
+    ``(n_rows, n_cols)`` draw does, without the full-size temporary."""
+    step = max(1, _NOISE_BLOCK // n_cols)
+    block = np.empty((min(step, n_rows), n_cols))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        yield slice(lo, hi), block[:hi - lo]
 
 
 def _add_noise(rng: np.random.Generator, x: np.ndarray,
                noise: float) -> None:
     """``x += noise * rng.standard_normal(x.shape)`` drawn one row block
     at a time: bitwise equal to one full draw (same values, same
-    generator state after), without the full-size temporary."""
-    rows = x.reshape(len(x), math.prod(x.shape[1:]))
-    step = max(1, _NOISE_BLOCK // rows.shape[1])
-    block = np.empty((min(step, len(rows)), rows.shape[1]))
-    for lo in range(0, len(rows), step):
-        part = block[:min(step, len(rows) - lo)]
+    generator state after)."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
+    for rows, part in _row_blocks(*flat.shape):
         rng.standard_normal(out=part)
         part *= noise
-        rows[lo:lo + len(part)] += part
+        flat[rows] += part
 
 
 def synthetic_tabular(rng: np.random.Generator, n_samples: int,
@@ -133,8 +143,11 @@ def synthetic_tabular(rng: np.random.Generator, n_samples: int,
     y = _balanced_labels(rng, n_samples, n_classes)
     if binary:
         prototypes = rng.random((n_classes, n_features)) < 0.5
-        flips = rng.random((n_samples, n_features)) < noise
-        x = np.logical_xor(flips, prototypes[y], out=flips)
+        x = np.empty((n_samples, n_features), dtype=bool)
+        for rows, part in _row_blocks(n_samples, n_features):
+            rng.random(out=part)
+            flips = np.less(part, noise, out=x[rows])
+            np.logical_xor(flips, prototypes[y[rows]], out=flips)
     else:
         prototypes = rng.standard_normal((n_classes, n_features))
         x = prototypes[y]

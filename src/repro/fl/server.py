@@ -245,12 +245,13 @@ class FLServer:
         collected in a list (no row is copied) and the rule reads them
         in column chunks.  Cohorts above ``DENSE_CLIENT_CAP`` are
         refused — given ``expected``, before ``updates`` is advanced,
-        so no client trains for a round that cannot aggregate.  Short cohorts — after
-        ``sample_fraction`` / dropout / straggler discard — either
-        aggregate fine (coordinate median), fall back to keeping every
-        row (norm clustering below ``CLUSTER_MIN_COHORT``), or raise a
-        clear error naming the fleet knobs (trimmed mean with nothing
-        left between the trims); never a silent shape mismatch.
+        so no client trains for a round that cannot aggregate.  Short
+        cohorts — after ``sample_fraction`` / dropout / straggler
+        discard — either aggregate fine (coordinate median), fall back
+        to keeping every row (norm clustering below
+        ``CLUSTER_MIN_COHORT``), or raise a clear error naming the
+        fleet knobs (trimmed mean with nothing left between the
+        trims); never a silent shape mismatch.
         """
         name = self.config.aggregator
         if expected is not None:

@@ -300,8 +300,9 @@ class Conv2d(Layer):
     _ndim = 2
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, *, stride: int = 1, padding: int = 0,
-                 scheme: str = "he", dtype: DTypeLike = np.float64) -> None:
+                 rng: np.random.Generator, *, stride: int = 1,
+                 padding: int = 0, scheme: str = "he",
+                 dtype: DTypeLike = np.float64) -> None:
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels

@@ -6,7 +6,10 @@ flat gradient buffer in one shot — no per-``(layer, key)`` Python loop
 Gradient coordinates of non-trainable buffers (batch-norm running
 statistics) are permanently zero, which makes every whole-buffer update
 a bitwise no-op there, so the flat rules reproduce the legacy per-array
-loops bit for bit.
+loops bit for bit.  The adaptive rules and momentum SGD write each
+step's temporaries with ``out=`` into work vectors kept for the
+optimizer's life, in the operation order of the plain expression, so a
+step allocates nothing and its bits equal that expression's.
 
 ``Adagrad`` implements Algorithm 1 (lines 8–14) of the paper verbatim:
 cumulative squared gradients ``G`` and the update
@@ -42,6 +45,7 @@ class Optimizer:
         self.model = model
         self.lr = lr
         self.state: dict[str, np.ndarray] = {}
+        self._work: list[np.ndarray] = []
         self.steps = 0
         # Model structure is fixed after construction, so this is a
         # constant; a parameterless model makes step() a no-op.
@@ -79,6 +83,17 @@ class Optimizer:
             self.state[name] = buf
         return buf
 
+    def _scratch(self, count: int) -> list[np.ndarray]:
+        """``count`` work vectors shaped like the weight buffer.
+
+        Kept for the optimizer's life and overwritten by every step's
+        ``out=`` writes, so an update allocates nothing per step.  They
+        carry nothing between steps and are not part of ``state``.
+        """
+        while len(self._work) < count:
+            self._work.append(np.empty_like(self.model.weights.buffer))
+        return self._work[:count]
+
     def reset(self) -> None:
         """Drop accumulated state (fresh start, e.g. for a new FL task)."""
         self.state.clear()
@@ -101,7 +116,9 @@ class SGD(Optimizer):
             buf = self._slot("momentum")
             buf *= self.momentum
             buf += grads
-            params -= self.lr * buf
+            step, = self._scratch(1)
+            np.multiply(self.lr, buf, out=step)
+            params -= step
         else:
             params -= self.lr * grads
 
@@ -116,8 +133,15 @@ class Adagrad(Optimizer):
     def _update_flat(self, params: np.ndarray,
                      grads: np.ndarray) -> None:
         accum = self._slot("accum")
-        accum += grads ** 2
-        params -= self.lr * grads / np.sqrt(accum + self.eps)
+        denom, step = self._scratch(2)
+        np.square(grads, out=denom)
+        accum += denom
+        # params -= (lr * g) / sqrt(G + eps)
+        np.add(accum, self.eps, out=denom)
+        np.sqrt(denom, out=denom)
+        np.multiply(self.lr, grads, out=step)
+        np.divide(step, denom, out=step)
+        params -= step
 
 
 class RMSProp(Optimizer):
@@ -132,9 +156,17 @@ class RMSProp(Optimizer):
     def _update_flat(self, params: np.ndarray,
                      grads: np.ndarray) -> None:
         accum = self._slot("accum")
+        denom, step = self._scratch(2)
         accum *= self.decay
-        accum += (1.0 - self.decay) * grads ** 2
-        params -= self.lr * grads / (np.sqrt(accum) + self.eps)
+        np.square(grads, out=denom)
+        np.multiply(1.0 - self.decay, denom, out=denom)
+        accum += denom
+        # params -= (lr * g) / (sqrt(G) + eps)
+        np.sqrt(accum, out=denom)
+        denom += self.eps
+        np.multiply(self.lr, grads, out=step)
+        np.divide(step, denom, out=step)
+        params -= step
 
 
 class Adam(Optimizer):
@@ -151,13 +183,22 @@ class Adam(Optimizer):
                      grads: np.ndarray) -> None:
         m = self._slot("m")
         v = self._slot("v")
+        denom, step = self._scratch(2)
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        np.multiply(1.0 - self.beta1, grads, out=step)
+        m += step
         v *= self.beta2
-        v += (1.0 - self.beta2) * grads ** 2
-        m_hat = m / (1.0 - self.beta1 ** self.steps)
-        v_hat = v / (1.0 - self.beta2 ** self.steps)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.square(grads, out=denom)
+        np.multiply(1.0 - self.beta2, denom, out=denom)
+        v += denom
+        # params -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(v, 1.0 - self.beta2 ** self.steps, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, 1.0 - self.beta1 ** self.steps, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(step, denom, out=step)
+        params -= step
 
 
 class AdaMax(Optimizer):
@@ -174,11 +215,19 @@ class AdaMax(Optimizer):
                      grads: np.ndarray) -> None:
         m = self._slot("m")
         u = self._slot("u")
+        denom, step = self._scratch(2)
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
-        np.maximum(self.beta2 * u, np.abs(grads), out=u)
-        m_hat = m / (1.0 - self.beta1 ** self.steps)
-        params -= self.lr * m_hat / (u + self.eps)
+        np.multiply(1.0 - self.beta1, grads, out=step)
+        m += step
+        np.multiply(self.beta2, u, out=u)
+        np.abs(grads, out=denom)
+        np.maximum(u, denom, out=u)
+        # params -= (lr * m_hat) / (u + eps)
+        np.add(u, self.eps, out=denom)
+        np.divide(m, 1.0 - self.beta1 ** self.steps, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(step, denom, out=step)
+        params -= step
 
 
 class ADGD(Optimizer):
@@ -263,8 +312,8 @@ def make_optimizer(name: str, model: Model, lr: float, **kwargs) -> Optimizer:
     try:
         cls = _REGISTRY[name.lower()]
     except KeyError:
-        raise ValueError(
-            f"unknown optimizer {name!r}; known: {sorted(_REGISTRY)}") from None
+        raise ValueError(f"unknown optimizer {name!r}; "
+                         f"known: {sorted(_REGISTRY)}") from None
     return cls(model, lr, **kwargs)
 
 

@@ -19,12 +19,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.data.loader import iterate_batches
 from repro.data.synthetic import Dataset
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
-from repro.nn.optim import SGD
 from repro.privacy.attacks.features import per_example_loss
+from repro.privacy.attacks.shadow import train_on_rows
 
 
 class ReferenceCalibratedAttack:
@@ -59,23 +57,20 @@ class ReferenceCalibratedAttack:
         self.seed = seed
         self._references: list[Model] = []
 
-    def fit(self, attacker_data: Dataset) -> "ReferenceCalibratedAttack":
-        """Train the reference models on the attacker's own data."""
+    def fit(self, source: Dataset,
+            rows: np.ndarray) -> "ReferenceCalibratedAttack":
+        """Train the reference models on the attacker's own data,
+        ``source``'s ``rows``, gathered batch by batch and never copied
+        whole."""
         self._references = []
         for idx in range(self.num_references):
             rng = np.random.default_rng((self.seed, idx))
-            take = max(1, int(len(attacker_data) * self.subsample))
-            subset = attacker_data.subset(
-                rng.choice(len(attacker_data), size=take, replace=False))
-            reference = self.model_factory(rng)
-            loss = SoftmaxCrossEntropy()
-            optimizer = SGD(reference, self.lr)
-            for _ in range(self.epochs):
-                for bx, by in iterate_batches(
-                        subset.x, subset.y, self.batch_size, rng):
-                    reference.loss_and_grad(bx, by, loss)
-                    optimizer.step()
-            self._references.append(reference)
+            take = max(1, int(len(rows) * self.subsample))
+            subset = rows[rng.choice(len(rows), size=take, replace=False)]
+            self._references.append(train_on_rows(
+                self.model_factory(rng), source, subset, rng,
+                epochs=self.epochs, lr=self.lr,
+                batch_size=self.batch_size))
         return self
 
     def score(self, model: Model, x: np.ndarray,

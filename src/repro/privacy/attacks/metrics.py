@@ -64,7 +64,8 @@ def global_model_auc(attack, simulation, *, max_samples: int = 500,
     data sample has been used for training by other clients".
 
     Scored on the fleet's shared eval model loaded with the global
-    weights, as :meth:`~repro.fl.simulation.FederatedSimulation.global_accuracy`
+    weights, as
+    :meth:`~repro.fl.simulation.FederatedSimulation.global_accuracy`
     evaluates, so no fresh model is built.
     """
     rng = rng or np.random.default_rng(0)

@@ -25,6 +25,28 @@ from repro.nn.optim import SGD, Adam
 from repro.privacy.attacks.features import attack_features
 
 
+def train_on_rows(model: Model, source: Dataset, rows: np.ndarray,
+                  rng: np.random.Generator, *, epochs: int, lr: float,
+                  batch_size: int) -> Model:
+    """Train ``model`` with SGD on ``source``'s ``rows``.
+
+    Each batch is gathered from ``source`` when it is used, so the
+    rows are never copied as a pool; the batches and the generator's
+    draws equal training on ``source.subset(rows)``.  The model's
+    workspace is cleared afterwards: its backward-only scratch is dead
+    once training ends, and prediction requests buffers of its own.
+    """
+    labels = source.y[rows]
+    loss = SoftmaxCrossEntropy()
+    optimizer = SGD(model, lr)
+    for _ in range(epochs):
+        for batch, by in iterate_batches(rows, labels, batch_size, rng):
+            model.loss_and_grad(source.x[batch], by, loss)
+            optimizer.step()
+    model.workspace.clear()
+    return model
+
+
 class ShadowAttack:
     """Shokri-style shadow-model MIA."""
 
@@ -59,12 +81,14 @@ class ShadowAttack:
         self._std: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def fit(self, attacker_data: Dataset) -> "ShadowAttack":
-        """Train shadow models + the attack classifier(s)."""
+    def fit(self, source: Dataset, rows: np.ndarray) -> "ShadowAttack":
+        """Train shadow models + the attack classifier(s) on the
+        attacker's pool, ``source``'s ``rows``, gathered batch by batch
+        and never copied whole."""
         features, labels, classes = [], [], []
         for shadow_idx in range(self.num_shadows):
             in_feat, in_cls, out_feat, out_cls = self._one_shadow(
-                attacker_data, shadow_idx)
+                source, rows, shadow_idx)
             features.extend([in_feat, out_feat])
             labels.extend([np.ones(len(in_feat)),
                            np.zeros(len(out_feat))])
@@ -103,28 +127,27 @@ class ShadowAttack:
                 optimizer.step()
         return classifier
 
-    def _one_shadow(self, data: Dataset, shadow_idx: int
+    def _one_shadow(self, source: Dataset, rows: np.ndarray,
+                    shadow_idx: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]:
         """Train one shadow model; return features + class labels for
         its member and non-member halves."""
         rng = np.random.default_rng((self.seed, shadow_idx))
-        order = rng.permutation(len(data))
-        half = len(data) // 2
-        member = data.subset(order[:half])
-        nonmember = data.subset(order[half:])
+        order = rng.permutation(len(rows))
+        half = len(rows) // 2
+        member = rows[order[:half]]
+        nonmember = rows[order[half:]]
 
-        shadow = self.model_factory(rng)
-        loss = SoftmaxCrossEntropy()
-        optimizer = SGD(shadow, self.lr)
-        for _ in range(self.epochs):
-            for bx, by in iterate_batches(
-                    member.x, member.y, self.batch_size, rng):
-                shadow.loss_and_grad(bx, by, loss)
-                optimizer.step()
-        return (attack_features(shadow, member.x, member.y), member.y,
-                attack_features(shadow, nonmember.x, nonmember.y),
-                nonmember.y)
+        shadow = train_on_rows(self.model_factory(rng), source, member,
+                               rng, epochs=self.epochs, lr=self.lr,
+                               batch_size=self.batch_size)
+        member_y = source.y[member]
+        nonmember_y = source.y[nonmember]
+        return (attack_features(shadow, source.x[member], member_y),
+                member_y,
+                attack_features(shadow, source.x[nonmember], nonmember_y),
+                nonmember_y)
 
     # ------------------------------------------------------------------
     def score(self, model: Model, x: np.ndarray,

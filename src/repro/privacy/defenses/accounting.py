@@ -35,7 +35,8 @@ def basic_composition(epsilon_per_step: float, delta_per_step: float,
 
 
 def advanced_composition(epsilon_per_step: float, delta_per_step: float,
-                         steps: int, delta_slack: float) -> tuple[float, float]:
+                         steps: int, delta_slack: float
+                         ) -> tuple[float, float]:
     """Advanced composition (Dwork, Rothblum, Vadhan 2010).
 
     Total epsilon grows ~ sqrt(steps) at the cost of a delta slack.

@@ -20,13 +20,13 @@ class TestMembershipSplit:
     def test_pools_are_disjoint_and_complete(self, tiny_dataset, rng):
         split = split_for_membership(tiny_dataset, rng)
         total = (len(split.members) + len(split.nonmembers)
-                 + len(split.attacker))
+                 + len(split.attacker_idx))
         assert total == len(tiny_dataset)
 
     def test_paper_fractions(self, rng):
         ds = synthetic_tabular(rng, 1000, 10, 4)
         split = split_for_membership(ds, rng)
-        assert len(split.attacker) == 500   # half for the attacker
+        assert len(split.attacker_idx) == 500   # half for the attacker
         assert len(split.members) == 400    # 80% of the rest
         assert len(split.nonmembers) == 100  # 20% of the rest
 
@@ -34,7 +34,7 @@ class TestMembershipSplit:
         ds = synthetic_tabular(rng, 100, 10, 4)
         split = split_for_membership(ds, rng, attacker_fraction=0.2,
                                      train_fraction=0.5)
-        assert len(split.attacker) == 20
+        assert len(split.attacker_idx) == 20
         assert len(split.members) == 40
 
     def test_rejects_bad_fractions(self, tiny_dataset, rng):
@@ -51,13 +51,14 @@ class TestMembershipSplit:
     def test_pools_equal_copies_of_the_permutation_slices(self):
         # The split holds index arrays over the one dataset; each pool
         # it builds must equal, byte for byte and by name, the copy
-        # made from the same slices of the same permutation.
+        # made from the same slices of the same permutation.  The
+        # attacker's pool is never built: it is the first slice's rows.
         ds = synthetic_tabular(np.random.default_rng(2), 1000, 10, 4,
                                name="ds")
         split = split_for_membership(ds, np.random.default_rng(5))
         order = np.random.default_rng(5).permutation(len(ds))
+        assert np.array_equal(split.attacker_idx, order[:500])
         expected = {
-            "attacker": ds.subset(order[:500], name="ds/attacker"),
             "members": ds.subset(order[500:900], name="ds/members"),
             "nonmembers": ds.subset(order[900:], name="ds/nonmembers"),
         }
@@ -69,11 +70,10 @@ class TestMembershipSplit:
             assert got.num_classes == want.num_classes
         assert split.source is ds
 
-    def test_member_and_attacker_pools_are_built_per_access(self, rng):
+    def test_member_pool_is_built_per_access(self, rng):
         ds = synthetic_tabular(rng, 200, 10, 4)
         split = split_for_membership(ds, rng)
         assert split.members is not split.members
-        assert split.attacker is not split.attacker
         assert split.nonmembers is split.nonmembers
 
     def test_split_copies_only_the_nonmember_pool(self):

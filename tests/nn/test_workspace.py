@@ -229,7 +229,8 @@ class TestLifecycle:
         gc.disable()
         try:
             ShadowAttack(factory, num_shadows=2, epochs=1,
-                         attack_epochs=1).fit(split.attacker)
+                         attack_epochs=1).fit(split.source,
+                                             split.attacker_idx)
             assert len(arenas) == 2
             assert all(arena() is None for arena in arenas)
         finally:

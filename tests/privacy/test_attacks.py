@@ -28,7 +28,7 @@ def overfit_setup(rng, tiny_model_factory):
     data = synthetic_tabular(rng, 200, 20, 4, noise=0.35, name="mia")
     members = data.subset(np.arange(60))
     nonmembers = data.subset(np.arange(60, 120))
-    attacker = data.subset(np.arange(120, 200))
+    attacker = (data, np.arange(120, 200))
     model = tiny_model_factory(np.random.default_rng(1))
     loss = SoftmaxCrossEntropy()
     optimizer = SGD(model, 0.2)
@@ -90,7 +90,7 @@ class TestShadowAttack:
         model, members, nonmembers, attacker = overfit_setup
         attack = ShadowAttack(tiny_model_factory, num_shadows=2,
                               epochs=25, lr=0.2, batch_size=16)
-        attack.fit(attacker)
+        attack.fit(*attacker)
         m = attack.score(model, members.x, members.y)
         n = attack.score(model, nonmembers.x, nonmembers.y)
         assert np.all((0 <= m) & (m <= 1))

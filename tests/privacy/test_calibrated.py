@@ -25,7 +25,7 @@ def setup():
     data = synthetic_tabular(rng, 500, 20, 4, noise=0.35)
     members = data.subset(np.arange(100))
     nonmembers = data.subset(np.arange(100, 200))
-    attacker = data.subset(np.arange(200, 500))
+    attacker = (data, np.arange(200, 500))
     victim = _factory(np.random.default_rng(1))
     loss = SoftmaxCrossEntropy()
     optimizer = SGD(victim, 0.2)
@@ -40,7 +40,7 @@ def test_detects_membership(setup):
     victim, members, nonmembers, attacker = setup
     attack = ReferenceCalibratedAttack(
         _factory, num_references=2, epochs=20, lr=0.2, batch_size=32)
-    attack.fit(attacker)
+    attack.fit(*attacker)
     auc = attack_auc(
         attack.score(victim, members.x, members.y),
         attack.score(victim, nonmembers.x, nonmembers.y))
@@ -51,7 +51,7 @@ def test_at_least_as_strong_as_uncalibrated(setup):
     victim, members, nonmembers, attacker = setup
     calibrated = ReferenceCalibratedAttack(
         _factory, num_references=3, epochs=20, lr=0.2,
-        batch_size=32).fit(attacker)
+        batch_size=32).fit(*attacker)
     plain = LossThresholdAttack()
 
     def auc(attack):
@@ -82,7 +82,7 @@ def test_calibration_fixes_hard_samples(setup):
     victim, members, nonmembers, attacker = setup
     attack = ReferenceCalibratedAttack(
         _factory, num_references=3, epochs=20, lr=0.2,
-        batch_size=32).fit(attacker)
+        batch_size=32).fit(*attacker)
     raw = LossThresholdAttack().score(
         victim, nonmembers.x, nonmembers.y)
     calibrated = attack.score(victim, nonmembers.x, nonmembers.y)

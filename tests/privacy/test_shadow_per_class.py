@@ -21,7 +21,7 @@ def setup(tiny_model_factory=None):
     data = synthetic_tabular(rng, 600, 20, 4, noise=0.35)
     victim_members = data.subset(np.arange(100))
     victim_nonmembers = data.subset(np.arange(100, 200))
-    attacker = data.subset(np.arange(200, 600))
+    attacker = (data, np.arange(200, 600))
 
     # train the victim to memorization
     from repro.data.loader import iterate_batches
@@ -42,7 +42,7 @@ def test_per_class_attack_fits_class_models(setup):
     factory, victim, members, nonmembers, attacker = setup
     attack = ShadowAttack(factory, num_shadows=2, epochs=20, lr=0.2,
                           batch_size=32, per_class=True)
-    attack.fit(attacker)
+    attack.fit(*attacker)
     assert attack._class_models  # at least some classes got a model
 
 
@@ -50,7 +50,7 @@ def test_per_class_attack_detects_membership(setup):
     factory, victim, members, nonmembers, attacker = setup
     attack = ShadowAttack(factory, num_shadows=2, epochs=20, lr=0.2,
                           batch_size=32, per_class=True)
-    attack.fit(attacker)
+    attack.fit(*attacker)
     auc = attack_auc(
         attack.score(victim, members.x, members.y),
         attack.score(victim, nonmembers.x, nonmembers.y))
@@ -65,6 +65,6 @@ def test_pooled_fallback_for_unseen_class(setup):
     # fit on a single-class slice so most classes lack a model
     rng = np.random.default_rng(3)
     data = synthetic_tabular(rng, 200, 20, 4, noise=0.35)
-    attack.fit(data)
+    attack.fit(data, np.arange(len(data)))
     scores = attack.score(victim, members.x, members.y)
     assert np.all((0 <= scores) & (scores <= 1))
