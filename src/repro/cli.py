@@ -191,7 +191,9 @@ def _cmd_analyze(args) -> int:
 
     print(f"training an unprotected FL model on {args.dataset}...")
     result = run_experiment(args.dataset, "none", attack="yeom",
-                            seed=args.seed)
+                            seed=args.seed,
+                            config=default_config(args.dataset,
+                                                  seed=args.seed))
     simulation = result.simulation
     members = simulation.split.members
     sensitivity = layer_divergences(

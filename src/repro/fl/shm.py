@@ -460,8 +460,7 @@ class ParallelExecutor(RoundExecutor):
             first.global_buffer, self.registry, first.round_index,
             first.cohort)
         # each result's three rows of the registry
-        row_bytes = sum(buffer.nbytes for buffer in self.registry.buffers) \
-            // self.registry.capacity
+        row_bytes = self.registry.nbytes // self.registry.capacity
         shared_bytes = first.global_buffer.nbytes
         pickled_bytes = 0
         futures: list[Any] = []

@@ -311,6 +311,8 @@ class FederatedSimulation:
             filtered=filtered,
         )
         self.history.records.append(record)
+        # the scratch idles until the next round trains: free it now
+        self.fleet.eval_model().workspace.clear()
         return record
 
     # ------------------------------------------------------------------
@@ -337,9 +339,8 @@ class FederatedSimulation:
     def global_accuracy(self) -> float:
         """Global model accuracy on the held-out non-member test set.
 
-        Routed through the fleet's shared eval model (predictions
-        depend only on the loaded weights), so evaluation allocates no
-        fresh model.
+        Routed through the fleet's one model (predictions depend only
+        on the loaded weights), so evaluation allocates no fresh model.
         """
         test = self.split.nonmembers
         return self.fleet.evaluate_weights(
@@ -351,7 +352,7 @@ class FederatedSimulation:
         Evaluates exactly the clients present in the personal-weights
         registry — the ones that have trained — in ascending id order
         (the eager plane's order), loading each registry row into the
-        one shared eval model.
+        fleet's one model.
         """
         test = self.split.nonmembers
         scores = [

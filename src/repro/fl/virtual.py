@@ -26,8 +26,8 @@ This module replaces live objects with three small pieces:
 * :class:`VirtualClientFleet` — the fleet's descriptors plus the
   process's single training ``FLClient``: ``fleet.materialize(i)``
   builds it on the template model at first use and rebinds it onto
-  client ``i``'s descriptor.  It also hosts the one shared
-  evaluation model (:meth:`VirtualClientFleet.evaluate_weights`).
+  client ``i``'s descriptor.  Its model also evaluates
+  (:meth:`VirtualClientFleet.evaluate_weights`).
 
 Bitwise rules (why one reused model cannot change a trajectory):
 
@@ -43,8 +43,9 @@ Bitwise rules (why one reused model cannot change a trajectory):
   generators, so materialization *order* is free;
 * shard subsets are pure functions of (source, shard indices), so
   lazy materialization yields the exact arrays the eager copies held;
-* evaluation-mode predictions depend only on the weights loaded into
-  the eval model, so one shared eval model serves every client.
+* evaluation-mode predictions depend only on the loaded weights, so
+  the trainer evaluates too; a cleared arena only reallocates scratch
+  (zeroing padding borders again on the miss).
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class PersonalWeightsRegistry(_Plane):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the allocated personalized-weights plane."""
-        return 0 if self.rows is None else int(self.rows.personal.nbytes)
+        """Bytes of every allocated plane (personal, uploads, state)."""
+        return sum(buffer.nbytes for buffer in self.buffers)
 
     @property
     def state_nbytes(self) -> int:
@@ -264,8 +265,8 @@ class VirtualClientFleet:
     worker inherits the fleet and so trains on its own copy-on-write
     trainer.
 
-    The fleet also hosts the shared evaluation model (one lazy clone
-    of the template serving every :meth:`evaluate_weights` call) and
+    The template the trainer binds is also the evaluation model
+    (:meth:`eval_model`), so a process holds one model, and the fleet
     counts ``materializations`` (descriptor binds) for the cost plane.
     """
 
@@ -282,7 +283,6 @@ class VirtualClientFleet:
         self.defense = defense
         self._template = template
         self._client: FLClient | None = None
-        self._eval_model: Model | None = None
         #: Cumulative descriptor binds, this process.
         self.materializations = 0
 
@@ -327,23 +327,22 @@ class VirtualClientFleet:
         return self._client
 
     # ------------------------------------------------------------------
-    # shared evaluation
+    # evaluation
     # ------------------------------------------------------------------
     def eval_model(self) -> Model:
-        """The fleet's single reused evaluation model.
+        """The process's one model, the template the trainer binds.
 
-        Cloned lazily from the template; callers load whatever weights
-        they evaluate (predictions depend on nothing else), so one
-        instance serves the whole fleet.
+        Callers load whatever weights they evaluate (predictions depend
+        on nothing else), and every ``train_round`` loads its client's
+        whole weight buffer, so evaluating on it never moves a
+        trajectory.
         """
-        if self._eval_model is None:
-            self._eval_model = self._template.clone()
-        return self._eval_model
+        return self._template
 
     def evaluate_weights(self, weights: WeightStore, x: np.ndarray,
                          y: np.ndarray) -> float:
-        """Accuracy of the given weights on ``(x, y)`` via the shared
-        eval model."""
+        """Accuracy of the given weights on ``(x, y)`` via
+        :meth:`eval_model`."""
         model = self.eval_model()
         model.set_store(weights)
         return accuracy(model.predict(x), y)

@@ -63,8 +63,7 @@ def global_model_auc(attack, simulation, *, max_samples: int = 500,
     the held-out test pool — the client-side attacker's task: "whether a
     data sample has been used for training by other clients".
 
-    Scored on the fleet's shared eval model loaded with the global
-    weights, as
+    Scored on the fleet's one model loaded with the global weights, as
     :meth:`~repro.fl.simulation.FederatedSimulation.global_accuracy`
     evaluates, so no fresh model is built.
     """
@@ -90,8 +89,8 @@ def local_models_auc(attack, simulation, *, max_samples: int = 500,
     For each client the attacker (sitting on the server) inspects the
     update that client actually uploaded — after any defense transform —
     and tries to separate that client's training samples from held-out
-    data.  Each upload is loaded in turn into the fleet's shared eval
-    model, so no fresh model is built.
+    data.  Each upload is loaded in turn into the fleet's one model, so
+    no fresh model is built.
     """
     rng = rng or np.random.default_rng(0)
     nonmembers = simulation.split.nonmembers

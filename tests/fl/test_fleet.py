@@ -219,7 +219,8 @@ class TestUploadRegistry:
         uploads.reserve(range(40))
         assert len(uploads) == 2  # reserving assigns no slot
         reserved = uploads.nbytes
-        assert reserved == 40 * stores[0].buffer.nbytes
+        # 40 rows in each weight plane (no defense state)
+        assert reserved == 2 * 40 * stores[0].buffer.nbytes
         held = uploads[0]
         for cid in range(2, 40):
             uploads.put(cid, stores[2].buffer)

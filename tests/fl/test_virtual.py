@@ -9,23 +9,37 @@ The plane's contract has three legs:
 * **isolation** — a rebind never leaks the previous client's buffers:
   handles expose only the bound client's state, and registry rows are
   copies that training-model mutation cannot corrupt;
-* **economy** — a process holds one training model, not
-  O(num_clients): one factory call, one clone (the eval model), lazy
-  shard subsets.
+* **economy** — a process holds one model, not O(num_clients): one
+  factory call, no clone (the trainer evaluates too), lazy shard
+  subsets, and no arena left behind by an evaluated round.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.data.partition import ClientShards, split_for_membership
-from repro.data.synthetic import synthetic_tabular
+from repro.data.synthetic import synthetic_images, synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.executor import round_rng
+from repro.fl.shm import shm_available
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
 from repro.models.fcnn import build_fcnn
+from repro.nn.activations import ReLU, Tanh
+from repro.nn.layers import BatchNorm1d, Conv2d, Dense, Flatten, MaxPool2d
 from repro.nn.model import Model
 from repro.privacy.defenses.make import make_defense_for_config
+
+#: Executor worker counts: serial, and the shm executor where it runs.
+WORKERS = [
+    0,
+    pytest.param(2, marks=pytest.mark.skipif(
+        not shm_available()
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="parallel executor requires fork and /dev/shm")),
+]
 
 
 def _split():
@@ -67,26 +81,42 @@ def test_construction_builds_one_model_regardless_of_fleet_size():
     assert sim.fleet.materializations == 0
 
 
-def test_one_training_model_per_process(monkeypatch):
-    """A serial run of 10 clients x 2 rounds builds the template (the
-    training model) and exactly one clone (the eval model)."""
-    clones = []
-    clone = Model.clone
-
-    def counting_clone(self):
-        clones.append(clone(self))
-        return clones[-1]
-
-    monkeypatch.setattr(Model, "clone", counting_clone)
+def test_one_training_model_per_process():
+    """A serial run of 10 clients x 2 rounds trains and evaluates on
+    one model, the template."""
     sim = _run(10)
-    assert clones == [sim.fleet.eval_model()]
     # every (round, client) cell was a bind of the one training client
     assert sim.fleet.materializations == 20
     assert sim.cost_meter.report.model_materializations == 20
     assert sim.cost_meter.report.registry_bytes == sim.registry.nbytes
     trainer = sim.fleet.materialize(0)
     assert sim.fleet.materialize(9) is trainer
-    assert trainer.model is not sim.fleet.eval_model()
+    assert sim.fleet.eval_model() is sim.fleet.materialize(0).model
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_evaluated_run_leaves_no_arena(workers):
+    config = FLConfig(num_clients=3, rounds=2, local_epochs=1,
+                      batch_size=32, seed=0, workers=workers)
+    sim = FederatedSimulation(_split(), _factory, config)
+    sim.run()
+    assert sim.history.records
+    assert sim.fleet.eval_model().workspace.num_buffers == 0
+
+
+@pytest.mark.parametrize("name", ["none", "dinar"])
+def test_registry_nbytes_counts_every_plane(name):
+    config = FLConfig(num_clients=4, rounds=1, local_epochs=1,
+                      batch_size=32, seed=0)
+    sim = FederatedSimulation(_split(), _factory, config,
+                              make_defense_for_config(name, config))
+    sim.run()
+    rows = sim.registry.rows
+    assert (rows.state.shape[1] > 0) == (name == "dinar")
+    assert sim.registry.nbytes == (rows.personal.nbytes
+                                   + rows.uploads.nbytes
+                                   + rows.state.nbytes)
+    assert sim.cost_meter.report.registry_bytes == sim.registry.nbytes
 
 
 def test_num_samples_answered_without_materialization():
@@ -247,6 +277,46 @@ def test_mean_client_accuracy_covers_exactly_the_registry():
         for cid in trained
     ]))
     assert sim.mean_client_accuracy() == expected
+
+
+def _conv_bn_factory(rng):
+    """A padded conv net with batch-norm running statistics."""
+    return Model([
+        Conv2d(3, 4, 3, rng, padding=1), ReLU(), MaxPool2d(2), Flatten(),
+        Dense(64, 8, rng), BatchNorm1d(8), Tanh(), Dense(8, 4, rng),
+    ], name="conv-bn")
+
+
+def _image_split():
+    data = synthetic_images(np.random.default_rng(3), 240, (3, 8, 8), 4,
+                            name="virt-images")
+    return split_for_membership(data, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("family", ["conv-bn", "fcnn"])
+def test_evaluating_every_round_moves_no_bit(family, workers):
+    """Evaluating on the trainer between rounds (at batch 256, then
+    dropping its arena) leaves the trajectory of one final evaluation:
+    equal global weights and registry planes."""
+    split, factory = {"conv-bn": (_image_split, _conv_bn_factory),
+                      "fcnn": (_split, _factory)}[family]
+
+    def finished(eval_every):
+        config = FLConfig(num_clients=3, rounds=3, local_epochs=1,
+                          batch_size=16, seed=0, workers=workers,
+                          eval_every=eval_every)
+        sim = FederatedSimulation(split(), factory, config)
+        sim.run()
+        assert len(sim.history.records) == 3 // eval_every
+        return sim
+
+    every, once = finished(1), finished(3)
+    assert (every.server.global_weights.buffer.tobytes()
+            == once.server.global_weights.buffer.tobytes())
+    planes = once.registry.planes()
+    for name, plane in every.registry.planes().items():
+        assert plane.tobytes() == planes[name].tobytes(), name
 
 
 def test_standalone_fleet_usable_without_simulation():

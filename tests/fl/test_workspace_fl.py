@@ -40,13 +40,19 @@ def make_sim(rng, tiny_model_factory):
 
 
 def _run_warm(make_sim, defense=None, **cfg_kwargs):
-    """A finished simulation whose training model holds a warm arena."""
+    """A finished simulation whose training model holds a warm arena.
+
+    The run's last (evaluated) round drops the arena, so one more
+    evaluation on the same model warms it again.
+    """
     sim = make_sim(defense, **cfg_kwargs)
     sim.run()
+    test = sim.split.nonmembers
+    sim.fleet.evaluate_weights(sim.server.global_weights, test.x, test.y)
     warm = sim.fleet.materialize(0).model.workspace
     assert isinstance(warm, Workspace)
     assert warm.num_buffers > 0, \
-        "expected training to populate the training model's arena"
+        "expected evaluation to populate the training model's arena"
     return sim
 
 

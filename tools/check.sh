@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo gate: lint (when ruff is installed) + the tier-1 test suite.
+# Repo gate: lint (when ruff is installed) + the tier-1 test suite,
+# listing its ten slowest tests.
 #
 # Usage: tools/check.sh [extra pytest args]
 # Run from anywhere; paths resolve relative to the repo root.
@@ -19,4 +20,4 @@ else
 fi
 
 echo "== tier-1 tests =="
-PYTHONPATH="$root/src" python -m pytest -x -q "$@"
+PYTHONPATH="$root/src" python -m pytest -x -q --durations=10 "$@"
