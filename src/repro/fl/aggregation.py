@@ -260,12 +260,27 @@ def trimmed_mean(updates: Sequence[WeightStore], *,
     return WeightStore(layout, out)
 
 
+def _sorted_median(block: np.ndarray) -> np.ndarray:
+    """``np.median(block, axis=0)``, sorting ``block`` in place (faster
+    than median's partition on a short client axis): the middle row, or
+    the mean of the middle two.  A column holding a NaN sorts it last
+    and, as in ``np.median``, gives that NaN.  The bits are median's,
+    save the sign of a zero drawn from a +0/-0 tie: sort and partition
+    order equal values differently."""
+    block.sort(axis=0)
+    half, odd = divmod(len(block), 2)
+    center = block[half].copy() if odd \
+        else (block[half - 1] + block[half]) / 2
+    np.copyto(center, block[-1], where=np.isnan(block[-1]))
+    return center
+
+
 def coordinate_median(updates: Sequence[WeightStore]) -> WeightStore:
     """Coordinate-wise median (extension: Byzantine-robust aggregation)."""
     layout = _layout(updates)
     out = np.empty(layout.num_params, dtype=layout.dtype)
     for columns, block in _column_blocks(updates):
-        out[columns] = np.median(block, axis=0, overwrite_input=True)
+        out[columns] = _sorted_median(block)
     return WeightStore(layout, out)
 
 
@@ -296,10 +311,9 @@ def _cluster_distances(updates: Sequence[WeightStore],
     """
     sq = np.zeros(len(updates))
     for columns, block in _column_blocks(updates):
-        # Partitioning the block in place and gathering it again moves
-        # the same bytes as np.median's private copy, without a second
-        # block alive.
-        center = np.median(block, axis=0, overwrite_input=True)
+        # Sorting the block in place and gathering it again moves the
+        # same bytes as a private copy, without a second block alive.
+        center = _sorted_median(block)
         _gather(block, updates, columns)
         block -= center
         if include is not None:

@@ -26,6 +26,10 @@ shared, and :func:`execute_client_task` reads and writes the rows in
 place, in the parent for serial runs and in a worker for parallel
 ones.  Workers fork from the fully constructed simulation, inherit
 datasets and models copy-on-write, and hold no per-client state.
+Evaluation follows the rows: :meth:`RoundExecutor.personal_accuracies`
+scores the clients' personalized rows in the parent for serial runs
+and in the workers while a parallel executor's pool is open, so the
+parent of a parallel run never reads the personal plane.
 
 Executors resolve ``client_id -> FLClient`` through a *provider* —
 anything with ``materialize(client_id)``, such as the simulation's
@@ -48,6 +52,7 @@ import numpy as np
 from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.data.synthetic import Dataset
     from repro.fl.behavior import ClientBehavior
     from repro.fl.config import FLConfig
     from repro.fl.costs import CostMeter
@@ -199,7 +204,8 @@ class RoundExecutor:
     into its constant-memory accumulator as they arrive while staying
     bitwise independent of the executor.  The executor owns the run's
     client registry, built on its :attr:`allocator`; a yielded result's
-    rows are already written.
+    rows are already written, and :meth:`personal_accuracies` scores
+    them where they live.
     """
 
     #: How many OS processes this executor trains clients on.
@@ -209,13 +215,16 @@ class RoundExecutor:
 
     def __init__(self, clients: Any, defense: "Defense",
                  layout: Layout,
-                 behavior: "ClientBehavior | None" = None) -> None:
+                 behavior: "ClientBehavior | None" = None,
+                 test: "Dataset | None" = None) -> None:
         # Imported here: repro.fl.virtual imports this module.
         from repro.fl.virtual import PersonalWeightsRegistry
         self.clients = clients
         self.defense = defense
         self.layout = layout
         self.behavior = behavior
+        #: The held-out set :meth:`personal_accuracies` scores on.
+        self.test = test
         self.registry = PersonalWeightsRegistry(layout, defense,
                                                 self.allocator)
 
@@ -224,6 +233,16 @@ class RoundExecutor:
         """Yield each task's result, in task order, once the task's
         rows are written."""
         raise NotImplementedError
+
+    def personal_accuracies(self, client_ids: Sequence[int]
+                            ) -> list[float]:
+        """Each client's personalized-weights accuracy on :attr:`test`,
+        in ``client_ids`` order, scored on the provider's one model."""
+        if self.test is None:
+            raise ValueError("this executor was built without a test set")
+        x, y = self.test.x, self.test.y
+        return [self.clients.evaluate_weights(self.registry[cid], x, y)
+                for cid in client_ids]
 
     def close(self) -> None:
         """Release any held resources (idempotent)."""
@@ -251,8 +270,8 @@ class SerialExecutor(RoundExecutor):
 def make_executor(clients: Any, defense: "Defense",
                   layout: Layout, config: "FLConfig",
                   behavior: "ClientBehavior | None" = None,
-                  cost_meter: "CostMeter | None" = None
-                  ) -> RoundExecutor:
+                  cost_meter: "CostMeter | None" = None,
+                  test: "Dataset | None" = None) -> RoundExecutor:
     """Build the executor ``config.workers`` asks for.
 
     ``clients`` is a provider: anything with
@@ -264,7 +283,8 @@ def make_executor(clients: Any, defense: "Defense",
     are bitwise identical either way.
     ``behavior`` is the run's adversarial-client behavior (``None`` =
     honest); ``cost_meter`` receives per-round IPC byte accounting
-    when set.
+    when set; ``test`` is the held-out set personalized models are
+    scored on (:meth:`RoundExecutor.personal_accuracies`).
     """
     if config.workers > 1:
         # Imported here: serial runs never load multiprocessing's
@@ -274,9 +294,10 @@ def make_executor(clients: Any, defense: "Defense",
             return ParallelExecutor(clients, defense, layout,
                                     workers=config.workers,
                                     behavior=behavior,
-                                    cost_meter=cost_meter)
+                                    cost_meter=cost_meter, test=test)
         warnings.warn(
             f"shared memory is unavailable here; running the "
             f"{config.workers}-worker configuration serially",
             RuntimeWarning, stacklevel=2)
-    return SerialExecutor(clients, defense, layout, behavior=behavior)
+    return SerialExecutor(clients, defense, layout, behavior=behavior,
+                          test=test)

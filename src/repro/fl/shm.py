@@ -15,6 +15,9 @@ segments, the registry geometry and the round's cohort.
   upload and defense state, which the worker training a client writes
   in place.  A grown registry moves to new segments between rounds; a
   worker drops any attachment the current descriptor does not name.
+* **Sweep.**  The personalized-model sweep scores those rows in the
+  workers, one task per worker of a descriptor and row indices, so the
+  parent never maps the personal plane.
 
 Segments are created with their pages reserved, so an exhausted
 ``/dev/shm`` fails with the requested bytes before a round submits a
@@ -54,6 +57,7 @@ from repro.fl.virtual import RegistryRows
 from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.data.synthetic import Dataset
     from repro.fl.behavior import ClientBehavior
     from repro.fl.costs import CostMeter
     from repro.fl.virtual import PersonalWeightsRegistry
@@ -267,8 +271,16 @@ class ShmChannel:
         tasks will carry (``registry``'s planes must live here)."""
         self.open(buffer.size, buffer.dtype)
         self._weights[1][:] = buffer
+        return self.describe(registry, round_index, cohort)
+
+    def describe(self, registry: "PersonalWeightsRegistry",
+                 round_index: int = -1,
+                 cohort: tuple[int, ...] = ()) -> ShmRound:
+        """The descriptor naming the open broadcast and ``registry``'s
+        planes (which must live here)."""
+        segment, buffer = self._weights
         return ShmRound(
-            weights_name=self._weights[0].name,
+            weights_name=segment.name,
             rows_names=tuple(segment.name for plane in registry.buffers
                              for segment, array in self._rows
                              if array is plane),
@@ -315,8 +327,8 @@ def _worker_map(ref: ShmRound, state_width: int):
 # the executor
 # ----------------------------------------------------------------------
 
-#: (clients, defense, layout, behavior) of the executor this worker
-#: serves, inherited through fork.
+#: (clients, defense, layout, behavior, test) of the executor this
+#: worker serves, inherited through fork.
 _WORKER: tuple | None = None
 
 
@@ -333,7 +345,7 @@ def _run_in_worker(task: ClientTask, ref: ShmRound) -> ClientRoundResult:
     if _WORKER is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process has no bound executor; "
                            "the pool initializer did not run")
-    clients, defense, layout, behavior = _WORKER
+    clients, defense, layout, behavior, _ = _WORKER
     try:
         buffer, rows = _worker_map(ref, defense.state_width(layout))
         if ref != _WORKER_ROUND:
@@ -351,6 +363,21 @@ def _run_in_worker(task: ClientTask, ref: ShmRound) -> ClientRoundResult:
             f"{task.round_index}: {exc!r}") from exc
 
 
+def _score_in_worker(ref: ShmRound, rows: tuple[int, ...]) -> list[float]:
+    """Worker entry point of the personalized-model sweep: score each
+    named row of the personal plane on the inherited test set, then
+    free the model's arena (the next round refills it)."""
+    clients, defense, layout, _, test = _WORKER
+    _, planes = _worker_map(ref, defense.state_width(layout))
+    try:
+        return [clients.evaluate_weights(
+                    WeightStore(layout, planes.personal[row]),
+                    test.x, test.y)
+                for row in rows]
+    finally:
+        clients.eval_model().release_scratch()
+
+
 class ParallelExecutor(RoundExecutor):
     """Fans client training out across a fork-based process pool.
 
@@ -366,7 +393,8 @@ class ParallelExecutor(RoundExecutor):
     def __init__(self, clients: Any, defense: "Defense",
                  layout: Layout, workers: int,
                  behavior: "ClientBehavior | None" = None,
-                 cost_meter: "CostMeter | None" = None) -> None:
+                 cost_meter: "CostMeter | None" = None,
+                 test: "Dataset | None" = None) -> None:
         if workers < 2:
             raise ValueError(
                 f"ParallelExecutor needs >= 2 workers, got {workers}; "
@@ -379,7 +407,7 @@ class ParallelExecutor(RoundExecutor):
         self.cost_meter = cost_meter
         self._pool: _PoolExecutor | None = None
         self._channel = ShmChannel()
-        super().__init__(clients, defense, layout, behavior)
+        super().__init__(clients, defense, layout, behavior, test)
 
     @property
     def allocator(self) -> ShmChannel:
@@ -406,7 +434,7 @@ class ParallelExecutor(RoundExecutor):
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_bind_worker,
                 initargs=(self.clients, self.defense, self.layout,
-                          self.behavior))
+                          self.behavior, self.test))
             # a pool forks its workers when tasks are submitted
             for future in [self._pool.submit(int)
                            for _ in range(self.workers)]:
@@ -498,3 +526,34 @@ class ParallelExecutor(RoundExecutor):
             if self.cost_meter is not None:
                 self.cost_meter.record_ipc(pickled=pickled_bytes,
                                            shared=shared_bytes)
+
+    def personal_accuracies(self, client_ids: Sequence[int]
+                            ) -> list[float]:
+        """The serial sweep's scores, computed in the pool's workers:
+        one task per worker of the descriptor and a run of row indices,
+        so the parent never reads the personal plane.  With the pool
+        closed the sweep runs in-process, since a re-fork would first
+        move every plane into private memory (:meth:`start`)."""
+        if self._pool is None or self.test is None or not all(
+                map(self._channel.holds, self.registry.buffers)):
+            return super().personal_accuracies(client_ids)
+        rows = [self.registry.row(cid) for cid in client_ids]
+        self.warm_up()  # the descriptor names the broadcast too
+        ref = self._channel.describe(self.registry)
+        bounds = [len(rows) * k // self.workers
+                  for k in range(self.workers + 1)]
+        futures: list[Any] = []
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                if start < stop:
+                    futures.append(self._pool.submit(
+                        _score_in_worker, ref, tuple(rows[start:stop])))
+            return [score for future in futures
+                    for score in future.result()]
+        except BrokenProcessPool as exc:
+            raise self._crashed(
+                "while scoring personalized models") from exc
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)

@@ -9,7 +9,9 @@ what the client actually predicts with.
 Client training within a round is delegated to a
 :class:`~repro.fl.executor.RoundExecutor` (``config.workers`` selects
 serial or process-parallel execution; both are bitwise identical),
-whose tasks write each client's rows of the executor's registry.
+whose tasks write each client's rows of the executor's registry; the
+executor also scores the personalized rows, in the pool's workers
+while a parallel pool is open (:meth:`mean_client_accuracy`).
 
 Rounds are **streaming**: executor results are consumed as they
 arrive and folded straight into the server's constant-memory
@@ -161,7 +163,8 @@ class FederatedSimulation:
         self.behavior = make_behavior_for_config(config)
         self.executor = make_executor(
             self.fleet, self.defense, self._layout, config,
-            behavior=self.behavior, cost_meter=self.cost_meter)
+            behavior=self.behavior, cost_meter=self.cost_meter,
+            test=split.nonmembers)
         #: Every client's rows: personalized weights (the mapping),
         #: last upload and defense state.
         self.registry = self.executor.registry
@@ -312,7 +315,7 @@ class FederatedSimulation:
         )
         self.history.records.append(record)
         # the scratch idles until the next round trains: free it now
-        self.fleet.eval_model().workspace.clear()
+        self.fleet.eval_model().release_scratch()
         return record
 
     # ------------------------------------------------------------------
@@ -351,15 +354,13 @@ class FederatedSimulation:
 
         Evaluates exactly the clients present in the personal-weights
         registry — the ones that have trained — in ascending id order
-        (the eager plane's order), loading each registry row into the
-        fleet's one model.
+        (the eager plane's order).  The executor scores them where its
+        rows live: in-process on the fleet's one model, or in the pool's
+        workers while it is open, so the parent never maps the personal
+        plane (:meth:`~repro.fl.executor.RoundExecutor.personal_accuracies`).
         """
-        test = self.split.nonmembers
-        scores = [
-            self.fleet.evaluate_weights(self.registry.get(client_id),
-                                        test.x, test.y)
-            for client_id in self.registry.client_ids()
-        ]
+        scores = self.executor.personal_accuracies(
+            self.registry.client_ids())
         if not scores:
             return float("nan")
         return float(np.mean(scores))

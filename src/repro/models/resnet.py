@@ -82,6 +82,11 @@ class ResidualBlock(Layer):
         self.conv1.adopt_views(params1, {}, grads1)
         self.conv2.adopt_views(params2, {}, grads2)
 
+    def drop_caches(self) -> None:
+        for layer in (self.conv1, self.relu_inner, self.conv2,
+                      self.relu_out):
+            layer.drop_caches()
+
     def forward(self, x: np.ndarray, *, training: bool = True,
                 workspace: Workspace) -> np.ndarray:
         # each sublayer requests its own arena scratch (the workspace

@@ -101,6 +101,12 @@ class Layer:
             state.pop(key, None)
         return state
 
+    def drop_caches(self) -> None:
+        """Forget the per-batch caches, as unpickling does: they view
+        arena buffers, which a cleared arena would otherwise keep."""
+        for key in self._ephemeral:
+            self.__dict__.pop(key, None)
+
     def _scratch(self, workspace: Workspace, role: str,
                  shape: tuple[int, ...],
                  dtype: np.dtype | type | str) -> np.ndarray:
@@ -405,7 +411,7 @@ class MaxPool2d(Layer):
     square.  :class:`MaxPool1d` runs it on a height-1 image.
     """
 
-    _ephemeral = ("_mask", "_x_shape")
+    _ephemeral = ("_blocks", "_out", "_x_shape")
 
     #: Spatial axes pooled: 2 here, 1 for :class:`MaxPool1d`.
     _ndim = 2
@@ -423,20 +429,28 @@ class MaxPool2d(Layer):
             raise ValueError(f"{self.name}({self.kernel_size}) needs "
                              f"{kh}x{kw} blocks to tile the {h}x{w} input")
         blocks = x.reshape(n, c, h // kh, kh, w // kw, kw)
-        # reductions bypass the arena: ``out=`` forces numpy's generic
-        # strided reduce loop, ~3x slower than the allocating form on the
-        # conv-transposed layouts that reach this layer.  The result is
-        # kh*kw times smaller than the input, so the churn is minor.
-        out = blocks.max(axis=(3, 5))
-        mask = self._scratch_like(workspace, "mask", blocks, bool)
-        np.equal(blocks, out[:, :, :, None, :, None], out=mask)
-        self._mask = mask
+        # Pairwise maxima over the kh*kw block slots, in the reduction's
+        # order: numpy's reduction over short trailing axes is several
+        # times slower, and max is exact, so the bits equal
+        # ``blocks.max(axis=(3, 5))``.
+        slots = [blocks[:, :, :, i, :, j]
+                 for i in range(kh) for j in range(kw)]
+        out = self._scratch_like(workspace, "out", slots[0])
+        np.copyto(out, slots[0])
+        for slot in slots[1:]:
+            np.maximum(out, slot, out=out)
+        # backward builds the argmax mask from these, so a forward that
+        # no backward follows (prediction) never builds one
+        self._blocks, self._out = blocks, out
         self._x_shape = x.shape
         return out
 
     def backward(self, grad: np.ndarray, *,
                  workspace: Workspace) -> np.ndarray:
         n, c, h, w = self._x_shape
+        mask = self._scratch_like(workspace, "mask", self._blocks, bool)
+        np.equal(self._blocks, self._out[:, :, :, None, :, None], out=mask)
+        self._blocks = self._out = None
         # Stage the incoming grad into a buffer that shares the mask's
         # (conv-transposed) memory order, then give dx that layout too:
         # elementwise values are layout-independent, the kh*kw broadcast
@@ -444,16 +458,12 @@ class MaxPool2d(Layer):
         # from a foreign layout (~6x faster), and the 6D->4D reshape
         # stays zero-copy.
         staged = self._scratch_like(workspace, "dgrad",
-                                    self._mask[:, :, :, 0, :, 0],
-                                    grad.dtype)
+                                    mask[:, :, :, 0, :, 0], grad.dtype)
         np.copyto(staged, grad)
-        expanded = self._scratch_like(workspace, "dx", self._mask,
-                                      grad.dtype)
-        np.multiply(staged[:, :, :, None, :, None], self._mask,
-                    out=expanded)
-        counts = self._mask.sum(axis=(3, 5), keepdims=True, dtype=grad.dtype)
+        expanded = self._scratch_like(workspace, "dx", mask, grad.dtype)
+        np.multiply(staged[:, :, :, None, :, None], mask, out=expanded)
+        counts = mask.sum(axis=(3, 5), keepdims=True, dtype=grad.dtype)
         expanded /= counts  # split ties evenly to keep grads exact
-        self._mask = None
         return expanded.reshape(n, c, h, w)
 
 

@@ -127,6 +127,13 @@ class Model:
         """The scratch arena threaded through forward/backward."""
         return self._workspace
 
+    def release_scratch(self) -> None:
+        """Free the arena: clear it and drop every layer's per-batch
+        caches, whose views would keep its buffers alive."""
+        self._workspace.clear()
+        for layer in self.layers:
+            layer.drop_caches()
+
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------

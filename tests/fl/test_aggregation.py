@@ -83,3 +83,24 @@ class TestRobustAggregation:
     def test_median_of_even_count(self):
         out = coordinate_median([_weights(1), _weights(3)])
         assert np.allclose(out.view(0, "W"), 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_median_by_sort_is_np_median(self, n, dtype):
+        """The sorted median equals ``np.median`` bit for bit, with its
+        NaN rule: a column that holds a NaN gives NaN.  A zero median
+        drawn from a tie of +0 and -0 may differ in sign only, as sort
+        and partition order equal values differently."""
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 300)).astype(dtype)
+        rows[n // 3:, 0] = 0.5             # a tie across the middle
+        rows[3, 1] = rows[n - 1, 2] = np.nan
+        rows[n - 1, 3] = np.inf
+        rows[:, 4], rows[::2, 4] = 0.0, -0.0
+        expected = np.median(rows, axis=0)
+        out = coordinate_median([
+            WeightStore.from_layers([{"W": row}]) for row in rows]).buffer
+        assert np.isnan(out[1:3]).all()
+        assert out[4] == 0.0
+        signed = np.r_[0:4, 5:300]
+        assert out[signed].tobytes() == expected[signed].tobytes()

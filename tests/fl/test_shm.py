@@ -29,6 +29,7 @@ from repro.fl.shm import (
     ParallelExecutor,
     ShmChannel,
     ShmRound,
+    _run_in_worker,
     shm_available,
 )
 from repro.fl.simulation import FederatedSimulation
@@ -421,15 +422,17 @@ class _SlowUploadDefense(Defense):
 
 
 def _spy_submits(executor) -> list:
-    """Start the executor's pool and record every future it submits."""
+    """Start the executor's pool and record every client-training
+    future it submits (not the personalized-model sweep's)."""
     executor.start()
     pool = executor._pool
     submit = pool.submit
     futures = []
 
-    def spy(*args, **kwargs):
-        future = submit(*args, **kwargs)
-        futures.append(future)
+    def spy(fn, *args, **kwargs):
+        future = submit(fn, *args, **kwargs)
+        if fn is _run_in_worker:
+            futures.append(future)
         return future
 
     pool.submit = spy
@@ -637,3 +640,131 @@ class TestRegistryGrowth:
             assert len(futures) == submitted
         finally:
             sim.executor.close()
+
+
+# ----------------------------------------------------------------------
+# the personalized-model sweep runs in the pool's workers
+# ----------------------------------------------------------------------
+
+def _rss_shmem_kib() -> int | None:
+    """This process's resident shared memory, where /proc reports it."""
+    try:
+        status = pathlib.Path("/proc/self/status").read_text()
+    except FileNotFoundError:  # non-Linux
+        return None
+    for line in status.splitlines():
+        if line.startswith("RssShmem:"):
+            return int(line.split()[1])
+    return None
+
+
+class TestPersonalSweep:
+    @pytest.mark.parametrize("name", ["none", "dinar", "ldp"])
+    def test_sweep_in_workers_equals_serial(self, name, monkeypatch,
+                                            no_leaked_segments):
+        """Evaluated every round, the 2-worker run records the serial
+        run's client accuracies bit for bit, per client and in order,
+        and its parent scores only the global model: every
+        personalized row is scored in a worker."""
+        from repro.fl.virtual import VirtualClientFleet
+        evaluate = VirtualClientFleet.evaluate_weights
+        calls = []
+
+        def counting(self, *args):
+            calls.append(os.getpid())
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(VirtualClientFleet, "evaluate_weights",
+                            counting)
+        config = FLConfig(num_clients=5, rounds=3, seed=5)
+        accuracies, scores = {}, {}
+        for workers in (0, 2):
+            calls.clear()
+            sim = _make_sim(defense=make_defense_for_config(name, config),
+                            num_clients=5, rounds=3, eval_every=1,
+                            workers=workers)
+            try:
+                for round_index in range(3):
+                    sim.run_round(round_index)
+                in_parent = calls.count(os.getpid())
+                scores[workers] = sim.executor.personal_accuracies(
+                    sim.registry.client_ids())
+            finally:
+                sim.executor.close()
+            accuracies[workers] = [record.mean_client_accuracy
+                                   for record in sim.history.records]
+            assert in_parent == 3 * (1 if workers else 1 + 5)
+        assert len(accuracies[0]) == 3 and len(set(scores[0])) > 1
+        assert accuracies[2] == accuracies[0]
+        assert scores[2] == scores[0]
+
+    @pytest.mark.skipif(_rss_shmem_kib() is None,
+                        reason="needs RssShmem in /proc/self/status")
+    def test_parent_never_maps_the_personal_plane(
+            self, no_leaked_segments):
+        """On the purchase100 FCNN, the parent's resident shared memory
+        grows by less than one personalized row over a 2-worker sweep
+        (reading the rows in the parent maps all of them)."""
+        from repro.bench.harness import make_model_factory
+        from repro.data import load_dataset
+        dataset = load_dataset("purchase100", 0, n_samples=600)
+        split = split_for_membership(dataset, np.random.default_rng(0))
+        config = FLConfig(num_clients=4, rounds=2, eval_every=2,
+                          local_epochs=1, batch_size=64, seed=0,
+                          workers=2)
+        sim = FederatedSimulation(split, make_model_factory("purchase100"),
+                                  config)
+        try:
+            assert sim.run_round(0) is None  # trained, not evaluated
+            before = _rss_shmem_kib()
+            accuracy = sim.mean_client_accuracy()
+            grown = (_rss_shmem_kib() - before) * 1024
+        finally:
+            sim.executor.close()
+        row = sim.registry.rows.personal[0].nbytes
+        assert grown < row, (grown, row)
+        assert sim.mean_client_accuracy() == accuracy
+
+    def test_closed_pool_sweeps_in_process(self, no_leaked_segments):
+        """After close() the sweep runs in the parent, returns the
+        value the open pool gave, and forks no worker."""
+        sim = _make_sim(num_clients=5, rounds=2)
+        sim.run()  # the last round's sweep ran in the workers
+        assert sim.executor._pool is None
+        assert sim.mean_client_accuracy() \
+            == sim.history.final_client_accuracy
+        assert sim.executor._pool is None
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not multiprocessing.active_children()
+
+    def test_sweep_task_is_descriptor_sized(self, no_leaked_segments):
+        """A sweep task carries the registry's descriptor and row
+        indices: no weight row or test feature crosses the pipe, however
+        wide the model."""
+        from repro.fl.shm import _score_in_worker
+        sim = _make_sim(num_clients=5, rounds=1, hidden=(256,))
+        sim.executor.start()
+        pool = sim.executor._pool
+        submit = pool.submit
+        wires = []
+
+        def spy(fn, *args, **kwargs):
+            if fn is _score_in_worker:
+                wires.append(args)
+            return submit(fn, *args, **kwargs)
+
+        pool.submit = spy
+        try:
+            sim.run_round(0)
+        finally:
+            sim.executor.close()
+        assert len(wires) == sim.executor.workers
+        assert sorted(row for _, rows in wires for row in rows) \
+            == list(range(5))
+        assert sim.registry.rows.personal[0].nbytes > 8192
+        for wire in wires:
+            assert isinstance(wire[0], ShmRound)
+            assert len(pickle.dumps(wire, pickle.HIGHEST_PROTOCOL)) < 1024

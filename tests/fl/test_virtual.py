@@ -101,7 +101,11 @@ def test_evaluated_run_leaves_no_arena(workers):
     sim = FederatedSimulation(_split(), _factory, config)
     sim.run()
     assert sim.history.records
-    assert sim.fleet.eval_model().workspace.num_buffers == 0
+    model = sim.fleet.eval_model()
+    assert model.workspace.num_buffers == 0
+    # no layer cache keeps a cleared buffer alive
+    assert not [key for layer in model.layers
+                for key in layer._ephemeral if key in vars(layer)]
 
 
 @pytest.mark.parametrize("name", ["none", "dinar"])

@@ -153,6 +153,50 @@ class TestPooling:
         with pytest.raises(ValueError):
             MaxPool1d(3).forward(np.zeros((1, 1, 16)), workspace=ws)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layer, shape", [
+        (MaxPool2d(2), (5, 3, 8, 12)), (MaxPool1d(4), (5, 3, 1, 64))])
+    @pytest.mark.parametrize("conv_layout", [False, True])
+    def test_maxpool_equals_the_block_reduction(self, rng, ws, layer,
+                                                shape, conv_layout, dtype):
+        """Pairwise maxima give the reduction's bits and memory order,
+        with +0/-0 ties and NaN columns (a NaN anywhere in a block wins)."""
+        n, c, h, w = shape
+        x = rng.standard_normal((n, h, w, c) if conv_layout else shape)
+        x = (x.transpose(0, 3, 1, 2) if conv_layout else x).astype(dtype)
+        x[:2], x[:2, :, :, ::3] = 0.0, -0.0
+        x[2, 0, 0, 1] = x[3, 1, 0, 5] = np.nan
+        kh, kw = layer._kernel
+        expected = x.reshape(n, c, h // kh, kh, w // kw, kw).max(axis=(3, 5))
+        out = layer.forward(x if h > 1 else x[:, :, 0], workspace=ws)
+        out = out.reshape(expected.shape)
+        assert np.isnan(out).sum() == 2
+        assert out.tobytes("A") == expected.tobytes("A")
+        assert out.strides == expected.strides
+
+    def test_prediction_builds_no_mask_and_backward_still_can(self, rng):
+        """A forward outside training builds no argmax mask; a backward
+        after it (model inversion) gives the training forward's input
+        gradient bit for bit."""
+        model = Model([Conv2d(1, 2, 3, rng, padding=1), ReLU(),
+                       MaxPool2d(2), Flatten(), Dense(2 * 3 * 3, 3, rng)])
+        pool = model.layers[2]
+        x = rng.standard_normal((4, 1, 6, 6))
+        model.predict(x)
+        owner = model.workspace.owner_index(pool)
+        roles = [key[1] for key in model.workspace.keys()
+                 if key[0] == owner]
+        assert roles and not [role for role in roles
+                              if role.startswith("mask")]
+        loss = SoftmaxCrossEntropy()
+        y = rng.integers(0, 3, 4)
+        grads = []
+        for training in (True, False):
+            logits = model.forward(x, training=training)
+            loss.forward(logits, y, workspace=model.workspace)
+            grads.append(model.backward(loss.backward()).copy())
+        assert grads[0].tobytes() == grads[1].tobytes()
+
 
 class TestFlatten:
     def test_roundtrip(self, rng, ws):

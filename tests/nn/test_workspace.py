@@ -215,6 +215,24 @@ class TestLifecycle:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("dataset", ["gtsrb", "cifar10",
+                                         "speech_commands"])
+    def test_release_scratch_leaves_nothing_pinned(self, dataset):
+        """After a prediction, releasing the scratch empties the arena
+        and every layer's caches (a residual block's sublayers too),
+        and the next prediction is bitwise the first."""
+        model = make_model_factory(dataset)(np.random.default_rng(0))
+        x = load_dataset(dataset, 0, n_samples=300).x
+        logits = model.predict_logits(x)
+        model.release_scratch()
+        assert model.workspace.num_buffers == 0
+        layers = [sub for layer in model.layers
+                  for sub in (layer, *vars(layer).values())
+                  if hasattr(sub, "_ephemeral")]
+        assert not [key for layer in layers for key in layer._ephemeral
+                    if key in vars(layer)]
+        assert model.predict_logits(x).tobytes() == logits.tobytes()
+
     def test_shadow_fit_frees_every_shadow_arena(self):
         data = load_dataset("gtsrb", 0, n_samples=480)
         split = split_for_membership(data, np.random.default_rng(0))
