@@ -15,9 +15,10 @@ The virtual client plane makes the same claim on the *client* side:
 clients are descriptors rebound onto one training model, so
 materializing a fixed training cohort out of a 100k-client fleet peaks
 at the same client-plane memory as out of a 1k-client fleet — while
-the eager plane (one model clone + one dataset copy per client, the
-pre-virtual layout) grows linearly with fleet size.  Both claims are
-gated; results land in ``BENCH_fleet.json`` at the repo root.
+the eager plane (one factory-built model + one dataset copy per
+client, the pre-virtual layout) grows linearly with fleet size.  Both
+claims are gated; results land in ``BENCH_fleet.json`` at the repo
+root.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ def _merge_output(benchmark: str, new_entries: list[dict],
     }, indent=2) + "\n")
 
 
+def _client_model(rng: np.random.Generator):
+    return build_fcnn(40, 20, rng, hidden=(32, 32))
+
+
 def _layout():
-    model = build_fcnn(40, 20, np.random.default_rng(0),
-                       hidden=(32, 32))
-    return model.get_store().layout
+    return _client_model(np.random.default_rng(0)).weight_layout()
 
 
 def _client_update(layout, client_id: int) -> np.ndarray:
@@ -230,14 +233,15 @@ def _virtual_round(template, n: int):
     return seconds, peak
 
 
-def _eager_round(template, n: int):
-    """The pre-virtual layout: one model clone and one eagerly copied
-    dataset subset per client, all simultaneously live.  Return
-    (seconds, peak_bytes)."""
+def _eager_round(n: int):
+    """The pre-virtual layout: one model built from the seeded factory
+    and one eagerly copied dataset subset per client, all
+    simultaneously live.  Return (seconds, peak_bytes)."""
     members, shard_list, _ = _fleet_fixture(n)
     tracemalloc.start()
     start = time.perf_counter()
-    clients = [(template.clone(), members.subset(shard_list[i]))
+    clients = [(_client_model(np.random.default_rng(0)),
+                members.subset(shard_list[i]))
                for i in range(n)]
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
@@ -248,8 +252,7 @@ def _eager_round(template, n: int):
 
 @pytest.mark.bench
 def test_client_plane_memory_flat_eager_linear():
-    template = build_fcnn(40, 20, np.random.default_rng(0),
-                          hidden=(32, 32))
+    template = _client_model(np.random.default_rng(0))
     entries = []
 
     virtual_peaks = {}
@@ -266,7 +269,7 @@ def test_client_plane_memory_flat_eager_linear():
 
     eager_peaks = {}
     for n in EAGER_COUNTS:
-        seconds, peak = _eager_round(template, n)
+        seconds, peak = _eager_round(n)
         eager_peaks[n] = peak
         entries.append({
             "path": "eager-clients", "clients": n,

@@ -61,6 +61,10 @@ DINAR_LR = {
 }
 
 
+#: Members and non-members each attack-scored per model (Appendix A).
+MAX_ATTACK_SAMPLES = 400
+
+
 def make_model_factory(dataset_name: str, *,
                        dtype: np.dtype | str = np.float64
                        ) -> Callable[[np.random.Generator], Model]:
@@ -132,10 +136,8 @@ def run_experiment(dataset_name: str, defense: Defense | str = "none", *,
                    config: FLConfig | None = None,
                    attack: str = "yeom",
                    n_samples: int | None = None,
-                   dataset_noise: float | None = None,
                    dirichlet_alpha: float = math.inf,
                    seed: int = 0,
-                   max_attack_samples: int = 400,
                    defense_kwargs: dict | None = None) -> ExperimentResult:
     """Run one full evaluation cell.
 
@@ -152,7 +154,7 @@ def run_experiment(dataset_name: str, defense: Defense | str = "none", *,
     """
     config = config or default_config(dataset_name, seed=seed)
     dataset = load_dataset(dataset_name, seed, n_samples=n_samples,
-                           noise=dataset_noise, dtype=config.dtype)
+                           dtype=config.dtype)
     split = split_for_membership(
         dataset, np.random.default_rng((seed, 17)))
 
@@ -176,10 +178,10 @@ def run_experiment(dataset_name: str, defense: Defense | str = "none", *,
         defense=defense.name,
         attack=attack,
         global_auc=global_model_auc(
-            attack_obj, simulation, max_samples=max_attack_samples,
+            attack_obj, simulation, max_samples=MAX_ATTACK_SAMPLES,
             rng=eval_rng),
         local_auc=local_models_auc(
-            attack_obj, simulation, max_samples=max_attack_samples,
+            attack_obj, simulation, max_samples=MAX_ATTACK_SAMPLES,
             rng=eval_rng),
         global_accuracy=simulation.history.final_global_accuracy,
         client_accuracy=simulation.history.final_client_accuracy,

@@ -124,14 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> FLConfig:
     base = default_config(args.dataset, seed=args.seed)
+
+    def given(value, default):
+        # an explicit 0 must reach FLConfig's check, not mean "default"
+        return default if value is None else value
+
+    rounds = given(args.rounds, base.rounds)
     return FLConfig(
-        num_clients=args.clients or base.num_clients,
-        rounds=args.rounds or base.rounds,
-        local_epochs=args.local_epochs or base.local_epochs,
-        lr=args.lr or base.lr,
+        num_clients=given(args.clients, base.num_clients),
+        rounds=rounds,
+        local_epochs=given(args.local_epochs, base.local_epochs),
+        lr=given(args.lr, base.lr),
         batch_size=base.batch_size,
         seed=args.seed,
-        eval_every=args.rounds or base.rounds,
+        eval_every=rounds,
         workers=args.workers,
         sample_fraction=args.sample_fraction,
         drop_rate=args.drop_rate,

@@ -57,7 +57,6 @@ from repro.fl.network import dense_nbytes
 from repro.fl.server import FLServer
 from repro.fl.virtual import VirtualClientFleet
 from repro.nn.model import Model
-from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 
 
@@ -118,7 +117,6 @@ class FederatedSimulation:
                  config: FLConfig, defense: Defense | None = None, *,
                  dirichlet_alpha: float = math.inf) -> None:
         self.split = split
-        self.model_factory = model_factory
         self.config = config
         self.defense = defense or Defense()
         if self.defense.requires_full_cohort and (
@@ -321,23 +319,31 @@ class FederatedSimulation:
     # ------------------------------------------------------------------
     # evaluation views
     # ------------------------------------------------------------------
-    def model_from_weights(self, weights: WeightStore) -> Model:
-        """Fresh model instance loaded with the given weights."""
-        model = self.model_factory(np.random.default_rng(self.config.seed))
-        model.set_store(weights)
-        return model
-
     def global_model(self) -> Model:
         """The server's current global model (the client-side attack
-        target: every participant receives these exact weights)."""
-        return self.model_from_weights(self.server.global_weights)
+        target: every participant receives these exact weights).
+
+        This is the fleet's one model (:meth:`VirtualClientFleet.eval_model`)
+        loaded with the global weights: it stays valid until the next
+        load into that model (another evaluation view, an evaluated
+        round, or training).
+        """
+        model = self.fleet.eval_model()
+        model.set_store(self.server.global_weights)
+        return model
 
     def transmitted_model(self, client_id: int) -> Model:
         """A client's last *transmitted* model — the server-side
-        attacker's view of that client (post-defense)."""
+        attacker's view of that client (post-defense).
+
+        The fleet's one model loaded with the client's upload, valid
+        until the next load into that model (see :meth:`global_model`).
+        """
         if client_id not in self.last_updates:
             raise KeyError(f"client {client_id} has not participated yet")
-        return self.model_from_weights(self.last_updates[client_id])
+        model = self.fleet.eval_model()
+        model.set_store(self.last_updates[client_id])
+        return model
 
     def global_accuracy(self) -> float:
         """Global model accuracy on the held-out non-member test set.

@@ -20,10 +20,10 @@ model passes its own arena; a standalone layer takes any
 request for its arena key (see :meth:`repro.nn.model.Model.forward`).
 
 Per-batch caches (``_x``, ``_cols``, ``_mask``, ...) and workspace
-buffers are execution scratch, not model state: ``__getstate__``
-excludes them (see :attr:`Layer._ephemeral`), so pickling a layer —
-for checkpointing or shipping across process boundaries — never
-carries dead batch-sized buffers.
+buffers are execution scratch, not model state: each layer names its
+caches in :attr:`Layer._ephemeral`, and :meth:`Layer.drop_caches`
+forgets them so a cleared arena frees its buffers.  Layers live in a
+process-local model and never cross a process boundary.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ class Layer:
     (e.g. residual blocks) can expose merged live views over sublayers.
     """
 
-    #: Per-batch cache attributes excluded from pickling: they hold
-    #: batch-sized scratch (often views into a process-local workspace
-    #: arena) that is dead weight across a process or disk boundary.
+    #: Per-batch cache attributes: batch-sized scratch (often views
+    #: into the model's workspace arena) that :meth:`drop_caches`
+    #: forgets.
     _ephemeral: tuple[str, ...] = ()
 
     def __init__(self) -> None:
@@ -95,15 +95,9 @@ class Layer:
                  workspace: Workspace) -> np.ndarray:
         raise NotImplementedError
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for key in self._ephemeral:
-            state.pop(key, None)
-        return state
-
     def drop_caches(self) -> None:
-        """Forget the per-batch caches, as unpickling does: they view
-        arena buffers, which a cleared arena would otherwise keep."""
+        """Forget the per-batch caches: they view arena buffers,
+        which a cleared arena would otherwise keep."""
         for key in self._ephemeral:
             self.__dict__.pop(key, None)
 

@@ -35,16 +35,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class Loss:
     """Loss protocol: forward caches, backward returns dL/dlogits."""
 
-    #: Per-batch caches excluded from pickling, mirroring
-    #: :attr:`repro.nn.layers.Layer._ephemeral`.
-    _ephemeral: tuple[str, ...] = ()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for key in self._ephemeral:
-            state.pop(key, None)
-        return state
-
     def forward(self, logits: np.ndarray, targets: np.ndarray, *,
                 workspace: Workspace) -> float:
         raise NotImplementedError
@@ -60,8 +50,6 @@ class Loss:
 class SoftmaxCrossEntropy(Loss):
     """Fused softmax + cross-entropy on integer class labels."""
 
-    _ephemeral = ("_probs", "_targets", "_arange_cache")
-
     def __init__(self) -> None:
         super().__init__()
         # np.arange(n) reused across batches; an epoch sees at most two
@@ -69,12 +57,9 @@ class SoftmaxCrossEntropy(Loss):
         self._arange_cache: dict[int, np.ndarray] = {}
 
     def _arange(self, n: int) -> np.ndarray:
-        cache = getattr(self, "_arange_cache", None)
-        if cache is None:
-            cache = self._arange_cache = {}
-        arr = cache.get(n)
+        arr = self._arange_cache.get(n)
         if arr is None:
-            arr = cache[n] = np.arange(n)
+            arr = self._arange_cache[n] = np.arange(n)
         return arr
 
     def forward(self, logits: np.ndarray, targets: np.ndarray, *,

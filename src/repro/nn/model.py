@@ -6,7 +6,13 @@ gradient buffer; every parameter-carrying layer holds zero-copy shaped
 views into those buffers (bound once at construction via
 ``Layer.adopt_views``).  Training, optimization, DP clipping and
 FedProx therefore operate on whole flat vectors, and weight exchange
-(`get_store`/`set_store`, `clone`) is a single buffer copy.
+(`get_store`/`set_store`) is a single buffer copy.
+
+A model is process-local: it owns a scratch arena, and the arena
+refuses to pickle, so ``pickle.dumps(model)`` and
+``copy.deepcopy(model)`` raise ``TypeError``.  Weights cross a process
+boundary as buffers or shared-memory rows, never inside a model; a
+second model is built from the seeded factory, not copied.
 
 Layer indices count *parameter-carrying* layers front to back; that
 index is the handle DINAR needs.  "Obfuscate layer p" and "personalize
@@ -15,7 +21,6 @@ layer p" both act on the one buffer slice ``Layout.layer_slice(p)``.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,7 +39,7 @@ class Model:
         self.layers = list(layers)
         self.name = name
         # Scratch arena for forward/backward temporaries; process-local
-        # and excluded from pickling/cloning (fresh arenas are rebuilt).
+        # (it refuses to pickle, and so does the model holding it).
         self._workspace = Workspace()
         self._bind_flat()
 
@@ -49,43 +54,29 @@ class Model:
         are never written and stay exactly 0.0 — whole-buffer optimizer
         updates are bitwise no-ops there.
         """
+        self._grads_ready = False
         trainable = self.trainable
         if not trainable:
             self._layout = None
             self._store = None
             self._grad_buffer = None
-            self._grads_ready = False
             return
         layout = Layout.from_model(self)
         self._layout = layout
         self._store = WeightStore(layout, np.empty(layout.num_params,
                                                    dtype=layout.dtype))
         self._grad_buffer = np.zeros(layout.num_params, dtype=layout.dtype)
-        self._rebind_views()
-        self._grads_ready = False
-
-    def _rebind_views(self) -> None:
-        """Bind every trainable layer's arrays onto the flat buffers.
-
-        Used at construction and again on unpickle: a pickled model
-        serializes the layers' view arrays as independent copies, so
-        ``__setstate__`` re-adopts them onto the (also deserialized)
-        flat weight/gradient buffers to restore the aliasing invariant.
-        """
-        layout = self._layout
-        store = self._store
-        grad_buffer = self._grad_buffer
-        for idx, layer in enumerate(self.trainable):
+        for idx, layer in enumerate(trainable):
             params: dict[str, np.ndarray] = {}
             buffers: dict[str, np.ndarray] = {}
             grads: dict[str, np.ndarray] = {}
             for entry in layout.layer_entries(idx):
-                view = store.buffer[entry.offset:entry.stop] \
+                view = self._store.buffer[entry.offset:entry.stop] \
                     .reshape(entry.shape)
                 if entry.trainable:
                     params[entry.key] = view
                     grads[entry.key] = \
-                        grad_buffer[entry.offset:entry.stop] \
+                        self._grad_buffer[entry.offset:entry.stop] \
                         .reshape(entry.shape)
                 else:
                     buffers[entry.key] = view
@@ -279,58 +270,3 @@ class Model:
                 f"{self.name}: store layout {store.layout} does not "
                 f"match model layout {layout}")
         self._store.buffer[...] = store.buffer
-
-    def __getstate__(self) -> dict:
-        """Serialize without the process-local workspace arena.
-
-        Layers drop their per-batch caches via ``Layer.__getstate__``,
-        so a pickled model (checkpoints, executor dispatch, deepcopy)
-        never ships batch-sized scratch.
-        """
-        state = self.__dict__.copy()
-        state.pop("_workspace", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._workspace = Workspace()
-        if self._layout is not None:
-            # plain pickling serialized the layers' views as independent
-            # arrays; re-adopt them onto the flat buffers.  (For clone()
-            # the memo already mapped every view, making this a no-op
-            # value-wise.)
-            self._rebind_views()
-
-    def clone(self) -> "Model":
-        """Independent copy: buffer copies plus a cheap structure copy.
-
-        The layout is immutable and shared; the weight and gradient
-        buffers are copied once each, and every bound view is pre-mapped
-        (via the deepcopy memo) to the matching view over the new
-        buffers, so the clone's layers alias *its own* flat plane
-        exactly as the original's alias the original's.
-        """
-        if self._store is None:
-            return copy.deepcopy(self)
-        layout = self._layout
-        new_buffer = self._store.buffer.copy()
-        new_grads = self._grad_buffer.copy()
-        memo: dict[int, object] = {
-            id(layout): layout,
-            id(self._store.buffer): new_buffer,
-            id(self._grad_buffer): new_grads,
-        }
-        for idx, layer in enumerate(self.trainable):
-            params = layer.params
-            buffers = layer.buffers
-            grads = layer.grads
-            for entry in layout.layer_entries(idx):
-                source = params[entry.key] if entry.trainable \
-                    else buffers[entry.key]
-                memo[id(source)] = new_buffer[entry.offset:entry.stop] \
-                    .reshape(entry.shape)
-                if entry.trainable:
-                    memo[id(grads[entry.key])] = \
-                        new_grads[entry.offset:entry.stop] \
-                        .reshape(entry.shape)
-        return copy.deepcopy(self, memo)

@@ -260,12 +260,6 @@ class Layout:
         return Layout(self.entries, dtype=dtype)
 
     # ------------------------------------------------------------------
-    def __reduce__(self):
-        # Rebuild from the constructor arguments: the lookup and
-        # trainable indexes are recomputed (deterministic, cheap)
-        # rather than pickled.
-        return (_rebuild_layout, (self.entries, self.dtype.str))
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -280,11 +274,6 @@ class Layout:
         return (f"Layout(layers={self.num_layers}, "
                 f"arrays={len(self.entries)}, params={self.num_params}, "
                 f"dtype={self.dtype.name})")
-
-
-def _rebuild_layout(entries, dtype_str) -> "Layout":
-    """Unpickle helper for :meth:`Layout.__reduce__`."""
-    return Layout(entries, dtype=dtype_str)
 
 
 class WeightStore:

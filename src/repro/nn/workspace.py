@@ -43,13 +43,12 @@ handle, so no cycle runs through it and refcounting frees it (and the
 layers and flat-buffer views it holds) as soon as the model is
 dropped.  An array a forward returns is valid only until the next
 request for its key, of any batch length.  A workspace is
-**process-local**: it is excluded from model pickling (a fresh empty
-arena is rebuilt on unpickle and on :meth:`Model.clone`), never appears
-in registry rows, checkpoints, or executor task/result
-messages, and attempting to pickle one directly raises
-``TypeError``.  Forked executor workers inherit the parent's arena
-pages copy-on-write and then fill their own private copies — scratch
-contents never travel between processes.
+**process-local**: pickling one raises ``TypeError``, and so does
+pickling or deep-copying the model that holds it, so it never appears
+in registry rows, checkpoints, or executor task/result messages.
+Forked executor workers inherit the parent's arena pages copy-on-write
+and then fill their own private copies — scratch contents never travel
+between processes.
 """
 
 from __future__ import annotations
@@ -155,8 +154,8 @@ class Workspace:
     def __reduce__(self):
         raise TypeError(
             "Workspace is process-local scratch and must never be "
-            "pickled; models drop their workspace on pickling and "
-            "rebuild a fresh one on load")
+            "pickled; neither may the model that holds it, so send "
+            "weight buffers and build the model in the other process")
 
     def __repr__(self) -> str:
         return (f"Workspace({self.num_buffers} buffers, "

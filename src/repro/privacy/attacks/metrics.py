@@ -63,13 +63,11 @@ def global_model_auc(attack, simulation, *, max_samples: int = 500,
     the held-out test pool — the client-side attacker's task: "whether a
     data sample has been used for training by other clients".
 
-    Scored on the fleet's one model loaded with the global weights, as
-    :meth:`~repro.fl.simulation.FederatedSimulation.global_accuracy`
-    evaluates, so no fresh model is built.
+    Scored on :meth:`~repro.fl.simulation.FederatedSimulation.global_model`,
+    the fleet's one model loaded with the global weights.
     """
     rng = rng or np.random.default_rng(0)
-    model = simulation.fleet.eval_model()
-    model.set_store(simulation.server.global_weights)
+    model = simulation.global_model()
     split = simulation.split
     nonmembers = split.nonmembers
     m_idx = _sample(rng, len(split.member_idx), max_samples)
@@ -89,19 +87,18 @@ def local_models_auc(attack, simulation, *, max_samples: int = 500,
     For each client the attacker (sitting on the server) inspects the
     update that client actually uploaded — after any defense transform —
     and tries to separate that client's training samples from held-out
-    data.  Each upload is loaded in turn into the fleet's one model, so
-    no fresh model is built.
+    data.  Each upload is loaded in turn into the fleet's one model
+    (:meth:`~repro.fl.simulation.FederatedSimulation.transmitted_model`).
     """
     rng = rng or np.random.default_rng(0)
     nonmembers = simulation.split.nonmembers
-    model = simulation.fleet.eval_model()
     aucs = []
     # Ascending id over the round's participants — the same clients in
     # the same order as iterating the full fleet and skipping
     # non-participants, without materializing a single FLClient (at
     # fleet scale, most clients never trained).
     for client_id in sorted(simulation.last_updates):
-        model.set_store(simulation.last_updates[client_id])
+        model = simulation.transmitted_model(client_id)
         data = simulation.client_dataset(client_id)
         m_idx = _sample(rng, len(data), max_samples)
         n_idx = _sample(rng, len(nonmembers), max_samples)

@@ -36,3 +36,12 @@ def test_run_rejects_unknown_dataset():
 def test_run_rejects_unknown_defense():
     with pytest.raises(SystemExit):
         main(["run", "--dataset", "cifar10", "--defense", "magic"])
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--rounds", "rounds"), ("--clients", "num_clients"),
+    ("--local-epochs", "local_epochs"), ("--lr", "lr"),
+])
+def test_run_rejects_zero_instead_of_defaulting(flag, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        main(["run", "--dataset", "purchase100", flag, "0"])

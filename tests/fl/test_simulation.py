@@ -95,6 +95,26 @@ class TestSimulation:
         assert sim.global_model().get_store().allclose(
             sim.server.global_weights)
 
+    def test_evaluation_views_load_the_fleet_model(self, small_split,
+                                                   tiny_model_factory):
+        built = []
+
+        def factory(rng):
+            built.append(1)
+            return tiny_model_factory(rng)
+
+        sim = _sim(small_split, factory)
+        built.clear()
+        sim.run()
+        model = sim.global_model()
+        assert model is sim.fleet.eval_model()
+        assert np.array_equal(model.weights.buffer,
+                              sim.server.global_weights.buffer)
+        assert sim.transmitted_model(1) is model
+        assert np.array_equal(model.weights.buffer,
+                              sim.last_updates[1].buffer)
+        assert built == []
+
     def test_deterministic_given_seed(self, small_split,
                                       tiny_model_factory):
         a = _sim(small_split, tiny_model_factory, seed=5)

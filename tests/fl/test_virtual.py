@@ -10,8 +10,8 @@ The plane's contract has three legs:
   handles expose only the bound client's state, and registry rows are
   copies that training-model mutation cannot corrupt;
 * **economy** — a process holds one model, not O(num_clients): one
-  factory call, no clone (the trainer evaluates too), lazy shard
-  subsets, and no arena left behind by an evaluated round.
+  factory call (the trainer evaluates too), lazy shard subsets, and no
+  arena left behind by an evaluated round.
 """
 
 import multiprocessing
@@ -261,10 +261,10 @@ def test_fleet_shares_one_eval_model():
     for cid in sim.registry.client_ids():
         via_shared = sim.fleet.evaluate_weights(sim.registry[cid],
                                                 test.x, test.y)
-        clone = sim.fleet.materialize(cid).model.clone()
-        clone.set_store(sim.registry[cid])
-        via_clone = float(np.mean(clone.predict(test.x) == test.y))
-        assert via_shared == via_clone
+        twin = _factory(np.random.default_rng(0))
+        twin.set_store(sim.registry[cid])
+        via_twin = float(np.mean(twin.predict(test.x) == test.y))
+        assert via_shared == via_twin
 
 
 def test_mean_client_accuracy_covers_exactly_the_registry():

@@ -101,13 +101,3 @@ def test_executor_payloads_pickle_with_warm_arenas(make_sim):
                                  sim.registry.rows)
     # the worker->parent payload must also cross clean
     pickle.loads(pickle.dumps(result))
-
-
-def test_client_model_pickle_rebuilds_fresh_arena(make_sim):
-    sim = _run_warm(make_sim)
-    client = sim.fleet.materialize(0)
-    assert client.model.workspace.num_buffers > 0
-    restored = pickle.loads(pickle.dumps(client.model))
-    assert restored.workspace.num_buffers == 0
-    assert np.array_equal(restored.weights.buffer,
-                          client.model.weights.buffer)

@@ -3,8 +3,8 @@
 The refactored ``Model`` owns one contiguous weight buffer and one
 gradient buffer; every ``Layer`` holds zero-copy shaped views into
 them.  These tests pin the aliasing rules down: writes through either
-side must be visible on the other, clones must alias their *own*
-buffers, and binding/loading with wrong names must fail loudly.
+side must be visible on the other, and binding/loading with wrong
+names must fail loudly.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import BatchNorm1d, Conv2d, Dense
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
-from repro.nn.optim import SGD
 from repro.nn.store import Layout, WeightStore
 
 
@@ -88,46 +87,13 @@ class TestViewAliasing:
                                 block.conv1.params["W"])
 
 
-class TestCloneAliasing:
-    def test_clone_views_alias_clone_buffer_not_original(self):
-        model = _bn_model()
-        clone = model.clone()
-        assert clone.weights.buffer is not model.weights.buffer
-        assert np.array_equal(clone.weights.buffer,
-                              model.weights.buffer)
-        for layer in clone.trainable:
-            for view in layer.params.values():
-                assert view.base is clone.weights.buffer
-            for view in layer.buffers.values():
-                assert view.base is clone.weights.buffer
-            for view in layer.grads.values():
-                assert view.base is clone.grad_vector
-
-    def test_clone_shares_layout_object(self):
-        model = _bn_model()
-        clone = model.clone()
-        assert clone.weight_layout() is model.weight_layout()
-
-    def test_clone_trains_independently(self, rng):
-        model = _bn_model()
-        clone = model.clone()
-        x = rng.standard_normal((16, 6))
-        y = rng.integers(0, 3, 16)
-        clone.loss_and_grad(x, y, SoftmaxCrossEntropy())
-        SGD(clone, 0.5).step()
-        assert not np.array_equal(clone.weights.buffer,
-                                  model.weights.buffer)
-        assert np.all(model.grad_vector == 0.0)
-
-    def test_paramless_model_clone(self):
-        model = Model([Tanh(), ReLU()])
-        clone = model.clone()
-        assert clone.num_trainable_layers == 0
-        with pytest.raises(ValueError):
-            clone.weights
-
-
 class TestStoreExchange:
+    def test_paramless_model_has_no_weights(self):
+        model = Model([Tanh(), ReLU()])
+        assert model.num_trainable_layers == 0
+        with pytest.raises(ValueError):
+            model.weights
+
     def test_get_store_is_a_snapshot(self):
         model = _bn_model()
         snap = model.get_store()

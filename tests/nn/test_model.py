@@ -54,11 +54,6 @@ class TestWeightExchange:
             fresh.trainable[1].buffers["running_mean"],
             model.trainable[1].buffers["running_mean"])
 
-    def test_clone_is_independent(self, tiny_model, rng):
-        clone = tiny_model.clone()
-        clone.trainable[0].params["W"][...] = 7.0
-        assert not np.any(tiny_model.trainable[0].params["W"] == 7.0)
-
 
 class TestInference:
     def test_predict_matches_argmax(self, tiny_model, rng):

@@ -19,15 +19,16 @@ def test_weights_roundtrip(tiny_model, tmp_path):
     assert load_store(path).allclose(weights, atol=0.0)
 
 
-def test_loaded_weights_restore_model(tiny_model, tmp_path, rng):
+def test_loaded_weights_restore_model(tiny_model, tiny_model_factory,
+                                     tmp_path, rng):
     path = tmp_path / "weights.npz"
     save_weights(tiny_model.get_store(), path)
     x = rng.standard_normal((4, 20))
     expected = tiny_model.predict_logits(x)
-    clone = tiny_model.clone()
-    clone.trainable[0].params["W"][...] = 0.0
-    clone.set_store(load_store(path, clone.weight_layout()))
-    assert np.allclose(clone.predict_logits(x), expected)
+    twin = tiny_model_factory(np.random.default_rng(0))
+    twin.trainable[0].params["W"][...] = 0.0
+    twin.set_store(load_store(path, twin.weight_layout()))
+    assert np.allclose(twin.predict_logits(x), expected)
 
 
 def test_batchnorm_buffers_roundtrip(rng, tmp_path):

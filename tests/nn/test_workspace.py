@@ -1,5 +1,5 @@
 """Workspace-plane tests: arena keying, bitwise parity, lifecycle,
-input cast, pickling hygiene.
+input cast, process-locality.
 
 The workspace's contract has five legs:
 
@@ -19,12 +19,12 @@ The workspace's contract has five legs:
   bool) is copied into the first layer's ``"input"`` buffer in the
   model's dtype, bitwise equal to passing the cast batch; a floating
   batch of the model's dtype is passed through with no copy.
-* **Process-locality** — workspaces and per-batch layer caches never
-  survive pickling; ``Workspace`` itself refuses to pickle, so a
-  successful ``pickle.dumps`` of any payload doubles as proof that no
-  workspace is reachable from it.
+* **Process-locality** — ``Workspace`` refuses to pickle, and so does
+  the model holding it, so a successful ``pickle.dumps`` of any
+  payload doubles as proof that no workspace is reachable from it.
 """
 
+import copy
 import gc
 import pickle
 import tracemalloc
@@ -374,46 +374,10 @@ class TestInputCast:
 
 
 class TestPicklingHygiene:
-    def test_trained_model_pickles_without_scratch(self):
+    def test_model_refuses_pickle_and_deepcopy(self):
         model, x, y = _conv_setup("float64")
         model.loss_and_grad(x, y, SoftmaxCrossEntropy())
-        # Workspace.__reduce__ raises, so success here proves no
-        # workspace is reachable from the pickled payload.
-        payload = pickle.dumps(model)
-        fresh = build_vgg_small((3, 8, 8), 5, np.random.default_rng(3))
-        slack = 4096
-        assert len(payload) <= len(pickle.dumps(fresh)) + slack, \
-            "pickled model still ships batch-sized caches"
-
-    def test_layer_caches_dropped_on_pickle(self):
-        model, x, y = _conv_setup("float64")
-        loss = SoftmaxCrossEntropy()
-        model.loss_and_grad(x, y, loss)
-        for layer in model.layers:
-            state = layer.__getstate__()
-            for name in type(layer)._ephemeral:
-                assert name not in state, \
-                    f"{layer.name} pickles ephemeral cache {name!r}"
-        assert "_probs" not in loss.__getstate__()
-
-    def test_unpickled_model_gets_fresh_workspace(self):
-        model, x, y = _conv_setup("float64")
-        loss = SoftmaxCrossEntropy()
-        model.loss_and_grad(x, y, loss)
-        restored = pickle.loads(pickle.dumps(model))
-        assert isinstance(restored.workspace, Workspace)
-        assert restored.workspace is not model.workspace
-        assert restored.workspace.num_buffers == 0
-        # and it still trains, bitwise in step with the original
-        value = model.loss_and_grad(x, y, loss)
-        assert restored.loss_and_grad(x, y, loss) == value
-        assert np.array_equal(restored.weights.buffer,
-                              model.weights.buffer)
-        assert np.array_equal(restored.grad_vector, model.grad_vector)
-
-    def test_clone_does_not_share_workspace(self):
-        model, x, y = _conv_setup("float64")
-        model.loss_and_grad(x, y, SoftmaxCrossEntropy())
-        clone = model.clone()
-        assert clone.workspace is not model.workspace
-        assert clone.workspace.num_buffers == 0
+        with pytest.raises(TypeError, match="process-local"):
+            pickle.dumps(model)
+        with pytest.raises(TypeError, match="process-local"):
+            copy.deepcopy(model)

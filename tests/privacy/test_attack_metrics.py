@@ -77,13 +77,19 @@ def _oracle_indices(rng, n, max_samples):
     return rng.choice(n, size=max_samples, replace=False)
 
 
-def _oracle_aucs(attack, sim, max_samples):
-    """Both AUCs scored on fresh models, as callers holding two at once
-    build them."""
+def _fresh_model(factory, weights):
+    model = factory(np.random.default_rng(0))
+    model.set_store(weights)
+    return model
+
+
+def _oracle_aucs(attack, sim, factory, max_samples):
+    """Both AUCs scored on fresh models built from ``factory``, so the
+    oracle shares no evaluation path with the metrics it checks."""
     rng = np.random.default_rng(3)
     split = sim.split
     nonmembers = split.nonmembers
-    model = sim.global_model()
+    model = _fresh_model(factory, sim.server.global_weights)
     rows = split.member_idx[
         _oracle_indices(rng, len(split.member_idx), max_samples)]
     n_idx = _oracle_indices(rng, len(nonmembers), max_samples)
@@ -93,7 +99,7 @@ def _oracle_aucs(attack, sim, max_samples):
     rng = np.random.default_rng(4)
     aucs = []
     for client_id in sorted(sim.last_updates):
-        model = sim.transmitted_model(client_id)
+        model = _fresh_model(factory, sim.last_updates[client_id])
         data = sim.client_dataset(client_id)
         m_idx = _oracle_indices(rng, len(data), max_samples)
         n_idx = _oracle_indices(rng, len(nonmembers), max_samples)
@@ -135,4 +141,5 @@ class TestSimulationAucs:
         local_auc = local_models_auc(attack, sim, max_samples=40,
                                      rng=np.random.default_rng(4))
         assert built == []
-        assert (global_auc, local_auc) == _oracle_aucs(attack, sim, 40)
+        assert (global_auc, local_auc) == _oracle_aucs(
+            attack, sim, tiny_model_factory, 40)

@@ -18,13 +18,17 @@ from repro.privacy.attacks.inversion import (
 )
 
 
+def _mlp(seed_in: int, seed_out: int) -> Model:
+    return Model([Dense(16, 24, np.random.default_rng(seed_in)), Tanh(),
+                  Dense(24, 3, np.random.default_rng(seed_out))])
+
+
 @pytest.fixture(scope="module")
 def trained():
     """A model trained to high accuracy on continuous prototype data."""
     rng = np.random.default_rng(0)
     data = synthetic_tabular(rng, 300, 16, 3, binary=False, noise=0.3)
-    model = Model([Dense(16, 24, np.random.default_rng(1)), Tanh(),
-                   Dense(24, 3, np.random.default_rng(2))])
+    model = _mlp(1, 2)
     loss = SoftmaxCrossEntropy()
     optimizer = SGD(model, 0.1)
     for _ in range(80):
@@ -83,8 +87,7 @@ def test_inversion_recovers_class_direction(trained):
 
 def test_untrained_model_gives_low_fidelity(trained):
     _, data = trained
-    fresh = Model([Dense(16, 24, np.random.default_rng(7)), Tanh(),
-                   Dense(24, 3, np.random.default_rng(8))])
+    fresh = _mlp(7, 8)
     reconstruction = invert_class(fresh, 0, (16,), steps=150)
     assert inversion_fidelity(
         reconstruction, data.x[data.y == 0]) < 0.5
@@ -94,9 +97,9 @@ def test_obfuscation_blocks_inversion(trained):
     """Randomizing the penultimate layer (DINAR's transmitted form)
     severs the reconstruction path."""
     model, data = trained
-    garbled = model.clone()
+    garbled = _mlp(1, 2)
     rng = np.random.default_rng(3)
-    weights = garbled.get_store()
+    weights = model.get_store()
     for entry in weights.layout.layer_entries(0):
         view = weights.view(0, entry.key)
         view[...] = rng.standard_normal(entry.shape) * view.std()
