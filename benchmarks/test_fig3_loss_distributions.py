@@ -43,8 +43,6 @@ def test_fig3_loss_distributions(cells, results_dir, benchmark):
         rows, title="Fig.3 loss distributions - cifar10 (local model)")
     emit(results_dir, "fig3_loss_distributions", table)
 
-    import numpy as np
-
     none, dinar = dists["none"], dists["dinar"]
     # no defense: distributions clearly separated
     assert none.gap > 0.1

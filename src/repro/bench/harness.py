@@ -45,6 +45,26 @@ class ExperimentResult:
         """(x, y) of one Fig. 7 point: accuracy% vs local attack AUC%."""
         return 100.0 * self.client_accuracy, 100.0 * self.local_auc
 
+    def to_dict(self) -> dict:
+        """JSON-ready summary (drops the simulation) — what
+        ``repro run --out`` writes."""
+        costs = self.costs
+        return {
+            "dataset": self.dataset,
+            "defense": self.defense,
+            "attack": self.attack,
+            "global_auc": self.global_auc,
+            "local_auc": self.local_auc,
+            "global_accuracy": self.global_accuracy,
+            "client_accuracy": self.client_accuracy,
+            "costs": {
+                "train_seconds_per_round": costs.train_seconds_per_round,
+                "aggregate_seconds_per_round":
+                    costs.aggregate_seconds_per_round,
+                "defense_state_bytes": costs.defense_state_bytes,
+            },
+        }
+
 
 #: Tuned DINAR Adagrad learning rates per dataset.  Adaptive methods'
 #: effective early step is ~lr*sign(g), so the right rate tracks each

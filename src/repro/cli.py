@@ -15,16 +15,14 @@ JSON summary with ``--out``.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import pathlib
 import sys
 
 import numpy as np
 
-from repro.bench.harness import (
-    default_config,
-    make_model_factory,
-    run_experiment,
-)
+from repro.bench.harness import default_config, run_experiment
 from repro.data import available_datasets
 from repro.fl.aggregation import AGGREGATOR_CHOICES
 from repro.fl.behavior import BEHAVIOR_CHOICES
@@ -185,8 +183,8 @@ def _cmd_run(args) -> int:
         title=f"{args.dataset} under {args.defense} "
               f"({args.attack} attack; 50% AUC is optimal)"))
     if args.out:
-        from repro.nn.serialize import save_experiment_result
-        save_experiment_result(result, args.out)
+        pathlib.Path(args.out).write_text(
+            json.dumps(result.to_dict(), indent=2) + "\n")
         print(f"\nsummary written to {args.out}")
     return 0
 

@@ -17,6 +17,7 @@ import numpy as np
 from repro.analysis.divergence import js_divergence_from_samples
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Model
+from repro.privacy.attacks.gradient import per_example_layer_gradient_norms
 
 
 @dataclass
@@ -123,16 +124,10 @@ def _norm_observations(model: Model, x: np.ndarray, y: np.ndarray,
     """Per-sample per-layer gradient norms, shape (n, J)."""
     if len(x) == 0:
         raise ValueError("population is empty")
-    n = min(len(x), max_samples)
-    idx = rng.choice(len(x), size=n, replace=False)
-    observations = np.zeros((n, model.num_trainable_layers))
-    for row, i in enumerate(idx):
-        # Zero-copy views into the flat gradient buffer: the norms are
-        # consumed immediately, before the next backward pass.
-        vectors = model.per_layer_gradient_vectors(
-            x[i:i + 1], y[i:i + 1], loss, copy=False)
-        observations[row] = [float(np.linalg.norm(v)) for v in vectors]
-    return observations
+    idx = rng.choice(len(x), size=min(len(x), max_samples),
+                     replace=False)
+    return per_example_layer_gradient_norms(model, x[idx], y[idx],
+                                            loss=loss)
 
 
 def _gradient_pools(model: Model, x: np.ndarray, y: np.ndarray,

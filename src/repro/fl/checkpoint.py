@@ -1,15 +1,23 @@
 """Simulation checkpointing.
 
 Long federated runs (the paper's Purchase100 uses 300 rounds) need to
-survive interruption. A checkpoint captures the server's global model
-and the client registry — every client's personalized weights, last
-upload and defense state (DINAR's stored private layers, GC's
-residual), each plane saved as one array with the row order — so a
-restored simulation holds the same per-client state.  It also keeps
-the server's own state: the generator state of ``FLServer.rng`` (it
-draws the ``clients_per_round`` cohort and CDP's noise) in
-``meta.json``, and FedAvgM's momentum buffer in ``server.npz``, so a
-resumed run continues the uninterrupted trajectory bitwise.
+survive interruption. A checkpoint holds the weight plane's one format
+— flat buffers plus the layout they index — and nothing else:
+
+* ``server.npz`` — the global model's flat buffer (``global``) and,
+  under FedAvgM, the momentum buffer (``momentum``);
+* ``registry.npz`` — the client registry's row order and its planes
+  (personalized weights, last uploads, defense state such as DINAR's
+  stored private layers or GC's residual), one ``(rows, width)``
+  array each;
+* ``meta.json`` — the rounds completed, the dtype, the layout's
+  ``(layer, key, shape)`` entries and the generator state of
+  ``FLServer.rng`` (it draws the ``clients_per_round`` cohort and
+  CDP's noise).
+
+A restored simulation therefore holds the same per-client state and
+server state, and a resumed run continues the uninterrupted
+trajectory bitwise.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import numpy as np
 
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import RegistryRows
-from repro.nn.serialize import load_store, save_weights
 from repro.nn.store import Layout, WeightStore
 
 #: The registry archive's arrays: the row order, then each plane.
@@ -34,15 +41,17 @@ def save_checkpoint(simulation: FederatedSimulation,
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     server = simulation.server
-    global_weights = server.global_weights
-    save_weights(global_weights, directory / "global.npz")
+    layout = server.global_weights.layout
     np.savez(directory / "registry.npz", **simulation.registry.planes())
-    momentum = server.momentum_buffer
-    np.savez(directory / "server.npz",
-             **({} if momentum is None else {"momentum": momentum.buffer}))
+    arrays = {"global": server.global_weights.buffer}
+    if server.momentum_buffer is not None:
+        arrays["momentum"] = server.momentum_buffer.buffer
+    np.savez(directory / "server.npz", **arrays)
     meta = {
         "rounds_completed": len(simulation.history.records),
-        "dtype": global_weights.layout.dtype.name,
+        "dtype": layout.dtype.name,
+        "layout": [[e.layer_idx, e.key, list(e.shape)]
+                   for e in layout.entries],
         "server_rng": server.rng.bit_generator.state,
     }
     (directory / "meta.json").write_text(json.dumps(meta, indent=2))
@@ -75,16 +84,36 @@ def load_checkpoint(simulation: FederatedSimulation,
             f"checkpoint was written at dtype {saved} but the "
             f"simulation computes in {layout.dtype.name}; rebuild the "
             f"simulation with a matching FLConfig.dtype")
+    _check_layout(meta, layout, directory)
     server = simulation.server
     rng_state = _checked_rng_state(meta, server.rng, directory)
-    global_weights = load_store(directory / "global.npz", layout)
+    global_weights, momentum = _load_server(directory / "server.npz",
+                                            layout)
     planes = _load_planes(directory / "registry.npz", simulation)
-    momentum = _load_momentum(directory / "server.npz", layout)
     server.global_weights = global_weights
     simulation.registry.restore(planes)
     server.rng.bit_generator.state = rng_state
     server.momentum_buffer = momentum
     return meta
+
+
+def _check_layout(meta: dict, layout: Layout,
+                  directory: pathlib.Path) -> None:
+    """Raise unless the saved ``(layer, key, shape)`` entries are the
+    simulation's layout (two architectures may share a parameter
+    count, so the flat buffers' sizes alone cannot tell)."""
+    expected = [(e.layer_idx, e.key, e.shape) for e in layout.entries]
+    try:
+        saved = [(int(i), str(key), tuple(map(int, shape)))
+                 for i, key, shape in meta["layout"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{directory / 'meta.json'} has no readable layout "
+            f"entries: {exc!r}") from exc
+    if saved != expected:
+        raise ValueError(
+            f"{directory}: checkpoint layout {saved} does not match the "
+            f"simulation's layout {layout!r} {expected}")
 
 
 def _checked_rng_state(meta: dict, rng: np.random.Generator,
@@ -105,23 +134,27 @@ def _checked_rng_state(meta: dict, rng: np.random.Generator,
     return state
 
 
-def _load_momentum(path: pathlib.Path,
-                   layout: Layout) -> WeightStore | None:
-    """FedAvgM's momentum buffer (``None`` when none was saved),
-    checked against the simulation's layout."""
+def _load_server(path: pathlib.Path, layout: Layout
+                 ) -> tuple[WeightStore, WeightStore | None]:
+    """The global model and FedAvgM's momentum buffer (``None`` when
+    none was saved), each checked against the simulation's layout."""
     if not path.exists():
         raise ValueError(f"{path} is missing (truncated checkpoint?)")
     with np.load(path) as archive:
-        if "momentum" not in archive.files:
-            return None
-        momentum = archive["momentum"]
-    if momentum.shape != (layout.num_params,) \
-            or momentum.dtype != layout.dtype:
-        raise ValueError(
-            f"{path}: momentum is {momentum.shape} {momentum.dtype}, "
-            f"but the simulation's layout {layout} needs "
-            f"({layout.num_params},) {layout.dtype}")
-    return WeightStore(layout, momentum)
+        buffers = {name: archive[name] for name in ("global", "momentum")
+                   if name in archive.files}
+    for name, buffer in buffers.items():
+        if buffer.shape != (layout.num_params,) \
+                or buffer.dtype != layout.dtype:
+            raise ValueError(
+                f"{path}: {name} is {buffer.shape} {buffer.dtype}, but "
+                f"the simulation's layout {layout} needs "
+                f"({layout.num_params},) {layout.dtype}")
+    if "global" not in buffers:
+        raise ValueError(f"{path} lacks the global model 'global'")
+    momentum = buffers.get("momentum")
+    return (WeightStore(layout, buffers["global"]),
+            None if momentum is None else WeightStore(layout, momentum))
 
 
 def _load_planes(path: pathlib.Path,

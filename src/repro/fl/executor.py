@@ -129,7 +129,8 @@ class ClientTask:
     global_buffer: np.ndarray | None
     #: The client's row in every plane of the executor's registry.
     row: int
-    #: The round's sampled cohort (``Defense.on_round_start``'s ids).
+    #: The round's completion set, the clients it trains and averages
+    #: (``Defense.on_round_start``'s ids).
     cohort: tuple[int, ...] = ()
 
 

@@ -193,7 +193,7 @@ class ShmRound:
     num_params: int
     dtype: str
     round_index: int
-    #: The round's sampled cohort: a worker replays the defense's
+    #: The round's completion set: a worker replays the defense's
     #: ``on_round_start`` with it.
     cohort: tuple[int, ...]
 

@@ -220,8 +220,11 @@ class FederatedSimulation:
         completed = survivors[:needed]
         stragglers = survivors[needed:]
 
+        # The defense sees the clients the round averages (CDP scales
+        # its noise to them); secure aggregation refuses short rounds,
+        # so for it they are the whole cohort.
         self.defense.on_round_start(
-            round_index, cohort, self.server.global_weights,
+            round_index, completed, self.server.global_weights,
             round_start_rng(config.seed, round_index))
         # Per-layer accounting: a layer-wise defense publishes its
         # per-layer budget schedule after resolving it against the
@@ -245,7 +248,7 @@ class FederatedSimulation:
                 client_id=cid,
                 global_buffer=global_store.buffer,
                 row=self.registry.row(cid),
-                cohort=tuple(cohort),
+                cohort=tuple(completed),
             )
             for cid in completed
         ]

@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "losses": "Loss SoftmaxCrossEntropy",
     "model": "Model",
     "optim": "ADGD AdaMax Adagrad Adam Optimizer RMSProp SGD make_optimizer",
-    "serialize": "load_store save_weights",
     "store": "Layout LayoutEntry WeightStore chunked_sq_sum",
     "workspace": "Workspace",
 })
@@ -48,7 +47,5 @@ __all__ = [
     "WeightStore",
     "Workspace",
     "chunked_sq_sum",
-    "load_store",
     "make_optimizer",
-    "save_weights",
 ]

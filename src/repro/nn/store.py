@@ -23,23 +23,20 @@ Design rules:
   bit-for-bit reproducible.
 * **Zero-copy views** — ``view``/``layer_flat`` return ndarray views
   into the buffer; mutating a view mutates the store.
-* **One way in from named arrays** — :meth:`WeightStore.from_layers`
-  copies a list of per-layer ``{key: array}`` mappings (an ``.npz``
-  archive, a test fixture) into a fresh store.  There is no way back
-  out: consumers read views.
+* **One format** — a store is built from a layout (a model's, via
+  :meth:`Layout.from_model`) and a flat buffer, in memory and on disk
+  (a checkpoint saves the buffer and the layout's entries).  There are
+  no named-array mappings in or out: consumers read views.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.dtypes import DTypeLike, resolve_dtype
-
-#: Named arrays, one mapping per layer — the input of ``from_layers``.
-NamedLayers = Sequence[Mapping[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,7 @@ class LayoutEntry:
     size: int
     #: Whether this entry is a trainable parameter (``False`` for
     #: non-trainable buffers such as batch-norm running statistics).
-    #: Excluded from equality/hash so layouts derived from named arrays
-    #: — where the distinction is unknowable — still compare equal to
-    #: model-derived layouts with the same geometry.
-    trainable: bool = field(default=True, compare=False)
+    trainable: bool = True
 
     @property
     def stop(self) -> int:
@@ -150,29 +144,6 @@ class Layout:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_layers(cls, weights: NamedLayers) -> "Layout":
-        """Derive a layout from per-layer named arrays.
-
-        The dtype is inferred: float32 when *every* array is float32,
-        the float64 default otherwise (mixed or non-float inputs are
-        coerced to float64).  Every entry is marked trainable.
-        """
-        entries: list[LayoutEntry] = []
-        offset = 0
-        all_f32 = True
-        for layer_idx, layer in enumerate(weights):
-            for key, value in layer.items():
-                value = np.asarray(value)
-                all_f32 = all_f32 and value.dtype == np.float32
-                entries.append(LayoutEntry(
-                    layer_idx=layer_idx, key=key,
-                    shape=tuple(value.shape), offset=offset,
-                    size=int(value.size)))
-                offset += int(value.size)
-        dtype = np.float32 if entries and all_f32 else np.float64
-        return cls(entries, dtype=dtype)
-
-    @classmethod
     def from_model(cls, model) -> "Layout":
         """Derive a layout from a model's trainable layers (no copies).
 
@@ -216,11 +187,6 @@ class Layout:
         """All entries of one layer, in layout order."""
         return tuple(e for e in self.entries if e.layer_idx == layer_idx)
 
-    def layer_keys(self, layer_idx: int) -> tuple[str, ...]:
-        """Key names of one layer, in layout order."""
-        return tuple(e.key for e in self.entries
-                     if e.layer_idx == layer_idx)
-
     def layer_param_slices(self, layer_idx: int) -> tuple[slice, ...]:
         """One buffer slice per trainable entry of one layer, in layout
         order (empty for a layer holding only buffers)."""
@@ -252,12 +218,6 @@ class Layout:
     def nbytes(self) -> int:
         """Dense wire size of a store with this layout (dtype-aware)."""
         return self.num_params * self.dtype.itemsize
-
-    def with_dtype(self, dtype: DTypeLike) -> "Layout":
-        """Same geometry in another precision (self when unchanged)."""
-        if resolve_dtype(dtype) == self.dtype:
-            return self
-        return Layout(self.entries, dtype=dtype)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -301,36 +261,6 @@ class WeightStore:
             buffer = buffer.astype(layout.dtype)
         self.layout = layout
         self.buffer = buffer
-
-    @classmethod
-    def from_layers(cls, weights: NamedLayers,
-                    layout: Layout | None = None) -> "WeightStore":
-        """Copy per-layer named arrays into a fresh store."""
-        if layout is None:
-            layout = Layout.from_layers(weights)
-        if len(weights) != layout.num_layers:
-            raise ValueError(
-                f"got {len(weights)} layer mappings, layout has "
-                f"{layout.num_layers} layers")
-        store = cls(layout, np.empty(layout.num_params,
-                                     dtype=layout.dtype))
-        buf = store.buffer
-        counts = [0] * layout.num_layers
-        for entry in layout.entries:
-            value = np.asarray(weights[entry.layer_idx][entry.key])
-            if tuple(value.shape) != entry.shape:
-                raise ValueError(
-                    f"layer {entry.layer_idx}/{entry.key}: shape "
-                    f"{value.shape} != layout {entry.shape}")
-            buf[entry.offset:entry.stop] = value.reshape(-1)
-            counts[entry.layer_idx] += 1
-        for layer_idx, layer in enumerate(weights):
-            if len(layer) != counts[layer_idx]:
-                extra = set(layer) - set(layout.layer_keys(layer_idx))
-                raise KeyError(
-                    f"layer {layer_idx} has keys the layout does not "
-                    f"own: {sorted(extra)}")
-        return store
 
     # ------------------------------------------------------------------
     # zero-copy views
@@ -411,13 +341,6 @@ class WeightStore:
         return WeightStore(self.layout,
                            np.zeros(self.layout.num_params,
                                     dtype=self.layout.dtype))
-
-    def astype(self, dtype: DTypeLike) -> "WeightStore":
-        """Copy of this store in another precision (same geometry)."""
-        layout = self.layout.with_dtype(dtype)
-        if layout is self.layout:
-            return self.copy()
-        return WeightStore(layout, self.buffer.astype(layout.dtype))
 
     @property
     def num_params(self) -> int:

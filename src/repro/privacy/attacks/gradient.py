@@ -29,8 +29,10 @@ def per_example_layer_gradient_norms(
     n = len(y) if max_samples is None else min(len(y), max_samples)
     norms = np.zeros((n, model.num_trainable_layers))
     for i in range(n):
+        # Zero-copy views into the flat gradient buffer: the norms are
+        # consumed immediately, before the next backward pass.
         vectors = model.per_layer_gradient_vectors(
-            x[i:i + 1], y[i:i + 1], loss)
+            x[i:i + 1], y[i:i + 1], loss, copy=False)
         norms[i] = [float(np.linalg.norm(v)) for v in vectors]
     return norms
 

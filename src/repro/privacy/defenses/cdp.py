@@ -3,8 +3,9 @@
 Per §2.3/[33] (Naseri et al.): the *server* enforces DP — it bounds
 each client's influence by clipping round deltas to S, averages, and
 adds Gaussian noise ``N(0, (z * S / m)^2)`` to the aggregated delta
-before sharing the model back (m = cohort size, z = noise multiplier
-derived from the (epsilon, delta) budget across rounds).
+before sharing the model back (m = the clients the round averages —
+its completion set, which ``on_round_start`` receives; z = noise
+multiplier derived from the (epsilon, delta) budget across rounds).
 
 Store-native: deltas, clipping and the Gaussian mechanism are flat
 vector operations; the noise is one flat draw that consumes the
@@ -30,13 +31,13 @@ class CentralDP(Defense):
     name = "cdp"
 
     def __init__(self, *, epsilon: float = 2.2, delta: float = 1e-5,
-                 clip_norm: float = 3.0, num_clients: int = 5,
-                 rounds: int = 1,
+                 clip_norm: float = 3.0, rounds: int = 1,
                  noise_multiplier: float | None = None) -> None:
         self.epsilon = epsilon
         self.delta = delta
         self.clip_norm = clip_norm
-        self.num_clients = max(num_clients, 1)
+        #: Clients the current round averages (set by on_round_start).
+        self.num_clients: int | None = None
         self.rounds = max(rounds, 1)
         if noise_multiplier is None:
             # Advanced-composition-flavoured calibration: per-round
@@ -47,6 +48,10 @@ class CentralDP(Defense):
         self.noise_multiplier = noise_multiplier
         self.accountant = PrivacyAccountant(epsilon, delta)
         self._noise_buffer_bytes = 0
+
+    def on_round_start(self, round_index, client_ids, template,
+                       rng) -> None:
+        self.num_clients = len(client_ids)
 
     def on_send_update(self, client_id: int, weights: WeightStore,
                        global_weights: WeightStore, num_samples: int,
@@ -64,6 +69,9 @@ class CentralDP(Defense):
     def on_aggregate(self, weights: WeightStore,
                      global_weights: WeightStore,
                      rng: np.random.Generator) -> WeightStore:
+        if not self.num_clients:
+            raise RuntimeError("CDP noise needs the round's clients; "
+                               "on_round_start must run first")
         noisy = weights - global_weights
         sigma = self.noise_multiplier * self.clip_norm / self.num_clients
         noisy.buffer += gaussian(rng, sigma, noisy.num_params,

@@ -1,9 +1,9 @@
 """Config-aware defense construction.
 
-DP defenses split their privacy budget across FL rounds, and CDP's
-sensitivity depends on the cohort size; this helper injects those
-values from the experiment's :class:`~repro.fl.config.FLConfig` so
-callers can just name a defense.
+DP defenses split their privacy budget across FL rounds; this helper
+injects the planned round count (and LDP's step profile) from the
+experiment's :class:`~repro.fl.config.FLConfig` so callers can just
+name a defense.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ def make_defense_for_config(name: str, config: FLConfig,
         kwargs.setdefault(
             "steps", config.rounds * config.local_epochs * 5)
         kwargs.setdefault("sample_rate", 0.15)
-    elif key == "cdp":
-        kwargs.setdefault("rounds", config.rounds)
-        kwargs.setdefault("num_clients",
-                          config.clients_per_round or config.num_clients)
-    elif key == "ladp":
+    elif key in ("cdp", "ladp"):
         # Per-round budget split needs the planned round count.
         kwargs.setdefault("rounds", config.rounds)
     return make_defense(name, **kwargs)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.leakage_over_time import (
-    LeakagePoint,
     LeakageTrajectory,
     leakage_over_training,
 )

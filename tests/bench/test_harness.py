@@ -1,7 +1,8 @@
 """Experiment harness tests (kept tiny for speed)."""
 
-import math
+import json
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import (
@@ -14,7 +15,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_table, paper_vs_measured
 from repro.core.dinar import DINAR
 from repro.fl.config import FLConfig
-import numpy as np
 
 
 TINY = FLConfig(num_clients=2, rounds=2, local_epochs=2, lr=0.1,
@@ -69,6 +69,20 @@ class TestHarness:
         acc, auc = result.privacy_utility()
         assert 0 <= acc <= 100
         assert 50 <= auc <= 100
+
+    def test_experiment_result_json(self):
+        """``to_dict`` is the ``repro run --out`` summary: JSON-ready,
+        without the simulation."""
+        result = quick_experiment(
+            "purchase100", "none", attack="yeom", n_samples=600,
+            config=FLConfig(num_clients=2, rounds=1, local_epochs=1))
+        summary = json.loads(json.dumps(result.to_dict()))
+        assert (summary["dataset"], summary["defense"]) \
+            == ("purchase100", "none")
+        assert 0.5 <= summary["local_auc"] <= 1.0
+        assert summary["costs"]["defense_state_bytes"] \
+            == result.costs.defense_state_bytes
+        assert "simulation" not in summary
 
     def test_unknown_attack_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import Dense
 from repro.nn.model import Model
-from repro.nn.store import WeightStore
+from repro.nn.store import Layout, LayoutEntry, WeightStore
 from repro.nn.workspace import Workspace
 from repro.privacy.defenses.base import Defense
 
@@ -107,6 +107,26 @@ def numeric_gradient_check(model: Model, x: np.ndarray, y: np.ndarray,
                 denom = max(1e-8, abs(numeric) + abs(value))
                 max_err = max(max_err, abs(numeric - value) / denom)
     return max_err
+
+
+def flat_layout(num_params: int, dtype=np.float64) -> Layout:
+    """A one-layer layout holding one vector ``W``."""
+    return Layout([LayoutEntry(0, "W", (num_params,), 0, num_params)],
+                  dtype=dtype)
+
+
+def store_of(layers: Sequence[dict[str, np.ndarray]]) -> WeightStore:
+    """A float64 store holding per-layer ``{key: array}`` mappings, in
+    order, every entry trainable — the per-array form the legacy
+    oracles and small fixtures are written in."""
+    entries: list[LayoutEntry] = []
+    for layer_idx, layer in enumerate(layers):
+        for key, value in layer.items():
+            offset = entries[-1].stop if entries else 0
+            entries.append(LayoutEntry(layer_idx, key, np.shape(value),
+                                       offset, int(np.size(value))))
+    return WeightStore(Layout(entries), np.concatenate(
+        [np.ravel(value) for layer in layers for value in layer.values()]))
 
 
 def fedavg_reference(updates: Sequence[WeightStore],

@@ -10,10 +10,11 @@ from repro.fl.aggregation import (
     trimmed_mean,
 )
 from repro.nn.store import WeightStore
+from tests.conftest import flat_layout, store_of
 
 
 def _weights(value, shape=(2, 2)):
-    return WeightStore.from_layers(
+    return store_of(
         [{"W": np.full(shape, float(value)), "b": np.zeros(2)}])
 
 
@@ -98,8 +99,9 @@ class TestRobustAggregation:
         rows[n - 1, 3] = np.inf
         rows[:, 4], rows[::2, 4] = 0.0, -0.0
         expected = np.median(rows, axis=0)
-        out = coordinate_median([
-            WeightStore.from_layers([{"W": row}]) for row in rows]).buffer
+        layout = flat_layout(rows.shape[1], dtype)
+        out = coordinate_median(
+            [WeightStore(layout, row) for row in rows]).buffer
         assert np.isnan(out[1:3]).all()
         assert out[4] == 0.0
         signed = np.r_[0:4, 5:300]

@@ -233,3 +233,32 @@ def test_bad_server_state_raises_before_restoring(make_partial_sim,
     fresh_rejects("momentum")
     (directory / "server.npz").unlink()
     fresh_rejects("server.npz")
+
+
+def test_checkpoint_holds_only_flat_buffers_and_planes(make_partial_sim,
+                                                       tmp_path):
+    """The checkpoint's one weight format: each array is a flat vector
+    over the layout or a ``(rows, width)`` plane, never a named
+    per-entry array; ``meta.json`` records the layout's entries."""
+    sim = make_partial_sim()
+    sim.run_round(0)
+    directory = save_checkpoint(sim, tmp_path / "ckpt")
+    layout = sim.server.global_weights.layout
+    rows = len(sim.registry)
+    shapes = {}
+    for path in sorted(directory.glob("*.npz")):
+        with np.load(path) as archive:
+            shapes.update({f"{path.stem}/{k}": archive[k].shape
+                           for k in archive.files})
+    assert not any("layer" in name for name in shapes)
+    assert shapes == {
+        "server/global": (layout.num_params,),
+        "server/momentum": (layout.num_params,),
+        "registry/ids": (rows,),
+        "registry/personal": (rows, layout.num_params),
+        "registry/uploads": (rows, layout.num_params),
+        "registry/state": (rows, sim.registry.state_width),
+    }
+    meta = json.loads((directory / "meta.json").read_text())
+    assert [tuple(e[:2]) + (tuple(e[2]),) for e in meta["layout"]] \
+        == [(e.layer_idx, e.key, e.shape) for e in layout.entries]

@@ -40,17 +40,17 @@ from repro.fl.executor import client_drops
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry
-from repro.nn.store import Layout, WeightStore
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.make import make_defense_for_config
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
+from tests.conftest import flat_layout, store_of
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _random_stores(rng, n, num_params=37, dtype=np.float64):
-    layout = Layout.from_layers(
-        [{"W": np.zeros(num_params, dtype=dtype)}])
+    layout = flat_layout(num_params, dtype)
     stores = [
         WeightStore(layout, rng.standard_normal(num_params).astype(dtype))
         for _ in range(n)
@@ -176,7 +176,7 @@ class TestStreamingAccumulator:
 
     def test_rejects_foreign_layout(self, rng):
         stores, layout = _random_stores(rng, 1)
-        other = WeightStore.from_layers([{"W": np.zeros((2, 2))}])
+        other = store_of([{"W": np.zeros((2, 2))}])
         acc = StreamingAccumulator(layout)
         acc.reset()
         with pytest.raises(ValueError, match="layout"):

@@ -8,7 +8,7 @@ from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.network import dense_nbytes, sparse_nbytes
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.store import WeightStore
+from tests.conftest import store_of
 
 
 class TestEncodings:
@@ -18,13 +18,13 @@ class TestEncodings:
         assert dense_nbytes(weights) == expected
 
     def test_sparse_counts_nonzero(self):
-        weights = WeightStore.from_layers(
+        weights = store_of(
             [{"W": np.array([[0.0, 1.0], [0.0, 2.0]])}])
         assert sparse_nbytes(weights) == 2 * 12  # 2 coords x (8+4)
 
     def test_sparse_against_reference(self):
-        ref = WeightStore.from_layers([{"W": np.ones((2, 2))}])
-        changed = WeightStore.from_layers(
+        ref = store_of([{"W": np.ones((2, 2))}])
+        changed = store_of(
             [{"W": np.array([[1.0, 1.0], [5.0, 1.0]])}])
         assert sparse_nbytes(changed, ref) == 12
 
@@ -56,7 +56,7 @@ class TestEncodings:
         assert sparse_nbytes(changed, reference) == expected
 
     def test_sparse_all_zero_layers_cost_nothing_without_reference(self):
-        weights = WeightStore.from_layers(
+        weights = store_of(
             [{"W": np.zeros((3, 3)), "b": np.zeros(3)},
              {"W": np.array([[1.0, 0.0]])}])
         assert sparse_nbytes(weights) == 1 * 12

@@ -2,8 +2,8 @@
 
 The nn-level dtype tests live in ``tests/nn/test_precision.py``; these
 cover the FL side: config validation, the simulation's factory/config
-dtype guard, defenses preserving float32 end to end, serialization and
-checkpoint round-trips, dataset generation, and the CLI flag.
+dtype guard, defenses preserving float32 end to end, checkpoint
+round-trips, dataset generation, and the CLI flag.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU
 from repro.nn.layers import Dense
 from repro.nn.model import Model
-from repro.nn.serialize import load_store, save_weights
 from repro.privacy.defenses.make import make_defense_for_config
 
 
@@ -106,15 +105,6 @@ class TestSimulationDtype:
 
 
 class TestRoundTrips:
-    def test_serialize_preserves_float32(self, rng, tmp_path):
-        model = f32_factory(rng)
-        path = tmp_path / "weights.npz"
-        save_weights(model.weights, path)
-        restored = load_store(path)
-        assert restored.layout.dtype == np.float32
-        np.testing.assert_array_equal(restored.buffer,
-                                      model.weights.buffer)
-
     def test_checkpoint_preserves_float32(self, small_split, tmp_path):
         sim = _sim(small_split)
         sim.run()

@@ -48,16 +48,17 @@ from repro.fl.config import FLConfig
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry
-from repro.nn.store import Layout, WeightStore
+from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
+from tests.conftest import flat_layout
 
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 
 
 def _rows(matrix: np.ndarray) -> list[WeightStore]:
     """Wrap a (clients, params) matrix as one store per row."""
-    layout = Layout.from_layers([{"W": matrix[0]}])
+    layout = flat_layout(matrix.shape[1])
     return [WeightStore(layout, row.copy()) for row in matrix]
 
 
@@ -172,7 +173,7 @@ def test_clustered_mean_temporaries_are_column_chunked():
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((20, 300_000))
     matrix[4] += 500.0  # one filtered row, so the kept rows are a subset
-    layout = Layout.from_layers([{"W": matrix[0]}])
+    layout = flat_layout(matrix.shape[1])
     stores = [WeightStore(layout, row) for row in matrix]
     diag: dict = {}
     tracemalloc.start()
@@ -193,7 +194,7 @@ def test_dense_aggregation_holds_no_update_matrix(aggregator):
     collects registry row views, and no temporary of the aggregation
     comes near the size of a (clients, params) matrix."""
     n, num_params = 20, 4 * REDUCE_CHUNK + 123
-    layout = Layout.from_layers([{"W": np.zeros(num_params)}])
+    layout = flat_layout(num_params)
     rng = np.random.default_rng(8)
     uploads = PersonalWeightsRegistry(layout)
     uploads.reserve(range(n))
@@ -270,8 +271,7 @@ class TestChunkBoundaries:
 
 def _store(values) -> WeightStore:
     arr = np.asarray(values, dtype=np.float64)
-    layout = Layout.from_layers([{"W": arr}])
-    return WeightStore(layout, arr.copy())
+    return WeightStore(flat_layout(arr.size), arr.copy())
 
 
 class TestBehaviors:

@@ -6,12 +6,12 @@ import pytest
 from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.server import FLServer
-from repro.nn.store import WeightStore
 from repro.privacy.defenses.base import Defense
+from tests.conftest import store_of
 
 
 def _weights(value):
-    return WeightStore.from_layers([{"W": np.full((2, 2), float(value))}])
+    return store_of([{"W": np.full((2, 2), float(value))}])
 
 
 def _server(momentum, start=0.0):

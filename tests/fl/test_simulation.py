@@ -17,7 +17,6 @@ from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.layers import Dense
 from repro.nn.model import Model
-from repro.privacy.defenses.base import Defense
 
 
 @pytest.fixture

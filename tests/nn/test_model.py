@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import ReLU, Tanh
+from repro.nn.activations import Tanh
 from repro.nn.layers import BatchNorm1d, Dense
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Model
@@ -46,7 +46,8 @@ class TestWeightExchange:
                        Dense(6, 2, rng)])
         model.forward(rng.standard_normal((32, 4)), training=True)
         weights = model.get_store()
-        assert "running_mean" in weights.layout.layer_keys(1)
+        assert "running_mean" in [
+            e.key for e in weights.layout.layer_entries(1)]
         fresh = Model([Dense(4, 6, rng), BatchNorm1d(6), Tanh(),
                        Dense(6, 2, rng)])
         fresh.set_store(weights)

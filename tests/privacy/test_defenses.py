@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.data.partition import split_for_membership
+from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
+from repro.fl.simulation import FederatedSimulation
 from repro.nn.store import WeightStore
-from repro.privacy.defenses import make_defense
+from repro.privacy.defenses import cdp, make_defense
 from repro.privacy.defenses.base import Defense
 from repro.privacy.defenses.cdp import CentralDP
 from repro.privacy.defenses.compression import GradientCompression
@@ -112,22 +115,23 @@ class TestLocalDP:
 
 
 class TestCentralDP:
-    def _run_round(self, defense, template, rng):
+    def _run_round(self, defense, template, rng, num_clients=2):
+        defense.on_round_start(0, list(range(num_clients)), template, rng)
         sent = defense.on_send_update(0, template, template, 10, rng)
         return defense.on_aggregate(sent, template, rng)
 
     def test_adds_noise_on_aggregate(self, template, rng):
-        defense = CentralDP(noise_multiplier=1.0, num_clients=2)
+        defense = CentralDP(noise_multiplier=1.0)
         out = self._run_round(defense, template, rng)
         assert not out.allclose(template)
 
     def test_noise_scales_inversely_with_cohort(self, template, rng):
-        small = CentralDP(noise_multiplier=1.0, num_clients=2)
-        large = CentralDP(noise_multiplier=1.0, num_clients=100)
+        small = CentralDP(noise_multiplier=1.0)
+        large = CentralDP(noise_multiplier=1.0)
         out_small = self._run_round(small, template,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), 2)
         out_large = self._run_round(large, template,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), 100)
         def noise(out):
             return (out - template).l2()
         assert noise(out_small) > noise(out_large)
@@ -136,6 +140,29 @@ class TestCentralDP:
         defense = CentralDP(noise_multiplier=1.0, rounds=4)
         self._run_round(defense, template, rng)
         assert defense.accountant.spent_epsilon > 0
+
+    def test_noise_scales_with_the_sampled_clients(self, tiny_model_factory,
+                                                   monkeypatch):
+        """With ``sample_fraction=0.5`` a 4-client fleet averages 2
+        clients a round, so the noise std is ``z * C / 2``."""
+        sigmas = []
+        draw = cdp.gaussian
+        monkeypatch.setattr(cdp, "gaussian", lambda rng, sigma, *rest: (
+            sigmas.append(sigma) or draw(rng, sigma, *rest)))
+        config = FLConfig(num_clients=4, sample_fraction=0.5, rounds=1,
+                          local_epochs=1, batch_size=32, seed=0)
+        data = synthetic_tabular(np.random.default_rng(0), 300, 20, 4)
+        sim = FederatedSimulation(
+            split_for_membership(data, np.random.default_rng(1)),
+            tiny_model_factory, config,
+            make_defense_for_config("cdp", config))
+        sim.run_round(0)
+        defense = sim.defense
+        assert sigmas == [defense.noise_multiplier * defense.clip_norm / 2]
+
+    def test_aggregate_needs_round_start(self, template, rng):
+        with pytest.raises(RuntimeError, match="on_round_start"):
+            CentralDP().on_aggregate(template, template, rng)
 
 
 class TestGradientCompression:
@@ -296,7 +323,7 @@ class TestFactories:
     def test_config_aware_cdp(self):
         config = FLConfig(num_clients=7, rounds=9)
         defense = make_defense_for_config("cdp", config)
-        assert defense.num_clients == 7
+        assert defense.num_clients is None  # each round sets it
         assert defense.rounds == 9
 
     def test_config_aware_ldp_steps(self):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dinar import DINAR
-from repro.nn.store import WeightStore
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
+from tests.conftest import store_of
 
 
 def _structure(rng, num_layers):
-    return WeightStore.from_layers([
+    return store_of([
         {"W": rng.standard_normal((3, 3)), "b": rng.standard_normal(3)}
         for _ in range(num_layers)
     ])

@@ -12,8 +12,8 @@ from repro.data.partition import partition_dirichlet, partition_iid
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.network import dense_nbytes, sparse_nbytes
 from repro.fl.shm import shm_available
-from repro.nn.store import WeightStore
 from repro.privacy.defenses.accounting import gaussian_sigma
+from tests.conftest import store_of
 from tests.fl.trajectory_recipes import simulation_trajectory
 
 _PINS = (pathlib.Path(__file__).resolve().parent.parent
@@ -99,7 +99,7 @@ def test_gaussian_sigma_monotone_in_epsilon(eps_a, eps_b):
 def test_sparse_encoding_never_beats_zero_and_bounds_dense(rows, cols,
                                                            seed):
     rng = np.random.default_rng(seed)
-    weights = WeightStore.from_layers(
+    weights = store_of(
         [{"W": rng.standard_normal((rows, cols))}])
     sparse = sparse_nbytes(weights)
     dense = dense_nbytes(weights)

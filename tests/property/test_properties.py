@@ -11,9 +11,9 @@ from repro.analysis.divergence import (
     js_divergence_from_samples,
 )
 from repro.fl.aggregation import fedavg, sum_updates
-from repro.nn.store import WeightStore
 from repro.privacy.attacks.metrics import attack_auc, roc_auc
 from repro.privacy.defenses.ldp import clip_store
+from tests.conftest import store_of
 
 # ----------------------------------------------------------------------
 # strategies
@@ -38,7 +38,7 @@ def weight_structures(draw):
                                    max_size=rows * cols))
             layer[key] = np.array(values).reshape(rows, cols)
         structure.append(layer)
-    return WeightStore.from_layers(structure)
+    return store_of(structure)
 
 
 @st.composite

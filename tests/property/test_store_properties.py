@@ -2,9 +2,9 @@
 
 Two families of invariants:
 
-* **Exact construction** — ``from_layers`` loses nothing: every view
-  of the store holds the named array it was built from, and the buffer
-  is the arrays' concatenation in layout order.
+* **Exact views** — every view of a store holds the named array whose
+  coordinates it addresses, and the buffer is the arrays'
+  concatenation in layout order.
 * **Bitwise agreement** — the vectorized aggregation rules reproduce
   the legacy nested-dict implementations bit for bit (same floats, not
   just close), and DINAR's obfuscation consumes the RNG stream exactly
@@ -28,7 +28,7 @@ from repro.fl.aggregation import (
 )
 from repro.fl.virtual import PersonalWeightsRegistry
 from repro.nn.store import WeightStore
-from tests.conftest import fedavg_reference
+from tests.conftest import fedavg_reference, store_of
 
 finite_floats = st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False)
@@ -70,12 +70,13 @@ def client_cohorts(draw, min_clients=1, max_clients=6):
 
 def stores(updates):
     """The cohort's updates as stores (what aggregation consumes)."""
-    return [WeightStore.from_layers(u) for u in updates]
+    return [store_of(u) for u in updates]
 
 
 def assert_bitwise_equal(store: WeightStore, nested) -> None:
     """The store holds the exact same floats as the nested structure."""
-    reference = WeightStore.from_layers(nested, store.layout)
+    reference = store_of(nested)
+    assert reference.layout == store.layout
     assert np.array_equal(store.buffer, reference.buffer)
 
 
@@ -91,27 +92,19 @@ def assert_ulp_close(store: WeightStore, reference: WeightStore,
 
 
 # ----------------------------------------------------------------------
-# exact construction
+# exact views
 # ----------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(weight_structures())
-def test_from_layers_to_layers_is_exact(weights):
-    store = WeightStore.from_layers(weights)
-    assert store.layout.num_layers == len(weights)
-    for layer_idx, original in enumerate(weights):
-        assert store.layout.layer_keys(layer_idx) == tuple(original)
-        for key in original:
-            assert np.array_equal(store.view(layer_idx, key),
-                                  original[key])
-
-
-@settings(max_examples=60, deadline=None)
-@given(weight_structures())
 def test_store_buffer_is_the_flatten_vector(weights):
+    store = store_of(weights)
     flat = np.concatenate(
         [v.ravel() for layer in weights for v in layer.values()])
-    assert np.array_equal(WeightStore.from_layers(weights).buffer, flat)
+    assert np.array_equal(store.buffer, flat)
+    for layer_idx, original in enumerate(weights):
+        for key, value in original.items():
+            assert np.array_equal(store.view(layer_idx, key), value)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +204,7 @@ def test_obfuscation_bitwise_matches_legacy(weights, mode, seed):
         weights, protected, np.random.default_rng(seed), mode,
         defense.obfuscation_scale)
 
-    store = WeightStore.from_layers(weights)
+    store = store_of(weights)
     state = np.empty(defense.state_width(store.layout))
     sent = defense.on_send_update(
         0, store, store, num_samples=10, rng=np.random.default_rng(seed),
@@ -222,4 +215,3 @@ def test_obfuscation_bitwise_matches_legacy(weights, mode, seed):
     raw = np.concatenate([v.ravel() for idx in protected
                           for v in weights[idx].values()])
     assert np.array_equal(state, raw)
-

@@ -96,7 +96,6 @@ UNUSED_BY_WORKLOADS = [
     "repro.core.middleware",
     "repro.core.sensitivity",
     "repro.models.resnet",
-    "repro.nn.serialize",
     "repro.privacy.attacks.calibrated",
     "repro.privacy.attacks.gradient",
     "repro.privacy.attacks.inversion",
