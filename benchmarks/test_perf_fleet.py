@@ -114,16 +114,16 @@ def _dense_round(layout, n: int):
     row views.  Return (seconds, peak_bytes, bytes of the rows' plane)."""
     tracemalloc.start()
     start = time.perf_counter()
-    uploads = PersonalWeightsRegistry(layout)
-    uploads.reserve(range(n))
+    registry = PersonalWeightsRegistry(layout)
+    registry.assign(range(n))
     for i in range(n):
-        uploads.put(i, _client_update(layout, i))
-    stores = list(uploads.values())
+        registry.rows.uploads[registry.row(i)] = _client_update(layout, i)
+    stores = list(registry.uploads.values())
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert len(stores) == n
-    return seconds, peak, uploads.rows.personal.nbytes
+    return seconds, peak, registry.rows.uploads.nbytes
 
 
 @pytest.mark.bench
@@ -225,7 +225,8 @@ def _virtual_round(template, n: int):
         client = fleet.materialize(client_id)
         # the round's transient subset
         data = fleet.descriptor(client_id).materialize_data()
-        registry.put(client_id, client.model.weights.buffer)
+        registry.rows.personal[registry.row(client_id)] = \
+            client.model.weights.buffer
         del data
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()

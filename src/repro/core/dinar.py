@@ -125,6 +125,13 @@ class DINAR(Defense):
         return np.r_[tuple(layout.layer_slice(idx) for idx
                            in self.protected_indices(layout.num_layers))]
 
+    @property
+    def derives_personal(self) -> bool:
+        """Personalization restores exactly the layers obfuscation
+        stored, so upload + theta_p* is the trained model; the ablation
+        restores nothing."""
+        return self.personalize
+
     def state_width(self, layout: Layout) -> int:
         return self._coordinates(layout).size
 

@@ -86,6 +86,11 @@ class ClientBehavior:
 
     name = "honest"
 
+    #: Whether :meth:`corrupt_update` makes an adversary's upload differ
+    #: from the weights it trained, so the client registry must store
+    #: personalized weights rather than derive them from the upload.
+    corrupts_updates = False
+
     def __init__(self, adversaries: frozenset[int] = frozenset()) -> None:
         self.adversaries = frozenset(adversaries)
 
@@ -130,6 +135,8 @@ HONEST = ClientBehavior()
 
 class ByzantineBehavior(ClientBehavior):
     """Model poisoning: boosted sign-flip or pure Gaussian updates."""
+
+    corrupts_updates = True
 
     def __init__(self, adversaries: frozenset[int], *,
                  variant: str = "sign_flip", scale: float = 4.0) -> None:
@@ -183,6 +190,7 @@ class FreeRiderBehavior(ClientBehavior):
     noise, while still claiming its dataset size as mixing weight."""
 
     name = "free_rider"
+    corrupts_updates = True
 
     def __init__(self, adversaries: frozenset[int], *,
                  camouflage: float = 1e-3) -> None:

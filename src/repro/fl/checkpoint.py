@@ -6,18 +6,20 @@ survive interruption. A checkpoint holds the weight plane's one format
 
 * ``server.npz`` — the global model's flat buffer (``global``) and,
   under FedAvgM, the momentum buffer (``momentum``);
-* ``registry.npz`` — the client registry's row order and its planes
-  (personalized weights, last uploads, defense state such as DINAR's
-  stored private layers or GC's residual), one ``(rows, width)``
-  array each;
+* ``registry.npz`` — the client registry's row order and the planes
+  it allocates (last uploads, defense state such as DINAR's stored
+  private layers or GC's residual, and personalized weights where the
+  registry stores them rather than deriving them), one
+  ``(rows, width)`` array each;
 * ``meta.json`` — the rounds completed, the dtype, the layout's
-  ``(layer, key, shape)`` entries and the generator state of
+  ``(layer, key, shape)`` entries, the generator state of
   ``FLServer.rng`` (it draws the ``clients_per_round`` cohort and
-  CDP's noise).
+  CDP's noise) and, for a DP defense, its accountant's spend (CDP and
+  LaDP spend every round).
 
-A restored simulation therefore holds the same per-client state and
-server state, and a resumed run continues the uninterrupted
-trajectory bitwise.
+A restored simulation therefore holds the same per-client state,
+server state and privacy spend, and a resumed run continues the
+uninterrupted trajectory bitwise, reporting the same spent budget.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import pathlib
 import numpy as np
 
 from repro.fl.simulation import FederatedSimulation
-from repro.fl.virtual import RegistryRows
 from repro.nn.store import Layout, WeightStore
 
-#: The registry archive's arrays: the row order, then each plane.
-_PLANES = ("ids",) + RegistryRows._fields
+#: The accountant fields a checkpoint saves: what a run has spent.
+_SPEND = ("spent_epsilon", "spent_delta", "releases")
 
 
 def save_checkpoint(simulation: FederatedSimulation,
@@ -54,6 +55,10 @@ def save_checkpoint(simulation: FederatedSimulation,
                    for e in layout.entries],
         "server_rng": server.rng.bit_generator.state,
     }
+    accountant = getattr(simulation.defense, "accountant", None)
+    if accountant is not None:
+        meta["accountant"] = {name: getattr(accountant, name)
+                              for name in _SPEND}
     (directory / "meta.json").write_text(json.dumps(meta, indent=2))
     return directory
 
@@ -67,8 +72,9 @@ def load_checkpoint(simulation: FederatedSimulation,
     generator state are read and checked against the simulation
     before anything is restored: a checkpoint of another
     architecture, a truncated ``meta.json``, a malformed generator
-    state or a missing array raises ``ValueError`` and leaves the
-    simulation unchanged. Returns the checkpoint metadata.
+    state, a missing accountant spend or a missing array raises
+    ``ValueError`` and leaves the simulation unchanged. Returns the
+    checkpoint metadata.
     """
     directory = pathlib.Path(directory)
     try:
@@ -87,6 +93,8 @@ def load_checkpoint(simulation: FederatedSimulation,
     _check_layout(meta, layout, directory)
     server = simulation.server
     rng_state = _checked_rng_state(meta, server.rng, directory)
+    accountant = getattr(simulation.defense, "accountant", None)
+    spend = {} if accountant is None else _checked_spend(meta, directory)
     global_weights, momentum = _load_server(directory / "server.npz",
                                             layout)
     planes = _load_planes(directory / "registry.npz", simulation)
@@ -94,6 +102,8 @@ def load_checkpoint(simulation: FederatedSimulation,
     simulation.registry.restore(planes)
     server.rng.bit_generator.state = rng_state
     server.momentum_buffer = momentum
+    for name, value in spend.items():
+        setattr(accountant, name, value)
     return meta
 
 
@@ -134,6 +144,19 @@ def _checked_rng_state(meta: dict, rng: np.random.Generator,
     return state
 
 
+def _checked_spend(meta: dict, directory: pathlib.Path) -> dict:
+    """The saved DP accountant spend, each field as its type."""
+    try:
+        saved = meta["accountant"]
+        return {name: kind(saved[name]) for name, kind
+                in zip(_SPEND, (float, float, int))}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{directory / 'meta.json'} lacks a readable DP accountant "
+            f"spend 'accountant' (written by an older version?): "
+            f"{exc!r}") from exc
+
+
 def _load_server(path: pathlib.Path, layout: Layout
                  ) -> tuple[WeightStore, WeightStore | None]:
     """The global model and FedAvgM's momentum buffer (``None`` when
@@ -159,19 +182,20 @@ def _load_server(path: pathlib.Path, layout: Layout
 
 def _load_planes(path: pathlib.Path,
                  simulation: FederatedSimulation) -> dict[str, np.ndarray]:
-    """The registry archive's arrays, checked against the simulation's
-    layout and its defense's state width."""
+    """The row order and the planes the simulation's registry
+    allocates, checked against its layout and its defense's state
+    width."""
     if not path.exists():
         raise ValueError(f"{path} is missing (truncated checkpoint?)")
+    widths = simulation.registry.widths()
+    names = ("ids", *widths)
     with np.load(path) as archive:
-        missing = sorted(set(_PLANES) - set(archive.files))
+        missing = sorted(set(names) - set(archive.files))
         if missing:
             raise ValueError(f"{path} lacks the arrays {missing}")
-        planes = {name: archive[name] for name in _PLANES}
+        planes = {name: archive[name] for name in names}
     layout = simulation.server.global_weights.layout
-    widths = (layout.num_params, layout.num_params,
-              simulation.registry.state_width)
-    for name, width in zip(RegistryRows._fields, widths):
+    for name, width in widths.items():
         shape = (len(planes["ids"]), width)
         if planes[name].shape != shape \
                 or planes[name].dtype != layout.dtype:

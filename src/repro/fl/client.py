@@ -15,8 +15,10 @@ descriptor without reallocating anything.  A round returns its outputs
 as buffers — the transmitted update and the *personalized* weights
 (post-training, pre-upload transform), which §4.3 says the client
 predicts with — and the trainer keeps no per-client state afterwards:
-the executor copies both into the client's registry rows, the one
-place they live.
+the executor copies them into the client's registry rows, the one
+place they live.  Where the defense's ``on_receive_global`` restores
+the personalized weights from the upload and the state row, the
+registry keeps no copy of them.
 """
 
 from __future__ import annotations

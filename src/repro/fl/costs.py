@@ -36,8 +36,9 @@ class CostReport:
     clients_adversarial: int = 0
     clients_filtered: int = 0
     # Virtual-client-plane accounting: cumulative descriptor binds as
-    # seen by the busiest process, and the personal-weights registry's
-    # allocated bytes.
+    # seen by the busiest process, and the client registry's allocated
+    # bytes (uploads, defense state, and personalized weights where
+    # they are stored rather than derived).
     model_materializations: int = 0
     registry_bytes: int = 0
     # FL message traffic, summed over completing clients and rounds:

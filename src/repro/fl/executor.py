@@ -27,9 +27,11 @@ place, in the parent for serial runs and in a worker for parallel
 ones.  Workers fork from the fully constructed simulation, inherit
 datasets and models copy-on-write, and hold no per-client state.
 Evaluation follows the rows: :meth:`RoundExecutor.personal_accuracies`
-scores the clients' personalized rows in the parent for serial runs
-and in the workers while a parallel executor's pool is open, so the
-parent of a parallel run never reads the personal plane.
+scores each client's personalized model — its stored row, or
+``defense.on_receive_global(cid, upload, state)`` where the registry
+derives it (``repro.fl.virtual.stores_personal``) — in the parent for
+serial runs and in the workers while a parallel executor's pool is
+open, so the parent of a parallel run never reads a client's rows.
 
 Executors resolve ``client_id -> FLClient`` through a *provider* —
 anything with ``materialize(client_id)``, such as the simulation's
@@ -139,8 +141,9 @@ class ClientRoundResult:
     """Everything one client's round produced, picklable.
 
     The trainer returns its two buffers; :func:`execute_client_task`
-    copies them into the client's registry rows and clears both, so
-    an executor's results carry no vector.
+    copies them into the client's registry rows (the personalized
+    buffer only where the registry stores it) and clears both, so an
+    executor's results carry no vector.
     """
 
     client_id: int
@@ -168,8 +171,9 @@ def execute_client_task(clients: Any, defense: "Defense",
     provider's trainer (``clients.materialize``) to the client,
     rebuild the global model from the flat buffer, train with the
     cell's spawned RNG — the defense reads and rewrites the client's
-    state row in place — and copy the update and the personalized
-    weights into their rows of ``rows``.  Running it in-process
+    state row in place — and copy the update, and the personalized
+    weights where ``rows`` has a personal plane, into their rows of
+    ``rows``.  Running it in-process
     (serial) or in a forked worker over shared rows (parallel) is
     therefore the *same* computation, bit for bit.
 
@@ -186,7 +190,8 @@ def execute_client_task(clients: Any, defense: "Defense",
                                 rng=rng, behavior=behavior,
                                 state=rows.state[task.row])
     rows.uploads[task.row] = result.update_buffer
-    rows.personal[task.row] = result.personal_buffer
+    if rows.personal is not None:
+        rows.personal[task.row] = result.personal_buffer
     result.update_buffer = result.personal_buffer = None
     # the executing process's bind count, for the parent's cost meter
     result.materializations = int(getattr(clients, "materializations", 0))
@@ -204,9 +209,10 @@ class RoundExecutor:
     Streaming in a fixed order is what lets the server fold updates
     into its constant-memory accumulator as they arrive while staying
     bitwise independent of the executor.  The executor owns the run's
-    client registry, built on its :attr:`allocator`; a yielded result's
-    rows are already written, and :meth:`personal_accuracies` scores
-    them where they live.
+    client registry, built on its :attr:`allocator` with a personal
+    plane only where the defense and the behavior need one; a yielded
+    result's rows are already written, and :meth:`personal_accuracies`
+    scores them where they live.
     """
 
     #: How many OS processes this executor trains clients on.
@@ -219,15 +225,19 @@ class RoundExecutor:
                  behavior: "ClientBehavior | None" = None,
                  test: "Dataset | None" = None) -> None:
         # Imported here: repro.fl.virtual imports this module.
-        from repro.fl.virtual import PersonalWeightsRegistry
+        from repro.fl.virtual import (
+            PersonalWeightsRegistry,
+            stores_personal,
+        )
         self.clients = clients
         self.defense = defense
         self.layout = layout
         self.behavior = behavior
         #: The held-out set :meth:`personal_accuracies` scores on.
         self.test = test
-        self.registry = PersonalWeightsRegistry(layout, defense,
-                                                self.allocator)
+        self.registry = PersonalWeightsRegistry(
+            layout, defense, self.allocator,
+            personal=stores_personal(defense, behavior))
 
     def iter_round(self, tasks: Sequence[ClientTask]
                    ) -> Iterator[ClientRoundResult]:
@@ -237,8 +247,10 @@ class RoundExecutor:
 
     def personal_accuracies(self, client_ids: Sequence[int]
                             ) -> list[float]:
-        """Each client's personalized-weights accuracy on :attr:`test`,
-        in ``client_ids`` order, scored on the provider's one model."""
+        """Each client's personalized-model accuracy on :attr:`test`,
+        in ``client_ids`` order, scored on the provider's one model:
+        the registry's stored row, or ``on_receive_global`` of the
+        client's upload and state rows."""
         if self.test is None:
             raise ValueError("this executor was built without a test set")
         x, y = self.test.x, self.test.y

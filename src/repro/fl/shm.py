@@ -11,13 +11,15 @@ segments, the registry geometry and the round's cohort.
   workers map it read-only (nothing in the round path mutates the
   received global in place) and the delta defenses read that view.
 * **Registry.**  The executor's client registry allocates its planes
-  here, one segment each: every client's personalized weights, last
-  upload and defense state, which the worker training a client writes
-  in place.  A grown registry moves to new segments between rounds; a
-  worker drops any attachment the current descriptor does not name.
-* **Sweep.**  The personalized-model sweep scores those rows in the
-  workers, one task per worker of a descriptor and row indices, so the
-  parent never maps the personal plane.
+  here, one segment each: every client's last upload, defense state
+  and, where the registry stores them, personalized weights, which the
+  worker training a client writes in place.  A grown registry moves to
+  new segments between rounds; a worker drops any attachment the
+  current descriptor does not name.
+* **Sweep.**  The personalized-model sweep scores each client's stored
+  row, or ``defense.on_receive_global`` of its upload and state rows,
+  in the workers, one task per worker of a descriptor and
+  ``(client, row)`` pairs, so the parent never maps those planes.
 
 Segments are created with their pages reserved, so an exhausted
 ``/dev/shm`` fails with the requested bytes before a round submits a
@@ -53,7 +55,7 @@ from repro.fl.executor import (
     execute_client_task,
     round_start_rng,
 )
-from repro.fl.virtual import RegistryRows
+from repro.fl.virtual import personalized, plane_widths, rows_of
 from repro.nn.store import Layout, WeightStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -186,10 +188,13 @@ class ShmRound:
 
     #: Shared-memory segment holding the round's global flat buffer.
     weights_name: str
-    #: Segments holding the client registry's planes.
-    rows_names: tuple[str, str, str]
+    #: Segments holding the client registry's allocated planes.
+    rows_names: tuple[str, ...]
     #: Rows in each registry plane.
     capacity: int
+    #: Whether the registry stores a personal plane (the first of
+    #: ``rows_names``).
+    personal: bool
     num_params: int
     dtype: str
     round_index: int
@@ -285,6 +290,7 @@ class ShmChannel:
                              for segment, array in self._rows
                              if array is plane),
             capacity=registry.capacity,
+            personal=registry.stores_personal,
             num_params=buffer.size,
             dtype=buffer.dtype.name,
             round_index=int(round_index),
@@ -315,12 +321,10 @@ def _worker_map(ref: ShmRound, state_width: int):
     buffer = _view(_WORKER_SEGMENTS[ref.weights_name], ref.num_params,
                    ref.dtype)
     buffer.flags.writeable = False
-    widths = (ref.num_params, ref.num_params, state_width)
-    rows = RegistryRows(*(
-        _view(_WORKER_SEGMENTS[name], ref.capacity * width,
-              ref.dtype).reshape(ref.capacity, width)
-        for name, width in zip(ref.rows_names, widths)))
-    return buffer, rows
+    widths = plane_widths(ref.num_params, state_width, ref.personal)
+    planes = [_view(_WORKER_SEGMENTS[name], ref.capacity * width, ref.dtype)
+              for name, width in zip(ref.rows_names, widths.values())]
+    return buffer, rows_of(planes, ref.capacity, widths)
 
 
 # ----------------------------------------------------------------------
@@ -363,17 +367,18 @@ def _run_in_worker(task: ClientTask, ref: ShmRound) -> ClientRoundResult:
             f"{task.round_index}: {exc!r}") from exc
 
 
-def _score_in_worker(ref: ShmRound, rows: tuple[int, ...]) -> list[float]:
+def _score_in_worker(ref: ShmRound,
+                     rows: tuple[tuple[int, int], ...]) -> list[float]:
     """Worker entry point of the personalized-model sweep: score each
-    named row of the personal plane on the inherited test set, then
-    free the model's arena (the next round refills it)."""
+    named ``(client, row)``'s personalized model on the inherited test
+    set, then free the model's arena (the next round refills it)."""
     clients, defense, layout, _, test = _WORKER
     _, planes = _worker_map(ref, defense.state_width(layout))
     try:
         return [clients.evaluate_weights(
-                    WeightStore(layout, planes.personal[row]),
+                    personalized(defense, layout, planes, cid, row),
                     test.x, test.y)
-                for row in rows]
+                for cid, row in rows]
     finally:
         clients.eval_model().release_scratch()
 
@@ -487,7 +492,7 @@ class ParallelExecutor(RoundExecutor):
         ref = self._channel.publish_round(
             first.global_buffer, self.registry, first.round_index,
             first.cohort)
-        # each result's three rows of the registry
+        # each result's rows of the registry, one per allocated plane
         row_bytes = self.registry.nbytes // self.registry.capacity
         shared_bytes = first.global_buffer.nbytes
         pickled_bytes = 0
@@ -530,14 +535,15 @@ class ParallelExecutor(RoundExecutor):
     def personal_accuracies(self, client_ids: Sequence[int]
                             ) -> list[float]:
         """The serial sweep's scores, computed in the pool's workers:
-        one task per worker of the descriptor and a run of row indices,
-        so the parent never reads the personal plane.  With the pool
-        closed the sweep runs in-process, since a re-fork would first
-        move every plane into private memory (:meth:`start`)."""
+        one task per worker of the descriptor and a run of ``(client,
+        row)`` pairs, so the parent never reads a client's rows.  With
+        the pool closed the sweep runs in-process, since a re-fork
+        would first move every plane into private memory
+        (:meth:`start`)."""
         if self._pool is None or self.test is None or not all(
                 map(self._channel.holds, self.registry.buffers)):
             return super().personal_accuracies(client_ids)
-        rows = [self.registry.row(cid) for cid in client_ids]
+        rows = [(cid, self.registry.row(cid)) for cid in client_ids]
         self.warm_up()  # the descriptor names the broadcast too
         ref = self._channel.describe(self.registry)
         bounds = [len(rows) * k // self.workers

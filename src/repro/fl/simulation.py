@@ -4,13 +4,14 @@ Wires datasets, clients, server and a defense into the paper's §2.1
 round loop and records everything the evaluation needs afterwards: the
 global model, each client's transmitted (post-defense) update — the
 server-side attacker's view — and each client's personalized model —
-what the client actually predicts with.
+what the client actually predicts with, stored or derived from the
+upload and the defense state.
 
 Client training within a round is delegated to a
 :class:`~repro.fl.executor.RoundExecutor` (``config.workers`` selects
 serial or process-parallel execution; both are bitwise identical),
 whose tasks write each client's rows of the executor's registry; the
-executor also scores the personalized rows, in the pool's workers
+executor also scores the personalized models, in the pool's workers
 while a parallel pool is open (:meth:`mean_client_accuracy`).
 
 Rounds are **streaming**: executor results are consumed as they
@@ -27,10 +28,12 @@ The client plane is **virtual** (see ``repro.fl.virtual``): clients
 exist as descriptors over a packed shard assignment, full
 ``FLClient``/``Model`` state is one training client per process,
 rebound onto each client's descriptor on demand, and per-client residue
-lives in one registry keyed by client id: personalized weights
-(``registry``), the last upload (``last_updates``, the only copy of it,
-which the server reads in place) and the defense's state.  Every
-trajectory is bitwise-identical to the eager plane.
+lives in one registry keyed by client id: the last upload
+(``last_updates``, the only copy of it, which the server reads in
+place), the defense's state and personalized weights (``registry``),
+a stored plane only where ``on_receive_global(cid, upload, state)``
+cannot restore them.  Every trajectory is bitwise-identical to the
+eager plane.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ class FederatedSimulation:
             self.fleet, self.defense, self._layout, config,
             behavior=self.behavior, cost_meter=self.cost_meter,
             test=split.nonmembers)
-        #: Every client's rows: personalized weights (the mapping),
-        #: last upload and defense state.
+        #: Every client's rows: last upload, defense state and, stored
+        #: or derived, personalized weights (the mapping).
         self.registry = self.executor.registry
         #: Each client's last transmitted (post-defense) upload: the
         #: one copy of it, which the server's rules read in place.
@@ -361,12 +364,14 @@ class FederatedSimulation:
     def mean_client_accuracy(self) -> float:
         """Mean personalized-model accuracy on the test set (Appendix A).
 
-        Evaluates exactly the clients present in the personal-weights
-        registry — the ones that have trained — in ascending id order
-        (the eager plane's order).  The executor scores them where its
-        rows live: in-process on the fleet's one model, or in the pool's
-        workers while it is open, so the parent never maps the personal
-        plane (:meth:`~repro.fl.executor.RoundExecutor.personal_accuracies`).
+        Evaluates exactly the clients present in the registry — the
+        ones that have trained — in ascending id order (the eager
+        plane's order), each on its stored personalized row or on
+        ``defense.on_receive_global`` of its upload and state rows.  The
+        executor scores them where its rows live: in-process on the
+        fleet's one model, or in the pool's workers while it is open, so
+        the parent never maps a client's rows
+        (:meth:`~repro.fl.executor.RoundExecutor.personal_accuracies`).
         """
         scores = self.executor.personal_accuracies(
             self.registry.client_ids())

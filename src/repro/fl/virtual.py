@@ -16,9 +16,13 @@ This module replaces live objects with three small pieces:
   demand and garbage-collected freely.
 * :class:`PersonalWeightsRegistry` — the per-client *residue* that must
   outlive materialization, as rows of growable flat buffers keyed by
-  client id.  Three planes share one row assignment: personalized
-  weights (§4.3 prediction state), each client's last upload, and the
-  defense's per-client state.  The buffer comes from the executor's
+  client id.  Planes share one row assignment: each client's last
+  upload, the defense's per-client state and, only where those two
+  cannot restore them, personalized weights (§4.3 prediction state).
+  Under no defense, LDP or DINAR, with no adversary corrupting its
+  upload, a client's personalized model is
+  ``defense.on_receive_global(cid, upload, state)``, derived on read
+  (:func:`stores_personal`).  The buffers come from the executor's
   allocator — private memory in serial runs, a shared segment under
   the parallel executor — and the round's task for a client writes
   its rows in place, in whichever process runs it.  The fleet holds
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -65,6 +69,9 @@ from repro.nn.metrics import accuracy
 from repro.nn.model import Model
 from repro.nn.store import Layout, WeightStore
 from repro.privacy.defenses.base import Defense
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.fl.behavior import ClientBehavior
 
 __all__ = [
     "ClientDescriptor",
@@ -93,11 +100,56 @@ class ClientDescriptor:
 
 
 class RegistryRows(NamedTuple):
-    """A registry buffer's planes, one row per client."""
+    """A registry buffer's planes, one row per client; ``personal`` is
+    ``None`` where the registry derives personalized rows."""
 
-    personal: np.ndarray
+    personal: np.ndarray | None
     uploads: np.ndarray
     state: np.ndarray
+
+
+def stores_personal(defense: Defense,
+                    behavior: "ClientBehavior | None" = None) -> bool:
+    """Whether a run's registry must store personalized weights.
+
+    It need not when the defense restores them from the upload and
+    state rows (``Defense.derives_personal``) and no adversary uploads
+    weights other than those it trained
+    (``ClientBehavior.corrupts_updates``).
+    """
+    corrupts = behavior is not None and behavior.corrupts_updates \
+        and bool(behavior.adversaries)
+    return corrupts or not defense.derives_personal
+
+
+def plane_widths(num_params: int, state_width: int,
+                 personal: bool) -> dict[str, int]:
+    """Row width of each plane a registry allocates, by name, in
+    :class:`RegistryRows` order."""
+    widths = {"personal": num_params, "uploads": num_params,
+              "state": state_width}
+    if not personal:
+        del widths["personal"]
+    return widths
+
+
+def rows_of(buffers: Iterable[np.ndarray], capacity: int,
+            widths: dict[str, int]) -> RegistryRows:
+    """Flat plane buffers, one per entry of ``widths``, as rows."""
+    planes = {name: buffer.reshape(capacity, width)
+              for (name, width), buffer in zip(widths.items(), buffers)}
+    return RegistryRows(**{"personal": None, **planes})
+
+
+def personalized(defense: Defense, layout: Layout, rows: RegistryRows,
+                 client_id: int, row: int) -> WeightStore:
+    """A client's personalized weights: a view of its stored row, or
+    ``defense.on_receive_global`` of its upload and state rows (a view
+    of the upload where the defense restores nothing)."""
+    if rows.personal is not None:
+        return WeightStore(layout, rows.personal[row])
+    return defense.on_receive_global(
+        client_id, WeightStore(layout, rows.uploads[row]), rows.state[row])
 
 
 class _Plane(Mapping[int, WeightStore]):
@@ -127,24 +179,29 @@ class _Plane(Mapping[int, WeightStore]):
 class PersonalWeightsRegistry(_Plane):
     """Every client's per-client state, in rows of flat buffers.
 
-    Three planes share one row assignment: personalized weights (§4.3
-    prediction state; the registry is their mapping), last uploads
-    (the server-side attacker's view; :attr:`uploads`) and the
-    defense's state, ``Defense.state_width(layout)`` values per row
-    (fixed when the first rows are allocated: DINAR's ``private_layer``
-    may be set after the simulation is built).  Each plane's buffer
-    comes from ``allocator`` — :class:`~repro.fl.executor.HeapRows` in
-    serial runs, a shared segment under the parallel executor — and at
-    least doubles when it grows.
+    Up to three planes share one row assignment: last uploads (the
+    server-side attacker's view; :attr:`uploads`), the defense's state,
+    ``Defense.state_width(layout)`` values per row (fixed when the
+    first rows are allocated: DINAR's ``private_layer`` may be set
+    after the simulation is built), and personalized weights (§4.3
+    prediction state).  The registry is the mapping of personalized
+    weights.  With ``personal=True`` they are a stored plane; otherwise
+    (:func:`stores_personal` says when that is exact) each is derived
+    on read from the client's upload and state rows by
+    ``defense.on_receive_global``, which for DINAR is a new store, not
+    a view.  Each plane's buffer comes from ``allocator`` —
+    :class:`~repro.fl.executor.HeapRows` in serial runs, a shared
+    segment under the parallel executor — and at least doubles when it
+    grows.
     """
 
-    _plane = "personal"
-
     def __init__(self, layout: Layout, defense: Defense | None = None,
-                 allocator: Any = None) -> None:
+                 allocator: Any = None, *, personal: bool = True) -> None:
         self.layout = layout
         self.defense = defense or Defense()
         self._allocator = allocator or HeapRows()
+        #: Whether personalized weights are a stored plane.
+        self.stores_personal = personal
         self._slot: dict[int, int] = {}
         self.capacity = 0
         #: The allocator's flat buffers behind the planes of :attr:`rows`.
@@ -155,6 +212,10 @@ class PersonalWeightsRegistry(_Plane):
     @property
     def _registry(self) -> "PersonalWeightsRegistry":
         return self
+
+    def __getitem__(self, client_id: int) -> WeightStore:
+        return personalized(self.defense, self.layout, self.rows,
+                            client_id, self._slot[client_id])
 
     def client_ids(self) -> list[int]:
         """Ids with a row, ascending (the evaluation order)."""
@@ -173,7 +234,7 @@ class PersonalWeightsRegistry(_Plane):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every allocated plane (personal, uploads, state)."""
+        """Bytes of every allocated plane."""
         return sum(buffer.nbytes for buffer in self.buffers)
 
     @property
@@ -181,26 +242,30 @@ class PersonalWeightsRegistry(_Plane):
         """Bytes of the defense-state rows in use."""
         return len(self) * self.state_width * self.layout.dtype.itemsize
 
-    def _widths(self) -> tuple[int, int, int]:
-        return (self.layout.num_params, self.layout.num_params,
-                self.state_width)
+    def widths(self) -> dict[str, int]:
+        """Row width of each allocated plane, by name."""
+        return plane_widths(self.layout.num_params, self.state_width,
+                            self.stores_personal)
+
+    def _allocated(self) -> list[np.ndarray]:
+        """The allocated planes' rows, in :meth:`widths` order."""
+        return [plane for plane in self.rows or () if plane is not None]
 
     def relocate(self, capacity: int, allocator: Any = None) -> None:
         """Move every row into new buffers of ``capacity`` rows from
         ``allocator`` (the registry's own by default).  Planes move one
         at a time, each old buffer released as soon as it is copied, so
         at most one plane is held twice."""
-        widths = self._widths()
+        widths = self.widths()
         # A failed allocation leaves every row where it was (a parallel
         # executor's close() unlinks any new segment).
         buffers = [(allocator or self._allocator).allocate(
                        capacity * width, self.layout.dtype)
-                   for width in widths]
-        old = list(zip(self.rows or (), self.buffers))
+                   for width in widths.values()]
+        old = list(zip(self._allocated(), self.buffers))
         self.buffers, self.capacity = tuple(buffers), capacity
-        self.rows = RegistryRows(*(buffer.reshape(capacity, width)
-                                   for buffer, width in zip(buffers, widths)))
-        for new in self.rows[:len(old)]:
+        self.rows = rows_of(buffers, capacity, widths)
+        for new in self._allocated()[:len(old)]:
             self._move(new, *old.pop(0))
 
     def _move(self, new: np.ndarray, plane: np.ndarray,
@@ -228,8 +293,14 @@ class PersonalWeightsRegistry(_Plane):
         return new
 
     def put(self, client_id: int, buffer: np.ndarray) -> None:
-        """Copy a client's personalized weights into its row (a new
-        row's other planes stay unwritten)."""
+        """Copy a client's personalized weights into its stored row (a
+        new row's other planes stay unwritten).  Rounds write their
+        rows in place (``execute_client_task``) and never call it; it
+        stays while ``benchmarks/e2e/trace.py`` wraps it."""
+        if not self.stores_personal:
+            raise ValueError(
+                "this registry derives personalized weights from the "
+                "upload and state rows; write those instead")
         if buffer.shape != (self.layout.num_params,):
             raise ValueError(
                 f"client {client_id}: buffer shape {buffer.shape} does "
@@ -238,19 +309,21 @@ class PersonalWeightsRegistry(_Plane):
         self.rows.personal[self._slot[client_id]] = buffer
 
     def planes(self) -> dict[str, np.ndarray]:
-        """Each plane's rows in use, plus ``ids``: row ``i`` belongs to
-        client ``ids[i]`` (what a checkpoint saves)."""
+        """Each allocated plane's rows in use, plus ``ids``: row ``i``
+        belongs to client ``ids[i]`` (what a checkpoint saves)."""
         ids = np.array(sorted(self._slot, key=self._slot.get), np.int64)
-        rows = self.rows or [np.empty((0, width), self.layout.dtype)
-                             for width in self._widths()]
+        widths = self.widths()
+        rows = self._allocated() or [
+            np.empty((0, width), self.layout.dtype)
+            for width in widths.values()]
         return {"ids": ids, **{name: plane[:len(self)] for name, plane
-                               in zip(RegistryRows._fields, rows)}}
+                               in zip(widths, rows)}}
 
     def restore(self, planes: Mapping[str, np.ndarray]) -> None:
         """Replace every row with :meth:`planes` output."""
         self._slot = {}
         self.assign(int(cid) for cid in planes["ids"])
-        for name, plane in zip(RegistryRows._fields, self.rows or ()):
+        for name, plane in zip(self.widths(), self._allocated()):
             plane[:len(self)] = planes[name]
 
 

@@ -69,6 +69,16 @@ class Defense:
     #: the aggregate.
     requires_full_cohort = False
 
+    #: When True, ``on_receive_global(cid, upload, state)`` returns a
+    #: client's trained weights bit for bit, given the update it
+    #: uploaded and the state row ``on_send_update`` left: the upload
+    #: is the trained weights, or the state row holds what the upload
+    #: replaced.  The client registry then derives each personalized
+    #: model from those two rows instead of storing it.  A defense
+    #: whose ``on_send_update`` changes the weights otherwise declares
+    #: False.
+    derives_personal = True
+
     def on_round_start(self, round_index: int, client_ids: Sequence[int],
                        template: WeightStore,
                        rng: np.random.Generator) -> None:

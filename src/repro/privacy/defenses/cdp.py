@@ -29,6 +29,7 @@ class CentralDP(Defense):
     """Server-side clipped-delta aggregation + Gaussian mechanism."""
 
     name = "cdp"
+    derives_personal = False  # uploads a clipped delta
 
     def __init__(self, *, epsilon: float = 2.2, delta: float = 1e-5,
                  clip_norm: float = 3.0, rounds: int = 1,

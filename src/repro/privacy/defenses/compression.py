@@ -26,6 +26,7 @@ class GradientCompression(Defense):
     """Top-k sparsification of round deltas with error feedback."""
 
     name = "gc"
+    derives_personal = False  # uploads a sparsified delta
 
     def __init__(self, *, keep_ratio: float = 0.1) -> None:
         if not 0.0 < keep_ratio <= 1.0:

@@ -67,6 +67,7 @@ class LayerwiseDP(Defense):
     """Per-layer epsilon allocation over layer-wise clip + noise."""
 
     name = "ladp"
+    derives_personal = False  # uploads a clipped, noised delta
 
     def __init__(self, *, epsilon: float = 2.2, delta: float = 1e-5,
                  clip_norm: float = 3.0, rounds: int = 1,

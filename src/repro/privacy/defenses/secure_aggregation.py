@@ -36,6 +36,7 @@ class SecureAggregation(Defense):
 
     name = "sa"
     pre_weighted = True
+    derives_personal = False  # uploads masked, weighted values
     # Pairwise masks only cancel when both endpoints of every pair make
     # it into the sum: a missing client leaves its partners' masks
     # un-cancelled and the aggregate silently corrupt.  Declaring it

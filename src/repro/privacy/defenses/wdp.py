@@ -28,6 +28,7 @@ class WeakDP(Defense):
     """Norm-bounded round deltas + low-magnitude Gaussian noise."""
 
     name = "wdp"
+    derives_personal = False  # uploads a clipped, noised delta
 
     def __init__(self, *, norm_bound: float = 5.0,
                  sigma: float = 0.025) -> None:

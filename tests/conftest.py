@@ -166,14 +166,22 @@ def one_client_simulation(model_factory, config: FLConfig, data: Dataset,
 def train_client_round(simulation: FederatedSimulation,
                        round_index: int = 0, client_id: int = 0):
     """One round of the fleet's trainer, bound to ``client_id``, from
-    the server's global weights; stores the personalized weights in the
-    simulation's registry as a round does, and returns the
-    ``ClientRoundResult``."""
+    the server's global weights; writes the client's registry rows as a
+    round does, and returns the ``ClientRoundResult``."""
+    registry, global_weights = simulation.registry, \
+        simulation.server.global_weights
+    for cid in registry.assign([client_id]):
+        simulation.defense.init_state(registry.rows.state[
+            registry.row(cid)], global_weights)
+    row = registry.row(client_id)
     client = simulation.fleet.materialize(client_id)
     result = client.train_round(
-        simulation.server.global_weights, round_index,
-        rng=round_rng(simulation.config.seed, round_index, client_id))
-    simulation.registry.put(client_id, result.personal_buffer)
+        global_weights, round_index,
+        rng=round_rng(simulation.config.seed, round_index, client_id),
+        state=registry.rows.state[row])
+    registry.rows.uploads[row] = result.update_buffer
+    if registry.rows.personal is not None:
+        registry.rows.personal[row] = result.personal_buffer
     return result
 
 

@@ -239,26 +239,65 @@ def test_checkpoint_holds_only_flat_buffers_and_planes(make_partial_sim,
                                                        tmp_path):
     """The checkpoint's one weight format: each array is a flat vector
     over the layout or a ``(rows, width)`` plane, never a named
-    per-entry array; ``meta.json`` records the layout's entries."""
-    sim = make_partial_sim()
-    sim.run_round(0)
-    directory = save_checkpoint(sim, tmp_path / "ckpt")
-    layout = sim.server.global_weights.layout
-    rows = len(sim.registry)
-    shapes = {}
-    for path in sorted(directory.glob("*.npz")):
-        with np.load(path) as archive:
-            shapes.update({f"{path.stem}/{k}": archive[k].shape
-                           for k in archive.files})
-    assert not any("layer" in name for name in shapes)
-    assert shapes == {
-        "server/global": (layout.num_params,),
-        "server/momentum": (layout.num_params,),
-        "registry/ids": (rows,),
-        "registry/personal": (rows, layout.num_params),
-        "registry/uploads": (rows, layout.num_params),
-        "registry/state": (rows, sim.registry.state_width),
-    }
+    per-entry array, and only the planes the run allocates (no
+    defense derives personalized weights, CDP stores them);
+    ``meta.json`` records the layout's entries."""
+    for name, stored in (("none", False), ("cdp", True)):
+        sim = make_partial_sim(name)
+        sim.run_round(0)
+        directory = save_checkpoint(sim, tmp_path / name)
+        layout = sim.server.global_weights.layout
+        rows = len(sim.registry)
+        shapes = {}
+        for path in sorted(directory.glob("*.npz")):
+            with np.load(path) as archive:
+                shapes.update({f"{path.stem}/{k}": archive[k].shape
+                               for k in archive.files})
+        assert not any("layer" in name for name in shapes)
+        assert shapes == {
+            "server/global": (layout.num_params,),
+            "server/momentum": (layout.num_params,),
+            "registry/ids": (rows,),
+            **({"registry/personal": (rows, layout.num_params)}
+               if stored else {}),
+            "registry/uploads": (rows, layout.num_params),
+            "registry/state": (rows, sim.registry.state_width),
+        }
+        meta = json.loads((directory / "meta.json").read_text())
+        assert [tuple(e[:2]) + (tuple(e[2]),) for e in meta["layout"]] \
+            == [(e.layer_idx, e.key, e.shape) for e in layout.entries]
+
+
+@pytest.mark.parametrize("defense_name", ["cdp", "ladp"])
+def test_resume_keeps_the_privacy_spend(make_partial_sim, tmp_path,
+                                        defense_name):
+    """run(4) and run(2) -> save -> fresh load -> run(2) end with the
+    same weights and the same DP accountant spend: the checkpoint
+    carries what the first two rounds spent."""
+    whole = make_partial_sim(defense_name)
+    whole.run()
+    first = make_partial_sim(defense_name)
+    for r in range(2):
+        first.run_round(r)
+    directory = save_checkpoint(first, tmp_path / "ckpt")
+    resumed = make_partial_sim(defense_name)
+    load_checkpoint(resumed, directory)
+    for r in range(2, 4):
+        resumed.run_round(r)
+
+    assert resumed.server.global_weights.buffer.tobytes() \
+        == whole.server.global_weights.buffer.tobytes()
+    spent, expected = resumed.defense.accountant, whole.defense.accountant
+    assert expected.releases == 4
+    assert (spent.spent_epsilon, spent.spent_delta, spent.releases) \
+        == (expected.spent_epsilon, expected.spent_delta,
+            expected.releases)
+
     meta = json.loads((directory / "meta.json").read_text())
-    assert [tuple(e[:2]) + (tuple(e[2]),) for e in meta["layout"]] \
-        == [(e.layer_idx, e.key, e.shape) for e in layout.entries]
+    del meta["accountant"]
+    (directory / "meta.json").write_text(json.dumps(meta))
+    fresh = make_partial_sim(defense_name)
+    with pytest.raises(ValueError, match="accountant"):
+        load_checkpoint(fresh, directory)
+    assert fresh.defense.accountant.releases == 0
+    assert len(fresh.registry) == 0

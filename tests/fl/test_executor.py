@@ -252,8 +252,12 @@ class TestRegistryWriter:
             == [0, 1, 2]
         planes = sim.registry.planes()
         assert planes["ids"].tolist() == record.completed
-        for name in ("personal", "uploads", "state"):
+        # DINAR derives personalized weights from the other two planes
+        assert sorted(planes) == ["ids", "state", "uploads"]
+        for name in ("uploads", "state"):
             assert np.isfinite(planes[name]).all(), name
+        for cid in record.completed:
+            assert np.isfinite(sim.registry[cid].buffer).all(), cid
         assert sim.last_updates.keys() == sim.registry.keys()
 
 

@@ -213,24 +213,25 @@ class TestUploadRegistry:
 
     def test_reserve_grows_once_and_keeps_rows(self, rng):
         stores, layout = _random_stores(rng, 3)
-        uploads = PersonalWeightsRegistry(layout)
-        uploads.put(0, stores[0].buffer)
-        uploads.put(1, stores[1].buffer)
-        uploads.reserve(range(40))
+        registry = PersonalWeightsRegistry(layout)
+        uploads = registry.uploads
+        for cid in registry.assign([0, 1]):
+            registry.rows.uploads[registry.row(cid)] = stores[cid].buffer
+        registry.reserve(range(40))
         assert len(uploads) == 2  # reserving assigns no slot
-        reserved = uploads.nbytes
+        reserved = registry.nbytes
         # 40 rows in each weight plane (no defense state)
         assert reserved == 2 * 40 * stores[0].buffer.nbytes
         held = uploads[0]
-        for cid in range(2, 40):
-            uploads.put(cid, stores[2].buffer)
-        assert uploads.nbytes == reserved
+        for cid in registry.assign(range(2, 40)):
+            registry.rows.uploads[registry.row(cid)] = stores[2].buffer
+        assert registry.nbytes == reserved
         assert np.shares_memory(held.buffer, uploads[0].buffer)
         for cid in range(2):
             np.testing.assert_array_equal(uploads[cid].buffer,
                                           stores[cid].buffer)
-        uploads.reserve(range(40))
-        assert uploads.nbytes == reserved
+        registry.reserve(range(40))
+        assert registry.nbytes == reserved
 
 
 class TestDenseCap:

@@ -196,11 +196,10 @@ def test_dense_aggregation_holds_no_update_matrix(aggregator):
     n, num_params = 20, 4 * REDUCE_CHUNK + 123
     layout = flat_layout(num_params)
     rng = np.random.default_rng(8)
-    uploads = PersonalWeightsRegistry(layout)
-    uploads.reserve(range(n))
-    for cid in range(n):
-        uploads.put(cid, rng.standard_normal(num_params))
-    arrivals = [ClientUpdate(cid, uploads[cid], 10)
+    registry = PersonalWeightsRegistry(layout)
+    registry.assign(range(n))
+    registry.rows.uploads[:n] = rng.standard_normal((n, num_params))
+    arrivals = [ClientUpdate(cid, registry.uploads[cid], 10)
                 for cid in range(n)]
     server = FLServer(WeightStore(layout),
                       FLConfig(num_clients=n, aggregator=aggregator),

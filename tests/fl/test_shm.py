@@ -157,7 +157,7 @@ class TestChannel:
                 == (-values).tobytes()
             assert registry.rows.state[row].tobytes() \
                 == (2 * values).tobytes()
-            registry.put(4, values)
+            registry.rows.personal[registry.row(4)] = values
             assert rows.personal[registry.row(4)].tobytes() \
                 == values.tobytes()
             del rows
@@ -170,7 +170,8 @@ class TestChannel:
         values: the views pin the mapping, so close() only unlinks."""
         channel = ShmChannel()
         registry = _registry(channel)
-        registry.put(1, np.arange(registry.layout.num_params, dtype=float))
+        registry.rows.personal[registry.row(1)] = np.arange(
+            registry.layout.num_params, dtype=float)
         held = registry[1]
         channel.close()
         assert not channel.is_open
@@ -310,7 +311,8 @@ class TestPayloads:
         matter how large the model — the O(descriptor) contract."""
         ref = ShmRound(weights_name="psm_test",
                        rows_names=("psm_test2", "psm_test3", "psm_test4"),
-                       capacity=64, num_params=10_000_000,
+                       capacity=64, personal=True,
+                       num_params=10_000_000,
                        dtype="float64", round_index=2,
                        cohort=tuple(range(20)))
         task = ClientTask(round_index=2, client_id=7, global_buffer=None,
@@ -334,8 +336,9 @@ class TestPayloads:
             self, monkeypatch, no_leaked_segments):
         """The parent copies no result row: every completion's
         personalized weights and upload are read in place from the
-        shared rows its worker wrote, and nothing is put."""
-        sim = _make_sim()
+        shared rows its worker wrote, and nothing is put.  Where the
+        registry derives personalized weights (no defense), they are
+        the upload row itself."""
         put = PersonalWeightsRegistry.put
         puts = []
 
@@ -344,21 +347,29 @@ class TestPayloads:
             put(self, client_id, buffer)
 
         monkeypatch.setattr(PersonalWeightsRegistry, "put", spy)
-        try:
-            for round_index in range(sim.config.rounds):
-                sim.run_round(round_index)
-                registry = sim.registry
-                assert all(map(sim.executor._channel.holds,
-                               registry.buffers))
-                for cid in registry.client_ids():
-                    assert np.shares_memory(registry[cid].buffer,
-                                            registry.buffers[0])
-                    assert np.shares_memory(registry.uploads[cid].buffer,
-                                            registry.buffers[1])
-        finally:
-            sim.executor.close()
-        assert sim.cost_meter.report.clients_completed > 0
-        assert sim.registry.client_ids() == list(range(4))
+        config = FLConfig(num_clients=4, rounds=2, seed=5)
+        for name in ("none", "cdp"):
+            sim = _make_sim(defense=make_defense_for_config(name, config))
+            registry = sim.registry
+            assert registry.stores_personal == (name == "cdp")
+            try:
+                for round_index in range(sim.config.rounds):
+                    sim.run_round(round_index)
+                    assert all(map(sim.executor._channel.holds,
+                                   registry.buffers))
+                    personal = registry.rows.uploads \
+                        if registry.rows.personal is None \
+                        else registry.rows.personal
+                    for cid in registry.client_ids():
+                        assert np.shares_memory(registry[cid].buffer,
+                                                personal)
+                        assert np.shares_memory(
+                            registry.uploads[cid].buffer,
+                            registry.rows.uploads)
+            finally:
+                sim.executor.close()
+            assert sim.cost_meter.report.clients_completed > 0
+            assert registry.client_ids() == list(range(4))
         assert puts == []
 
     def test_serial_run_records_no_ipc(self):
@@ -391,8 +402,8 @@ class TestPayloads:
                                       "gc", "sa", "ladp"])
     def test_pickled_bytes_ignore_defense_and_width(self, name):
         """No defense ships per-client state through the pipe: one
-        round on 2 workers pickles the same bytes for every defense,
-        at any model width."""
+        round on 2 workers pickles the same bytes for every defense of
+        one registry representation, at any model width."""
         config = FLConfig(num_clients=4, rounds=1, seed=5)
         pickled = set()
         for hidden in [(16,), (48,)]:
@@ -400,8 +411,14 @@ class TestPayloads:
                             hidden=hidden, rounds=1)
             sim.run()
             pickled.add(sim.cost_meter.report.ipc_bytes_pickled)
-        # the bytes of the no-defense run at the smaller width
-        reference = _make_sim(rounds=1)
+        # the bytes of the smaller width's run without a defense, or
+        # with CDP where the registry stores personalized weights (the
+        # descriptor then names one more segment)
+        reference = _make_sim(
+            defense=make_defense_for_config(
+                "cdp" if sim.registry.stores_personal else "none",
+                config),
+            rounds=1)
         reference.run()
         assert pickled == {reference.cost_meter.report.ipc_bytes_pickled}
 
@@ -659,13 +676,14 @@ def _rss_shmem_kib() -> int | None:
 
 
 class TestPersonalSweep:
-    @pytest.mark.parametrize("name", ["none", "dinar", "ldp"])
+    @pytest.mark.parametrize("name", ["none", "dinar", "ldp", "cdp"])
     def test_sweep_in_workers_equals_serial(self, name, monkeypatch,
                                             no_leaked_segments):
         """Evaluated every round, the 2-worker run records the serial
         run's client accuracies bit for bit, per client and in order,
         and its parent scores only the global model: every
-        personalized row is scored in a worker."""
+        personalized model, derived or stored (CDP, at a noise level
+        that leaves clients distinguishable), is scored in a worker."""
         from repro.fl.virtual import VirtualClientFleet
         evaluate = VirtualClientFleet.evaluate_weights
         calls = []
@@ -680,9 +698,11 @@ class TestPersonalSweep:
         accuracies, scores = {}, {}
         for workers in (0, 2):
             calls.clear()
-            sim = _make_sim(defense=make_defense_for_config(name, config),
-                            num_clients=5, rounds=3, eval_every=1,
-                            workers=workers)
+            defense = make_defense_for_config(
+                name, config,
+                **({"noise_multiplier": 0.1} if name == "cdp" else {}))
+            sim = _make_sim(defense=defense, num_clients=5, rounds=3,
+                            eval_every=1, workers=workers)
             try:
                 for round_index in range(3):
                     sim.run_round(round_index)
@@ -702,9 +722,10 @@ class TestPersonalSweep:
                         reason="needs RssShmem in /proc/self/status")
     def test_parent_never_maps_the_personal_plane(
             self, no_leaked_segments):
-        """On the purchase100 FCNN, the parent's resident shared memory
-        grows by less than one personalized row over a 2-worker sweep
-        (reading the rows in the parent maps all of them)."""
+        """On the purchase100 FCNN under CDP, whose registry stores a
+        personal plane, the parent's resident shared memory grows by
+        less than one personalized row over a 2-worker sweep (reading
+        the rows in the parent maps all of them)."""
         from repro.bench.harness import make_model_factory
         from repro.data import load_dataset
         dataset = load_dataset("purchase100", 0, n_samples=600)
@@ -713,7 +734,9 @@ class TestPersonalSweep:
                           local_epochs=1, batch_size=64, seed=0,
                           workers=2)
         sim = FederatedSimulation(split, make_model_factory("purchase100"),
-                                  config)
+                                  config,
+                                  make_defense_for_config("cdp", config))
+        assert sim.registry.stores_personal
         try:
             assert sim.run_round(0) is None  # trained, not evaluated
             before = _rss_shmem_kib()
@@ -741,9 +764,9 @@ class TestPersonalSweep:
         assert not multiprocessing.active_children()
 
     def test_sweep_task_is_descriptor_sized(self, no_leaked_segments):
-        """A sweep task carries the registry's descriptor and row
-        indices: no weight row or test feature crosses the pipe, however
-        wide the model."""
+        """A sweep task carries the registry's descriptor and
+        ``(client, row)`` pairs: no weight row or test feature crosses
+        the pipe, however wide the model."""
         from repro.fl.shm import _score_in_worker
         sim = _make_sim(num_clients=5, rounds=1, hidden=(256,))
         sim.executor.start()
@@ -762,9 +785,11 @@ class TestPersonalSweep:
         finally:
             sim.executor.close()
         assert len(wires) == sim.executor.workers
-        assert sorted(row for _, rows in wires for row in rows) \
+        assert sorted(pair for _, pairs in wires for pair in pairs) \
+            == [(cid, sim.registry.row(cid)) for cid in range(5)]
+        assert sorted(row for _, pairs in wires for _, row in pairs) \
             == list(range(5))
-        assert sim.registry.rows.personal[0].nbytes > 8192
+        assert sim.registry.rows.uploads[0].nbytes > 8192
         for wire in wires:
             assert isinstance(wire[0], ShmRound)
             assert len(pickle.dumps(wire, pickle.HIGHEST_PROTOCOL)) < 1024

@@ -22,7 +22,12 @@ import pytest
 from repro.data.partition import ClientShards, split_for_membership
 from repro.data.synthetic import synthetic_images, synthetic_tabular
 from repro.fl.config import FLConfig
-from repro.fl.executor import round_rng
+from repro.fl.executor import (
+    ClientTask,
+    execute_client_task,
+    round_rng,
+    round_start_rng,
+)
 from repro.fl.shm import shm_available
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
@@ -30,6 +35,7 @@ from repro.models.fcnn import build_fcnn
 from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import BatchNorm1d, Conv2d, Dense, Flatten, MaxPool2d
 from repro.nn.model import Model
+from repro.privacy.defenses import DEFENSE_BUILDERS
 from repro.privacy.defenses.make import make_defense_for_config
 
 #: Executor worker counts: serial, and the shm executor where it runs.
@@ -117,10 +123,95 @@ def test_registry_nbytes_counts_every_plane(name):
     sim.run()
     rows = sim.registry.rows
     assert (rows.state.shape[1] > 0) == (name == "dinar")
-    assert sim.registry.nbytes == (rows.personal.nbytes
-                                   + rows.uploads.nbytes
+    assert rows.personal is None  # both derive personalized rows
+    assert sim.registry.nbytes == (rows.uploads.nbytes
                                    + rows.state.nbytes)
     assert sim.cost_meter.report.registry_bytes == sim.registry.nbytes
+
+
+#: (defense, DINAR kwargs, adversary, whether the personal plane is
+#: stored): the runs that derive it and the runs that keep it.
+PLANE_CASES = {
+    "none": ("none", {}, "none", False),
+    "ldp": ("ldp", {}, "none", False),
+    "dinar": ("dinar", {}, "none", False),
+    "cdp": ("cdp", {}, "none", True),
+    "wdp": ("wdp", {}, "none", True),
+    "ladp": ("ladp", {}, "none", True),
+    "gc": ("gc", {}, "none", True),
+    "sa": ("sa", {}, "none", True),
+    "dinar-no-personalize": ("dinar", {"personalize": False}, "none",
+                             True),
+    "none-byzantine": ("none", {}, "byzantine", True),
+    "dinar-byzantine": ("dinar", {}, "byzantine", True),
+    "none-label-flip": ("none", {}, "label_flip", False),
+}
+
+
+@pytest.mark.parametrize("case", PLANE_CASES)
+def test_registry_drops_exactly_the_personal_plane(case):
+    """Runs whose defense restores the trained weights from the upload
+    and state rows, with no adversary corrupting uploads, allocate
+    exactly one full-model plane less; the others keep all three."""
+    name, kwargs, adversary, stored = PLANE_CASES[case]
+    config = FLConfig(num_clients=4, rounds=1, local_epochs=1,
+                      batch_size=32, seed=0, adversary=adversary,
+                      adversary_fraction=0.25 * (adversary != "none"))
+    sim = FederatedSimulation(
+        _split(), _factory, config,
+        make_defense_for_config(name, config, **kwargs))
+    sim.run()
+    registry, layout = sim.registry, sim.server.global_weights.layout
+    itemsize = layout.dtype.itemsize
+    three_planes = registry.capacity * itemsize * (
+        2 * layout.num_params + registry.state_width)
+    personal = registry.capacity * layout.num_params * itemsize
+    assert registry.stores_personal == stored
+    assert (registry.rows.personal is not None) == stored
+    assert registry.nbytes == three_planes - (0 if stored else personal)
+    assert sim.cost_meter.report.registry_bytes == registry.nbytes
+    assert sorted(registry.planes()) == sorted(
+        ["ids", "uploads", "state"] + (["personal"] if stored else []))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", sorted(DEFENSE_BUILDERS))
+def test_declared_derivable_rows_restore_the_trained_weights(name, dtype):
+    """A defense that declares ``derives_personal`` restores, after one
+    real client round, each client's trained weights bit for bit from
+    its upload and state rows (``on_receive_global``): a false
+    declaration would score another model than the client trained."""
+    rng = np.random.default_rng(3)
+    data = synthetic_tabular(rng, 300, 20, 4, noise=0.3, dtype=dtype)
+    split = split_for_membership(data, np.random.default_rng(1))
+    config = FLConfig(num_clients=2, rounds=1, local_epochs=1,
+                      batch_size=32, seed=0, dtype=dtype)
+    defense = make_defense_for_config(name, config)
+    sim = FederatedSimulation(
+        split, lambda r: build_fcnn(20, 4, r, hidden=(12,), dtype=dtype),
+        config, defense)
+    layout, global_weights = sim._layout, sim.server.global_weights
+    # a registry that stores the trained weights next to both rows
+    registry = PersonalWeightsRegistry(layout, defense, personal=True)
+    cohort = registry.assign([0, 1])
+    defense.on_round_start(0, cohort, global_weights,
+                           round_start_rng(config.seed, 0))
+    for cid in cohort:
+        row = registry.row(cid)
+        defense.init_state(registry.rows.state[row], global_weights)
+        execute_client_task(
+            sim.fleet, defense, layout,
+            ClientTask(0, cid, global_weights.buffer, row, tuple(cohort)),
+            registry.rows)
+    for cid in cohort:
+        row = registry.row(cid)
+        trained = registry.rows.personal[row]
+        assert not np.array_equal(trained, global_weights.buffer)
+        derived = defense.on_receive_global(
+            cid, registry.uploads[cid], registry.rows.state[row])
+        assert derived.buffer.dtype == np.dtype(dtype)
+        if defense.derives_personal:
+            assert derived.buffer.tobytes() == trained.tobytes(), cid
 
 
 def test_num_samples_answered_without_materialization():
@@ -166,8 +257,8 @@ def test_unbound_rebind_has_no_personal_weights():
     sim = FederatedSimulation(_split(), _factory, config)
     sim.fleet.materialize(0)
     # simulate residue for client 0 only
-    sim.registry.put(0, np.ones(sim.server.global_weights.layout
-                                .num_params))
+    sim.registry.assign([0])
+    sim.registry.rows.uploads[sim.registry.row(0)] = 1.0
     sim.fleet.materialize(1)
     assert sim.registry.get(1) is None, (
         "a rebound client must not see the previous client's weights")

@@ -129,9 +129,11 @@ def test_fedavg_over_stores_and_batch_matches_reference(cohort):
     expected = fedavg_reference(cohort_stores, samples)
     assert_ulp_close(fedavg(cohort_stores, samples), expected)
     registry = PersonalWeightsRegistry(cohort_stores[0].layout)
+    registry.assign(range(len(cohort_stores)))
     for client_id, update in enumerate(cohort_stores):
-        registry.put(client_id, update.buffer)
-    assert_ulp_close(fedavg(list(registry.values()), samples), expected)
+        registry.rows.uploads[registry.row(client_id)] = update.buffer
+    assert_ulp_close(fedavg(list(registry.uploads.values()), samples),
+                     expected)
 
 
 @settings(max_examples=50, deadline=None)
